@@ -216,10 +216,6 @@ class Algebra:
                 rhs.append(f.one if j == k else f.zero)
         return Matrix(f, rows, cols=d).solve(rhs)
 
-    def unit_element(self) -> Optional["Element"]:
-        p = self.predicates()
-        return Element(self, p.unit) if p.unit is not None else None
-
     # -- idempotent registry --------------------------------------------------
 
     def register_idempotent(self, e: "Element"):

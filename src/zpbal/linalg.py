@@ -15,10 +15,6 @@ from zpbal.fields import Field, Scalar
 Vector = List[Scalar]
 
 
-def zero_vector(field: Field, n: int) -> Vector:
-    return [field.zero] * n
-
-
 def vec_add(field, u, v):
     return [field.add(a, b) for a, b in zip(u, v)]
 
@@ -114,9 +110,6 @@ class Matrix:
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
         return Matrix(f, [vec_scale(f, c, r) for r in self.rows], cols=self.ncols)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], cols=self.nrows)
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.rows)
@@ -379,9 +372,6 @@ class Subspace:
         rows, pivots = rref(stacked, f)
         meet = [row[n:] for row, p in zip(rows, pivots) if p >= n]
         return Subspace(f, n, meet)
-
-    def as_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis, cols=self.ambient)
 
     def complement_functionals(self) -> List[Vector]:
         """Basis of {phi : phi(v) = 0 for all v in the subspace}."""

@@ -59,10 +59,6 @@ class AlgMap:
     def kernel_subspace(self) -> Subspace:
         return self.matrix.kernel()
 
-    def compose(self, inner: "AlgMap") -> "AlgMap":
-        """self ∘ inner."""
-        return AlgMap(inner.source, self.target, self.matrix.mul(inner.matrix))
-
     def is_multiplicative(self) -> Optional[Tuple[int, int]]:
         """None if pi(e_i e_j) = pi(e_i)pi(e_j) everywhere, else a witness pair."""
         src, tgt = self.source, self.target
@@ -77,11 +73,6 @@ class AlgMap:
 
 def identity_map(algebra: Algebra) -> AlgMap:
     return AlgMap(algebra, algebra, Matrix.identity(algebra.field, algebra.dim))
-
-
-def map_from_images(source: Algebra, target: Algebra, images: List[Vector]) -> AlgMap:
-    """Build a map from the list of basis images."""
-    return AlgMap(source, target, Matrix.from_columns(source.field, images, target.dim))
 
 
 def semimultiplicative_witness(f: AlgMap) -> Optional[Tuple[int, int, int]]:

@@ -89,10 +89,6 @@ class MultiplierAlgebra:
         L2, R2 = p2
         return L1.mul(L2), R2.mul(R1)
 
-    def pair_of(self, m: Element) -> Tuple[Matrix, Matrix]:
-        """The (L, R) pair of a multiplier-algebra element."""
-        return self._split(self.carrier.linear_combination(list(m.coords)))
-
     def mu(self, a: Element) -> Element:
         """Canonical image of an algebra element among the multipliers."""
         return self.algebra.element(self.mu_matrix.apply(list(a.coords)))

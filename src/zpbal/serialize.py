@@ -138,21 +138,6 @@ def load_map(path: str) -> AlgMap:
     return map_from_dict(data, base_dir=os.path.dirname(path) or ".")
 
 
-def map_to_dict(m: AlgMap) -> Dict:
-    f = m.source.field
-    return {
-        "source": algebra_to_dict(m.source),
-        "target": algebra_to_dict(m.target),
-        "matrix": [[f.format(a) for a in row] for row in m.matrix.rows],
-    }
-
-
-def save_map(m: AlgMap, path: str):
-    with open(path, "w") as fh:
-        json.dump(map_to_dict(m), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def certificates_to_dict(certs: List[Certificate], fld: Field, seed: int,
                          label: str = "") -> Dict:
     return {

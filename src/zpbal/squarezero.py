@@ -9,7 +9,6 @@ commutators holds unconditionally.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -17,6 +16,7 @@ from zpbal.algebra import Algebra, Element, commutator
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import SoundnessAlarm
 from zpbal.linalg import SpanBuilder, Subspace
+from zpbal.sweep import LEFT, AnnihilatorSweep, projective_points, random_elements, structured_elements
 from zpbal.tensorsquare import (
     EXACT,
     LOWER_BOUND,
@@ -68,68 +68,49 @@ class FactorizableSpanReport:
     witnesses: List[FactorizableWitness]  # one per retained generator
 
 
-def _factor_sweep(algebra: Algebra, builder: SpanBuilder, witnesses, y_coords) -> int:
-    """For fixed y adjoin {yz : zy = 0} = image under y of y's left annihilator."""
-    if all(a == 0 for a in y_coords):
-        return 0
-    added = 0
-    for z in algebra.right_mult_matrix(y_coords).kernel().basis:
-        x = algebra.multiply_coords(y_coords, z)
-        if builder.add(x):
-            w = FactorizableWitness(
-                x=algebra.element(x), y=algebra.element(y_coords), z=algebra.element(z)
-            )
-            if not w.verify():
-                raise SoundnessAlarm("factorizable witness failed re-verification")
-            witnesses.append(w)
-            added += 1
-    return added
-
-
 def factorizable_square_zero_span(
     algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG
 ) -> FactorizableSpanReport:
     """Span of {yz : zy = 0}; exhaustive over finite algebras within budget.
 
     For fixed y the eligible products form a subspace (the image of the left
-    annihilator of y under left multiplication by y), so sweeping y suffices.
+    annihilator of y under left multiplication by y), so sweeping y suffices;
+    the annihilator sweep (see `zpbal.sweep`) visits projective points only
+    and skips y whose products were all offered already.
     """
     f = algebra.field
     d = algebra.dim
     builder = SpanBuilder(f, d)
     witnesses: List[FactorizableWitness] = []
+    sweep = AnnihilatorSweep(algebra, LEFT)
+
+    def offer(y) -> int:
+        added = 0
+        for z in sweep.visit(y):
+            x = algebra.multiply_coords(y, z)
+            if builder.add(x):
+                w = FactorizableWitness(x=algebra.element(x), y=algebra.element(y), z=algebra.element(z))
+                if not w.verify():
+                    raise SoundnessAlarm("factorizable witness failed re-verification")
+                witnesses.append(w)
+                added += 1
+        return added
+
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
-        for y in algebra.coord_tuples():
+        for y in projective_points(f, d):
             if builder.dim >= d:
                 break
-            _factor_sweep(algebra, builder, witnesses, list(y))
+            offer(y)
         status = EXACT
     else:
-        sweep = []
-        for i in range(d):
-            sweep.append([f.one if t == i else f.zero for t in range(d)])
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = [f.zero] * d
-                v[i] = f.one
-                v[j] = f.one
-                sweep.append(list(v))
-                if f.characteristic != 2:
-                    w = list(v)
-                    w[j] = f.neg(f.one)
-                    sweep.append(w)
-        sweep.extend([list(e.coords) for e in algebra.registered_idempotents])
-        for y in sweep:
-            _factor_sweep(algebra, builder, witnesses, y)
-        rng = random.Random(config.seed)
+        for y in structured_elements(algebra, idempotent_pairs=False):
+            offer(y)
         stall = 0
-        while stall < config.stall_rounds and builder.dim < d:
-            if f.characteristic == 0:
-                y = [f.of_int(rng.randint(-3, 3)) for _ in range(d)]
-            else:
-                y = [rng.randrange(f.characteristic) for _ in range(d)]
-            stall = 0 if _factor_sweep(algebra, builder, witnesses, y) else stall + 1
+        for y in random_elements(f, d, config.seed):
+            if stall >= config.stall_rounds or builder.dim >= d:
+                break
+            stall = 0 if offer(y) else stall + 1
         status = LOWER_BOUND
     return FactorizableSpanReport(subspace=builder.to_subspace(), status=status, witnesses=witnesses)
 

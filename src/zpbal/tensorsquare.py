@@ -12,7 +12,6 @@ Tensor index convention: e_i ⊗ e_j sits at flat index i*d + j (row-major).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,6 +20,14 @@ from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, dot, vec_is_zero
+from zpbal.sweep import (
+    LEFT,
+    RIGHT,
+    AnnihilatorSweep,
+    projective_points,
+    random_elements,
+    structured_elements,
+)
 
 TENSOR_CONVENTION = "row-major i*d+j"
 
@@ -129,18 +136,17 @@ class ZeroProductSpanReport:
         return [(lam, self.generators[g][0], self.generators[g][1]) for g, lam in sorted(combo.items())]
 
 
-def _annihilator_tensors(report_builder, ts, u, side, generators):
-    """Insert u⊗w (right annihilators w of u) or w⊗u (left) into the span."""
+def _offer_annihilator_tensors(sweep: AnnihilatorSweep, u, builder: SpanBuilder, ts: TensorSquare,
+                               generators) -> int:
+    """Offer u⊗w (right annihilators w of u) or w⊗u (left) to the span."""
     alg = ts.algebra
-    if all(a == 0 for a in u):
-        return 0
-    mat = alg.left_mult_matrix(u) if side == "right" else alg.right_mult_matrix(u)
+    u = tuple(u)
     added = 0
-    for w in mat.kernel().basis:
-        t = ts.tensor_coords(u, w) if side == "right" else ts.tensor_coords(w, u)
-        pair = (tuple(u), tuple(w)) if side == "right" else (tuple(w), tuple(u))
-        if report_builder.add(t):
-            assert vec_is_zero(alg.multiply_coords(pair[0], pair[1]))
+    for w in sweep.visit(u):
+        pair = (u, tuple(w)) if sweep.side == RIGHT else (tuple(w), u)
+        if builder.add(ts.tensor_coords(*pair)):
+            if not vec_is_zero(alg.multiply_coords(*pair)):
+                raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
             generators.append(pair)
             added += 1
     return added
@@ -149,12 +155,14 @@ def _annihilator_tensors(report_builder, ts, u, side, generators):
 def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> ZeroProductSpanReport:
     """Span of {u⊗v : uv = 0}, exhaustive over finite algebras within budget.
 
-    Exhaustive route: sweep every element u and adjoin u ⊗ (right annihilator
+    Exhaustive route: sweep the elements u and adjoin u ⊗ (right annihilator
     of u); this reaches the whole span because each zero-product pair (u, v)
-    appears with v in the annihilator of u.  Otherwise a lower bound is grown
-    from zero basis pairs, one- and two-basis-vector annihilator sweeps,
-    registered idempotents (with their transfer tensors), and seeded random
-    elements until the span stalls.
+    appears with v in the annihilator of u.  The annihilator sweep visits
+    projective points only and skips elements whose tensors were all offered
+    already (see `zpbal.sweep`), which leaves the generators unchanged.
+    Otherwise a lower bound is grown from zero basis pairs, one- and
+    two-basis-vector annihilator sweeps, registered idempotents (with their
+    transfer tensors), and seeded random elements until the span stalls.
     """
     ts = TensorSquare(algebra)
     f = algebra.field
@@ -163,18 +171,22 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
     builder = SpanBuilder(f, ts.ambient, track_expressions=True)
     generators: List[Tuple[tuple, tuple]] = []
     log: List[str] = [f"seed={config.seed}", f"convention={TENSOR_CONVENTION}"]
+    right = AnnihilatorSweep(algebra, RIGHT)
 
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
-        for u in algebra.coord_tuples():
+        for u in projective_points(f, d):
             if builder.dim >= ker_dim:
                 break
-            _annihilator_tensors(builder, ts, list(u), "right", generators)
-        log.append(f"exhaustive annihilator sweep over {size} elements")
+            _offer_annihilator_tensors(right, u, builder, ts, generators)
+        stop = "stopped at the kernel ceiling" if builder.dim >= ker_dim else "ran to the end"
+        log.append(f"exhaustive annihilator sweep: {right.visited} projective points of {size} "
+                   f"elements, {right.distinct_annihilators} distinct annihilators, {stop}")
         status = EXACT
     else:
         reason = "infinite field" if size is None else f"{size} elements exceed cap {config.enumeration_cap}"
         log.append(f"lower-bound strategy ({reason})")
+        left = AnnihilatorSweep(algebra, LEFT)
         # (i) basis pairs with zero product
         for i in range(d):
             if builder.dim >= ker_dim:
@@ -187,30 +199,12 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
                         generators.append((ei, ej))
         log.append(f"zero basis pairs: dim {builder.dim}")
         # (ii) annihilator sweeps over structured elements
-        sweep: List[List[Scalar]] = []
-        for i in range(d):
-            sweep.append([f.one if t == i else f.zero for t in range(d)])
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = [f.zero] * d
-                v[i] = f.one
-                v[j] = f.one
-                sweep.append(list(v))
-                if f.characteristic != 2:
-                    w = list(v)
-                    w[j] = f.neg(f.one)
-                    sweep.append(w)
-        idems = [list(e.coords) for e in algebra.registered_idempotents]
-        sweep.extend(idems)
-        for a in range(len(idems)):
-            for b in range(a + 1, len(idems)):
-                sweep.append([f.add(x, y) for x, y in zip(idems[a], idems[b])])
-                sweep.append([f.sub(x, y) for x, y in zip(idems[a], idems[b])])
+        sweep = structured_elements(algebra, idempotent_pairs=True)
         for u in sweep:
             if builder.dim >= ker_dim:
                 break
-            _annihilator_tensors(builder, ts, u, "right", generators)
-            _annihilator_tensors(builder, ts, u, "left", generators)
+            _offer_annihilator_tensors(right, u, builder, ts, generators)
+            _offer_annihilator_tensors(left, u, builder, ts, generators)
         log.append(f"structured annihilator sweep ({len(sweep)} elements): dim {builder.dim}")
         # (iii) idempotent transfer tensors: ae⊗(c-ec) and (ae-a)⊗ec
         for e in algebra.registered_idempotents:
@@ -225,21 +219,19 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
                     for u, v in ((ae, c - ec), (ae - a, ec)):
                         t = ts.tensor_coords(u.coords, v.coords)
                         if builder.add(t):
-                            assert vec_is_zero(algebra.multiply_coords(u.coords, v.coords))
+                            if not vec_is_zero(algebra.multiply_coords(u.coords, v.coords)):
+                                raise SoundnessAlarm(f"transfer pair {(u, v)} has a nonzero product")
                             generators.append((u.coords, v.coords))
         log.append(f"idempotent transfer tensors: dim {builder.dim}")
         # (iv) seeded random elements until the span stalls
-        rng = random.Random(config.seed)
         stall = 0
         samples = 0
-        while stall < config.stall_rounds and builder.dim < ker_dim:
-            if f.characteristic == 0:
-                u = [f.of_int(rng.randint(-3, 3)) for _ in range(d)]
-            else:
-                u = [rng.randrange(f.characteristic) for _ in range(d)]
+        for u in random_elements(f, d, config.seed):
+            if stall >= config.stall_rounds or builder.dim >= ker_dim:
+                break
             samples += 1
-            added = _annihilator_tensors(builder, ts, u, "right", generators)
-            added += _annihilator_tensors(builder, ts, u, "left", generators)
+            added = _offer_annihilator_tensors(right, u, builder, ts, generators)
+            added += _offer_annihilator_tensors(left, u, builder, ts, generators)
             stall = 0 if added else stall + 1
         log.append(f"random sweep: {samples} samples, dim {builder.dim}")
         status = LOWER_BOUND

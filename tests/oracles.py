@@ -2,11 +2,18 @@
 
 Deliberately reimplemented from scratch: rank via plain forward elimination
 (no reduced echelon machinery), spans via all-pairs enumeration.  These must
-not share code paths with the package so that agreement is evidence.
+not share code paths with the package so that agreement is evidence.  The
+reference sweeps at the end are the one exception, explained there.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
+
+from zpbal.errors import SoundnessAlarm
+from zpbal.linalg import SpanBuilder, vec_is_zero
+from zpbal.squarezero import FactorizableWitness
+from zpbal.tensorsquare import TensorSquare
 
 
 def rank_mod_p(rows, p):
@@ -133,3 +140,167 @@ def brute_factorizable_elements(algebra):
             if all(a == 0 for a in mult(algebra, z, y)):
                 found.add(mult(algebra, y, z))
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# Reference sweeps: the per-element loops the annihilator sweep replaced.
+#
+# Unlike the oracles above these reuse the package's operators and row
+# reducer: they pin down *which* generators the engine emits, in which order,
+# so that the optimised sweep can be required to reproduce them exactly.
+# ---------------------------------------------------------------------------
+
+
+def _annihilator_tensors(report_builder, ts, u, side, generators):
+    """Insert u⊗w (right annihilators w of u) or w⊗u (left) into the span."""
+    alg = ts.algebra
+    if all(a == 0 for a in u):
+        return 0
+    mat = alg.left_mult_matrix(u) if side == "right" else alg.right_mult_matrix(u)
+    added = 0
+    for w in mat.kernel().basis:
+        t = ts.tensor_coords(u, w) if side == "right" else ts.tensor_coords(w, u)
+        pair = (tuple(u), tuple(w)) if side == "right" else (tuple(w), tuple(u))
+        if report_builder.add(t):
+            assert vec_is_zero(alg.multiply_coords(pair[0], pair[1]))
+            generators.append(pair)
+            added += 1
+    return added
+
+
+def reference_zero_product_span(algebra, config):
+    """(generators, tracking builder) of the full per-element sweep."""
+    ts = TensorSquare(algebra)
+    f = algebra.field
+    d = algebra.dim
+    ker_dim = ts.kernel_dim()
+    builder = SpanBuilder(f, ts.ambient, track_expressions=True)
+    generators = []
+
+    size = algebra.n_elements()
+    if size is not None and size <= config.enumeration_cap:
+        for u in algebra.coord_tuples():
+            if builder.dim >= ker_dim:
+                break
+            _annihilator_tensors(builder, ts, list(u), "right", generators)
+    else:
+        # (i) basis pairs with zero product
+        for i in range(d):
+            if builder.dim >= ker_dim:
+                break
+            for j in range(d):
+                if vec_is_zero(algebra.table[i][j]):
+                    ei = tuple(f.one if t == i else f.zero for t in range(d))
+                    ej = tuple(f.one if t == j else f.zero for t in range(d))
+                    if builder.add(ts.tensor_coords(ei, ej)):
+                        generators.append((ei, ej))
+        # (ii) annihilator sweeps over structured elements
+        sweep = []
+        for i in range(d):
+            sweep.append([f.one if t == i else f.zero for t in range(d)])
+        for i in range(d):
+            for j in range(i + 1, d):
+                v = [f.zero] * d
+                v[i] = f.one
+                v[j] = f.one
+                sweep.append(list(v))
+                if f.characteristic != 2:
+                    w = list(v)
+                    w[j] = f.neg(f.one)
+                    sweep.append(w)
+        idems = [list(e.coords) for e in algebra.registered_idempotents]
+        sweep.extend(idems)
+        for a in range(len(idems)):
+            for b in range(a + 1, len(idems)):
+                sweep.append([f.add(x, y) for x, y in zip(idems[a], idems[b])])
+                sweep.append([f.sub(x, y) for x, y in zip(idems[a], idems[b])])
+        for u in sweep:
+            if builder.dim >= ker_dim:
+                break
+            _annihilator_tensors(builder, ts, u, "right", generators)
+            _annihilator_tensors(builder, ts, u, "left", generators)
+        # (iii) idempotent transfer tensors: ae⊗(c-ec) and (ae-a)⊗ec
+        for e in algebra.registered_idempotents:
+            if builder.dim >= ker_dim:
+                break
+            for i in range(d):
+                a = algebra.basis_element(i)
+                ae = a * e
+                for k in range(d):
+                    c = algebra.basis_element(k)
+                    ec = e * c
+                    for u, v in ((ae, c - ec), (ae - a, ec)):
+                        t = ts.tensor_coords(u.coords, v.coords)
+                        if builder.add(t):
+                            assert vec_is_zero(algebra.multiply_coords(u.coords, v.coords))
+                            generators.append((u.coords, v.coords))
+        # (iv) seeded random elements until the span stalls
+        rng = random.Random(config.seed)
+        stall = 0
+        while stall < config.stall_rounds and builder.dim < ker_dim:
+            if f.characteristic == 0:
+                u = [f.of_int(rng.randint(-3, 3)) for _ in range(d)]
+            else:
+                u = [rng.randrange(f.characteristic) for _ in range(d)]
+            added = _annihilator_tensors(builder, ts, u, "right", generators)
+            added += _annihilator_tensors(builder, ts, u, "left", generators)
+            stall = 0 if added else stall + 1
+    return generators, builder
+
+
+def _factor_sweep(algebra, builder, witnesses, y_coords):
+    """For fixed y adjoin {yz : zy = 0} = image under y of y's left annihilator."""
+    if all(a == 0 for a in y_coords):
+        return 0
+    added = 0
+    for z in algebra.right_mult_matrix(y_coords).kernel().basis:
+        x = algebra.multiply_coords(y_coords, z)
+        if builder.add(x):
+            w = FactorizableWitness(
+                x=algebra.element(x), y=algebra.element(y_coords), z=algebra.element(z)
+            )
+            if not w.verify():
+                raise SoundnessAlarm("factorizable witness failed re-verification")
+            witnesses.append(w)
+            added += 1
+    return added
+
+
+def reference_factorizable_span(algebra, config):
+    """(witnesses, builder) of the full per-element factorizable sweep."""
+    f = algebra.field
+    d = algebra.dim
+    builder = SpanBuilder(f, d)
+    witnesses = []
+    size = algebra.n_elements()
+    if size is not None and size <= config.enumeration_cap:
+        for y in algebra.coord_tuples():
+            if builder.dim >= d:
+                break
+            _factor_sweep(algebra, builder, witnesses, list(y))
+    else:
+        sweep = []
+        for i in range(d):
+            sweep.append([f.one if t == i else f.zero for t in range(d)])
+        for i in range(d):
+            for j in range(i + 1, d):
+                v = [f.zero] * d
+                v[i] = f.one
+                v[j] = f.one
+                sweep.append(list(v))
+                if f.characteristic != 2:
+                    w = list(v)
+                    w[j] = f.neg(f.one)
+                    sweep.append(w)
+        sweep.extend([list(e.coords) for e in algebra.registered_idempotents])
+        for y in sweep:
+            _factor_sweep(algebra, builder, witnesses, y)
+        rng = random.Random(config.seed)
+        stall = 0
+        while stall < config.stall_rounds and builder.dim < d:
+            if f.characteristic == 0:
+                y = [f.of_int(rng.randint(-3, 3)) for _ in range(d)]
+            else:
+                y = [rng.randrange(f.characteristic) for _ in range(d)]
+            stall = 0 if _factor_sweep(algebra, builder, witnesses, y) else stall + 1
+    return witnesses, builder
