@@ -63,6 +63,8 @@ class Algebra:
         self.registered_idempotents: List[Element] = []
         self._predicates: Optional[Predicates] = None
         self.matrix_info: Optional[Tuple[int, "Algebra"]] = None  # set by matrix_over
+        # nonzero[i][j]: the (k, c) with c != 0 in e_i e_j, for the operator builders
+        self._nonzero = [[[(k, c) for k, c in enumerate(v) if c != 0] for v in row] for row in self.table]
 
     def _check_associative(self):
         f = self.field
@@ -139,11 +141,9 @@ class Algebra:
         for i, a in enumerate(u):
             if a == 0:
                 continue
-            for j in range(d):
-                cij = self.table[i][j]
-                for k, c in enumerate(cij):
-                    if c != 0:
-                        rows[k][j] = f.add(rows[k][j], f.mul(a, c))
+            for j, entries in enumerate(self._nonzero[i]):
+                for k, c in entries:
+                    rows[k][j] = f.add(rows[k][j], f.mul(a, c))
         return Matrix(f, rows, cols=d)
 
     def right_mult_matrix(self, u: Sequence[Scalar]) -> Matrix:
@@ -155,10 +155,8 @@ class Algebra:
             if a == 0:
                 continue
             for j in range(d):
-                cji = self.table[j][i]
-                for k, c in enumerate(cji):
-                    if c != 0:
-                        rows[k][j] = f.add(rows[k][j], f.mul(a, c))
+                for k, c in self._nonzero[j][i]:
+                    rows[k][j] = f.add(rows[k][j], f.mul(a, c))
         return Matrix(f, rows, cols=d)
 
     # -- predicates ---------------------------------------------------------

@@ -98,7 +98,7 @@ def factorizable_square_zero_span(
 
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
-        for y in projective_points(f, d):
+        for y in projective_points(algebra):
             if builder.dim >= d:
                 break
             offer(y)

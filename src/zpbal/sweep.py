@@ -18,9 +18,8 @@ over every element.
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from zpbal.algebra import Algebra
 from zpbal.fields import Field, Scalar
@@ -31,30 +30,13 @@ LEFT = "left"  # annihilator {w : wu = 0} = ker R_u
 
 
 class AnnihilatorSweep:
-    """Annihilators of a stream of elements, with the memo and incremental L_u / R_u.
-
-    The operator of u is Σ u_i·op(e_i).  Partial sums over the leading
-    coordinates are kept, so a visit rebuilds the operator only from the
-    first coordinate where u differs from the previously visited element.
-    """
+    """Annihilators of a stream of elements, with the per-annihilator memo."""
 
     def __init__(self, algebra: Algebra, side: str):
+        self.algebra = algebra
         self.field = algebra.field
-        self.dim = d = algebra.dim
+        self.dim = algebra.dim
         self.side = side
-        table = algebra.table
-        # op(e_i) flattened row-major and stored sparsely: entry k*d + j is
-        # coordinate k of e_i e_j (right side) or of e_j e_i (left side)
-        self._basis_ops: List[List[Tuple[int, Scalar]]] = []
-        for i in range(d):
-            entries = []
-            for j in range(d):
-                prod = table[i][j] if side == RIGHT else table[j][i]
-                entries.extend((k * d + j, c) for k, c in enumerate(prod) if c != 0)
-            self._basis_ops.append(entries)
-        zero = [self.field.zero] * (d * d)
-        self._partial: List[List[Scalar]] = [zero] * (d + 1)  # _partial[k] = Σ_{i<k} u_i op(e_i)
-        self._last: Optional[Tuple[Scalar, ...]] = None
         # operator row space (RREF) -> (RREF basis of its null space W, span of
         # the elements already handed out with that W)
         self._memo: Dict[tuple, Tuple[List[Vector], SpanBuilder]] = {}
@@ -63,26 +45,6 @@ class AnnihilatorSweep:
     @property
     def distinct_annihilators(self) -> int:
         return len(self._memo)
-
-    def _operator(self, u: Tuple[Scalar, ...]) -> List[Scalar]:
-        f = self.field
-        last = self._last
-        start = 0
-        if last is not None:
-            while start < self.dim and u[start] == last[start]:
-                start += 1
-        partial = self._partial
-        for k in range(start, self.dim):
-            c = u[k]
-            if c == 0:
-                partial[k + 1] = partial[k]
-                continue
-            acc = list(partial[k])
-            for idx, a in self._basis_ops[k]:
-                acc[idx] = f.add(acc[idx], f.mul(c, a))
-            partial[k + 1] = acc
-        self._last = u
-        return partial[self.dim]
 
     def visit(self, u) -> List[Vector]:
         """RREF basis of u's annihilator, or [] when u can offer nothing new.
@@ -95,9 +57,9 @@ class AnnihilatorSweep:
             return []
         self.visited += 1
         d = self.dim
-        op = self._operator(u)
-        rows = [op[k * d:(k + 1) * d] for k in range(d)]
-        reduced, _ = rref([r for r in rows if any(r)], self.field)
+        alg = self.algebra
+        op = alg.left_mult_matrix(u) if self.side == RIGHT else alg.right_mult_matrix(u)
+        reduced, _ = rref([r for r in op.rows if any(r)], self.field)
         key = tuple(tuple(r) for r in reduced)
         entry = self._memo.get(key)
         if entry is None:
@@ -110,18 +72,12 @@ class AnnihilatorSweep:
         return annihilator
 
 
-def projective_points(field: Field, dim: int) -> Iterator[Tuple[Scalar, ...]]:
-    """Nonzero tuples whose first nonzero coordinate is 1, in coordinate-tuple order.
-
-    The leading position runs from dim-1 down to 0 and each tail is
-    lexicographic, which is the relative order of these tuples among all of
-    `Algebra.coord_tuples()`; finite fields only.
-    """
-    elements = list(field.elements())
-    for lead in range(dim - 1, -1, -1):
-        head = (field.zero,) * lead + (field.one,)
-        for tail in itertools.product(elements, repeat=dim - 1 - lead):
-            yield head + tail
+def projective_points(algebra: Algebra) -> Iterator[Tuple[Scalar, ...]]:
+    """The tuples of `Algebra.coord_tuples()` whose first nonzero coordinate is 1."""
+    one = algebra.field.one
+    for u in algebra.coord_tuples():
+        if next((c for c in u if c != 0), None) == one:
+            yield u
 
 
 def structured_elements(algebra: Algebra, idempotent_pairs: bool) -> List[List[Scalar]]:

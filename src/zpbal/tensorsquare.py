@@ -175,7 +175,7 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
 
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
-        for u in projective_points(f, d):
+        for u in projective_points(algebra):
             if builder.dim >= ker_dim:
                 break
             _offer_annihilator_tensors(right, u, builder, ts, generators)

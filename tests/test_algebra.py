@@ -232,6 +232,18 @@ def test_associativity_on_random_elements():
             assert (a * b) * c == a * (b * c)
 
 
+def test_multiplication_matrices_match_products():
+    rng = random.Random(5)
+    for alg in (matrix_algebra(F3, 2), tensor_product(poly_quotient_algebra(F2, [1, 1, 1]),
+                                                      nilpotent_algebra(F2, 3)),
+                direct_sum(scalar_algebra(QQ), nilpotent_algebra(QQ, 4))):
+        f = alg.field
+        for _ in range(20):
+            u, v = ([f.of_int(rng.randint(-2, 2)) for _ in range(alg.dim)] for _ in range(2))
+            assert alg.left_mult_matrix(u).apply(v) == alg.multiply_coords(u, v)
+            assert alg.right_mult_matrix(u).apply(v) == alg.multiply_coords(v, u)
+
+
 def test_power_requires_positive():
     n3 = nilpotent_algebra(F2, 3)
     with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
 """The annihilator sweep against the per-element loops it replaced.
 
-The reference loops in oracles.py visit every element and rebuild every
-operator; the sweep visits projective points, skips memo hits and updates
-its operators incrementally.  Neither shortcut may change a single emitted
-generator, witness or reduced row.
+The reference loops in oracles.py visit every element; the sweep visits
+projective points and skips memo hits.  Neither shortcut may change a single
+emitted generator, witness or reduced row.
 """
 
 import os
@@ -22,7 +21,7 @@ from zpbal.corpus import SHAPES, golden_corpus, random_algebra
 from zpbal.fields import QQ, PrimeField
 from zpbal.linalg import Matrix
 from zpbal.squarezero import factorizable_square_zero_span
-from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep, projective_points
+from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep
 from zpbal.tensorsquare import compute_zero_product_span
 
 F2 = PrimeField(2)
@@ -76,19 +75,9 @@ def test_lower_bound_route_matches_reference_on_rational_corpus(entry):
     assert span.status == "LOWER_BOUND"
 
 
-@pytest.mark.parametrize("field,dim", [(F2, 4), (F3, 3), (PrimeField(5), 2)])
-def test_projective_points_keep_coordinate_tuple_order(field, dim):
-    alg = nilpotent_algebra(field, dim + 1)
-    expected = [u for u in alg.coord_tuples() if any(u) and next(a for a in u if a) == 1]
-    points = list(projective_points(field, dim))
-    assert points == expected
-    p = field.characteristic
-    assert len(points) == (p ** dim - 1) // (p - 1)
-
-
 @pytest.mark.parametrize("side", [RIGHT, LEFT])
 def test_visit_matches_rebuilt_operators_on_random_elements(side):
-    """Incremental operators and the memo against a from-scratch kernel."""
+    """The memo against a from-scratch kernel."""
     alg = matrix_algebra(F3, 2)
     sweep = AnnihilatorSweep(alg, side)
     rng = random.Random(7)
