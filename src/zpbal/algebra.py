@@ -606,15 +606,8 @@ def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
     dq = len(complement)
 
     def reduce_coords(v: Vector) -> Vector:
-        v = list(v)
-        for row, p in zip(ideal.basis, ideal.pivots):
-            c = v[p]
-            if c == 0:
-                continue
-            for j in range(p, d):
-                if row[j] != 0:
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return [v[c] for c in complement]
+        r = ideal.residual(v)
+        return [r[c] for c in complement]
 
     proj_rows = []
     for k in range(dq):

@@ -21,6 +21,10 @@ class NotInSubspace(ZpbalError):
     """Coefficient extraction requested for a vector outside the span."""
 
 
+class ExpressionsNotTracked(ZpbalError):
+    """Generator coefficients requested from a span builder that does not track them."""
+
+
 class NotAssociative(ZpbalError):
     """Structure-constant table violates associativity.
 

@@ -4,7 +4,9 @@ Scalars are plain Python values: `fractions.Fraction` over the rationals
 (always stored reduced with positive denominator) and `int` residues in
 [0, p) over a prime field.  A field object supplies the arithmetic, the
 parsing/formatting of the textual syntax ("p/q" over the rationals, a
-decimal residue over a prime field), and enumeration where finite.
+decimal residue over a prime field), and enumeration where finite.  Parsed
+scalars are integers or strings; a float or a bool is a ParseError, so no
+inexact value enters through an input file.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class Rationals(Field):
         return Fraction(n)
 
     def parse(self, text):
+        if type(text) is not int and not isinstance(text, str):  # no bool, no float
+            raise ParseError(f"invalid rational scalar {text!r}: not an integer or a string")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -171,9 +175,13 @@ class PrimeField(Field):
         return n % self.p
 
     def parse(self, text):
+        if type(text) is int:  # no bool
+            return text % self.p
+        if not isinstance(text, str):
+            raise ParseError(f"invalid residue {text!r} for {self.name}: not an integer or a string")
         try:
             return int(text) % self.p
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ParseError(f"invalid residue {text!r} for {self.name}") from exc
 
     def format(self, a):

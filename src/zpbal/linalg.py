@@ -3,24 +3,20 @@
 Vectors are plain lists of scalars; matrices are row-major lists of rows.
 Subspaces are kept in reduced row-echelon form, so subspace equality is
 grid equality and coefficient extraction is a direct read-off.
+
+All row reduction goes through one private loop, `_eliminate`: the span
+builder's forward reduction and back-elimination, membership tests,
+coefficient extraction and residuals modulo a subspace.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from zpbal.errors import AmbientMismatch, NotInSubspace
+from zpbal.errors import AmbientMismatch, ExpressionsNotTracked, NotInSubspace
 from zpbal.fields import Field, Scalar
 
 Vector = List[Scalar]
-
-
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
 
 
 def vec_scale(field, c, u):
@@ -29,6 +25,29 @@ def vec_scale(field, c, u):
 
 def vec_is_zero(u) -> bool:
     return all(a == 0 for a in u)
+
+
+def _eliminate(field: Field, rows: Sequence[Vector], pivots: Sequence[int], v: Vector,
+               coeffs: Optional[List[Scalar]] = None) -> Vector:
+    """Residual of a copy of v after subtracting multiples of RREF rows.
+
+    Each row has a 1 at its pivot and zeros at the other rows' pivots, so the
+    multiple of a row is the residual's entry at its pivot.  When `coeffs` is
+    given, that multiple is appended for every row, 0 for rows not used.
+    """
+    sub, mul = field.sub, field.mul
+    v = list(v)
+    n = len(v)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if coeffs is not None:
+            coeffs.append(c)
+        if c == 0:
+            continue
+        for j in range(p, n):
+            if row[j] != 0:
+                v[j] = sub(v[j], mul(c, row[j]))
+    return v
 
 
 def rref(rows: Sequence[Vector], field: Field) -> Tuple[List[Vector], List[int]]:
@@ -99,20 +118,9 @@ class Matrix:
             out.append(new)
         return Matrix(f, out, cols=other.ncols)
 
-    def add(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, [vec_add(f, r, s) for r, s in zip(self.rows, other.rows)], cols=self.ncols)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, [vec_sub(f, r, s) for r, s in zip(self.rows, other.rows)], cols=self.ncols)
-
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
         return Matrix(f, [vec_scale(f, c, r) for r in self.rows], cols=self.ncols)
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.rows)
 
     def rank(self) -> int:
         return len(rref(self.rows, self.field)[0])
@@ -204,43 +212,40 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Vector, expr: Optional[dict]):
+    def _expression(self, coeffs: List[Scalar]) -> dict:
+        """Sum over the rows of c times the row's expression, c running over coeffs."""
         f = self.field
-        v = list(v)
-        for row, p, rexpr in zip(self.rows, self.pivots, self.exprs or [None] * len(self.rows)):
-            c = v[p]
+        expr: dict = {}
+        for c, rexpr in zip(coeffs, self.exprs):
             if c == 0:
                 continue
-            for j in range(p, self.ambient):
-                if row[j] != 0:
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-            if expr is not None and rexpr is not None:
-                for g, val in rexpr.items():
-                    expr[g] = f.sub(expr.get(g, f.zero), f.mul(c, val))
-        return v, expr
+            for g, val in rexpr.items():
+                expr[g] = f.add(expr.get(g, f.zero), f.mul(c, val))
+        return expr
 
     def add(self, v: Vector) -> bool:
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
         f = self.field
-        expr = {self.n_retained: f.one} if self.track else None
-        v, expr = self._reduce(v, expr)
+        coeffs = [] if self.track else None
+        v = _eliminate(f, self.rows, self.pivots, v, coeffs)
         pivot = next((j for j, a in enumerate(v) if a != 0), None)
         if pivot is None:
             return False
         inv = f.inv(v[pivot])
         if inv != f.one:
             v = [f.mul(inv, a) for a in v]
-            if expr is not None:
-                expr = {g: f.mul(inv, val) for g, val in expr.items()}
+        if self.track:
+            # v = inv * (input - sum of c * row), written over the retained inputs
+            expr = {self.n_retained: inv}
+            for g, val in self._expression(coeffs).items():
+                expr[g] = f.mul(inv, f.neg(val))
         # eliminate the new pivot from existing rows to keep RREF
         for idx, row in enumerate(self.rows):
             c = row[pivot]
             if c == 0:
                 continue
-            for j in range(pivot, self.ambient):
-                if v[j] != 0:
-                    row[j] = f.sub(row[j], f.mul(c, v[j]))
+            self.rows[idx] = _eliminate(f, [v], [pivot], row)
             if self.track:
                 rexpr = self.exprs[idx]
                 for g, val in expr.items():
@@ -253,27 +258,14 @@ class SpanBuilder:
             self.n_retained += 1
         return True
 
-    def contains(self, v: Vector) -> bool:
-        v, _ = self._reduce(list(v), None)
-        return vec_is_zero(v)
-
     def generator_coefficients(self, v: Vector) -> Optional[dict]:
         """Expression of v over the retained generators, or None if outside."""
-        assert self.track, "builder was created without expression tracking"
-        f = self.field
-        v = list(v)
-        combo: dict = {}
-        for row, p, rexpr in zip(self.rows, self.pivots, self.exprs):
-            c = v[p]
-            if c == 0:
-                continue
-            for j in range(p, self.ambient):
-                if row[j] != 0:
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-            for g, val in rexpr.items():
-                combo[g] = f.add(combo.get(g, f.zero), f.mul(c, val))
-        if not vec_is_zero(v):
+        if not self.track:
+            raise ExpressionsNotTracked("builder was created without expression tracking")
+        coeffs: List[Scalar] = []
+        if not vec_is_zero(_eliminate(self.field, self.rows, self.pivots, v, coeffs)):
             return None
+        combo = self._expression(coeffs)
         return {g: val for g, val in combo.items() if val != 0}
 
     def to_subspace(self) -> "Subspace":
@@ -296,14 +288,6 @@ class Subspace:
             self.basis = builder.rows
             self.pivots = builder.pivots
 
-    @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [])
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).rows, _already_reduced=True)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -315,16 +299,7 @@ class Subspace:
     def contains_vector(self, v: Vector) -> bool:
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
-        f = self.field
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c == 0:
-                continue
-            for j in range(p, self.ambient):
-                if row[j] != 0:
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return vec_is_zero(v)
+        return vec_is_zero(_eliminate(self.field, self.basis, self.pivots, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compat(other)
@@ -332,20 +307,14 @@ class Subspace:
 
     def coefficients(self, v: Vector) -> Vector:
         """Expansion of v over the reduced basis; raises NotInSubspace."""
-        f = self.field
-        v = list(v)
-        coeffs = []
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c == 0:
-                continue
-            for j in range(p, self.ambient):
-                if row[j] != 0:
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        if not vec_is_zero(v):
+        coeffs: Vector = []
+        if not vec_is_zero(_eliminate(self.field, self.basis, self.pivots, v, coeffs)):
             raise NotInSubspace("vector outside subspace")
         return coeffs
+
+    def residual(self, v: Vector) -> Vector:
+        """v minus its component along the basis; zero at every pivot column."""
+        return _eliminate(self.field, self.basis, self.pivots, v)
 
     def linear_combination(self, coeffs: Vector) -> Vector:
         f = self.field
@@ -375,8 +344,6 @@ class Subspace:
 
     def complement_functionals(self) -> List[Vector]:
         """Basis of {phi : phi(v) = 0 for all v in the subspace}."""
-        if not self.basis:
-            return Matrix.identity(self.field, self.ambient).rows
         return Matrix(self.field, self.basis, cols=self.ambient).kernel().basis
 
     def __eq__(self, other):

@@ -300,7 +300,7 @@ def centralizer_space(algebra: Algebra) -> Subspace:
                     if c != 0:
                         row[l * d + j] = f.sub(row[l * d + j], c)
                 rows.append(row)
-    return Matrix(f, rows, cols=n2).kernel() if rows else Subspace.full(f, n2)
+    return Matrix(f, rows, cols=n2).kernel()
 
 
 def matrix_from_flat(algebra: Algebra, flat: Vector) -> Matrix:

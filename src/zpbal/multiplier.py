@@ -138,7 +138,7 @@ def multiplier_algebra(parent: Algebra) -> MultiplierAlgebra:
                     if c != 0:
                         row[n2 + l * d + j] = f.sub(row[n2 + l * d + j], c)
                 rows.append(row)
-    carrier = Matrix(f, rows, cols=2 * n2).kernel() if rows else Subspace.full(f, 0)
+    carrier = Matrix(f, rows, cols=2 * n2).kernel()
     return MultiplierAlgebra(parent, carrier)
 
 
@@ -192,7 +192,7 @@ def transferable_elements(
                                 acc = f.sub(acc, f.mul(phi[i * d + t], c))
                         row.append(acc)
                     rows.append(row)
-        space = Matrix(f, rows, cols=unknowns).kernel() if rows else Subspace.full(f, unknowns)
+        space = Matrix(f, rows, cols=unknowns).kernel()
         closed = all(
             space.contains_vector(algebra.multiply_coords(u, v))
             for u in space.basis
@@ -219,7 +219,7 @@ def transferable_elements(
                                 acc = f.sub(acc, f.mul(phi[i * d + t], c))
                         row.append(acc)
                     rows.append(row)
-        space = Matrix(f, rows, cols=unknowns).kernel() if rows else Subspace.full(f, unknowns)
+        space = Matrix(f, rows, cols=unknowns).kernel()
         closed = all(
             space.contains_vector(list((mult.algebra.element(u) * mult.algebra.element(v)).coords))
             for u in space.basis

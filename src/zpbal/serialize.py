@@ -27,7 +27,7 @@ import os
 from typing import Dict, List
 
 from zpbal.algebra import Algebra
-from zpbal.errors import ParseError
+from zpbal.errors import NotAssociative, NotIdempotent, ParseError
 from zpbal.fields import Field, field_from_name
 from zpbal.linalg import Matrix, vec_is_zero
 from zpbal.linmaps import AlgMap
@@ -55,18 +55,38 @@ def algebra_to_dict(algebra: Algebra) -> Dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _scalars(f: Field, coords, dim: int, what: str) -> List:
+    if not isinstance(coords, list) or len(coords) != dim:
+        raise ParseError(f"{what} must be a list of {dim} scalars, got {coords!r}")
+    return [f.parse(c) for c in coords]
+
+
 def algebra_from_dict(data: Dict) -> Algebra:
+    """The algebra a JSON object describes; any malformed input raises ParseError."""
+    if not isinstance(data, dict):
+        raise ParseError(f"algebra must be a JSON object, got {type(data).__name__}")
     try:
-        f = field_from_name(data["field"])
-        dim = data["dim"]
-        names = data["basis"]
-        products = data["products"]
-    except (KeyError, TypeError) as exc:
+        field_name, dim, names, products = data["field"], data["dim"], data["basis"], data["products"]
+    except KeyError as exc:
         raise ParseError(f"algebra object missing field: {exc}") from exc
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(field_name, str):
+        raise ParseError(f"field must be a name such as \"F2\" or \"Q\", got {field_name!r}")
+    f = field_from_name(field_name)
+    if not _is_int(dim) or dim < 0:
         raise ParseError("dim must be a nonnegative integer")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ParseError("basis must be a list of names")
     if len(names) != dim:
         raise ParseError(f"basis has {len(names)} names for dim {dim}")
+    if not isinstance(products, list):
+        raise ParseError(f"products must be a list, got {type(products).__name__}")
+    idempotents = data.get("idempotents", [])
+    if not isinstance(idempotents, list):
+        raise ParseError(f"idempotents must be a list, got {type(idempotents).__name__}")
     zero = [f.zero] * dim
     table = [[list(zero) for _ in range(dim)] for _ in range(dim)]
     for entry in products:
@@ -74,14 +94,17 @@ def algebra_from_dict(data: Dict) -> Algebra:
             i, j, coords = entry["i"], entry["j"], entry["coords"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"product entry malformed: {entry!r}") from exc
-        if not (0 <= i < dim and 0 <= j < dim) or len(coords) != dim:
+        if not (_is_int(i) and _is_int(j)):
+            raise ParseError(f"product indices must be integers: {entry!r}")
+        if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"product entry out of range: {entry!r}")
-        table[i][j] = [f.parse(c) for c in coords]
-    alg = Algebra(f, names, table)
-    for coords in data.get("idempotents", []):
-        if len(coords) != dim:
-            raise ParseError("registered idempotent has wrong length")
-        alg.register_idempotent(alg.element([f.parse(c) for c in coords]))
+        table[i][j] = _scalars(f, coords, dim, f"coords of product ({i}, {j})")
+    try:
+        alg = Algebra(f, names, table)
+        for coords in idempotents:
+            alg.register_idempotent(alg.element(_scalars(f, coords, dim, "registered idempotent")))
+    except (NotAssociative, NotIdempotent) as exc:
+        raise ParseError(str(exc)) from exc
     return alg
 
 

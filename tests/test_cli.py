@@ -1,5 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from zpbal.cli import main
 
@@ -132,6 +137,34 @@ def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "invalid JSON" in err
     code, _, err = run_cli(capsys, "check", "missing.json")
     assert code == 1
+
+
+MALFORMED = {  # file stem -> (algebra object, expected message)
+    "coords-not-list": ({"field": "F2", "dim": 1, "basis": ["a"],
+                         "products": [{"i": 0, "j": 0, "coords": 5}]}, "must be a list of 1 scalars"),
+    "index-string": ({"field": "F2", "dim": 1, "basis": ["a"],
+                      "products": [{"i": "0", "j": 0, "coords": [1]}]}, "indices must be integers"),
+    "products-not-list": ({"field": "F2", "dim": 1, "basis": ["a"], "products": 5},
+                          "products must be a list"),
+    "dim-bool": ({"field": "F2", "dim": True, "basis": ["a"], "products": []},
+                 "dim must be a nonnegative integer"),
+    "float-scalar": ({"field": "Q", "dim": 1, "basis": ["a"],
+                      "products": [{"i": 0, "j": 0, "coords": [0.1]}]}, "invalid rational scalar 0.1"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_malformed_algebra_files_exit_1(tmp_path, flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for stem, (data, message) in MALFORMED.items():
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", "check", str(path),
+                               "--out", str(tmp_path / "certs.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, (stem, proc.stderr)
+        assert message in proc.stderr, (stem, proc.stderr)
+        assert "Traceback" not in proc.stderr, stem
 
 
 def test_non_associative_rejected(tmp_path, capsys, monkeypatch):

@@ -79,6 +79,14 @@ def test_canonical_forms():
     assert F3.format(5) == 2
 
 
+def test_parse_rejects_floats_and_booleans():
+    for field in (QQ, F2, F3):
+        for bad in (0.1, 1.9, 2.0, True, False):
+            with pytest.raises(ParseError):
+                field.parse(bad)
+        assert field.parse(1) == field.one and field.parse("1") == field.one
+
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from zpbal.errors import AmbientMismatch, NotInSubspace
+from oracles import rank_over
+from test_sweep import random_change_of_basis
+from zpbal.algebra import ideal_closure, matrix_algebra, nilpotent_algebra, quotient_algebra
+from zpbal.corpus import random_algebra
+from zpbal.errors import AmbientMismatch, ExpressionsNotTracked, NotInSubspace
 from zpbal.fields import PrimeField, QQ
 from zpbal.linalg import Matrix, SpanBuilder, Subspace
 
@@ -38,6 +42,8 @@ def test_kernel_zero_and_identity():
     z = Matrix.zero(QQ, 3, 3)
     assert z.kernel().dim == 3
     assert Matrix.identity(QQ, 3).kernel().dim == 0
+    for n in (0, 1, 3):  # no equations: the whole space, in reduced form
+        assert Matrix(F2, [], cols=n).kernel() == Subspace(F2, n, Matrix.identity(F2, n).rows)
 
 
 def test_solve():
@@ -92,6 +98,8 @@ def test_span_builder_tracks_expressions():
     combo = b.generator_coefficients([1, 2, 1])
     assert combo == {0: 1, 1: 1}
     assert b.generator_coefficients([1, 0, 1]) is None
+    with pytest.raises(ExpressionsNotTracked):
+        SpanBuilder(F3, 3).generator_coefficients([1, 1, 0])
 
 
 def _random_matrix(rng, field, rows, cols):
@@ -143,3 +151,61 @@ def test_complement_functionals():
     assert len(funcs) == 2
     for phi in funcs:
         assert sum(a * b for a, b in zip(phi, [q(1), q(0), q(1)])) == 0
+    assert Subspace(QQ, 3, []).complement_functionals() == Matrix.identity(QQ, 3).rows
+
+
+def _random_vector(rng, field, n):
+    return _random_matrix(rng, field, 1, n).rows[0]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_reduction_against_oracle_random(field):
+    """Membership, coefficients and generator expressions against the oracle's rank."""
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gens = _random_matrix(rng, field, rng.randint(0, 5), n).rows
+        space = Subspace(field, n, gens)
+        builder = SpanBuilder(field, n, track_expressions=True)
+        retained = [g for g in gens if builder.add(g)]
+        for _ in range(4):
+            v = _random_vector(rng, field, n)
+            if gens and rng.random() < 0.5:  # a random combination of the generators
+                v = Matrix.from_columns(field, gens, n).apply(_random_vector(rng, field, len(gens)))
+            inside = rank_over(field, gens + [v]) == rank_over(field, gens)
+            assert space.contains_vector(v) == inside
+            combo = builder.generator_coefficients(v)
+            assert (combo is not None) == inside
+            if not inside:
+                with pytest.raises(NotInSubspace):
+                    space.coefficients(v)
+                continue
+            assert space.linear_combination(space.coefficients(v)) == v
+            rebuilt = [field.zero] * n
+            for g, lam in combo.items():
+                rebuilt = [field.add(a, field.mul(lam, b)) for a, b in zip(rebuilt, retained[g])]
+            assert rebuilt == v
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nilpotent_algebra(F2, 5),
+    lambda: nilpotent_algebra(QQ, 4),
+    lambda: matrix_algebra(F3, 2),
+    lambda: random_algebra(0, F3, "direct_sum_mix"),
+    lambda: random_algebra(1, QQ, "direct_sum_mix"),
+], ids=["N5/F2", "N4/Q", "M2/F3", "mix/F3", "mix/Q"])
+def test_quotient_projection_random(make):
+    """The projection kills the ideal and is multiplicative on random pairs."""
+    rng = random.Random(19)
+    alg = random_change_of_basis(make(), rng)  # so that no ideal is spanned by basis vectors
+    f = alg.field
+    for _ in range(3):
+        seed = _random_vector(rng, f, alg.dim)
+        ideal = ideal_closure(alg, [seed])
+        quot = quotient_algebra(alg, ideal)
+        for v in ideal.basis:
+            assert quot.project(alg.element(v)).is_zero()
+        for _ in range(10):
+            a = alg.element(_random_vector(rng, f, alg.dim))
+            b = alg.element(_random_vector(rng, f, alg.dim))
+            assert quot.project(a * b) == quot.project(a) * quot.project(b)

@@ -103,8 +103,9 @@ _TAMPER = textwrap.dedent("""
     import sys
     from zpbal.algebra import Algebra, matrix_algebra, nilpotent_algebra
     from zpbal.config import SweepConfig
-    from zpbal.errors import SoundnessAlarm
+    from zpbal.errors import ExpressionsNotTracked, SoundnessAlarm
     from zpbal.fields import QQ, PrimeField
+    from zpbal.linalg import SpanBuilder
     from zpbal.squarezero import factorizable_square_zero_span
     from zpbal.tensorsquare import compute_zero_product_span
 
@@ -136,16 +137,24 @@ _TAMPER = textwrap.dedent("""
     m2 = matrix_algebra(PrimeField(3), 2)
     w = factorizable_square_zero_span(m2).witnesses[0]
     results.append(alarms(lambda: factorizable_square_zero_span(m2), (w.z.coords, w.y.coords)))
+    untracked = SpanBuilder(PrimeField(2), 2)
+    untracked.add([1, 0])
+    try:
+        untracked.generator_coefficients([1, 0])
+        results.append(False)
+    except ExpressionsNotTracked:
+        results.append(True)
     print(results)
 """)
 
 
 def test_soundness_checks_survive_python_O():
+    """The soundness alarms and the untracked-builder guard are not asserts."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", _TAMPER], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[True, True, True, True]"
+    assert proc.stdout.strip() == "[True, True, True, True, True]"
 
 
 def random_change_of_basis(alg, rng):
