@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Dict, List, Optional
 from xml.etree import ElementTree as ET
 
@@ -57,6 +58,7 @@ from zpbal.structure import (
     sigma_splitting,
 )
 from zpbal.tensorsquare import (
+    MEMBERSHIP,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
@@ -282,6 +284,16 @@ def cmd_verify(args) -> int:
         ok = verify_certificate(alg, cert)
         all_ok = all_ok and ok
         print(f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}")
+    # membership certificates of triples claim balancedness: all d^3 triples, each once
+    triples = Counter(tuple(c.meta["triple"]) for c in certs
+                      if c.kind == MEMBERSHIP and "triple" in c.meta)
+    if triples:
+        missing = alg.dim ** 3 - len(triples)
+        repeated = sum(n - 1 for n in triples.values())
+        covered = missing == 0 and repeated == 0
+        all_ok = all_ok and covered
+        print(f"triple coverage: {'true' if covered else 'false'} "
+              f"({missing} of {alg.dim ** 3} triples missing, {repeated} repeated)")
     print(f"all certificates: {'true' if all_ok else 'false'}")
     return 0
 

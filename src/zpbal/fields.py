@@ -11,6 +11,7 @@ inexact value enters through an input file.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -19,19 +20,41 @@ from zpbal.errors import InfiniteFieldError, ParseError
 Scalar = Union[Fraction, int]
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality test; ValueError for a possible prime beyond `_MR_LIMIT`."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _max_digits() -> int:
+    """The digit limit Python applies to int(str), or its default where it is off."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 class Field:
@@ -116,6 +139,14 @@ class Rationals(Field):
     def parse(self, text):
         if type(text) is not int and not isinstance(text, str):  # no bool, no float
             raise ParseError(f"invalid rational scalar {text!r}: not an integer or a string")
+        if isinstance(text, str) and "e" in text.lower():  # "1e<n>" expands to n digits
+            try:
+                exponent = int(text[text.lower().rindex("e") + 1:])
+            except ValueError:
+                exponent = 0  # not an exponent: Fraction decides
+            limit = _max_digits()
+            if abs(exponent) + len(text) > limit:
+                raise ParseError(f"rational scalar {text[:40]!r} expands to more than {limit} digits")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -13,25 +13,38 @@ Map files:
       "matrix": [[scalars]] }          # target.dim rows; columns are basis images
 
 Certificate files:
-    { "seed": int, "algebra": name, "certificates": [ <certificate> ... ] }
+    { "field": "F2" | "Q", "label": str, "seed": int,
+      "convention": "row-major i*d+j",            # e_i⊗e_j sits at flat index i*d+j
+      "generators": [ {"u": [scalars], "v": [scalars]} ... ],   # zero-product pairs
+      "certificates": [ <certificate> ... ] }
+
+    Each zero-product pair is stored once, in the order certificates first use
+    it.  A certificate is an object with "kind" and optional "meta":
+      membership-decomposition: "terms": [ {"generator": index, "lambda": scalar} ... ]
+      separating-functional:    "functional": [scalars], "generators": [indices]
+    and a dense "target" (d*d scalars), except that a certificate of a basis
+    triple ("meta": {"triple": [i, j, k]}) whose defect tensor is zero stores
+    no target.  The verifier recomputes the target of every certificate that
+    names a triple, so a stored target only shows the reader the claim.
 
 Scalars use the textual syntax of the base field ("p/q" over the rationals,
 decimal residues over prime fields).  Output is deterministic: fixed key
-order, no timestamps.
+order, no timestamps.  Certificate files are compact JSON with one
+certificate per line.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from zpbal.algebra import Algebra
-from zpbal.errors import NotAssociative, NotIdempotent, ParseError
+from zpbal.errors import MalformedCertificate, NotAssociative, NotIdempotent, ParseError
 from zpbal.fields import Field, field_from_name
 from zpbal.linalg import Matrix, vec_is_zero
 from zpbal.linmaps import AlgMap
-from zpbal.tensorsquare import Certificate
+from zpbal.tensorsquare import TENSOR_CONVENTION, Certificate
 
 
 def algebra_to_dict(algebra: Algebra) -> Dict:
@@ -108,15 +121,18 @@ def algebra_from_dict(data: Dict) -> Algebra:
     return alg
 
 
-def load_algebra(path: str) -> Algebra:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    return algebra_from_dict(data)
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, too deep
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def load_algebra(path: str) -> Algebra:
+    return algebra_from_dict(_read_json(path))
 
 
 def save_algebra(algebra: Algebra, path: str):
@@ -133,6 +149,8 @@ def map_from_dict(data: Dict, base_dir: str = ".") -> AlgMap:
             return algebra_from_dict(ref)
         raise ParseError(f"algebra reference must be a path or object, got {type(ref).__name__}")
 
+    if not isinstance(data, dict):
+        raise ParseError(f"map must be a JSON object, got {type(data).__name__}")
     try:
         source = resolve(data["source"])
         target = resolve(data["target"])
@@ -142,52 +160,75 @@ def map_from_dict(data: Dict, base_dir: str = ".") -> AlgMap:
     f = source.field
     if target.field != f:
         raise ParseError("source and target fields differ")
-    if len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
+    if not isinstance(matrix, list) or len(matrix) != target.dim:
         raise ParseError(
             f"matrix must be {target.dim} rows x {source.dim} cols (columns are basis images)"
         )
-    rows = [[f.parse(c) for c in r] for r in matrix]
+    rows = [_scalars(f, r, source.dim, f"matrix row {n}") for n, r in enumerate(matrix)]
     return AlgMap(source, target, Matrix(f, rows, cols=source.dim))
 
 
 def load_map(path: str) -> AlgMap:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    return map_from_dict(data, base_dir=os.path.dirname(path) or ".")
+    return map_from_dict(_read_json(path), base_dir=os.path.dirname(path) or ".")
 
 
 def certificates_to_dict(certs: List[Certificate], fld: Field, seed: int,
                          label: str = "") -> Dict:
+    if any(c.convention != TENSOR_CONVENTION for c in certs):
+        raise MalformedCertificate(f"certificate files use the convention {TENSOR_CONVENTION!r} only")
+    index: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position, first use first
+    entries = [c.to_dict(fld, lambda pair: index.setdefault(pair, len(index))) for c in certs]
+    fmt = fld.format
     return {
         "field": fld.name,
         "label": label,
         "seed": seed,
-        "certificates": [c.to_dict(fld) for c in certs],
+        "convention": TENSOR_CONVENTION,
+        "generators": [{"u": [fmt(a) for a in u], "v": [fmt(b) for b in v]} for u, v in index],
+        "certificates": entries,
     }
 
 
 def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str,
                       label: str = ""):
+    """Compact JSON, one certificate per line: the C encoder holds one at a time."""
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+    data = certificates_to_dict(certs, fld, seed, label)
+    entries = data.pop("certificates")  # the first key in sorted order
     with open(path, "w") as fh:
-        json.dump(certificates_to_dict(certs, fld, seed, label), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write('{"certificates":[')
+        for n, entry in enumerate(entries):
+            fh.write(("," if n else "") + "\n" + encode(entry))
+        fh.write("\n]," + encode(data)[1:] + "\n")
+
+
+def certificates_from_dict(data: Dict, fld: Field) -> List[Certificate]:
+    """The certificates of a certificate file; any malformed field raises
+    ParseError (file level) or MalformedCertificate (one certificate)."""
+    if not isinstance(data, dict):
+        raise ParseError(f"certificate file must hold an object, got {type(data).__name__}")
+    try:
+        field_name, label, seed = data["field"], data["label"], data["seed"]
+        convention, table, entries = data["convention"], data["generators"], data["certificates"]
+    except KeyError as exc:
+        raise ParseError(f"certificate file missing field: {exc}") from exc
+    if field_name != fld.name:
+        raise ParseError(f"certificates are over {field_name!r}, the algebra over {fld.name}")
+    if not isinstance(label, str) or not _is_int(seed):
+        raise ParseError(f"label must be a string and seed an integer, got {label!r}, {seed!r}")
+    if convention != TENSOR_CONVENTION:
+        raise ParseError(f"unknown tensor convention {convention!r}")
+    if not isinstance(table, list) or not isinstance(entries, list):
+        raise ParseError("generators and certificates must be lists")
+    generators = []
+    for g in table:
+        if not (isinstance(g, dict) and set(g) == {"u", "v"} and isinstance(g["u"], list)):
+            raise MalformedCertificate(f"generator must be {{u: [scalars], v: [scalars]}}, got {g!r}")
+        d = len(generators[0][0]) if generators else len(g["u"])  # every vector has one length
+        generators.append((tuple(_scalars(fld, g["u"], d, "generator u")),
+                           tuple(_scalars(fld, g["v"], d, "generator v"))))
+    return [Certificate.from_dict(c, fld, generators) for c in entries]
 
 
 def load_certificates(path: str, fld: Field) -> List[Certificate]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    if isinstance(data, dict) and "certificates" in data:
-        return [Certificate.from_dict(c, fld) for c in data["certificates"]]
-    if isinstance(data, dict):
-        return [Certificate.from_dict(data, fld)]
-    raise ParseError("certificate file must hold an object")
+    return certificates_from_dict(_read_json(path), fld)

@@ -13,7 +13,7 @@ Tensor index convention: e_i ⊗ e_j sits at flat index i*d + j (row-major).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from zpbal.algebra import Algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
@@ -83,16 +83,20 @@ class TensorSquare:
 
     def defect_tensor(self, i: int, j: int, k: int) -> Vector:
         """(e_i e_j)⊗e_k - e_i⊗(e_j e_k)."""
-        f = self.algebra.field
-        d = self.algebra.dim
-        out = [f.zero] * self.ambient
-        for s, c in enumerate(self.algebra.table[i][j]):
-            if c != 0:
-                out[s * d + k] = f.add(out[s * d + k], c)
-        for t, c in enumerate(self.algebra.table[j][k]):
-            if c != 0:
-                out[i * d + t] = f.sub(out[i * d + t], c)
-        return out
+        return _defect_tensor(self.algebra, i, j, k)
+
+
+def _defect_tensor(algebra: Algebra, i: int, j: int, k: int) -> Vector:
+    f = algebra.field
+    d = algebra.dim
+    out = [f.zero] * (d * d)
+    for s, c in enumerate(algebra.table[i][j]):
+        if c != 0:
+            out[s * d + k] = f.add(out[s * d + k], c)
+    for t, c in enumerate(algebra.table[j][k]):
+        if c != 0:
+            out[i * d + t] = f.sub(out[i * d + t], c)
+    return out
 
 
 @dataclass
@@ -271,75 +275,111 @@ class Certificate:
     separating-functional: functional vanishing on all stored zero-product
     generator tensors but not on the target; refutes membership whenever the
     stored generators span the whole zero-product span (status EXACT).
+
+    A certificate whose meta names a basis triple is about that triple's
+    defect tensor, which the verifier recomputes; its stored target, if any,
+    must equal it.  A loaded certificate of a zero defect has no target.
     """
 
     kind: str
-    target: Vector
+    target: Optional[Vector]
     terms: List[Tuple[Scalar, tuple, tuple]] = dc_field(default_factory=list)
     functional: Optional[Vector] = None
     generators: List[Tuple[tuple, tuple]] = dc_field(default_factory=list)
     convention: str = TENSOR_CONVENTION
     meta: Dict = dc_field(default_factory=dict)
 
-    def to_dict(self, fld: Field) -> Dict:
+    def to_dict(self, fld: Field, generator_index: Callable[[Tuple[tuple, tuple]], int]) -> Dict:
+        """JSON form; zero-product pairs become indices into the file's generator table."""
         fmt = fld.format
-        out = {
-            "kind": self.kind,
-            "convention": self.convention,
-            "target": [fmt(a) for a in self.target],
-        }
+        out: Dict = {"kind": self.kind}
+        if self.target is not None and not ("triple" in self.meta and not any(self.target)):
+            out["target"] = [fmt(a) for a in self.target]
         if self.kind == MEMBERSHIP:
-            out["terms"] = [
-                {"lambda": fmt(lam), "u": [fmt(a) for a in u], "v": [fmt(b) for b in v]}
-                for lam, u, v in self.terms
-            ]
+            out["terms"] = [{"generator": generator_index((tuple(u), tuple(v))), "lambda": fmt(lam)}
+                            for lam, u, v in self.terms]
         if self.kind == SEPARATING:
             out["functional"] = [fmt(a) for a in self.functional]
-            out["generators"] = [
-                {"u": [fmt(a) for a in u], "v": [fmt(b) for b in v]} for u, v in self.generators
-            ]
+            out["generators"] = [generator_index((tuple(u), tuple(v))) for u, v in self.generators]
         if self.meta:
             out["meta"] = self.meta
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict, fld: Field) -> "Certificate":
-        try:
-            kind = data["kind"]
-            target = [fld.parse(a) for a in data["target"]]
-            terms = [
-                (fld.parse(t["lambda"]), tuple(fld.parse(a) for a in t["u"]), tuple(fld.parse(b) for b in t["v"]))
-                for t in data.get("terms", [])
-            ]
-            functional = [fld.parse(a) for a in data["functional"]] if "functional" in data else None
-            generators = [
-                (tuple(fld.parse(a) for a in g["u"]), tuple(fld.parse(b) for b in g["v"]))
-                for g in data.get("generators", [])
-            ]
-        except (KeyError, TypeError) as exc:
-            raise MalformedCertificate(f"missing or malformed field: {exc}") from exc
+    def from_dict(cls, data: Dict, fld: Field, generators: Sequence[Tuple[tuple, tuple]]) -> "Certificate":
+        """Inverse of `to_dict`; `generators` is the file's parsed generator table."""
+        if not isinstance(data, dict):
+            raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
+        kind = data.get("kind")
+        if not isinstance(kind, str):
+            raise MalformedCertificate(f"certificate kind must be a string, got {kind!r}")
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise MalformedCertificate(f"meta must be an object, got {meta!r}")
+
+        def generator(index):
+            if type(index) is not int or not 0 <= index < len(generators):
+                raise MalformedCertificate(f"generator index {index!r} is not below {len(generators)}")
+            return generators[index]
+
+        def term(t):
+            if not isinstance(t, dict) or set(t) != {"generator", "lambda"}:
+                raise MalformedCertificate(f"term must be {{generator, lambda}}, got {t!r}")
+            return (fld.parse(t["lambda"]), *generator(t["generator"]))
+
         return cls(
             kind=kind,
-            target=target,
-            terms=terms,
-            functional=functional,
-            generators=generators,
-            convention=data.get("convention", TENSOR_CONVENTION),
-            meta=data.get("meta", {}),
+            target=_parse_vector(fld, data["target"], "target") if "target" in data else None,
+            terms=[term(t) for t in _list(data.get("terms", []), "terms")],
+            functional=_parse_vector(fld, data["functional"], "functional") if "functional" in data else None,
+            generators=[generator(g) for g in _list(data.get("generators", []), "generators")],
+            meta=meta,
         )
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedCertificate(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _parse_vector(fld: Field, value, what: str) -> Vector:
+    return [fld.parse(a) for a in _list(value, what)]
+
+
+def _claimed_triple(meta: Dict, d: int) -> Optional[Tuple[int, int, int]]:
+    """The basis triple a certificate is about, or None when it names none."""
+    if "triple" not in meta:
+        return None
+    triple = meta["triple"]
+    if not (isinstance(triple, (list, tuple)) and len(triple) == 3
+            and all(type(i) is int and 0 <= i < d for i in triple)):
+        raise MalformedCertificate(f"triple {triple!r} is not three basis indices below {d}")
+    return tuple(triple)
 
 
 def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
     """Re-check a certificate using only algebra multiplication and arithmetic.
 
     Deliberately independent of the span engine: a third party holding the
-    structure constants can re-run this check.
+    structure constants can re-run this check.  The claim binds the target:
+    a certificate naming a basis triple is about that triple's defect tensor,
+    and a refutation of determination must separate a kernel tensor.
     """
     f = algebra.field
     d = algebra.dim
     ambient = d * d
-    if len(cert.target) != ambient:
+    target = cert.target
+    if target is not None and len(target) != ambient:
         raise MalformedCertificate("target has wrong length")
+    triple = _claimed_triple(cert.meta, d)
+    if triple is not None:
+        defect = _defect_tensor(algebra, *triple)
+        if target is not None and list(target) != defect:
+            return False
+        target = defect
+    elif target is None:
+        raise MalformedCertificate("certificate has neither a target nor a triple")
     if cert.kind == MEMBERSHIP:
         acc = [f.zero] * ambient
         for lam, u, v in cert.terms:
@@ -355,13 +395,18 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
                 for j, b in enumerate(v):
                     if b != 0:
                         acc[base + j] = f.add(acc[base + j], f.mul(la, b))
-        return acc == list(cert.target)
+        return acc == list(target)
     if cert.kind == SEPARATING:
         if cert.functional is None or len(cert.functional) != ambient:
             raise MalformedCertificate("separating certificate lacks a functional")
-        if dot(f, cert.functional, cert.target) == 0:
+        if dot(f, cert.functional, target) == 0:
+            return False
+        if (cert.meta.get("claim") == "not-zero-product-determined"
+                and not vec_is_zero(TensorSquare(algebra).apply_mul(target))):
             return False
         for u, v in cert.generators:
+            if len(u) != d or len(v) != d:
+                raise MalformedCertificate("generator vector has wrong length")
             if not vec_is_zero(algebra.multiply_coords(u, v)):
                 return False
             t = [f.zero] * ambient

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from zpbal.algebra import nilpotent_algebra
 from zpbal.cli import main
+from zpbal.fields import PrimeField
+from zpbal.tensorsquare import TensorSquare
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +67,64 @@ def test_verify_rejects_corruption(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "bad.json", "kk.json")
     assert code == 0
     assert "false" in out
+
+
+def _tampered(capsys, example, change):
+    """verify's output on the certificate file of `example` after `change(data)`."""
+    run_cli(capsys, "example", *example, "--out", "alg.json")
+    run_cli(capsys, "check", "alg.json", "--out", "certs.json")
+    with open("certs.json") as fh:
+        data = json.load(fh)
+    change(data)
+    with open("bad.json", "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run_cli(capsys, "verify", "bad.json", "alg.json")
+    assert code == 0 and "Traceback" not in err
+    return out
+
+
+def test_verify_requires_every_triple_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    m2 = ("Mn", "--n", "2", "--field", "F2")
+    out = _tampered(capsys, m2, lambda data: data["certificates"].pop(5))
+    assert "triple coverage: false (1 of 64 triples missing, 0 repeated)" in out
+    assert "all certificates: false" in out
+    out = _tampered(capsys, m2, lambda data: data["certificates"].append(data["certificates"][5]))
+    assert "triple coverage: false (0 of 64 triples missing, 1 repeated)" in out
+    assert "all certificates: false" in out
+
+    def move(data):  # a certificate of a nonzero defect moved to a triple whose defect is zero
+        certs = data["certificates"]
+        nonzero = next(n for n, c in enumerate(certs) if "target" in c)
+        zero = next(c for c in certs if "target" not in c)
+        certs[nonzero]["meta"]["triple"] = zero["meta"]["triple"]
+
+    out = _tampered(capsys, m2, move)
+    assert "membership-decomposition): false" in out
+    assert "all certificates: false" in out
+
+
+def test_verify_requires_a_kernel_witness(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    alg = nilpotent_algebra(PrimeField(2), 4)
+    ts = TensorSquare(alg)
+
+    def outside_kernel(data):
+        cert = next(c for c in data["certificates"]
+                    if c["meta"]["claim"] == "not-zero-product-determined")
+        phi = cert["functional"]
+        for n in range(ts.ambient):  # witness + e_i⊗e_j with e_i e_j != 0
+            t = list(cert["target"])
+            t[n] = (t[n] + 1) % 2
+            if any(ts.apply_mul(t)) and sum(a * b for a, b in zip(phi, t)) % 2:
+                cert["target"] = t
+                return
+        raise AssertionError("no tensor outside the kernel that phi does not kill")
+
+    out = _tampered(capsys, ("Nm", "--m", "4", "--field", "F2"), outside_kernel)
+    assert "certificate 0 (separating-functional): true" in out
+    assert "certificate 1 (separating-functional): false" in out
+    assert "all certificates: false" in out
 
 
 def test_factorize_map_file(tmp_path, capsys, monkeypatch):
@@ -153,18 +214,72 @@ MALFORMED = {  # file stem -> (algebra object, expected message)
 }
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_malformed_algebra_files_exit_1(tmp_path, flags):
+def _assert_exit_1(tmp_path, flags, cases, argv):
+    """Each malformed file gives exit code 1 and its message, never a traceback."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for stem, (data, message) in MALFORMED.items():
+    for stem, (data, message) in cases.items():
         path = tmp_path / f"{stem}.json"
         path.write_text(json.dumps(data))
-        proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", "check", str(path),
-                               "--out", str(tmp_path / "certs.json")],
+        proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", *argv(str(path))],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1, (stem, proc.stderr)
         assert message in proc.stderr, (stem, proc.stderr)
         assert "Traceback" not in proc.stderr, stem
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_malformed_algebra_files_exit_1(tmp_path, flags):
+    _assert_exit_1(tmp_path, flags, MALFORMED,
+                   lambda path: ["check", path, "--out", str(tmp_path / "certs.json")])
+
+
+K2 = {"field": "F2", "dim": 2, "basis": ["a", "b"],
+      "products": [{"i": 0, "j": 0, "coords": [1, 0]}, {"i": 1, "j": 1, "coords": [0, 1]}]}
+
+
+def _certificate_file(**changes):
+    data = {"field": "F2", "label": "", "seed": 0, "convention": "row-major i*d+j",
+            "generators": [{"u": [1, 0], "v": [0, 1]}],
+            "certificates": [{"kind": "membership-decomposition", "meta": {"triple": [0, 0, 0]},
+                              "terms": [{"generator": 0, "lambda": 1}]}]}
+    data.update(changes)
+    return data
+
+
+def _term(generator=0, lam=1):
+    return [{"kind": "membership-decomposition", "terms": [{"generator": generator, "lambda": lam}],
+             "target": [0, 1, 0, 0]}]
+
+
+MALFORMED_CERTIFICATES = {  # file stem -> (certificate file object, expected message)
+    "certificates-int": ({"certificates": 5}, "certificate file missing field"),
+    "certificates-not-list": (_certificate_file(certificates=5), "must be lists"),
+    "index-out-of-range": (_certificate_file(certificates=_term(generator=1)), "generator index 1"),
+    "index-not-int": (_certificate_file(certificates=_term(generator="0")), "generator index '0'"),
+    "index-bool": (_certificate_file(certificates=_term(generator=False)), "generator index False"),
+    "vectors-differ": (_certificate_file(generators=[{"u": [1, 0], "v": [0, 1]}, {"u": [1], "v": [0]}]),
+                       "must be a list of 2 scalars"),
+    "vectors-too-short": (_certificate_file(generators=[{"u": [1], "v": [0]}]), "wrong length"),
+    "float-lambda": (_certificate_file(certificates=_term(lam=1.0)), "invalid residue 1.0"),
+    "bool-vector": (_certificate_file(generators=[{"u": [True, 0], "v": [0, 1]}]), "invalid residue True"),
+    "other-field": (_certificate_file(field="F3"), "certificates are over 'F3'"),
+}
+MALFORMED_MAPS = {  # file stem -> (map file object, expected message)
+    "matrix-int": ({"source": K2, "target": K2, "matrix": 5}, "matrix must be 2 rows x 2 cols"),
+    "row-int": ({"source": K2, "target": K2, "matrix": [5, [0, 1]]}, "matrix row 0 must be a list"),
+    "float-entry": ({"source": K2, "target": K2, "matrix": [[1.5, 0], [0, 1]]}, "invalid residue 1.5"),
+    "map-list": ([K2, K2], "map must be a JSON object"),
+    "null-byte-path": ({"source": "k\u0000.json", "target": K2, "matrix": [[1, 0], [0, 1]]},
+                       "cannot read"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_malformed_certificate_and_map_files_exit_1(tmp_path, flags):
+    k2 = tmp_path / "k2.json"
+    k2.write_text(json.dumps(K2))
+    _assert_exit_1(tmp_path, flags, MALFORMED_CERTIFICATES, lambda path: ["verify", path, str(k2)])
+    _assert_exit_1(tmp_path, flags, MALFORMED_MAPS, lambda path: ["factorize", path])
 
 
 def test_non_associative_rejected(tmp_path, capsys, monkeypatch):

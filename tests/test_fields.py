@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from zpbal.errors import FieldMismatch, InfiniteFieldError, ParseError
-from zpbal.fields import PrimeField, QQ, field_from_name, scalar_arith
+from zpbal.fields import PrimeField, QQ, _is_prime, field_from_name, scalar_arith
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -107,3 +111,43 @@ def test_prime_field_axioms(a, b, c):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     if a != 0:
         assert f.mul(a, f.inv(a)) == 1
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_is_exact():
+    assert all(_is_prime(n) == _trial_division(n) for n in range(-2, 5000))
+    # strong pseudoprimes to the first four, seven and nine prime bases
+    for n in (3215031751, 341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(1000000000000000003) and _is_prime(2 ** 61 - 1)
+    with pytest.raises(ParseError, match="too large"):
+        field_from_name(f"F{2 ** 89 - 1}")  # a prime above 3.3e24 cannot be decided exactly
+    assert not _is_prime(2 ** 100)  # a composite with a small factor still can
+
+
+def _run(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_short_inputs_return_promptly():
+    assert _run("from zpbal.fields import field_from_name\n"
+                "print(field_from_name('F1000000000000000003').name)") == "F1000000000000000003\n"
+    assert "ParseError" in _run(
+        "from zpbal.errors import ParseError\nfrom zpbal.fields import QQ\n"
+        "try:\n    QQ.parse('1e100000000')\nexcept ParseError as exc:\n    print(type(exc).__name__, exc)")
+
+
+def test_rational_exponent_limit():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+    assert QQ.parse("1e-3") == Fraction(1, 1000)
+    assert QQ.parse(f"1e{limit - 10}") == 10 ** (limit - 10)
+    for text in (f"1e{limit}", f"1E-{limit}", "1e" + "9" * (limit + 1)):
+        with pytest.raises(ParseError):
+            QQ.parse(text)

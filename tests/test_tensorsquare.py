@@ -246,16 +246,42 @@ def test_malformed_certificates():
         verify_certificate(kk, Certificate(kind="nonsense", target=[0, 0, 0, 0]))
 
 
+def test_triple_certificates_are_bound_to_their_defect_tensor():
+    m2 = matrix_algebra(F2, 2)
+    span = compute_zero_product_span(m2)
+    certs = is_zero_product_balanced(m2, span, with_certificates=True).certificates
+    cert = next(c for c in certs if c.terms)
+    assert verify_certificate(m2, cert)
+    # the same decomposition, stored without its target, still proves its triple
+    assert verify_certificate(m2, Certificate(MEMBERSHIP, None, cert.terms, meta=cert.meta))
+    # a stored target that is not the triple's defect tensor is refused, not an error
+    altered = [1 - a for a in cert.target]
+    assert verify_certificate(m2, Certificate(MEMBERSHIP, altered, cert.terms, meta=cert.meta)) is False
+    other = next(c for c in certs if c.target != cert.target)
+    forged = Certificate(MEMBERSHIP, other.target, other.terms, meta=cert.meta)
+    assert verify_certificate(m2, Certificate(MEMBERSHIP, other.target, other.terms)) is True
+    assert verify_certificate(m2, forged) is False
+    # an empty decomposition proves only a zero defect
+    assert verify_certificate(m2, Certificate(MEMBERSHIP, None, [], meta=cert.meta)) is False
+    with pytest.raises(MalformedCertificate):
+        verify_certificate(m2, Certificate(MEMBERSHIP, None, [], meta={"triple": [0, 0, 4]}))
+    with pytest.raises(MalformedCertificate):
+        verify_certificate(m2, Certificate(MEMBERSHIP, None, []))
+
+
 def test_certificate_json_roundtrip():
     n4 = nilpotent_algebra(F3, 4)
     span = compute_zero_product_span(n4)
     verdict = is_zero_product_balanced(n4, span)
     cert = verdict.certificate
-    data = cert.to_dict(F3)
-    back = Certificate.from_dict(data, F3)
+    table = []  # the file's generator table; this one repeats equal pairs
+    data = cert.to_dict(F3, lambda pair: table.append(pair) or len(table) - 1)
+    assert data["generators"] == list(range(len(span.generators)))
+    back = Certificate.from_dict(data, F3, table)
     assert back.kind == cert.kind
     assert back.target == cert.target
     assert back.functional == cert.functional
+    assert back.generators == cert.generators
     assert verify_certificate(n4, back)
 
 
