@@ -272,19 +272,30 @@ class Element:
         return Element(self.parent, tuple(self.parent.multiply_coords(self.coords, other.coords)))
 
     def power(self, m: int) -> "Element":
+        """a^m for m >= 1, by square-and-multiply."""
         if m < 1:
             raise ValueError("power requires m >= 1")
-        out = self
-        for _ in range(m - 1):
-            out = out * self
-        return out
+        out, square = None, self
+        while True:
+            if m & 1:
+                out = square if out is None else out * square
+            m >>= 1
+            if not m:
+                return out
+            square = square * square
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
     def is_nilpotent(self) -> bool:
-        """a is nilpotent iff a^(dim+1) = 0 (powers span at most dim directions)."""
-        return self.power(self.parent.dim + 1).is_zero()
+        """a is nilpotent iff a^(2^k) = 0 with 2^k > dim, because a nilpotent a
+        has a^(dim+1) = 0 (its nonzero powers are linearly independent)."""
+        a = self
+        for _ in range(self.parent.dim.bit_length()):
+            if a.is_zero():
+                return True
+            a = a * a
+        return a.is_zero()
 
     def __eq__(self, other):
         return (

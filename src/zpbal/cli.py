@@ -59,6 +59,9 @@ from zpbal.structure import (
 )
 from zpbal.tensorsquare import (
     MEMBERSHIP,
+    NO,
+    SEPARATING,
+    YES,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
@@ -71,7 +74,9 @@ def _config_from_args(args) -> SweepConfig:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--cap", type=int, default=6561, help="exhaustive enumeration cap")
+    p.add_argument("--cap", type=int, default=6561,
+                   help="enumeration cap: elements of an exhaustive span sweep or clean check, "
+                        "and p in the atom search over F_p")
     p.add_argument("--stall", type=int, default=64, help="random-sweep stall rounds")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -108,7 +113,7 @@ def cmd_check(args) -> int:
         certs.append(determined.certificate)
     cert_path = args.out or (os.path.splitext(os.path.basename(args.algebra))[0] + ".certs.json")
     serialize.save_certificates(certs, fld, config.seed, cert_path,
-                                label=os.path.basename(args.algebra))
+                                label=os.path.basename(args.algebra), balanced=balanced.status)
 
     triple_names = None
     if balanced.witness_triple is not None:
@@ -204,7 +209,7 @@ def cmd_structure(args) -> int:
                      + (f" (exponents {dich.exponents})" if dich.exponents else ""))
         _emit(report, args.json, lines)
         return 0
-    nil = nilradical(alg, config)
+    nil = nilradical(alg)
     chars = characters(alg, config)
     report["commutative"] = True
     report["nilradical"] = {"dim": nil.dim,
@@ -278,16 +283,23 @@ def cmd_fn2(args) -> int:
 
 def cmd_verify(args) -> int:
     alg = serialize.load_algebra(args.algebra)
-    certs = serialize.load_certificates(args.certificate, alg.field)
+    balanced, certs = serialize.load_certificates(args.certificate, alg.field)
     all_ok = True
+    refuted = False
     for idx, cert in enumerate(certs):
         ok = verify_certificate(alg, cert)
         all_ok = all_ok and ok
+        refuted = refuted or (ok and cert.kind == SEPARATING
+                              and cert.meta.get("claim") == "not-zero-product-balanced")
         print(f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}")
-    # membership certificates of triples claim balancedness: all d^3 triples, each once
+    # the file's balancedness claim needs its evidence: for YES all d^3
+    # triples, each once; for NO a verified refutation
     triples = Counter(tuple(c.meta["triple"]) for c in certs
                       if c.kind == MEMBERSHIP and "triple" in c.meta)
-    if triples:
+    if balanced == NO and not refuted:
+        all_ok = False
+        print("balanced NO: false (no verified not-zero-product-balanced certificate)")
+    if balanced == YES or triples:
         missing = alg.dim ** 3 - len(triples)
         repeated = sum(n - 1 for n in triples.values())
         covered = missing == 0 and repeated == 0

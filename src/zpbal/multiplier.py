@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from zpbal.algebra import Algebra, Element
-from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.errors import BudgetExceeded, NotIdempotent
+from zpbal.errors import NotIdempotent
 from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector
 from zpbal.tensorsquare import (
     MEMBERSHIP,
@@ -276,37 +275,8 @@ def idempotent_transfer_witness(
 
 
 # ---------------------------------------------------------------------------
-# idempotent enumeration and generation certificates
+# idempotent generation certificates
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class IdempotentList:
-    items: List[Element]
-    exhaustive: bool
-
-
-def enumerate_idempotents(
-    target: Union[Algebra, MultiplierAlgebra],
-    config: SweepConfig = DEFAULT_CONFIG,
-) -> IdempotentList:
-    """All solutions of e*e = e, exhaustively over a finite carrier.
-
-    Over the rationals only the registered idempotents (plus zero) are
-    returned, flagged non-exhaustive: no quadratic solving is attempted.
-    """
-    alg = target.algebra if isinstance(target, MultiplierAlgebra) else target
-    if alg.field.is_finite():
-        size = alg.n_elements()
-        if size > config.enumeration_cap:
-            raise BudgetExceeded(f"{size} elements exceed cap {config.enumeration_cap}")
-        items = []
-        for coords in alg.coord_tuples():
-            if alg.multiply_coords(coords, coords) == list(coords):
-                items.append(alg.element(coords))
-        return IdempotentList(items=items, exhaustive=True)
-    items = [alg.zero_element()] + list(alg.registered_idempotents)
-    return IdempotentList(items=items, exhaustive=False)
 
 
 @dataclass

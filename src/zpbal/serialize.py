@@ -13,7 +13,8 @@ Map files:
       "matrix": [[scalars]] }          # target.dim rows; columns are basis images
 
 Certificate files:
-    { "field": "F2" | "Q", "label": str, "seed": int,
+    { "balanced": "YES" | "NO" | "UNKNOWN",      # the verdict the file backs
+      "field": "F2" | "Q", "label": str, "seed": int,
       "convention": "row-major i*d+j",            # e_i⊗e_j sits at flat index i*d+j
       "generators": [ {"u": [scalars], "v": [scalars]} ... ],   # zero-product pairs
       "certificates": [ <certificate> ... ] }
@@ -26,8 +27,12 @@ Certificate files:
     triple ("meta": {"triple": [i, j, k]}) whose defect tensor is zero stores
     no target.  The verifier recomputes the target of every certificate that
     names a triple, so a stored target only shows the reader the claim.
+    The verifier also holds the file to its "balanced" claim: YES needs a
+    membership certificate for every basis triple, each once, and NO needs a
+    verified separating certificate with claim "not-zero-product-balanced".
 
-Scalars use the textual syntax of the base field ("p/q" over the rationals,
+Algebra files may declare at most MAX_DIM basis vectors.  Scalars use the
+textual syntax of the base field ("p/q" over the rationals,
 decimal residues over prime fields).  Output is deterministic: fixed key
 order, no timestamps.  Certificate files are compact JSON with one
 certificate per line.
@@ -44,7 +49,9 @@ from zpbal.errors import MalformedCertificate, NotAssociative, NotIdempotent, Pa
 from zpbal.fields import Field, field_from_name
 from zpbal.linalg import Matrix, vec_is_zero
 from zpbal.linmaps import AlgMap
-from zpbal.tensorsquare import TENSOR_CONVENTION, Certificate
+from zpbal.tensorsquare import NO, TENSOR_CONVENTION, UNKNOWN, YES, Certificate
+
+MAX_DIM = 64  # largest algebra dimension a file may declare
 
 
 def algebra_to_dict(algebra: Algebra) -> Dict:
@@ -91,6 +98,8 @@ def algebra_from_dict(data: Dict) -> Algebra:
     f = field_from_name(field_name)
     if not _is_int(dim) or dim < 0:
         raise ParseError("dim must be a nonnegative integer")
+    if dim > MAX_DIM:  # before the d^3 table and the d^4 associativity check
+        raise ParseError(f"dim {dim} exceeds the limit {MAX_DIM}")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError("basis must be a list of names")
     if len(names) != dim:
@@ -173,13 +182,14 @@ def load_map(path: str) -> AlgMap:
 
 
 def certificates_to_dict(certs: List[Certificate], fld: Field, seed: int,
-                         label: str = "") -> Dict:
+                         label: str = "", *, balanced: str) -> Dict:
     if any(c.convention != TENSOR_CONVENTION for c in certs):
         raise MalformedCertificate(f"certificate files use the convention {TENSOR_CONVENTION!r} only")
     index: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position, first use first
     entries = [c.to_dict(fld, lambda pair: index.setdefault(pair, len(index))) for c in certs]
     fmt = fld.format
     return {
+        "balanced": balanced,
         "field": fld.name,
         "label": label,
         "seed": seed,
@@ -190,28 +200,32 @@ def certificates_to_dict(certs: List[Certificate], fld: Field, seed: int,
 
 
 def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str,
-                      label: str = ""):
+                      label: str = "", *, balanced: str):
     """Compact JSON, one certificate per line: the C encoder holds one at a time."""
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-    data = certificates_to_dict(certs, fld, seed, label)
-    entries = data.pop("certificates")  # the first key in sorted order
+    data = certificates_to_dict(certs, fld, seed, label, balanced=balanced)
+    claim, entries = data.pop("balanced"), data.pop("certificates")  # the first keys in sorted order
     with open(path, "w") as fh:
-        fh.write('{"certificates":[')
+        fh.write('{"balanced":' + encode(claim) + ',"certificates":[')
         for n, entry in enumerate(entries):
             fh.write(("," if n else "") + "\n" + encode(entry))
         fh.write("\n]," + encode(data)[1:] + "\n")
 
 
-def certificates_from_dict(data: Dict, fld: Field) -> List[Certificate]:
-    """The certificates of a certificate file; any malformed field raises
-    ParseError (file level) or MalformedCertificate (one certificate)."""
+def certificates_from_dict(data: Dict, fld: Field) -> Tuple[str, List[Certificate]]:
+    """The balancedness claim and the certificates of a certificate file; any
+    malformed field raises ParseError (file level) or MalformedCertificate
+    (one certificate)."""
     if not isinstance(data, dict):
         raise ParseError(f"certificate file must hold an object, got {type(data).__name__}")
     try:
         field_name, label, seed = data["field"], data["label"], data["seed"]
         convention, table, entries = data["convention"], data["generators"], data["certificates"]
+        balanced = data["balanced"]
     except KeyError as exc:
         raise ParseError(f"certificate file missing field: {exc}") from exc
+    if balanced not in (YES, NO, UNKNOWN):
+        raise ParseError(f"balanced must be \"YES\", \"NO\" or \"UNKNOWN\", got {balanced!r}")
     if field_name != fld.name:
         raise ParseError(f"certificates are over {field_name!r}, the algebra over {fld.name}")
     if not isinstance(label, str) or not _is_int(seed):
@@ -227,8 +241,8 @@ def certificates_from_dict(data: Dict, fld: Field) -> List[Certificate]:
         d = len(generators[0][0]) if generators else len(g["u"])  # every vector has one length
         generators.append((tuple(_scalars(fld, g["u"], d, "generator u")),
                            tuple(_scalars(fld, g["v"], d, "generator v"))))
-    return [Certificate.from_dict(c, fld, generators) for c in entries]
+    return balanced, [Certificate.from_dict(c, fld, generators) for c in entries]
 
 
-def load_certificates(path: str, fld: Field) -> List[Certificate]:
+def load_certificates(path: str, fld: Field) -> Tuple[str, List[Certificate]]:
     return certificates_from_dict(_read_json(path), fld)

@@ -2,9 +2,19 @@
 idempotents with its finite Stone space, idempotent lifting, nil-plus-
 idempotent decompositions, and the character-or-radical dichotomies.
 
-Everything here is verified by postconditions: lifted idempotents are checked
-against e*e = e, sections against multiplicativity, decompositions against
-exact reconstruction.
+Over F_p the Frobenius map x -> x^p is linear on a commutative algebra, so
+no element is enumerated for the nilradical, ker Frob^k with p^k > dim, or
+for the atoms (primitive idempotents) of the reduced quotient, which come
+from the Berlekamp subalgebra ker(Frob - I) = F_p^r.  Over Q they are the
+trace-form radical and the refinement of the registered idempotents.  The
+enumeration cap bounds p in the atom search, the 2^r listed idempotents of
+the Boolean ring, and the element sweeps of the clean check and of the
+noncommutative generation check.
+
+Everything here is verified by postconditions: nilradical basis vectors are
+re-checked nilpotent, atoms orthogonal and idempotent, characters
+multiplicative, lifted idempotents against e*e = e, sections against
+multiplicativity, decompositions against exact reconstruction.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ from zpbal.algebra import (
     Algebra,
     Element,
     Quotient,
-    commutator,
     ideal_closure,
     quotient_algebra,
     scalar_algebra,
@@ -30,12 +39,12 @@ from zpbal.errors import (
     SoundnessAlarm,
 )
 from zpbal.fields import Scalar
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Subspace, vec_scale
 from zpbal.linmaps import AlgMap
-from zpbal.multiplier import enumerate_idempotents
 from zpbal.squarezero import commutator_span, factorizable_pair_product_span
 from zpbal.tensorsquare import (
     EXACT,
+    NO,
     UNKNOWN,
     YES,
     compute_zero_product_span,
@@ -50,23 +59,20 @@ def _require_commutative(algebra: Algebra):
         raise NotCommutative("operation requires a commutative algebra")
 
 
-def _is_nilpotent_coords(algebra: Algebra, coords) -> bool:
-    """Repeated squaring: nilpotent iff the 2^k-th power vanishes, 2^k > dim."""
-    v = list(coords)
-    steps = max(1, (algebra.dim + 1).bit_length())
-    for _ in range(steps):
-        if vec_is_zero(v):
-            return True
-        v = algebra.multiply_coords(v, v)
-    return vec_is_zero(v)
+def _frobenius(algebra: Algebra) -> Matrix:
+    """Matrix of x -> x^p on a commutative algebra over F_p: column i holds e_i^p."""
+    p = algebra.field.characteristic
+    cols = [list(algebra.basis_element(i).power(p).coords) for i in range(algebra.dim)]
+    return Matrix.from_columns(algebra.field, cols, algebra.dim)
 
 
-def nilradical(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> Subspace:
+def nilradical(algebra: Algebra) -> Subspace:
     """The ideal of nilpotent elements of a commutative algebra.
 
-    Characteristic 0: radical of the trace form (x,y) -> tr(L_x L_y), with
-    every output basis vector re-verified nilpotent.  Prime fields: exhaustive
-    nilpotency sweep (the trace form is unreliable in small characteristic).
+    Characteristic 0: radical of the trace form (x,y) -> tr(L_x L_y).  Prime
+    fields: ker Frob^k with p^k > dim, since a nilpotent x has x^(dim+1) = 0
+    (the trace form is unreliable in small characteristic).  Every output
+    basis vector is re-verified nilpotent.
     """
     _require_commutative(algebra)
     f = algebra.field
@@ -85,20 +91,16 @@ def nilradical(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> Subspa
                 row.append(tr)
             gram.append(row)
         space = Matrix(f, gram, cols=d).kernel()
-        for v in space.basis:
-            if not _is_nilpotent_coords(algebra, v):
-                raise SoundnessAlarm("trace-form radical contains a non-nilpotent vector")
-        return space
-    size = algebra.n_elements()
-    if size > config.enumeration_cap:
-        raise BudgetExceeded(
-            f"nilpotency sweep over {size} elements exceeds cap {config.enumeration_cap}"
-        )
-    builder = SpanBuilder(f, d)
-    for coords in algebra.coord_tuples():
-        if _is_nilpotent_coords(algebra, coords):
-            builder.add(list(coords))
-    return builder.to_subspace()
+    else:
+        frob = _frobenius(algebra)
+        power, exponent = frob, f.characteristic
+        while exponent <= d:
+            power, exponent = power.mul(frob), exponent * f.characteristic
+        space = power.kernel()
+    for v in space.basis:
+        if not algebra.element(v).is_nilpotent():
+            raise SoundnessAlarm("nilradical contains a non-nilpotent vector")
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,54 @@ def atoms_from_idempotents(idempotents: List[Element]) -> List[Element]:
     return parts
 
 
+def _reduced_atoms(q: Algebra, config: SweepConfig) -> List[Element]:
+    """The atoms of a commutative reduced algebra.
+
+    Over F_p, q is a product of fields and ker(Frob - I) = F_p^r holds the
+    elements with F_p coordinates on its r field factors.  For x in a basis
+    of that kernel and λ in F_p, 1 - (x - λ)^(p-1) is the sum of the atoms on
+    which x takes the value λ, so refining these idempotents yields all r
+    atoms, returned sorted by coordinates.  Over Q: the refinement of the
+    registered idempotents, which need not be primitive.
+    """
+    f = q.field
+    if not f.is_finite():
+        atoms = atoms_from_idempotents(list(q.registered_idempotents))
+    elif q.dim == 0:
+        return []
+    else:
+        p = f.characteristic
+        if p > config.enumeration_cap:
+            raise BudgetExceeded(f"atom search over the {p} scalars of {f.name} "
+                                 f"exceeds cap {config.enumeration_cap}")
+        unit = q.predicates().unit
+        if unit is None:
+            raise SoundnessAlarm("nonzero reduced algebra without a unit")
+        one = q.element(unit)
+        frob = _frobenius(q)
+        for i in range(q.dim):
+            frob.rows[i][i] = f.sub(frob.rows[i][i], f.one)
+        split = frob.kernel()
+        atoms = sorted(
+            atoms_from_idempotents([one - (q.element(x) - one.scale(lam)).power(p - 1)
+                                    for x in split.basis for lam in f.elements()]),
+            key=lambda a: a.coords)
+        if len(atoms) != split.dim or sum(atoms, q.zero_element()) != one:
+            raise SoundnessAlarm("Berlekamp atoms do not partition the unit")
+    for n, a in enumerate(atoms):
+        if a.is_zero() or a * a != a or any(not (a * b).is_zero() for b in atoms[n + 1:]):
+            raise SoundnessAlarm("atoms are not nonzero orthogonal idempotents")
+    return atoms
+
+
+def _subset_sums(atoms: List[Element], zero: Element) -> List[Element]:
+    """Every sum of a subset of the atoms: the idempotents they generate."""
+    sums = [zero]
+    for a in atoms:
+        sums += [s + a for s in sums]
+    return sums
+
+
 @dataclass
 class BooleanRingInfo:
     """The Boolean ring of idempotents under e+f-2ef and ring multiplication."""
@@ -158,28 +208,18 @@ class StoneReport:
 
 def boolean_ring_and_stone(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> StoneReport:
     """Boolean ring of idempotents of a commutative reduced algebra, its atoms,
-    and the check that the algebra is the span of the atom lines."""
+    and the check that the algebra is the span of the atom lines.
+
+    The ring is listed as the subset sums of the atoms: every idempotent over
+    F_p, the ring the registered idempotents generate over Q.
+    """
     _require_commutative(algebra)
-    nil = nilradical(algebra, config)
-    if nil.dim != 0:
+    if nilradical(algebra).dim != 0:
         raise HypothesisFailed("algebra is not reduced")
-    idem = enumerate_idempotents(algebra, config)
-    atoms = atoms_from_idempotents(idem.items)
-    elements = list(idem.items)
-    if not idem.exhaustive:
-        # close the registered list under both ring operations
-        seen = {e.coords for e in elements}
-        frontier = list(elements)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in elements:
-                    for c in (a * b, boolean_sum(a, b)):
-                        if c.coords not in seen:
-                            seen.add(c.coords)
-                            nxt.append(c)
-            elements.extend(nxt)
-            frontier = nxt
+    atoms = _reduced_atoms(algebra, config)
+    if 2 ** len(atoms) > config.enumeration_cap:
+        raise BudgetExceeded(f"{2 ** len(atoms)} idempotents exceed cap {config.enumeration_cap}")
+    elements = _subset_sums(atoms, algebra.zero_element())
     axioms_ok = True
     coords_set = {e.coords for e in elements}
     for a in elements:
@@ -188,15 +228,11 @@ def boolean_ring_and_stone(algebra: Algebra, config: SweepConfig = DEFAULT_CONFI
         for b in elements:
             if (a * b).coords not in coords_set or boolean_sum(a, b).coords not in coords_set:
                 axioms_ok = False
-    builder = SpanBuilder(algebra.field, algebra.dim)
-    for a in atoms:
-        builder.add(list(a.coords))
-    iso = builder.dim == algebra.dim and len(atoms) == algebra.dim
     return StoneReport(
         ring=BooleanRingInfo(elements=elements, atoms=atoms, axioms_ok=axioms_ok,
-                             exhaustive=idem.exhaustive),
+                             exhaustive=algebra.field.is_finite()),
         stone_points=atoms,
-        iso_check=iso,
+        iso_check=len(atoms) == algebra.dim,  # the atoms are independent
     )
 
 
@@ -214,102 +250,44 @@ class CharacterReport:
     notes: List[str]
 
 
-def _atom_expansion(q: Algebra, atoms: List[Element]) -> Optional[Matrix]:
-    """Matrix sending a quotient vector to its coefficients in the atom basis,
-    or None when the atoms do not span."""
-    if len(atoms) != q.dim:
-        return None
-    cols = Matrix.from_columns(q.field, [list(a.coords) for a in atoms], q.dim)
-    return cols.inverse()
-
-
-def _atom_characters(algebra: Algebra, quot: Quotient, config: SweepConfig):
-    """Characters through the reduced quotient, via its atom basis.
-
-    Returns (list of functionals on the original algebra, complete: bool).
-    Complete means the quotient is spanned by the known idempotents, in which
-    case the coordinate projections along the atoms are *all* characters.
-    """
+def _atom_character(quot: Quotient, atom: Element) -> Optional[AlgMap]:
+    """x -> c with atom·x̄ = c·atom, when atom·Q is the line through the atom
+    (its field factor is the base field); None otherwise."""
     q = quot.algebra
-    f = algebra.field
-    if q.dim == 0:
-        return [], True
-    try:
-        idem = enumerate_idempotents(q, config)
-    except BudgetExceeded:
-        return [], False
-    atoms = atoms_from_idempotents(idem.items)
-    expansion = _atom_expansion(q, atoms)
-    if expansion is None:
-        return [], False
-    chars = []
-    for t in range(len(atoms)):
-        functional = Matrix(f, [expansion.rows[t]], cols=q.dim).mul(quot.projection)
-        chars.append(AlgMap(algebra, scalar_algebra(f), functional))
-    # spanning atoms identify the quotient with K^r, whose characters are
-    # exactly the r coordinate projections: complete even from a registry
-    return chars, True
+    f = q.field
+    mult = q.left_mult_matrix(list(atom.coords))
+    if mult.rank() != 1:
+        return None
+    t = next(i for i, c in enumerate(atom.coords) if c != 0)
+    row = vec_scale(f, f.inv(atom.coords[t]), mult.rows[t])
+    return AlgMap(quot.parent, scalar_algebra(f), Matrix(f, [row], cols=q.dim).mul(quot.projection))
 
 
 def characters(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> CharacterReport:
     """All nonzero algebra homomorphisms to the base field (commutative case).
 
-    Route 1 (any field): through the quotient by the nilradical, when that
-    quotient is spanned by enumerable idempotents.  Route 2 (prime fields
-    within budget): exhaustive sweep of multiplicative functionals.  When
-    both routes are complete they must agree.
+    A character kills the nilradical and all atoms of the reduced quotient Q
+    but one atom a, and then a·Q must be the base field: so there is one
+    character per atom a with dim(a·Q) = 1, each checked multiplicative.  The
+    list is complete over F_p, where the atoms are all of them, and over Q
+    when the atoms from the registry span Q.
     """
     _require_commutative(algebra)
-    f = algebra.field
-    d = algebra.dim
-    notes = []
-    route1: Optional[List[AlgMap]] = None
-    chars1: List[AlgMap] = []
+    quot = quotient_algebra(algebra, nilradical(algebra))
     try:
-        nil = nilradical(algebra, config)
-        quot = quotient_algebra(algebra, nil)
-        chars1, complete1 = _atom_characters(algebra, quot, config)
-        if complete1:
-            route1 = chars1
-            notes.append(f"atom route complete: {len(chars1)} characters")
-        else:
-            notes.append("atom route incomplete (idempotents not known to span)")
-    except BudgetExceeded:
-        notes.append("atom route skipped (nilradical sweep over budget)")
-
-    route2: Optional[List[AlgMap]] = None
-    if f.is_finite() and f.characteristic ** d <= config.enumeration_cap:
-        found = []
-        for phi in algebra.coord_tuples():
-            if all(a == 0 for a in phi):
-                continue
-            ok = True
-            for i in range(d):
-                for j in range(d):
-                    lhs = f.zero
-                    for t, c in enumerate(algebra.table[i][j]):
-                        if c != 0 and phi[t] != 0:
-                            lhs = f.add(lhs, f.mul(c, phi[t]))
-                    if lhs != f.mul(phi[i], phi[j]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.append(AlgMap(algebra, scalar_algebra(f), Matrix(f, [list(phi)], cols=d)))
-        route2 = found
-        notes.append(f"functional sweep complete: {len(found)} characters")
-
-    if route1 is not None and route2 is not None:
-        set1 = sorted(tuple(c.matrix.rows[0]) for c in route1)
-        set2 = sorted(tuple(c.matrix.rows[0]) for c in route2)
-        if set1 != set2:
-            raise SoundnessAlarm("character routes disagree")
-    chars = route2 if route2 is not None else route1
-    if chars is not None:
-        chars = sorted(chars, key=lambda c: tuple(c.matrix.rows[0]))
+        atoms = _reduced_atoms(quot.algebra, config)
+    except BudgetExceeded as exc:
+        return CharacterReport(characters=[], status=PARTIAL, notes=[f"atoms not computed: {exc}"])
+    chars = [chi for chi in (_atom_character(quot, a) for a in atoms) if chi is not None]
+    for chi in chars:
+        if chi.is_multiplicative() is not None:
+            raise SoundnessAlarm("atom functional is not multiplicative")
+    chars.sort(key=lambda c: tuple(c.matrix.rows[0]))
+    notes = [f"{len(chars)} characters from {len(atoms)} atoms"]
+    if algebra.field.is_finite() or len(atoms) == quot.algebra.dim:
         return CharacterReport(characters=chars, status=EXACT, notes=notes)
-    return CharacterReport(characters=chars1, status=PARTIAL, notes=notes)
+    notes.append("registered idempotents do not span the reduced quotient")
+    return CharacterReport(characters=chars, status=PARTIAL, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +347,20 @@ class SigmaSplitting:
 
 def sigma_splitting(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> SigmaSplitting:
     """Split the projection onto the quotient by the nilradical by lifting the
-    atoms; requires the quotient to be spanned by enumerable idempotents."""
+    atoms; requires the quotient to be spanned by its atoms."""
     _require_commutative(algebra)
     f = algebra.field
-    nil = nilradical(algebra, config)
-    quot = quotient_algebra(algebra, nil)
+    quot = quotient_algebra(algebra, nilradical(algebra))
     q = quot.algebra
     if q.dim == 0:
         sigma = Matrix(f, [[] for _ in range(algebra.dim)], cols=0)
         return SigmaSplitting(quotient=quot, sigma=sigma, atoms=[], lifted_atoms=[],
                               atom_expansion=None, section_ok=True, multiplicative_ok=True)
-    idem = enumerate_idempotents(q, config)
-    atoms = atoms_from_idempotents(idem.items)
-    expansion = _atom_expansion(q, atoms)
-    if expansion is None:
+    atoms = _reduced_atoms(q, config)
+    if len(atoms) != q.dim:
         raise HypothesisFailed("reduced quotient is not spanned by known idempotents")
+    # orthogonal idempotents are independent: invert the atoms as columns
+    expansion = Matrix.from_columns(f, [list(a.coords) for a in atoms], q.dim).inverse()
     lifted = [lift_idempotent(algebra, quot, a) for a in atoms]
     # sigma = (lifted atoms as columns) ∘ (expansion in the atom basis)
     lift_cols = Matrix.from_columns(f, [list(a.coords) for a in lifted], algebra.dim)
@@ -501,7 +478,9 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
         notes.append("clean requires a unit; not evaluated for nonunital input")
     elif f.is_finite() and algebra.n_elements() <= config.enumeration_cap:
         unit = list(pred.unit)
-        idems = [list(e.coords) for e in enumerate_idempotents(algebra, config).items]
+        quot = quotient_algebra(algebra, nilradical(algebra))
+        lifted = [lift_idempotent(algebra, quot, a) for a in _reduced_atoms(quot.algebra, config)]
+        idems = [list(e.coords) for e in _subset_sums(lifted, algebra.zero_element())]
         units = set()
         for coords in algebra.coord_tuples():
             if algebra.left_mult_matrix(list(coords)).solve(unit) is not None:
@@ -548,7 +527,7 @@ def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG
     _require_commutative(algebra)
     span = compute_zero_product_span(algebra, config)
     balanced = is_zero_product_balanced(algebra, span)
-    nil = nilradical(algebra, config)
+    nil = nilradical(algebra)
     chars = characters(algebra, config)
     nil_all = nil.dim == algebra.dim
     if balanced.status != YES:
@@ -650,7 +629,7 @@ def generated_by_nilpotents_check(algebra: Algebra, config: SweepConfig = DEFAUL
         raise BudgetExceeded("nilpotent sweep needs exhaustive enumeration")
     builder = SpanBuilder(f, algebra.dim)
     for coords in algebra.coord_tuples():
-        if _is_nilpotent_coords(algebra, coords):
+        if algebra.element(coords).is_nilpotent():
             builder.add(list(coords))
     nil_ideal = ideal_closure(algebra, builder.rows)
     nilpotents_generate = nil_ideal.dim == algebra.dim

@@ -3,15 +3,21 @@
 Deliberately reimplemented from scratch: rank via plain forward elimination
 (no reduced echelon machinery), spans via all-pairs enumeration.  These must
 not share code paths with the package so that agreement is evidence.  The
-reference sweeps at the end are the one exception, explained there.
+reference sweeps at the end are the exception, explained there: they are the
+element loops the package replaced, kept to pin down its results.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import List, Union
 
-from zpbal.errors import SoundnessAlarm
-from zpbal.linalg import SpanBuilder, vec_is_zero
+from zpbal.algebra import Algebra, Element
+from zpbal.config import DEFAULT_CONFIG, SweepConfig
+from zpbal.errors import BudgetExceeded, SoundnessAlarm
+from zpbal.linalg import Matrix, SpanBuilder, vec_is_zero
+from zpbal.multiplier import MultiplierAlgebra
 from zpbal.squarezero import FactorizableWitness
 from zpbal.tensorsquare import TensorSquare
 
@@ -140,6 +146,23 @@ def brute_factorizable_elements(algebra):
             if all(a == 0 for a in mult(algebra, z, y)):
                 found.add(mult(algebra, y, z))
     return sorted(found)
+
+
+def random_change_of_basis(alg, rng):
+    """The same algebra presented in a random basis (registered idempotents carried over)."""
+    f = alg.field
+    d = alg.dim
+    while True:
+        p = Matrix(f, [[f.of_int(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)])
+        inv = p.inverse()
+        if inv is not None:
+            break
+    cols = [p.column(j) for j in range(d)]
+    table = [[inv.apply(alg.multiply_coords(cols[i], cols[j])) for j in range(d)] for i in range(d)]
+    out = Algebra(f, [f"b{i + 1}" for i in range(d)], table)
+    for e in alg.registered_idempotents:
+        out.register_idempotent(out.element(inv.apply(list(e.coords))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +327,97 @@ def reference_factorizable_span(algebra, config):
                 y = [rng.randrange(f.characteristic) for _ in range(d)]
             stall = 0 if _factor_sweep(algebra, builder, witnesses, y) else stall + 1
     return witnesses, builder
+
+
+# ---------------------------------------------------------------------------
+# Reference sweeps of commutative structure: the element loops that the
+# Frobenius nilradical and the Berlekamp atoms replaced in zpbal.structure.
+# ---------------------------------------------------------------------------
+
+
+def _is_nilpotent_coords(algebra, coords) -> bool:
+    """Repeated squaring: nilpotent iff the 2^k-th power vanishes, 2^k > dim."""
+    v = list(coords)
+    steps = max(1, (algebra.dim + 1).bit_length())
+    for _ in range(steps):
+        if vec_is_zero(v):
+            return True
+        v = algebra.multiply_coords(v, v)
+    return vec_is_zero(v)
+
+
+def reference_nilradical(algebra, config: SweepConfig = DEFAULT_CONFIG):
+    """Span of the nilpotent elements, by the exhaustive F_p nilpotency sweep."""
+    f = algebra.field
+    d = algebra.dim
+    size = algebra.n_elements()
+    if size > config.enumeration_cap:
+        raise BudgetExceeded(
+            f"nilpotency sweep over {size} elements exceeds cap {config.enumeration_cap}"
+        )
+    builder = SpanBuilder(f, d)
+    for coords in algebra.coord_tuples():
+        if _is_nilpotent_coords(algebra, coords):
+            builder.add(list(coords))
+    return builder.to_subspace()
+
+
+def reference_character_table(algebra):
+    """Sorted rows of all characters, by the sweep of every functional."""
+    f = algebra.field
+    d = algebra.dim
+    found = []
+    for phi in algebra.coord_tuples():
+        if all(a == 0 for a in phi):
+            continue
+        ok = True
+        for i in range(d):
+            for j in range(d):
+                lhs = f.zero
+                for t, c in enumerate(algebra.table[i][j]):
+                    if c != 0 and phi[t] != 0:
+                        lhs = f.add(lhs, f.mul(c, phi[t]))
+                if lhs != f.mul(phi[i], phi[j]):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            found.append(tuple(phi))
+    return sorted(found)
+
+
+def assert_characters_agree(report, algebra):
+    """The character routes must agree: the atom route against the functional sweep."""
+    rows = sorted(tuple(c.matrix.rows[0]) for c in report.characters)
+    if rows != reference_character_table(algebra):
+        raise SoundnessAlarm("character routes disagree")
+
+
+@dataclass
+class IdempotentList:
+    items: List[Element]
+    exhaustive: bool
+
+
+def enumerate_idempotents(
+    target: Union[Algebra, MultiplierAlgebra],
+    config: SweepConfig = DEFAULT_CONFIG,
+) -> IdempotentList:
+    """All solutions of e*e = e, exhaustively over a finite carrier.
+
+    Over the rationals only the registered idempotents (plus zero) are
+    returned, flagged non-exhaustive: no quadratic solving is attempted.
+    """
+    alg = target.algebra if isinstance(target, MultiplierAlgebra) else target
+    if alg.field.is_finite():
+        size = alg.n_elements()
+        if size > config.enumeration_cap:
+            raise BudgetExceeded(f"{size} elements exceed cap {config.enumeration_cap}")
+        items = []
+        for coords in alg.coord_tuples():
+            if alg.multiply_coords(coords, coords) == list(coords):
+                items.append(alg.element(coords))
+        return IdempotentList(items=items, exhaustive=True)
+    items = [alg.zero_element()] + list(alg.registered_idempotents)
+    return IdempotentList(items=items, exhaustive=False)

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from zpbal.algebra import nilpotent_algebra
+from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
 from zpbal.cli import main
 from zpbal.fields import PrimeField
+from zpbal.serialize import save_algebra
 from zpbal.tensorsquare import TensorSquare
 
 
@@ -104,6 +105,26 @@ def test_verify_requires_every_triple_once(tmp_path, capsys, monkeypatch):
     assert "all certificates: false" in out
 
 
+def test_verify_holds_the_file_to_its_balanced_claim(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = _tampered(capsys, ("Mn", "--n", "2", "--field", "F2"),
+                    lambda data: data["certificates"].clear())
+    assert "triple coverage: false (64 of 64 triples missing, 0 repeated)" in out
+    assert "all certificates: false" in out
+
+    def drop_refutation(data):
+        certs = data["certificates"]
+        certs[:] = [c for c in certs if c["meta"]["claim"] != "not-zero-product-balanced"]
+
+    n4 = ("Nm", "--m", "4", "--field", "F2")
+    out = _tampered(capsys, n4, drop_refutation)
+    assert "certificate 0 (separating-functional): true" in out
+    assert "balanced NO: false (no verified not-zero-product-balanced certificate)" in out
+    assert "all certificates: false" in out
+    out = _tampered(capsys, n4, lambda data: None)
+    assert "balanced NO" not in out and "all certificates: true" in out
+
+
 def test_verify_requires_a_kernel_witness(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     alg = nilpotent_algebra(PrimeField(2), 4)
@@ -180,6 +201,17 @@ def test_structure_report(tmp_path, capsys, monkeypatch):
     assert "dichotomy: HAS_CHARACTER" in out
 
 
+def test_structure_beyond_the_enumeration_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    f2 = PrimeField(2)
+    save_algebra(direct_sum(function_algebra(f2, 6), nilpotent_algebra(f2, 12)), "f2_6_n12.json")
+    code, out, err = run_cli(capsys, "structure", "f2_6_n12.json")  # dim 17, 2^17 elements
+    assert code == 0, err
+    assert "nilradical: dim 11" in out
+    assert "characters: 6 (EXACT)" in out
+    assert "atoms of the reduced quotient: 6" in out
+
+
 def test_structure_noncommutative(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
@@ -211,6 +243,8 @@ MALFORMED = {  # file stem -> (algebra object, expected message)
                  "dim must be a nonnegative integer"),
     "float-scalar": ({"field": "Q", "dim": 1, "basis": ["a"],
                       "products": [{"i": 0, "j": 0, "coords": [0.1]}]}, "invalid rational scalar 0.1"),
+    "dim-too-large": ({"field": "F2", "dim": 100, "basis": [f"b{i}" for i in range(100)],
+                       "products": []}, "dim 100 exceeds the limit 64"),
 }
 
 
@@ -238,7 +272,7 @@ K2 = {"field": "F2", "dim": 2, "basis": ["a", "b"],
 
 
 def _certificate_file(**changes):
-    data = {"field": "F2", "label": "", "seed": 0, "convention": "row-major i*d+j",
+    data = {"balanced": "YES", "field": "F2", "label": "", "seed": 0, "convention": "row-major i*d+j",
             "generators": [{"u": [1, 0], "v": [0, 1]}],
             "certificates": [{"kind": "membership-decomposition", "meta": {"triple": [0, 0, 0]},
                               "terms": [{"generator": 0, "lambda": 1}]}]}
@@ -263,6 +297,9 @@ MALFORMED_CERTIFICATES = {  # file stem -> (certificate file object, expected me
     "float-lambda": (_certificate_file(certificates=_term(lam=1.0)), "invalid residue 1.0"),
     "bool-vector": (_certificate_file(generators=[{"u": [True, 0], "v": [0, 1]}]), "invalid residue True"),
     "other-field": (_certificate_file(field="F3"), "certificates are over 'F3'"),
+    "balanced-missing": ({k: v for k, v in _certificate_file().items() if k != "balanced"},
+                         "certificate file missing field: 'balanced'"),
+    "balanced-unknown-value": (_certificate_file(balanced="yes"), "balanced must be"),
 }
 MALFORMED_MAPS = {  # file stem -> (map file object, expected message)
     "matrix-int": ({"source": K2, "target": K2, "matrix": 5}, "matrix must be 2 rows x 2 cols"),

@@ -1,13 +1,12 @@
 import pytest
 
-from oracles import all_elements, mult
+from oracles import all_elements, enumerate_idempotents, mult
 from zpbal.errors import BudgetExceeded, NotIdempotent
 from zpbal.fields import PrimeField, QQ
 from zpbal.linalg import Matrix
 from zpbal.algebra import function_algebra, matrix_algebra, nilpotent_algebra
 from zpbal.config import SweepConfig
 from zpbal.multiplier import (
-    enumerate_idempotents,
     idempotent_generated_certificate,
     idempotent_transfer_witness,
     multiplier_algebra,

@@ -129,8 +129,11 @@ def test_map_loader_returns_map_or_parse_error(map_dir, data):
 @pytest.fixture(scope="module")
 def cert_files():
     """Algebra and certificate-file object for a balanced and an unbalanced algebra."""
-    return [(alg, certificates_to_dict(check_certificates(alg, DEFAULT_CONFIG), alg.field, 0))
-            for alg in (function_algebra(F2, 2), nilpotent_algebra(F3, 4))]
+    files = []
+    for alg in (function_algebra(F2, 2), nilpotent_algebra(F3, 4)):
+        certs, claim = check_certificates(alg, DEFAULT_CONFIG)
+        files.append((alg, certificates_to_dict(certs, alg.field, 0, balanced=claim)))
+    return files
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -138,9 +141,10 @@ def cert_files():
 def test_certificate_loader_and_verifier_never_crash(cert_files, which, data):
     alg, doc = cert_files[which]
     try:
-        certs = certificates_from_dict(mutant(data, doc), alg.field)
+        claim, certs = certificates_from_dict(mutant(data, doc), alg.field)
     except (ParseError, MalformedCertificate):
         return
+    assert claim in ("YES", "NO", "UNKNOWN")
     for cert in certs:
         assert isinstance(cert, Certificate)
         try:
@@ -152,22 +156,25 @@ def test_certificate_loader_and_verifier_never_crash(cert_files, which, data):
 # --- round trip against the in-memory certificates ----------------------------
 
 def check_certificates(alg, config):
-    """The certificates `zpbal check` writes, in its order."""
+    """The certificates `zpbal check` writes, in its order, and the balanced verdict."""
     span = compute_zero_product_span(alg, config)
     balanced = is_zero_product_balanced(alg, span, with_certificates=True)
     determined = is_zero_product_determined(alg, span)
     certs = list(balanced.certificates or [])
     certs += [c for c in (balanced.certificate, determined.certificate) if c is not None]
-    return certs
+    return certs, balanced.status
 
 
 def assert_round_trip(alg, config, tmp_path):
-    certs = check_certificates(alg, config)
+    certs, claim = check_certificates(alg, config)
     first, second = tmp_path / "a.certs.json", tmp_path / "b.certs.json"
-    save_certificates(certs, alg.field, config.seed, str(first), label="x")
-    save_certificates(certs, alg.field, config.seed, str(second), label="x")
+    save_certificates(certs, alg.field, config.seed, str(first), label="x", balanced=claim)
+    save_certificates(certs, alg.field, config.seed, str(second), label="x", balanced=claim)
     assert first.read_bytes() == second.read_bytes()
-    loaded = load_certificates(str(first), alg.field)
+    assert json.loads(first.read_text()) == certificates_to_dict(
+        certs, alg.field, config.seed, "x", balanced=claim)
+    loaded_claim, loaded = load_certificates(str(first), alg.field)
+    assert loaded_claim == claim
     assert len(loaded) == len(certs)
     ts = TensorSquare(alg)
     for cert, back in zip(certs, loaded):

@@ -1,7 +1,24 @@
+import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from oracles import all_elements, mult
-from zpbal.errors import HypothesisFailed, NotCommutative, NotIdempotentModNil
+from oracles import (
+    all_elements,
+    assert_characters_agree,
+    enumerate_idempotents,
+    mult,
+    random_change_of_basis,
+    reference_nilradical,
+)
+from zpbal.config import DEFAULT_CONFIG, SweepConfig
+from zpbal.corpus import SHAPES, golden_corpus, random_algebra
+from zpbal.errors import BudgetExceeded, HypothesisFailed, NotCommutative, NotIdempotentModNil
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
     direct_sum,
@@ -15,6 +32,7 @@ from zpbal.algebra import (
     zero_algebra,
 )
 from zpbal.structure import (
+    _reduced_atoms,
     atoms_from_idempotents,
     boolean_ring_and_stone,
     boolean_sum,
@@ -31,6 +49,8 @@ from zpbal.structure import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def f2_x_n3():
@@ -60,11 +80,16 @@ def test_nilradical_requires_commutative():
         nilradical(matrix_algebra(F2, 2))
 
 
-def test_nilradical_budget():
-    from zpbal.config import SweepConfig
-    from zpbal.errors import BudgetExceeded
+def test_atom_budget_bounds_only_p():
+    # the nilradical has no budget, and the atom search is bounded by p, not p^d
+    alg = f3f3n4()  # 243 elements
+    assert nilradical(alg).dim == 3
+    rep = characters(alg, SweepConfig(enumeration_cap=3))
+    assert rep.status == "EXACT" and len(rep.characters) == 2
+    rep = characters(alg, SweepConfig(enumeration_cap=2))
+    assert rep.status == "PARTIAL" and rep.characters == []
     with pytest.raises(BudgetExceeded):
-        nilradical(f3f3n4(), SweepConfig(enumeration_cap=10))
+        sigma_splitting(alg, SweepConfig(enumeration_cap=2))
 
 
 def test_nilradical_is_idempotent_operation():
@@ -295,7 +320,6 @@ def test_generated_by_nilpotents():
 
 def test_three_way_equivalence_on_commutative_corpus():
     # reduced + balanced <=> spanned by idempotents <=> direct sum of atom lines
-    from zpbal.multiplier import enumerate_idempotents
     from zpbal.linalg import SpanBuilder
     from zpbal.tensorsquare import compute_zero_product_span, is_zero_product_balanced
 
@@ -319,3 +343,116 @@ def test_three_way_equivalence_on_commutative_corpus():
         atoms = atoms_from_idempotents(idem.items)
         iso = spanned and len(atoms) == alg.dim
         assert (reduced and balanced) == spanned == iso, alg
+
+
+# --- the Frobenius nilradical and the Berlekamp atoms against element sweeps ---
+
+def f4():
+    return poly_quotient_algebra(F2, [1, 1, 1])
+
+
+def _commutative_cases():
+    cases = [(e.name, e.algebra) for e in golden_corpus()
+             if e.algebra.field.is_finite() and e.algebra.predicates().is_commutative]
+    for fld in (F2, F3):
+        for shape in SHAPES:
+            for seed in range(3):
+                alg = random_algebra(seed, fld, shape)
+                if alg.predicates().is_commutative:
+                    cases.append((f"{shape}/{seed}/{fld.name}", alg))
+    for fld, degree in ((F2, 3), (F3, 3), (F5, 2)):
+        for low in itertools.product(range(fld.p), repeat=degree):
+            cases.append((f"{fld.name}[t]/{low}", poly_quotient_algebra(fld, list(low) + [1])))
+    cases += [("F4×F2²", direct_sum(f4(), function_algebra(F2, 2))),
+              ("F4⊗N3", tensor_product(f4(), nilpotent_algebra(F2, 3))),
+              ("F3²⊕N4", f3f3n4())]
+    return cases
+
+
+@pytest.mark.parametrize("alg", [pytest.param(alg, id=name) for name, alg in _commutative_cases()])
+def test_structure_equals_the_element_sweeps(alg):
+    nil = nilradical(alg)
+    assert nil == reference_nilradical(alg)
+    q = quotient_algebra(alg, nil).algebra
+    assert _reduced_atoms(q, DEFAULT_CONFIG) == atoms_from_idempotents(enumerate_idempotents(q).items)
+    rep = characters(alg)
+    assert rep.status == "EXACT"
+    assert_characters_agree(rep, alg)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: direct_sum(f4(), function_algebra(F2, 2)),
+    lambda: tensor_product(f4(), nilpotent_algebra(F2, 3)),
+    f3f3n4,
+    lambda: poly_quotient_algebra(F5, [1, 0, 1]),  # t^2 + 1 = (t - 2)(t - 3)
+], ids=["F4×F2²", "F4⊗N3", "F3²⊕N4", "F5[t]/(t²+1)"])
+def test_structure_counts_invariant_under_change_of_basis(make):
+    def counts(a):
+        nil = nilradical(a)
+        atoms = _reduced_atoms(quotient_algebra(a, nil).algebra, DEFAULT_CONFIG)
+        return nil.dim, len(atoms), len(characters(a).characters)
+
+    alg = make()
+    before = counts(alg)
+    rng = random.Random(5)
+    for _ in range(3):
+        assert counts(random_change_of_basis(alg, rng)) == before
+
+
+def f2_6_n12():
+    return direct_sum(function_algebra(F2, 6), nilpotent_algebra(F2, 12))
+
+
+def test_structure_beyond_the_enumeration_cap():
+    alg = f2_6_n12()  # dim 17: 2^17 elements, over the default cap
+    assert alg.n_elements() > DEFAULT_CONFIG.enumeration_cap
+    assert nilradical(alg).dim == 11
+    rep = characters(alg)
+    assert rep.status == "EXACT" and len(rep.characters) == 6
+    splitting = sigma_splitting(alg)
+    assert len(splitting.atoms) == 6 and splitting.multiplicative_ok
+
+
+_TAMPER = textwrap.dedent("""
+    import sys
+    from zpbal import structure
+    from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
+    from zpbal.errors import SoundnessAlarm
+    from zpbal.fields import PrimeField
+    from zpbal.linalg import Matrix
+
+    if not sys.flags.optimize:
+        sys.exit("run with python -O")
+    F3 = PrimeField(3)
+    alg = direct_sum(function_algebra(F3, 2), nilpotent_algebra(F3, 3))
+
+    def alarms(name, tampered):
+        honest = getattr(structure, name)
+        setattr(structure, name, tampered(honest))
+        try:
+            structure.characters(alg)
+        except SoundnessAlarm:
+            return True
+        finally:
+            setattr(structure, name, honest)
+        return False
+
+    print([
+        # ker of a zero Frobenius is everything: the nilpotency re-check fails
+        alarms("_frobenius", lambda honest: lambda a: Matrix.zero(a.field, a.dim, a.dim)),
+        # one atom lost: the atoms no longer partition the unit
+        alarms("atoms_from_idempotents", lambda honest: lambda idems: honest(idems)[1:]),
+        # a doubled functional: chi(1) = 2 is not multiplicative over F3
+        alarms("_atom_character",
+               lambda honest: lambda quot, atom: structure.AlgMap(
+                   quot.parent, structure.scalar_algebra(F3), honest(quot, atom).matrix.scale(2))),
+    ])
+""")
+
+
+def test_soundness_checks_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", _TAMPER], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True, True]"

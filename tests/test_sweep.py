@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_factorizable_span, reference_zero_product_span
-from zpbal.algebra import Algebra, matrix_algebra, nilpotent_algebra
+from oracles import random_change_of_basis, reference_factorizable_span, reference_zero_product_span
+from zpbal.algebra import matrix_algebra, nilpotent_algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import SHAPES, golden_corpus, random_algebra
 from zpbal.fields import QQ, PrimeField
@@ -155,23 +155,6 @@ def test_soundness_checks_survive_python_O():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[True, True, True, True, True]"
-
-
-def random_change_of_basis(alg, rng):
-    """The same algebra presented in a random basis (registered idempotents carried over)."""
-    f = alg.field
-    d = alg.dim
-    while True:
-        p = Matrix(f, [[f.of_int(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)])
-        inv = p.inverse()
-        if inv is not None:
-            break
-    cols = [p.column(j) for j in range(d)]
-    table = [[inv.apply(alg.multiply_coords(cols[i], cols[j])) for j in range(d)] for i in range(d)]
-    out = Algebra(f, [f"b{i + 1}" for i in range(d)], table)
-    for e in alg.registered_idempotents:
-        out.register_idempotent(out.element(inv.apply(list(e.coords))))
-    return out
 
 
 @pytest.mark.parametrize("make", [
