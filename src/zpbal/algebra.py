@@ -62,7 +62,6 @@ class Algebra:
             self._check_associative()
         self.registered_idempotents: List[Element] = []
         self._predicates: Optional[Predicates] = None
-        self.matrix_info: Optional[Tuple[int, "Algebra"]] = None  # set by matrix_over
         # nonzero[i][j]: the (k, c) with c != 0 in e_i e_j, for the operator builders
         self._nonzero = [[[(k, c) for k, c in enumerate(v) if c != 0] for v in row] for row in self.table]
 
@@ -442,7 +441,6 @@ def matrix_over(base: Algebra, n: int) -> Algebra:
                             if c != 0:
                                 v[idx(r, u, t3)] = c
     alg = Algebra(base.field, names, table)
-    alg.matrix_info = (n, base)
     bunit = base.predicates().unit
     if bunit is not None:
         def embed(mat_coords):
@@ -470,21 +468,6 @@ def matrix_over(base: Algebra, n: int) -> Algebra:
 def matrix_algebra(field: Field, n: int) -> Algebra:
     """n x n matrices over the base field (matrix-unit basis)."""
     return matrix_over(scalar_algebra(field), n)
-
-
-def matrix_trace(a: Element) -> Element:
-    """Trace of an element of a matrix_over algebra, valued in the base."""
-    info = a.parent.matrix_info
-    if info is None:
-        raise ValueError("element does not belong to a matrix algebra")
-    n, base = info
-    f = base.field
-    out = [f.zero] * base.dim
-    for r in range(n):
-        off = (r * n + r) * base.dim
-        for t in range(base.dim):
-            out[t] = f.add(out[t], a.coords[off + t])
-    return base.element(out)
 
 
 def direct_sum(left: Algebra, right: Algebra) -> Algebra:
@@ -551,7 +534,7 @@ def tensor_product(left: Algebra, right: Algebra) -> Algebra:
 
 
 # ---------------------------------------------------------------------------
-# ideals, quotients, subalgebras
+# ideals and quotients
 # ---------------------------------------------------------------------------
 
 
@@ -650,49 +633,3 @@ def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
         if not img.is_zero() and (img * img) == img:
             q.register_idempotent(img)
     return quot
-
-
-@dataclass
-class Subalgebra:
-    """Subalgebra re-presented as an algebra in its own right."""
-
-    algebra: Algebra
-    span: Subspace  # rows are the chosen basis, in parent coordinates
-    parent: Algebra
-
-    def embed(self, a: Element) -> Element:
-        return self.parent.element(self.span.linear_combination(list(a.coords)))
-
-
-def subalgebra(alg: Algebra, generators: Sequence[Element]) -> Subalgebra:
-    """Close generators under span and products; re-present as an algebra."""
-    f = alg.field
-    builder = SpanBuilder(f, alg.dim)
-    for g in generators:
-        builder.add(list(g.coords))
-    stable = False
-    while not stable:
-        stable = True
-        current = [list(r) for r in builder.rows]
-        for u in current:
-            for v in current:
-                if builder.add(alg.multiply_coords(u, v)):
-                    stable = False
-    span = builder.to_subspace()
-    ds = span.dim
-    table = []
-    for a in range(ds):
-        row = []
-        for b in range(ds):
-            prod = alg.multiply_coords(span.basis[a], span.basis[b])
-            row.append(span.coefficients(prod))
-        table.append(row)
-    names = [f"s{k+1}" for k in range(ds)]
-    sub = Algebra(f, names, table)
-    subobj = Subalgebra(algebra=sub, span=span, parent=alg)
-    for e in alg.registered_idempotents:
-        if span.contains_vector(list(e.coords)):
-            img = sub.element(span.coefficients(list(e.coords)))
-            if not img.is_zero():
-                sub.register_idempotent(img)
-    return subobj

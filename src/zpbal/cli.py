@@ -46,6 +46,7 @@ from zpbal.linmaps import (
     is_semimultiplicative,
     is_zero_product_preserving,
     weighted_factorization,
+    zp_implies_weighted,
 )
 from zpbal.squarezero import check_span_equality
 from zpbal.structure import (
@@ -75,7 +76,7 @@ def _config_from_args(args) -> SweepConfig:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--cap", type=int, default=6561,
-                   help="enumeration cap: elements of an exhaustive span sweep or clean check, "
+                   help="enumeration cap: elements of an exhaustive span sweep, "
                         "and p in the atom search over F_p")
     p.add_argument("--stall", type=int, default=64, help="random-sweep stall rounds")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
@@ -157,6 +158,7 @@ def cmd_factorize(args) -> int:
     amap = serialize.load_map(args.map)
     fld = amap.source.field
     span = compute_zero_product_span(amap.source, config)
+    balanced = is_zero_product_balanced(amap.source, span)
     zp = is_zero_product_preserving(amap, span)
     semi = is_semimultiplicative(amap)
     report: Dict = {
@@ -172,7 +174,11 @@ def cmd_factorize(args) -> int:
         f"semimultiplicative: {'yes' if semi else 'no'}",
     ]
     try:
-        w = weighted_factorization(amap)
+        if balanced.status == YES and zp.status == YES:
+            # weighted-epimorphism theorem: such a map must factor, else an alarm
+            w = zp_implies_weighted(amap, span, balanced.status)
+        else:
+            w = weighted_factorization(amap)
     except (HypothesisFailed, NotSemimultiplicative, SpanDeficient) as exc:
         report["factorization"] = f"failed: {exc}"
         lines.append(f"factorization: failed ({exc})")

@@ -1,4 +1,4 @@
-"""Built-in golden corpus and compositional random-algebra generator.
+"""Built-in golden corpus and its suite runner (`zpbal corpus run`).
 
 Each corpus entry pins expected verdicts with a provenance note saying how
 the expectation was obtained ("known": a worked example family with published
@@ -9,7 +9,6 @@ expectation against the engines and re-verifies every emitted certificate.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
@@ -17,19 +16,16 @@ from zpbal.algebra import (
     Algebra,
     direct_sum,
     function_algebra,
-    ideal_closure,
     matrix_algebra,
     matrix_over,
     nilpotent_algebra,
     poly_quotient_algebra,
-    quotient_algebra,
     scalar_algebra,
     tensor_product,
     zero_algebra,
 )
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.fields import Field, PrimeField, QQ
-from zpbal.linalg import vec_is_zero
+from zpbal.fields import PrimeField, QQ
 from zpbal.tensorsquare import (
     SEPARATING,
     YES,
@@ -193,48 +189,6 @@ def golden_corpus() -> List[CorpusEntry]:
         {"balanced": "derived: no refutation over an infinite field",
          "zpd": "derived: no refutation over an infinite field"})
     return entries
-
-
-# ---------------------------------------------------------------------------
-# random algebras (always built from validated constructors)
-# ---------------------------------------------------------------------------
-
-SHAPES = ("quotient_of_free_nilpotent", "matrix_over_random", "direct_sum_mix")
-
-
-def random_algebra(seed: int, field: Field, shape: str) -> Algebra:
-    rng = random.Random(seed)
-    if shape == "quotient_of_free_nilpotent":
-        m = rng.choice([4, 5, 6])
-        alg = nilpotent_algebra(field, m)
-        coords = [field.of_int(rng.randint(0, 2)) for _ in range(alg.dim)]
-        if vec_is_zero(coords):
-            coords[rng.randrange(alg.dim)] = field.one
-        ideal = ideal_closure(alg, [coords])
-        if ideal.dim == alg.dim:
-            return zero_algebra(field, 1)
-        return quotient_algebra(alg, ideal).algebra
-    if shape == "matrix_over_random":
-        base = rng.choice([
-            scalar_algebra(field),
-            function_algebra(field, 2),
-            nilpotent_algebra(field, 3),
-        ])
-        return matrix_over(base, 2)
-    if shape == "direct_sum_mix":
-        pool = [
-            scalar_algebra(field),
-            function_algebra(field, 2),
-            nilpotent_algebra(field, 3),
-            matrix_algebra(field, 2),
-            zero_algebra(field, 1),
-        ]
-        parts = rng.sample(pool, rng.choice([2, 3]))
-        out = parts[0]
-        for p in parts[1:]:
-            out = direct_sum(out, p)
-        return out
-    raise ValueError(f"unknown shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------

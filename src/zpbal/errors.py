@@ -5,10 +5,6 @@ class ZpbalError(Exception):
     """Base class for all toolkit errors."""
 
 
-class FieldMismatch(ZpbalError):
-    """Operands belong to different base fields."""
-
-
 class InfiniteFieldError(ZpbalError):
     """Exhaustive enumeration requested over an infinite field."""
 

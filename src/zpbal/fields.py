@@ -234,30 +234,6 @@ class PrimeField(Field):
 QQ = Rationals()
 
 
-def belongs(field: Field, a) -> bool:
-    """Whether a value is a canonical scalar of the field."""
-    if isinstance(field, Rationals):
-        return isinstance(a, Fraction)
-    return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < field.characteristic
-
-
-def scalar_arith(field: Field, a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Checked arithmetic dispatch; rejects operands from the wrong field."""
-    from zpbal.errors import FieldMismatch
-
-    if not belongs(field, a) or not belongs(field, b):
-        raise FieldMismatch(f"operands {a!r}, {b!r} are not canonical {field.name} scalars")
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def field_from_name(name: str) -> Field:
     """Resolve "Q" or "F<p>" to a field object."""
     if name == "Q":

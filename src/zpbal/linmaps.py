@@ -71,10 +71,6 @@ class AlgMap:
         return None
 
 
-def identity_map(algebra: Algebra) -> AlgMap:
-    return AlgMap(algebra, algebra, Matrix.identity(algebra.field, algebra.dim))
-
-
 def semimultiplicative_witness(f: AlgMap) -> Optional[Tuple[int, int, int]]:
     """First basis triple violating pi(ab)pi(c) = pi(a)pi(bc), or None.
 
@@ -268,41 +264,3 @@ def zp_implies_weighted(
         raise SoundnessAlarm(
             f"zero-product preserving map out of a balanced algebra failed to factor: {exc}"
         ) from exc
-
-
-def centralizer_space(algebra: Algebra) -> Subspace:
-    """All linear S with S(ab) = S(a)b = aS(b), as flattened matrices."""
-    f = algebra.field
-    d = algebra.dim
-    n2 = d * d
-    rows: List[Vector] = []
-    for i in range(d):
-        for j in range(d):
-            prod = algebra.table[i][j]
-            for k in range(d):
-                # S(e_i e_j) - S(e_i) e_j = 0, coordinate k
-                row = [f.zero] * n2
-                for t, c in enumerate(prod):
-                    if c != 0:
-                        row[k * d + t] = f.add(row[k * d + t], c)
-                for l in range(d):
-                    c = algebra.table[l][j][k]
-                    if c != 0:
-                        row[l * d + i] = f.sub(row[l * d + i], c)
-                rows.append(row)
-                # S(e_i e_j) - e_i S(e_j) = 0, coordinate k
-                row = [f.zero] * n2
-                for t, c in enumerate(prod):
-                    if c != 0:
-                        row[k * d + t] = f.add(row[k * d + t], c)
-                for l in range(d):
-                    c = algebra.table[i][l][k]
-                    if c != 0:
-                        row[l * d + j] = f.sub(row[l * d + j], c)
-                rows.append(row)
-    return Matrix(f, rows, cols=n2).kernel()
-
-
-def matrix_from_flat(algebra: Algebra, flat: Vector) -> Matrix:
-    d = algebra.dim
-    return Matrix(algebra.field, [flat[r * d:(r + 1) * d] for r in range(d)], cols=d)

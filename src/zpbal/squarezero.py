@@ -10,7 +10,7 @@ commutators holds unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from zpbal.algebra import Algebra, Element, commutator
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
@@ -25,10 +25,6 @@ from zpbal.tensorsquare import (
     compute_zero_product_span,
     is_zero_product_balanced,
 )
-
-
-def square_zero(a: Element) -> bool:
-    return (a * a).is_zero()
 
 
 def commutator_span(algebra: Algebra) -> Subspace:
@@ -76,10 +72,12 @@ def factorizable_square_zero_span(
     For fixed y the eligible products form a subspace (the image of the left
     annihilator of y under left multiplication by y), so sweeping y suffices;
     the annihilator sweep (see `zpbal.sweep`) visits projective points only
-    and skips y whose products were all offered already.
+    and skips y whose products were all offered already.  Each yz equals
+    [y, z], so the sweep stops once the span reaches the commutator span.
     """
     f = algebra.field
     d = algebra.dim
+    ceiling = commutator_span(algebra).dim
     builder = SpanBuilder(f, d)
     witnesses: List[FactorizableWitness] = []
     sweep = AnnihilatorSweep(algebra, LEFT)
@@ -99,7 +97,7 @@ def factorizable_square_zero_span(
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
         for y in projective_points(algebra):
-            if builder.dim >= d:
+            if builder.dim >= ceiling:
                 break
             offer(y)
         status = EXACT
@@ -108,7 +106,7 @@ def factorizable_square_zero_span(
             offer(y)
         stall = 0
         for y in random_elements(f, d, config.seed):
-            if stall >= config.stall_rounds or builder.dim >= d:
+            if stall >= config.stall_rounds or builder.dim >= ceiling:
                 break
             stall = 0 if offer(y) else stall + 1
         status = LOWER_BOUND
@@ -165,21 +163,3 @@ def check_span_equality(
         balanced_status=balanced.status,
         is_idempotent=idem,
     )
-
-
-def factorizable_pair_product_span(
-    algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG
-) -> Tuple[Subspace, str]:
-    """Span of pairwise products of factorizable square-zero elements.
-
-    Generators of the factorizable span suffice: any product of two such
-    elements expands bilinearly over them.
-    """
-    fact = factorizable_square_zero_span(algebra, config)
-    f = algebra.field
-    builder = SpanBuilder(f, algebra.dim)
-    xs = [list(w.x.coords) for w in fact.witnesses]
-    for u in xs:
-        for v in xs:
-            builder.add(algebra.multiply_coords(u, v))
-    return builder.to_subspace(), fact.status

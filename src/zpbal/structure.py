@@ -1,20 +1,20 @@
-"""Commutative structure theory: nilradical, characters, the Boolean ring of
-idempotents with its finite Stone space, idempotent lifting, nil-plus-
-idempotent decompositions, and the character-or-radical dichotomies.
+"""Commutative structure theory: nilradical, characters, the atoms of the
+reduced quotient, idempotent lifting, nil-plus-idempotent decompositions,
+cleanness, and the character-or-radical dichotomies.
 
 Over F_p the Frobenius map x -> x^p is linear on a commutative algebra, so
 no element is enumerated for the nilradical, ker Frob^k with p^k > dim, or
 for the atoms (primitive idempotents) of the reduced quotient, which come
 from the Berlekamp subalgebra ker(Frob - I) = F_p^r.  Over Q they are the
 trace-form radical and the refinement of the registered idempotents.  The
-enumeration cap bounds p in the atom search, the 2^r listed idempotents of
-the Boolean ring, and the element sweeps of the clean check and of the
-noncommutative generation check.
+enumeration cap bounds only p in the atom search; the clean check builds a
+decomposition from the lifted atoms instead of searching the elements.
 
 Everything here is verified by postconditions: nilradical basis vectors are
 re-checked nilpotent, atoms orthogonal and idempotent, characters
 multiplicative, lifted idempotents against e*e = e, sections against
-multiplicativity, decompositions against exact reconstruction.
+multiplicativity, decompositions against exact reconstruction, clean
+decompositions against invertibility on every basis element.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from zpbal.errors import (
     SoundnessAlarm,
 )
 from zpbal.fields import Scalar
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, vec_scale
+from zpbal.linalg import Matrix, Subspace, vec_scale
 from zpbal.linmaps import AlgMap
-from zpbal.squarezero import commutator_span, factorizable_pair_product_span
+from zpbal.squarezero import commutator_span
 from zpbal.tensorsquare import (
     EXACT,
-    NO,
     UNKNOWN,
     YES,
     compute_zero_product_span,
@@ -104,14 +103,8 @@ def nilradical(algebra: Algebra) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# idempotents, atoms, Boolean ring
+# idempotents and atoms
 # ---------------------------------------------------------------------------
-
-
-def boolean_sum(e: Element, g: Element) -> Element:
-    """e + g - 2eg: the addition of the Boolean ring of idempotents."""
-    two = e.parent.field.of_int(2)
-    return e + g - (e * g).scale(two)
 
 
 def atoms_from_idempotents(idempotents: List[Element]) -> List[Element]:
@@ -179,61 +172,6 @@ def _reduced_atoms(q: Algebra, config: SweepConfig) -> List[Element]:
         if a.is_zero() or a * a != a or any(not (a * b).is_zero() for b in atoms[n + 1:]):
             raise SoundnessAlarm("atoms are not nonzero orthogonal idempotents")
     return atoms
-
-
-def _subset_sums(atoms: List[Element], zero: Element) -> List[Element]:
-    """Every sum of a subset of the atoms: the idempotents they generate."""
-    sums = [zero]
-    for a in atoms:
-        sums += [s + a for s in sums]
-    return sums
-
-
-@dataclass
-class BooleanRingInfo:
-    """The Boolean ring of idempotents under e+f-2ef and ring multiplication."""
-
-    elements: List[Element]
-    atoms: List[Element]
-    axioms_ok: bool  # closure under both operations within the element list
-    exhaustive: bool
-
-
-@dataclass
-class StoneReport:
-    ring: BooleanRingInfo
-    stone_points: List[Element]  # atoms; the finite Stone space
-    iso_check: bool  # algebra = direct sum of the lines through the atoms
-
-
-def boolean_ring_and_stone(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> StoneReport:
-    """Boolean ring of idempotents of a commutative reduced algebra, its atoms,
-    and the check that the algebra is the span of the atom lines.
-
-    The ring is listed as the subset sums of the atoms: every idempotent over
-    F_p, the ring the registered idempotents generate over Q.
-    """
-    _require_commutative(algebra)
-    if nilradical(algebra).dim != 0:
-        raise HypothesisFailed("algebra is not reduced")
-    atoms = _reduced_atoms(algebra, config)
-    if 2 ** len(atoms) > config.enumeration_cap:
-        raise BudgetExceeded(f"{2 ** len(atoms)} idempotents exceed cap {config.enumeration_cap}")
-    elements = _subset_sums(atoms, algebra.zero_element())
-    axioms_ok = True
-    coords_set = {e.coords for e in elements}
-    for a in elements:
-        if (a * a) != a:
-            axioms_ok = False
-        for b in elements:
-            if (a * b).coords not in coords_set or boolean_sum(a, b).coords not in coords_set:
-                axioms_ok = False
-    return StoneReport(
-        ring=BooleanRingInfo(elements=elements, atoms=atoms, axioms_ok=axioms_ok,
-                             exhaustive=algebra.field.is_finite()),
-        stone_points=atoms,
-        iso_check=len(atoms) == algebra.dim,  # the atoms are independent
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +379,44 @@ NOT_EVALUATED = "NOT_EVALUATED"
 
 
 @dataclass
+class CleanWitness:
+    """Clean decompositions from the atoms ē_i of Q = A/N and their lifts e_i."""
+
+    quotient: Quotient
+    atoms: List[Element]
+    lifted_atoms: List[Element]
+
+    def idempotent(self, a: Element) -> Element:
+        """f = Σ e_i over the atoms with ā·ē_i = 0 in Q: on each field factor
+        ē_iQ, ā - f̄ is ā when ā·ē_i != 0 and -1 otherwise, so a - f is a unit
+        of A (units lift modulo the nil ideal N)."""
+        abar = self.quotient.project(a)
+        f = a.parent.zero_element()
+        for atom, e in zip(self.atoms, self.lifted_atoms):
+            if (abar * atom).is_zero():
+                f = f + e
+        return f
+
+
+@dataclass
 class RegularCleanReport:
     regular_on_quotient: Optional[bool]
-    clean: str  # YES / NO / NOT_EVALUATED / UNKNOWN
+    clean: str  # YES / NOT_EVALUATED / UNKNOWN
     notes: List[str]
+    witness: Optional[CleanWitness] = None  # when clean is YES
 
 
 def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> RegularCleanReport:
     """Von Neumann regularity of the reduced quotient (via the atom formula)
-    and cleanness (unit + idempotent) for unital algebras over small prime
-    fields; cleanness of nonunital algebras is reported NOT_EVALUATED."""
+    and cleanness (unit + idempotent) of unital algebras; cleanness of
+    nonunital algebras is reported NOT_EVALUATED.
+
+    A finite-dimensional commutative unital algebra is a finite product of
+    local rings, hence clean (Nicholson 1977; Anderson and Camillo 2002).
+    The verdict YES comes with `CleanWitness`, re-checked on every basis
+    element.  It needs every atom of Q = A/N: over F_p with p within the cap,
+    over Q when the registered atoms span Q; otherwise clean is UNKNOWN.
+    """
     _require_commutative(algebra)
     f = algebra.field
     notes = []
@@ -472,32 +438,37 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
     except (HypothesisFailed, BudgetExceeded) as exc:
         notes.append(f"regularity not decided: {exc}")
 
-    pred = algebra.predicates()
-    if not pred.is_unital:
+    witness: Optional[CleanWitness] = None
+    if not algebra.predicates().is_unital:
         clean = NOT_EVALUATED
         notes.append("clean requires a unit; not evaluated for nonunital input")
-    elif f.is_finite() and algebra.n_elements() <= config.enumeration_cap:
-        unit = list(pred.unit)
-        quot = quotient_algebra(algebra, nilradical(algebra))
-        lifted = [lift_idempotent(algebra, quot, a) for a in _reduced_atoms(quot.algebra, config)]
-        idems = [list(e.coords) for e in _subset_sums(lifted, algebra.zero_element())]
-        units = set()
-        for coords in algebra.coord_tuples():
-            if algebra.left_mult_matrix(list(coords)).solve(unit) is not None:
-                if algebra.right_mult_matrix(list(coords)).solve(unit) is not None:
-                    units.add(tuple(coords))
-        clean = YES
-        for coords in algebra.coord_tuples():
-            if not any(
-                tuple(f.sub(a, b) for a, b in zip(coords, e)) in units for e in idems
-            ):
-                clean = NO
-                break
-        notes.append(f"clean by exhaustive unit+idempotent search ({len(units)} units)")
     else:
-        clean = UNKNOWN
-        notes.append("clean check needs exhaustive enumeration; over budget or infinite field")
-    return RegularCleanReport(regular_on_quotient=regular, clean=clean, notes=notes)
+        try:
+            witness = _clean_witness(algebra, config)
+            clean = YES
+            notes.append("clean by the lifted atoms, witness checked on the basis")
+        except (HypothesisFailed, BudgetExceeded) as exc:
+            clean = UNKNOWN
+            notes.append(f"clean not decided: {exc}")
+    return RegularCleanReport(regular_on_quotient=regular, clean=clean, notes=notes, witness=witness)
+
+
+def _clean_witness(algebra: Algebra, config: SweepConfig) -> CleanWitness:
+    """The witness from every atom of Q, checked on each basis element a:
+    f = witness.idempotent(a) is idempotent and a - f is a unit."""
+    quot = quotient_algebra(algebra, nilradical(algebra))
+    atoms = _reduced_atoms(quot.algebra, config)
+    if not algebra.field.is_finite() and len(atoms) != quot.algebra.dim:
+        raise HypothesisFailed("registered idempotents do not span the reduced quotient")
+    witness = CleanWitness(quotient=quot, atoms=atoms,
+                           lifted_atoms=[lift_idempotent(algebra, quot, a) for a in atoms])
+    unit = list(algebra.predicates().unit)
+    for i in range(algebra.dim):
+        a = algebra.basis_element(i)
+        f = witness.idempotent(a)
+        if f * f != f or algebra.left_mult_matrix(list((a - f).coords)).solve(unit) is None:
+            raise SoundnessAlarm(f"clean witness fails on basis element {i}")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -595,56 +566,3 @@ def dichotomy_general(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
         raise SoundnessAlarm("balanced algebra fits neither dichotomy branch")
     return DichotomyResult(kind=UNKNOWN,
                            note="no character found (search incomplete) and not radical over the commutator ideal")
-
-
-@dataclass
-class NilpotentGenerationReport:
-    """Three equivalent statements for unital balanced algebras: no character,
-    generated by nilpotents as an ideal, spanned by products of pairs of
-    orthogonally factorizable square-zero elements."""
-
-    no_character: bool
-    nilpotents_generate: bool
-    pair_products_span: bool
-    agree: bool
-
-
-def generated_by_nilpotents_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> NilpotentGenerationReport:
-    span = compute_zero_product_span(algebra, config)
-    balanced = is_zero_product_balanced(algebra, span)
-    if not algebra.predicates().is_unital:
-        raise HypothesisFailed("algebra not unital")
-    if balanced.status != YES:
-        raise HypothesisFailed("algebra not certified zero-product balanced")
-    ideal = commutator_ideal(algebra)
-    quot = quotient_algebra(algebra, ideal)
-    chars = characters(quot.algebra, config) if quot.algebra.dim > 0 else CharacterReport([], EXACT, [])
-    if chars.status != EXACT:
-        raise BudgetExceeded("character search on the abelianization is incomplete")
-    no_char = not chars.characters
-
-    f = algebra.field
-    size = algebra.n_elements()
-    if size is None or size > config.enumeration_cap:
-        raise BudgetExceeded("nilpotent sweep needs exhaustive enumeration")
-    builder = SpanBuilder(f, algebra.dim)
-    for coords in algebra.coord_tuples():
-        if algebra.element(coords).is_nilpotent():
-            builder.add(list(coords))
-    nil_ideal = ideal_closure(algebra, builder.rows)
-    nilpotents_generate = nil_ideal.dim == algebra.dim
-
-    pair_span, pair_status = factorizable_pair_product_span(algebra, config)
-    if pair_status != EXACT:
-        raise BudgetExceeded("factorizable-span sweep is incomplete")
-    pair_products_span = pair_span.dim == algebra.dim
-
-    agree = no_char == nilpotents_generate == pair_products_span
-    if not agree:
-        raise SoundnessAlarm("three-way nilpotent-generation equivalence violated")
-    return NilpotentGenerationReport(
-        no_character=no_char,
-        nilpotents_generate=nilpotents_generate,
-        pair_products_span=pair_products_span,
-        agree=agree,
-    )

@@ -540,22 +540,3 @@ def is_zero_product_balanced(
                     note="membership failed against a lower-bound span; not refutable over this field",
                 )
     return BalancedVerdict(YES, certificates=certs, n_triples=d ** 3)
-
-
-def balanced_defect(algebra: Algebra, report: ZeroProductSpanReport) -> Tuple[Subspace, int]:
-    """Span of all shifted-product tensors plus the zero-product span.
-
-    The excess over the span dimension is 0 exactly when the algebra is
-    balanced (granted a complete span).
-    """
-    ts = report.tensor
-    d = algebra.dim
-    builder = SpanBuilder(algebra.field, ts.ambient)
-    for row in report.subspace.basis:
-        builder.add(row)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                builder.add(ts.defect_tensor(i, j, k))
-    total = builder.to_subspace()
-    return total, total.dim - report.dim

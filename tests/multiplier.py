@@ -8,6 +8,9 @@ zero-product span, with an explicit two-term decomposition), which yields a
 balancedness certificate that bypasses the span computation entirely: an
 algebra contained in the subalgebra of its multiplier algebra generated by
 idempotents is zero-product balanced.
+
+No `zpbal` command runs this module; the tests keep it as a reference for
+the multiplier results and for `oracles.enumerate_idempotents`.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Union
 
+from multiplier import MultiplierAlgebra
 from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import BudgetExceeded, SoundnessAlarm
 from zpbal.linalg import Matrix, SpanBuilder, vec_is_zero
-from zpbal.multiplier import MultiplierAlgebra
 from zpbal.squarezero import FactorizableWitness
 from zpbal.tensorsquare import TensorSquare
 
@@ -331,7 +331,8 @@ def reference_factorizable_span(algebra, config):
 
 # ---------------------------------------------------------------------------
 # Reference sweeps of commutative structure: the element loops that the
-# Frobenius nilradical and the Berlekamp atoms replaced in zpbal.structure.
+# Frobenius nilradical, the Berlekamp atoms and the clean witness from the
+# lifted atoms replaced in zpbal.structure.
 # ---------------------------------------------------------------------------
 
 
@@ -392,6 +393,36 @@ def assert_characters_agree(report, algebra):
     rows = sorted(tuple(c.matrix.rows[0]) for c in report.characters)
     if rows != reference_character_table(algebra):
         raise SoundnessAlarm("character routes disagree")
+
+
+@dataclass
+class CleanSweep:
+    verdict: str  # YES / NO
+    units: set  # coordinate tuples of the units
+    idempotents: set  # coordinate tuples of the idempotents
+
+
+def reference_clean(algebra, config: SweepConfig = DEFAULT_CONFIG) -> CleanSweep:
+    """Cleanness of a unital algebra over F_p: every element minus some
+    idempotent is a unit, by the sweep of every element."""
+    f = algebra.field
+    unit = list(algebra.predicates().unit)
+    size = algebra.n_elements()
+    if size > config.enumeration_cap:
+        raise BudgetExceeded(f"clean sweep over {size} elements exceeds cap {config.enumeration_cap}")
+    units, idems = set(), set()
+    for coords in algebra.coord_tuples():
+        if (algebra.left_mult_matrix(list(coords)).solve(unit) is not None
+                and algebra.right_mult_matrix(list(coords)).solve(unit) is not None):
+            units.add(tuple(coords))
+        if algebra.multiply_coords(coords, coords) == list(coords):
+            idems.add(tuple(coords))
+    verdict = "YES"
+    for coords in algebra.coord_tuples():
+        if not any(tuple(f.sub(a, b) for a, b in zip(coords, e)) in units for e in idems):
+            verdict = "NO"
+            break
+    return CleanSweep(verdict=verdict, units=units, idempotents=idems)
 
 
 @dataclass

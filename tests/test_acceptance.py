@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import enumerate_idempotents
+from references import centralizer_space, generated_by_nilpotents_check, matrix_from_flat
 from zpbal.cli import main as cli_main
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
@@ -29,10 +30,8 @@ from zpbal.corpus import golden_corpus
 from zpbal.linalg import Matrix
 from zpbal.linmaps import (
     AlgMap,
-    centralizer_space,
     is_semimultiplicative,
     is_zero_product_preserving,
-    matrix_from_flat,
     weighted_factorization,
 )
 from zpbal.squarezero import check_span_equality
@@ -41,7 +40,6 @@ from zpbal.structure import (
     decompose,
     dichotomy_commutative,
     dichotomy_general,
-    generated_by_nilpotents_check,
     nilradical,
     sigma_splitting,
 )

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from zpbal import linmaps
 from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
 from zpbal.cli import main
+from zpbal.errors import NotSemimultiplicative
 from zpbal.fields import PrimeField
 from zpbal.serialize import save_algebra
 from zpbal.tensorsquare import TensorSquare
@@ -180,6 +182,27 @@ def test_factorize_non_surjective(tmp_path, capsys, monkeypatch):
     assert "failed" in out and "surjective" in out
 
 
+def test_factorize_alarms_when_the_weighted_theorem_fails(tmp_path, capsys, monkeypatch):
+    # a zero-product preserving surjection out of a balanced algebra must factor
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "Kn", "--n", "2", "--field", "Q", "--out", "qq.json")
+    for name, matrix in (("scale.json", [["2", "0"], ["0", "3"]]),
+                         ("shear.json", [["1", "1"], ["0", "1"]])):
+        with open(name, "w") as fh:
+            json.dump({"source": "qq.json", "target": "qq.json", "matrix": matrix}, fh)
+
+    def refuse(amap):
+        raise NotSemimultiplicative((0, 0, 0))
+
+    monkeypatch.setattr(linmaps, "weighted_factorization", refuse)
+    code, _, err = run_cli(capsys, "factorize", "scale.json")
+    assert code == 2 and "SOUNDNESS ALARM" in err
+    # the shear does not preserve zero products: no theorem applies, as before
+    code, out, _ = run_cli(capsys, "factorize", "shear.json")
+    assert code == 0
+    assert "zero-product preserving: NO" in out and "factorization: failed" in out
+
+
 def test_fn2_report(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
@@ -210,6 +233,15 @@ def test_structure_beyond_the_enumeration_cap(tmp_path, capsys, monkeypatch):
     assert "nilradical: dim 11" in out
     assert "characters: 6 (EXACT)" in out
     assert "atoms of the reduced quotient: 6" in out
+
+
+def test_structure_clean_without_enumeration(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for field, n in (("F2", "13"), ("Q", "3")):  # 2^13 elements is over the default cap
+        run_cli(capsys, "example", "Kn", "--n", n, "--field", field, "--out", "kn.json")
+        code, out, err = run_cli(capsys, "structure", "kn.json")
+        assert code == 0, err
+        assert "clean: YES" in out
 
 
 def test_structure_noncommutative(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
+from references import SHAPES, random_algebra, subalgebra
 from zpbal.fields import PrimeField
-from zpbal.algebra import direct_sum, matrix_over, quotient_algebra, subalgebra, ideal_closure
-from zpbal.corpus import SHAPES, golden_corpus, random_algebra, run_suites
+from zpbal.algebra import direct_sum, matrix_over, quotient_algebra, ideal_closure
+from zpbal.corpus import golden_corpus, run_suites
 from zpbal.linalg import Subspace
 from zpbal.squarezero import check_span_equality
 from zpbal.tensorsquare import (

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from zpbal.errors import FieldMismatch, InfiniteFieldError, ParseError
-from zpbal.fields import PrimeField, QQ, _is_prime, field_from_name, scalar_arith
+from zpbal.errors import InfiniteFieldError, ParseError
+from zpbal.fields import PrimeField, QQ, _is_prime, field_from_name
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -36,18 +36,6 @@ def test_division_by_zero():
         F3.div(1, 0)
     with pytest.raises(ZeroDivisionError):
         F3.inv(0)
-
-
-def test_scalar_arith_checked_dispatch():
-    assert scalar_arith(QQ, Fraction(1, 3), Fraction(1, 6), "add") == Fraction(1, 2)
-    assert scalar_arith(F2, 1, 1, "add") == 0
-    assert scalar_arith(F3, 2, 2, "mul") == 1
-    with pytest.raises(FieldMismatch):
-        scalar_arith(F3, Fraction(1), 2, "add")
-    with pytest.raises(FieldMismatch):
-        scalar_arith(QQ, 1, Fraction(1), "add")
-    with pytest.raises(FieldMismatch):
-        scalar_arith(F3, 5, 1, "add")  # residue out of canonical range
 
 
 def test_enumeration():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import rank_over
+from references import random_algebra
 from test_sweep import random_change_of_basis
 from zpbal.algebra import ideal_closure, matrix_algebra, nilpotent_algebra, quotient_algebra
-from zpbal.corpus import random_algebra
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked, NotInSubspace
 from zpbal.fields import PrimeField, QQ
 from zpbal.linalg import Matrix, SpanBuilder, Subspace

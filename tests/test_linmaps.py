@@ -12,13 +12,11 @@ from zpbal.algebra import (
     matrix_algebra,
     nilpotent_algebra,
 )
+from references import centralizer_space, matrix_from_flat
 from zpbal.linmaps import (
     AlgMap,
-    centralizer_space,
-    identity_map,
     is_semimultiplicative,
     is_zero_product_preserving,
-    matrix_from_flat,
     semimultiplicative_witness,
     weighted_factorization,
     zp_implies_weighted,
@@ -27,6 +25,10 @@ from zpbal.tensorsquare import compute_zero_product_span, is_zero_product_balanc
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+
+def identity_map(algebra):
+    return AlgMap(algebra, algebra, Matrix.identity(algebra.field, algebra.dim))
 
 
 def diag_scaling_map():

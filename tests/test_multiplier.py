@@ -6,7 +6,7 @@ from zpbal.fields import PrimeField, QQ
 from zpbal.linalg import Matrix
 from zpbal.algebra import function_algebra, matrix_algebra, nilpotent_algebra
 from zpbal.config import SweepConfig
-from zpbal.multiplier import (
+from multiplier import (
     idempotent_generated_certificate,
     idempotent_transfer_witness,
     multiplier_algebra,

@@ -9,9 +9,10 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from references import SHAPES, random_algebra
 from zpbal.algebra import Algebra, function_algebra, nilpotent_algebra
 from zpbal.config import DEFAULT_CONFIG
-from zpbal.corpus import SHAPES, golden_corpus, random_algebra
+from zpbal.corpus import golden_corpus
 from zpbal.errors import MalformedCertificate, ParseError
 from zpbal.fields import PrimeField
 from zpbal.linmaps import AlgMap

@@ -14,10 +14,18 @@ from oracles import (
     enumerate_idempotents,
     mult,
     random_change_of_basis,
+    reference_clean,
     reference_nilradical,
 )
+from references import (
+    SHAPES,
+    boolean_ring_and_stone,
+    boolean_sum,
+    generated_by_nilpotents_check,
+    random_algebra,
+)
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.corpus import SHAPES, golden_corpus, random_algebra
+from zpbal.corpus import golden_corpus
 from zpbal.errors import BudgetExceeded, HypothesisFailed, NotCommutative, NotIdempotentModNil
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
@@ -34,13 +42,10 @@ from zpbal.algebra import (
 from zpbal.structure import (
     _reduced_atoms,
     atoms_from_idempotents,
-    boolean_ring_and_stone,
-    boolean_sum,
     characters,
     decompose,
     dichotomy_commutative,
     dichotomy_general,
-    generated_by_nilpotents_check,
     lift_idempotent,
     nilradical,
     regular_and_clean_check,
@@ -265,6 +270,19 @@ def test_regular_and_clean():
     rep = regular_and_clean_check(nilpotent_algebra(F2, 4))
     assert rep.regular_on_quotient is True  # zero quotient
 
+    # no element is enumerated: 2^13 elements, over the default cap, for
+    # F2^13 and for the local ring F2[t]/(t^13)
+    assert regular_and_clean_check(function_algebra(F2, 13)).clean == "YES"
+    assert regular_and_clean_check(poly_quotient_algebra(F2, [0] * 13 + [1])).clean == "YES"
+    # over Q the registry's atoms span K^3, but not the field Q(√2)
+    assert regular_and_clean_check(function_algebra(QQ, 3)).clean == "YES"
+    rep = regular_and_clean_check(poly_quotient_algebra(QQ, [-2, 0, 1]))
+    assert rep.clean == "UNKNOWN" and rep.witness is None
+    assert "do not span" in rep.notes[-1]
+    # p beyond the cap: no atom search, so no witness
+    rep = regular_and_clean_check(function_algebra(F5, 2), SweepConfig(enumeration_cap=4))
+    assert rep.clean == "UNKNOWN" and "exceeds cap" in rep.notes[-1]
+
 
 def test_dichotomy_commutative():
     assert dichotomy_commutative(nilpotent_algebra(QQ, 3)).kind == "NILRADICAL"
@@ -351,7 +369,7 @@ def f4():
     return poly_quotient_algebra(F2, [1, 1, 1])
 
 
-def _commutative_cases():
+def _corpus_and_random_cases():
     cases = [(e.name, e.algebra) for e in golden_corpus()
              if e.algebra.field.is_finite() and e.algebra.predicates().is_commutative]
     for fld in (F2, F3):
@@ -360,13 +378,21 @@ def _commutative_cases():
                 alg = random_algebra(seed, fld, shape)
                 if alg.predicates().is_commutative:
                     cases.append((f"{shape}/{seed}/{fld.name}", alg))
-    for fld, degree in ((F2, 3), (F3, 3), (F5, 2)):
-        for low in itertools.product(range(fld.p), repeat=degree):
-            cases.append((f"{fld.name}[t]/{low}", poly_quotient_algebra(fld, list(low) + [1])))
-    cases += [("F4×F2²", direct_sum(f4(), function_algebra(F2, 2))),
-              ("F4⊗N3", tensor_product(f4(), nilpotent_algebra(F2, 3))),
-              ("F3²⊕N4", f3f3n4())]
     return cases
+
+
+def _poly_quotients(degrees):
+    """Every F_p[t]/(m) with m monic, for the degrees listed per field."""
+    return [(f"{fld.name}[t]/{low}", poly_quotient_algebra(fld, list(low) + [1]))
+            for fld, degs in degrees for degree in degs
+            for low in itertools.product(range(fld.p), repeat=degree)]
+
+
+def _commutative_cases():
+    return (_corpus_and_random_cases() + _poly_quotients(((F2, [3]), (F3, [3]), (F5, [2])))
+            + [("F4×F2²", direct_sum(f4(), function_algebra(F2, 2))),
+               ("F4⊗N3", tensor_product(f4(), nilpotent_algebra(F2, 3))),
+               ("F3²⊕N4", f3f3n4())])
 
 
 @pytest.mark.parametrize("alg", [pytest.param(alg, id=name) for name, alg in _commutative_cases()])
@@ -399,6 +425,28 @@ def test_structure_counts_invariant_under_change_of_basis(make):
         assert counts(random_change_of_basis(alg, rng)) == before
 
 
+def _clean_cases():
+    return (_corpus_and_random_cases()
+            + _poly_quotients(((F2, range(1, 6)), (F3, range(1, 5)), (F5, [2, 3])))
+            + [("F4×F2²", direct_sum(f4(), function_algebra(F2, 2))),
+               ("F4⊗N3", tensor_product(f4(), nilpotent_algebra(F2, 3)))])
+
+
+@pytest.mark.parametrize("alg", [pytest.param(alg, id=name) for name, alg in _clean_cases()])
+def test_clean_witness_equals_the_sweep(alg):
+    rep = regular_and_clean_check(alg)
+    if not alg.predicates().is_unital:
+        assert rep.clean == "NOT_EVALUATED" and rep.witness is None
+        return
+    sweep = reference_clean(alg)
+    assert rep.clean == sweep.verdict == "YES"
+    for coords in all_elements(alg):
+        a = alg.element(coords)
+        e = rep.witness.idempotent(a)
+        assert e.coords in sweep.idempotents
+        assert (a - e).coords in sweep.units
+
+
 def f2_6_n12():
     return direct_sum(function_algebra(F2, 6), nilpotent_algebra(F2, 12))
 
@@ -416,7 +464,7 @@ def test_structure_beyond_the_enumeration_cap():
 _TAMPER = textwrap.dedent("""
     import sys
     from zpbal import structure
-    from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
+    from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra, poly_quotient_algebra
     from zpbal.errors import SoundnessAlarm
     from zpbal.fields import PrimeField
     from zpbal.linalg import Matrix
@@ -425,17 +473,24 @@ _TAMPER = textwrap.dedent("""
         sys.exit("run with python -O")
     F3 = PrimeField(3)
     alg = direct_sum(function_algebra(F3, 2), nilpotent_algebra(F3, 3))
+    unital = direct_sum(function_algebra(F3, 2), poly_quotient_algebra(F3, [0, 0, 1]))
 
-    def alarms(name, tampered):
+    def alarms(name, tampered, check=lambda: structure.characters(alg)):
         honest = getattr(structure, name)
         setattr(structure, name, tampered(honest))
         try:
-            structure.characters(alg)
+            check()
         except SoundnessAlarm:
             return True
         finally:
             setattr(structure, name, honest)
         return False
+
+    def merge_two_atoms(honest):
+        def tampered(q, config):
+            atoms = honest(q, config)
+            return [atoms[0] + atoms[1]] + atoms[2:]
+        return tampered
 
     print([
         # ker of a zero Frobenius is everything: the nilpotency re-check fails
@@ -446,6 +501,8 @@ _TAMPER = textwrap.dedent("""
         alarms("_atom_character",
                lambda honest: lambda quot, atom: structure.AlgMap(
                    quot.parent, structure.scalar_algebra(F3), honest(quot, atom).matrix.scale(2))),
+        # two atoms merged: a basis idempotent minus its clean witness is no unit
+        alarms("_reduced_atoms", merge_two_atoms, check=lambda: structure.regular_and_clean_check(unital)),
     ])
 """)
 
@@ -455,4 +512,4 @@ def test_soundness_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _TAMPER], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[True, True, True]"
+    assert proc.stdout.strip() == "[True, True, True, True]"

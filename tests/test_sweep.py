@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from oracles import random_change_of_basis, reference_factorizable_span, reference_zero_product_span
+from references import SHAPES, random_algebra
 from zpbal.algebra import matrix_algebra, nilpotent_algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.corpus import SHAPES, golden_corpus, random_algebra
+from zpbal.corpus import golden_corpus
 from zpbal.fields import QQ, PrimeField
 from zpbal.linalg import Matrix
 from zpbal.squarezero import factorizable_square_zero_span

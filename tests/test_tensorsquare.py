@@ -14,6 +14,7 @@ from oracles import (
     in_span_mod_p,
     brute_zero_product_tensors,
 )
+from references import balanced_defect
 from zpbal.errors import MalformedCertificate
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
@@ -30,7 +31,6 @@ from zpbal.config import SweepConfig
 from zpbal.tensorsquare import (
     Certificate,
     MEMBERSHIP,
-    balanced_defect,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
