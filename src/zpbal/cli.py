@@ -7,6 +7,9 @@ proven implication; must never happen).
 
 All reports are deterministic for fixed inputs and configuration; the seed is
 recorded in every emitted artifact.
+
+factorize, structure, fn2 and corpus import their modules when they run, so
+that check and verify, which start a process per file, load only what they use.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import os
 import sys
 from collections import Counter
 from typing import Dict, List, Optional
-from xml.etree import ElementTree as ET
 
 from zpbal.algebra import (
     Algebra,
@@ -40,24 +42,7 @@ from zpbal.errors import (
     ZpbalError,
 )
 from zpbal.fields import Field, PrimeField, field_from_name
-from zpbal import corpus as corpus_mod
 from zpbal import serialize
-from zpbal.linmaps import (
-    is_semimultiplicative,
-    is_zero_product_preserving,
-    weighted_factorization,
-    zp_implies_weighted,
-)
-from zpbal.squarezero import check_span_equality
-from zpbal.structure import (
-    characters,
-    dichotomy_commutative,
-    dichotomy_general,
-    decompose,
-    nilradical,
-    regular_and_clean_check,
-    sigma_splitting,
-)
 from zpbal.tensorsquare import (
     MEMBERSHIP,
     NO,
@@ -154,6 +139,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    from zpbal.linmaps import (
+        is_semimultiplicative,
+        is_zero_product_preserving,
+        weighted_factorization,
+        zp_implies_weighted,
+    )
+
     config = _config_from_args(args)
     amap = serialize.load_map(args.map)
     fld = amap.source.field
@@ -201,6 +193,16 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_structure(args) -> int:
+    from zpbal.structure import (
+        ReducedQuotient,
+        characters,
+        decompose,
+        dichotomy_commutative,
+        dichotomy_general,
+        regular_and_clean_check,
+        sigma_splitting,
+    )
+
     config = _config_from_args(args)
     alg = serialize.load_algebra(args.algebra)
     fld = alg.field
@@ -215,8 +217,9 @@ def cmd_structure(args) -> int:
                      + (f" (exponents {dich.exponents})" if dich.exponents else ""))
         _emit(report, args.json, lines)
         return 0
-    nil = nilradical(alg)
-    chars = characters(alg, config)
+    reduced = ReducedQuotient(alg)  # nilradical, quotient and atoms, shared by every report
+    nil = reduced.nilradical
+    chars = characters(alg, config, reduced)
     report["commutative"] = True
     report["nilradical"] = {"dim": nil.dim,
                             "basis": [[str(fld.format(a)) for a in row] for row in nil.basis]}
@@ -227,7 +230,7 @@ def cmd_structure(args) -> int:
     lines.append(f"nilradical: dim {nil.dim}")
     lines.append(f"characters: {len(chars.characters)} ({chars.status})")
     try:
-        splitting = sigma_splitting(alg, config)
+        splitting = sigma_splitting(alg, config, reduced)
         report["atoms"] = [[str(fld.format(a)) for a in at.coords] for at in splitting.atoms]
         report["sigma"] = [[str(fld.format(a)) for a in row] for row in splitting.sigma.rows]
         lines.append(f"atoms of the reduced quotient: {len(splitting.atoms)}")
@@ -250,11 +253,11 @@ def cmd_structure(args) -> int:
     except ZpbalError as exc:
         report["splitting"] = f"not available: {exc}"
         lines.append(f"splitting: not available ({exc})")
-    rc = regular_and_clean_check(alg, config)
+    rc = regular_and_clean_check(alg, config, reduced)
     report["regular_on_quotient"] = rc.regular_on_quotient
     report["clean"] = rc.clean
     lines.append(f"regular on reduced quotient: {rc.regular_on_quotient}; clean: {rc.clean}")
-    dich = dichotomy_commutative(alg, config)
+    dich = dichotomy_commutative(alg, config, reduced)
     report["dichotomy"] = dich.kind
     lines.append(f"dichotomy: {dich.kind}")
     _emit(report, args.json, lines)
@@ -262,6 +265,8 @@ def cmd_structure(args) -> int:
 
 
 def cmd_fn2(args) -> int:
+    from zpbal.squarezero import check_span_equality
+
     config = _config_from_args(args)
     alg = serialize.load_algebra(args.algebra)
     eq = check_span_equality(alg, config)
@@ -361,7 +366,11 @@ def cmd_example(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    results = corpus_mod.run_suites(args.filter)
+    from xml.etree import ElementTree as ET
+
+    from zpbal.corpus import run_suites
+
+    results = run_suites(args.filter)
     failures = [r for r in results if not r.passed]
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

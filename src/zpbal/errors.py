@@ -13,10 +13,6 @@ class AmbientMismatch(ZpbalError):
     """Subspace/vector operands live in different ambient spaces."""
 
 
-class NotInSubspace(ZpbalError):
-    """Coefficient extraction requested for a vector outside the span."""
-
-
 class ExpressionsNotTracked(ZpbalError):
     """Generator coefficients requested from a span builder that does not track them."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, List, Sequence, Union
 
 from zpbal.errors import InfiniteFieldError, ParseError
 
@@ -95,6 +95,14 @@ class Field:
     def format(self, a) -> Union[str, int]:
         raise NotImplementedError
 
+    def parse_vector(self, values: Sequence) -> List[Scalar]:
+        """`parse` of each entry; the first invalid entry raises its ParseError."""
+        raise NotImplementedError
+
+    def format_vector(self, v: Sequence[Scalar]) -> List[Union[str, int]]:
+        """`format` of each entry."""
+        raise NotImplementedError
+
     def elements(self) -> Iterator[Scalar]:
         """Every field element exactly once, in a fixed deterministic order."""
         raise NotImplementedError
@@ -154,6 +162,25 @@ class Rationals(Field):
 
     def format(self, a):
         return str(a)
+
+    def parse_vector(self, values):
+        # each distinct token is parsed once: certificate vectors are mostly "0".
+        # Only str and int tokens are memoised, since True == 1 and 1.0 == 1
+        # would otherwise find the entry of a valid token and skip the ParseError.
+        memo: dict = {}
+        out = []
+        for a in values:
+            if type(a) is str or type(a) is int:
+                x = memo.get(a)
+                if x is None:
+                    x = memo[a] = self.parse(a)
+            else:
+                x = self.parse(a)
+            out.append(x)
+        return out
+
+    def format_vector(self, v):
+        return [str(a) for a in v]
 
     def elements(self):
         raise InfiniteFieldError("the rationals cannot be enumerated")
@@ -217,6 +244,16 @@ class PrimeField(Field):
 
     def format(self, a):
         return a % self.p
+
+    def parse_vector(self, values):
+        p = self.p
+        if set(map(type, values)) <= {int}:  # every entry an int: no bool, float or string
+            return [a % p for a in values]
+        return [self.parse(a) for a in values]
+
+    def format_vector(self, v):
+        p = self.p
+        return [a % p for a in v]
 
     def elements(self):
         return iter(range(self.p))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from zpbal.errors import AmbientMismatch, ExpressionsNotTracked, NotInSubspace
+from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
 from zpbal.fields import Field, Scalar
 
 Vector = List[Scalar]
@@ -24,26 +24,28 @@ def vec_scale(field, c, u):
 
 
 def vec_is_zero(u) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)  # int residues and Fractions are falsy exactly at zero
 
 
 def _eliminate(field: Field, rows: Sequence[Vector], pivots: Sequence[int], v: Vector,
-               coeffs: Optional[List[Scalar]] = None) -> Vector:
+               coeffs: Optional[List[Tuple[int, Scalar]]] = None) -> Vector:
     """Residual of a copy of v after subtracting multiples of RREF rows.
 
     Each row has a 1 at its pivot and zeros at the other rows' pivots, so the
     multiple of a row is the residual's entry at its pivot.  When `coeffs` is
-    given, that multiple is appended for every row, 0 for rows not used.
+    given, (row index, multiple) is appended for each row used, that is each
+    row whose multiple is nonzero, in row order.
     """
     sub, mul = field.sub, field.mul
     v = list(v)
     n = len(v)
-    for row, p in zip(rows, pivots):
+    for idx, p in enumerate(pivots):
         c = v[p]
-        if coeffs is not None:
-            coeffs.append(c)
-        if c == 0:
+        if not c:
             continue
+        if coeffs is not None:
+            coeffs.append((idx, c))
+        row = rows[idx]
         for j in range(p, n):
             if row[j] != 0:
                 v[j] = sub(v[j], mul(c, row[j]))
@@ -76,10 +78,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         rows = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
         return cls(field, rows, cols=n)
-
-    @classmethod
-    def zero(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], cols=ncols)
 
     @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Vector], nrows: int) -> "Matrix":
@@ -125,12 +123,6 @@ class Matrix:
     def rank(self) -> int:
         return len(rref(self.rows, self.field)[0])
 
-    def rref(self) -> Tuple["Matrix", int]:
-        rows, _ = rref(self.rows, self.field)
-        rank = len(rows)
-        padded = rows + [[self.field.zero] * self.ncols for _ in range(self.nrows - rank)]
-        return Matrix(self.field, padded, cols=self.ncols), rank
-
     def kernel(self) -> "Subspace":
         """Null space {v : self @ v = 0} as a row-reduced subspace."""
         f = self.field
@@ -174,9 +166,6 @@ class Matrix:
             return None
         return Matrix(f, [r[n:] for r in builder.rows], cols=n)
 
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -212,14 +201,12 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _expression(self, coeffs: List[Scalar]) -> dict:
-        """Sum over the rows of c times the row's expression, c running over coeffs."""
+    def _expression(self, coeffs: List[Tuple[int, Scalar]]) -> dict:
+        """Sum of c times the expression of row idx, (idx, c) running over coeffs."""
         f = self.field
         expr: dict = {}
-        for c, rexpr in zip(coeffs, self.exprs):
-            if c == 0:
-                continue
-            for g, val in rexpr.items():
+        for idx, c in coeffs:
+            for g, val in self.exprs[idx].items():
                 expr[g] = f.add(expr.get(g, f.zero), f.mul(c, val))
         return expr
 
@@ -262,7 +249,7 @@ class SpanBuilder:
         """Expression of v over the retained generators, or None if outside."""
         if not self.track:
             raise ExpressionsNotTracked("builder was created without expression tracking")
-        coeffs: List[Scalar] = []
+        coeffs: List[Tuple[int, Scalar]] = []
         if not vec_is_zero(_eliminate(self.field, self.rows, self.pivots, v, coeffs)):
             return None
         combo = self._expression(coeffs)
@@ -305,42 +292,9 @@ class Subspace:
         self._check_compat(other)
         return all(self.contains_vector(v) for v in other.basis)
 
-    def coefficients(self, v: Vector) -> Vector:
-        """Expansion of v over the reduced basis; raises NotInSubspace."""
-        coeffs: Vector = []
-        if not vec_is_zero(_eliminate(self.field, self.basis, self.pivots, v, coeffs)):
-            raise NotInSubspace("vector outside subspace")
-        return coeffs
-
     def residual(self, v: Vector) -> Vector:
         """v minus its component along the basis; zero at every pivot column."""
         return _eliminate(self.field, self.basis, self.pivots, v)
-
-    def linear_combination(self, coeffs: Vector) -> Vector:
-        f = self.field
-        out = [f.zero] * self.ambient
-        for c, row in zip(coeffs, self.basis):
-            if c == 0:
-                continue
-            for j, a in enumerate(row):
-                if a != 0:
-                    out[j] = f.add(out[j], f.mul(c, a))
-        return out
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compat(other)
-        return Subspace(self.field, self.ambient, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [B|B] over [C|0]; zero-left rows give the meet."""
-        self._check_compat(other)
-        f = self.field
-        n = self.ambient
-        stacked = [list(v) + list(v) for v in self.basis]
-        stacked += [list(v) + [f.zero] * n for v in other.basis]
-        rows, pivots = rref(stacked, f)
-        meet = [row[n:] for row, p in zip(rows, pivots) if p >= n]
-        return Subspace(f, n, meet)
 
     def complement_functionals(self) -> List[Vector]:
         """Basis of {phi : phi(v) = 0 for all v in the subspace}."""

@@ -42,14 +42,16 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from zpbal.algebra import Algebra
 from zpbal.errors import MalformedCertificate, NotAssociative, NotIdempotent, ParseError
 from zpbal.fields import Field, field_from_name
 from zpbal.linalg import Matrix, vec_is_zero
-from zpbal.linmaps import AlgMap
 from zpbal.tensorsquare import NO, TENSOR_CONVENTION, UNKNOWN, YES, Certificate
+
+if TYPE_CHECKING:
+    from zpbal.linmaps import AlgMap
 
 MAX_DIM = 64  # largest algebra dimension a file may declare
 
@@ -61,7 +63,7 @@ def algebra_to_dict(algebra: Algebra) -> Dict:
         for j in range(algebra.dim):
             v = algebra.table[i][j]
             if not vec_is_zero(v):
-                products.append({"i": i, "j": j, "coords": [f.format(a) for a in v]})
+                products.append({"i": i, "j": j, "coords": f.format_vector(v)})
     out = {
         "field": f.name,
         "dim": algebra.dim,
@@ -69,9 +71,7 @@ def algebra_to_dict(algebra: Algebra) -> Dict:
         "products": products,
     }
     if algebra.registered_idempotents:
-        out["idempotents"] = [
-            [f.format(a) for a in e.coords] for e in algebra.registered_idempotents
-        ]
+        out["idempotents"] = [f.format_vector(e.coords) for e in algebra.registered_idempotents]
     return out
 
 
@@ -82,7 +82,7 @@ def _is_int(value) -> bool:
 def _scalars(f: Field, coords, dim: int, what: str) -> List:
     if not isinstance(coords, list) or len(coords) != dim:
         raise ParseError(f"{what} must be a list of {dim} scalars, got {coords!r}")
-    return [f.parse(c) for c in coords]
+    return f.parse_vector(coords)
 
 
 def algebra_from_dict(data: Dict) -> Algebra:
@@ -151,6 +151,8 @@ def save_algebra(algebra: Algebra, path: str):
 
 
 def map_from_dict(data: Dict, base_dir: str = ".") -> AlgMap:
+    from zpbal.linmaps import AlgMap  # only `factorize` reads maps
+
     def resolve(ref) -> Algebra:
         if isinstance(ref, str):
             return load_algebra(os.path.join(base_dir, ref))
@@ -187,14 +189,14 @@ def certificates_to_dict(certs: List[Certificate], fld: Field, seed: int,
         raise MalformedCertificate(f"certificate files use the convention {TENSOR_CONVENTION!r} only")
     index: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position, first use first
     entries = [c.to_dict(fld, lambda pair: index.setdefault(pair, len(index))) for c in certs]
-    fmt = fld.format
+    fmt = fld.format_vector
     return {
         "balanced": balanced,
         "field": fld.name,
         "label": label,
         "seed": seed,
         "convention": TENSOR_CONVENTION,
-        "generators": [{"u": [fmt(a) for a in u], "v": [fmt(b) for b in v]} for u, v in index],
+        "generators": [{"u": fmt(u), "v": fmt(v)} for u, v in index],
         "certificates": entries,
     }
 

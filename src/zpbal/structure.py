@@ -36,6 +36,7 @@ from zpbal.errors import (
     HypothesisFailed,
     NotCommutative,
     NotIdempotentModNil,
+    ParentMismatch,
     SoundnessAlarm,
 )
 from zpbal.fields import Scalar
@@ -145,15 +146,13 @@ def _reduced_atoms(q: Algebra, config: SweepConfig) -> List[Element]:
     registered idempotents, which need not be primitive.
     """
     f = q.field
+    _check_atom_budget(q, config)
     if not f.is_finite():
         atoms = atoms_from_idempotents(list(q.registered_idempotents))
     elif q.dim == 0:
         return []
     else:
         p = f.characteristic
-        if p > config.enumeration_cap:
-            raise BudgetExceeded(f"atom search over the {p} scalars of {f.name} "
-                                 f"exceeds cap {config.enumeration_cap}")
         unit = q.predicates().unit
         if unit is None:
             raise SoundnessAlarm("nonzero reduced algebra without a unit")
@@ -172,6 +171,55 @@ def _reduced_atoms(q: Algebra, config: SweepConfig) -> List[Element]:
         if a.is_zero() or a * a != a or any(not (a * b).is_zero() for b in atoms[n + 1:]):
             raise SoundnessAlarm("atoms are not nonzero orthogonal idempotents")
     return atoms
+
+
+def _check_atom_budget(q: Algebra, config: SweepConfig):
+    """BudgetExceeded when the atoms of q would need a search over more than
+    `config.enumeration_cap` scalars (p of F_p; none over Q or for q = 0)."""
+    f = q.field
+    if f.is_finite() and q.dim > 0 and f.characteristic > config.enumeration_cap:
+        raise BudgetExceeded(f"atom search over the {f.characteristic} scalars of {f.name} "
+                             f"exceeds cap {config.enumeration_cap}")
+
+
+class ReducedQuotient:
+    """The nilradical N of a commutative algebra A, the reduced quotient
+    Q = A/N, and the atoms of Q with their lifts to A, each computed once.
+
+    The characters, the splitting, the clean check and the dichotomy all start
+    from these; a run that reports several of them passes one ReducedQuotient
+    to each.  The cap on the atom search is checked on every call.
+    """
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self.nilradical = nilradical(algebra)
+        self.quotient = quotient_algebra(algebra, self.nilradical)
+        self._atoms: Optional[List[Element]] = None
+        self._lifted: Optional[List[Element]] = None
+
+    def atoms(self, config: SweepConfig) -> List[Element]:
+        """The atoms of Q (see `_reduced_atoms`)."""
+        if self._atoms is None:
+            self._atoms = _reduced_atoms(self.quotient.algebra, config)
+        else:
+            _check_atom_budget(self.quotient.algebra, config)
+        return self._atoms
+
+    def lifted_atoms(self, config: SweepConfig) -> List[Element]:
+        """The idempotents of A over the atoms of Q, in the same order."""
+        atoms = self.atoms(config)
+        if self._lifted is None:
+            self._lifted = [lift_idempotent(self.algebra, self.quotient, a) for a in atoms]
+        return self._lifted
+
+
+def _reduced_quotient(algebra: Algebra, given: Optional[ReducedQuotient]) -> ReducedQuotient:
+    if given is None:
+        return ReducedQuotient(algebra)
+    if given.algebra is not algebra:
+        raise ParentMismatch("the reduced quotient belongs to another algebra")
+    return given
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +249,8 @@ def _atom_character(quot: Quotient, atom: Element) -> Optional[AlgMap]:
     return AlgMap(quot.parent, scalar_algebra(f), Matrix(f, [row], cols=q.dim).mul(quot.projection))
 
 
-def characters(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> CharacterReport:
+def characters(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
+               reduced: Optional[ReducedQuotient] = None) -> CharacterReport:
     """All nonzero algebra homomorphisms to the base field (commutative case).
 
     A character kills the nilradical and all atoms of the reduced quotient Q
@@ -210,10 +259,10 @@ def characters(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> Charac
     list is complete over F_p, where the atoms are all of them, and over Q
     when the atoms from the registry span Q.
     """
-    _require_commutative(algebra)
-    quot = quotient_algebra(algebra, nilradical(algebra))
+    red = _reduced_quotient(algebra, reduced)
+    quot = red.quotient
     try:
-        atoms = _reduced_atoms(quot.algebra, config)
+        atoms = red.atoms(config)
     except BudgetExceeded as exc:
         return CharacterReport(characters=[], status=PARTIAL, notes=[f"atoms not computed: {exc}"])
     chars = [chi for chi in (_atom_character(quot, a) for a in atoms) if chi is not None]
@@ -283,23 +332,24 @@ class SigmaSplitting:
         return self.quotient.parent.element(self.sigma.apply(list(qbar.coords)))
 
 
-def sigma_splitting(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> SigmaSplitting:
+def sigma_splitting(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
+                    reduced: Optional[ReducedQuotient] = None) -> SigmaSplitting:
     """Split the projection onto the quotient by the nilradical by lifting the
     atoms; requires the quotient to be spanned by its atoms."""
-    _require_commutative(algebra)
+    red = _reduced_quotient(algebra, reduced)
     f = algebra.field
-    quot = quotient_algebra(algebra, nilradical(algebra))
+    quot = red.quotient
     q = quot.algebra
     if q.dim == 0:
         sigma = Matrix(f, [[] for _ in range(algebra.dim)], cols=0)
         return SigmaSplitting(quotient=quot, sigma=sigma, atoms=[], lifted_atoms=[],
                               atom_expansion=None, section_ok=True, multiplicative_ok=True)
-    atoms = _reduced_atoms(q, config)
+    atoms = red.atoms(config)
     if len(atoms) != q.dim:
         raise HypothesisFailed("reduced quotient is not spanned by known idempotents")
     # orthogonal idempotents are independent: invert the atoms as columns
     expansion = Matrix.from_columns(f, [list(a.coords) for a in atoms], q.dim).inverse()
-    lifted = [lift_idempotent(algebra, quot, a) for a in atoms]
+    lifted = red.lifted_atoms(config)
     # sigma = (lifted atoms as columns) ∘ (expansion in the atom basis)
     lift_cols = Matrix.from_columns(f, [list(a.coords) for a in lifted], algebra.dim)
     sigma = lift_cols.mul(expansion)
@@ -406,7 +456,8 @@ class RegularCleanReport:
     witness: Optional[CleanWitness] = None  # when clean is YES
 
 
-def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> RegularCleanReport:
+def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
+                            reduced: Optional[ReducedQuotient] = None) -> RegularCleanReport:
     """Von Neumann regularity of the reduced quotient (via the atom formula)
     and cleanness (unit + idempotent) of unital algebras; cleanness of
     nonunital algebras is reported NOT_EVALUATED.
@@ -417,12 +468,12 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
     element.  It needs every atom of Q = A/N: over F_p with p within the cap,
     over Q when the registered atoms span Q; otherwise clean is UNKNOWN.
     """
-    _require_commutative(algebra)
+    red = _reduced_quotient(algebra, reduced)
     f = algebra.field
     notes = []
     regular: Optional[bool] = None
     try:
-        splitting = sigma_splitting(algebra, config)
+        splitting = sigma_splitting(algebra, config, red)
         q = splitting.quotient.algebra
         regular = True
         for i in range(q.dim):
@@ -444,7 +495,7 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
         notes.append("clean requires a unit; not evaluated for nonunital input")
     else:
         try:
-            witness = _clean_witness(algebra, config)
+            witness = _clean_witness(red, config)
             clean = YES
             notes.append("clean by the lifted atoms, witness checked on the basis")
         except (HypothesisFailed, BudgetExceeded) as exc:
@@ -453,15 +504,15 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
     return RegularCleanReport(regular_on_quotient=regular, clean=clean, notes=notes, witness=witness)
 
 
-def _clean_witness(algebra: Algebra, config: SweepConfig) -> CleanWitness:
+def _clean_witness(red: ReducedQuotient, config: SweepConfig) -> CleanWitness:
     """The witness from every atom of Q, checked on each basis element a:
     f = witness.idempotent(a) is idempotent and a - f is a unit."""
-    quot = quotient_algebra(algebra, nilradical(algebra))
-    atoms = _reduced_atoms(quot.algebra, config)
+    algebra = red.algebra
+    quot = red.quotient
+    atoms = red.atoms(config)
     if not algebra.field.is_finite() and len(atoms) != quot.algebra.dim:
         raise HypothesisFailed("registered idempotents do not span the reduced quotient")
-    witness = CleanWitness(quotient=quot, atoms=atoms,
-                           lifted_atoms=[lift_idempotent(algebra, quot, a) for a in atoms])
+    witness = CleanWitness(quotient=quot, atoms=atoms, lifted_atoms=red.lifted_atoms(config))
     unit = list(algebra.predicates().unit)
     for i in range(algebra.dim):
         a = algebra.basis_element(i)
@@ -491,15 +542,16 @@ class DichotomyResult:
     note: str = ""
 
 
-def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> DichotomyResult:
+def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
+                          reduced: Optional[ReducedQuotient] = None) -> DichotomyResult:
     """A commutative balanced algebra either has a character or is all
     nilradical; exactly one branch holds.  Without certified balancedness the
     result is INAPPLICABLE with a best-effort report."""
-    _require_commutative(algebra)
+    red = _reduced_quotient(algebra, reduced)
     span = compute_zero_product_span(algebra, config)
     balanced = is_zero_product_balanced(algebra, span)
-    nil = nilradical(algebra)
-    chars = characters(algebra, config)
+    nil = red.nilradical
+    chars = characters(algebra, config, red)
     nil_all = nil.dim == algebra.dim
     if balanced.status != YES:
         return DichotomyResult(

@@ -291,15 +291,15 @@ class Certificate:
 
     def to_dict(self, fld: Field, generator_index: Callable[[Tuple[tuple, tuple]], int]) -> Dict:
         """JSON form; zero-product pairs become indices into the file's generator table."""
-        fmt = fld.format
         out: Dict = {"kind": self.kind}
         if self.target is not None and not ("triple" in self.meta and not any(self.target)):
-            out["target"] = [fmt(a) for a in self.target]
+            out["target"] = fld.format_vector(self.target)
         if self.kind == MEMBERSHIP:
-            out["terms"] = [{"generator": generator_index((tuple(u), tuple(v))), "lambda": fmt(lam)}
-                            for lam, u, v in self.terms]
+            lams = fld.format_vector([lam for lam, _, _ in self.terms])
+            out["terms"] = [{"generator": generator_index((tuple(u), tuple(v))), "lambda": lam}
+                            for lam, (_, u, v) in zip(lams, self.terms)]
         if self.kind == SEPARATING:
-            out["functional"] = [fmt(a) for a in self.functional]
+            out["functional"] = fld.format_vector(self.functional)
             out["generators"] = [generator_index((tuple(u), tuple(v))) for u, v in self.generators]
         if self.meta:
             out["meta"] = self.meta
@@ -344,7 +344,7 @@ def _list(value, what: str) -> list:
 
 
 def _parse_vector(fld: Field, value, what: str) -> Vector:
-    return [fld.parse(a) for a in _list(value, what)]
+    return fld.parse_vector(_list(value, what))
 
 
 def _claimed_triple(meta: Dict, d: int) -> Optional[Tuple[int, int, int]]:
@@ -513,13 +513,14 @@ def is_zero_product_balanced(
                         certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=[],
                                                  meta={"triple": [i, j, k]}))
                     continue
-                if report.subspace.contains_vector(t):
-                    if with_certificates:
-                        terms = report.membership_terms(t)
-                        if terms is None:
-                            raise SoundnessAlarm("membership reported but no decomposition found")
+                if with_certificates:
+                    # one reduction decides membership and gives the decomposition
+                    terms = report.membership_terms(t)
+                    if terms is not None:
                         certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=terms,
                                                  meta={"triple": [i, j, k]}))
+                        continue
+                elif report.subspace.contains_vector(t):
                     continue
                 if report.status == EXACT:
                     phi = _separating_functional(report, t)

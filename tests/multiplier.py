@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
+from references import coefficients
 from zpbal.algebra import Algebra, Element
 from zpbal.errors import NotIdempotent
 from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector
@@ -46,7 +47,7 @@ class MultiplierAlgebra:
             row = []
             for b in range(dm):
                 prod = self._pair_product(basis_pairs[a], basis_pairs[b])
-                row.append(carrier.coefficients(self._flatten(prod)))
+                row.append(coefficients(carrier, self._flatten(prod)))
             table.append(row)
         self.algebra = Algebra(f, [f"m{k+1}" for k in range(dm)], table)
         # canonical map a -> (left mult by a, right mult by a)
@@ -54,7 +55,7 @@ class MultiplierAlgebra:
         for i in range(d):
             ei = [f.one if t == i else f.zero for t in range(d)]
             vec = self._flatten((parent.left_mult_matrix(ei), parent.right_mult_matrix(ei)))
-            cols.append(carrier.coefficients(vec))
+            cols.append(coefficients(carrier, vec))
         self.mu_matrix = Matrix.from_columns(f, cols, dm)
         for e in parent.registered_idempotents:
             img = self.mu(e)
@@ -62,7 +63,7 @@ class MultiplierAlgebra:
                 self.algebra.register_idempotent(img)
         unit_vec = self._flatten((Matrix.identity(f, d), Matrix.identity(f, d)))
         if carrier.contains_vector(unit_vec):
-            one = self.algebra.element(carrier.coefficients(unit_vec))
+            one = self.algebra.element(coefficients(carrier, unit_vec))
             self.algebra.register_idempotent(one)
 
     @property

@@ -3,8 +3,9 @@
 Deliberately reimplemented from scratch: rank via plain forward elimination
 (no reduced echelon machinery), spans via all-pairs enumeration.  These must
 not share code paths with the package so that agreement is evidence.  The
-reference sweeps at the end are the exception, explained there: they are the
-element loops the package replaced, kept to pin down its results.
+reference sweeps and the two-step balanced decider at the end are the
+exception, explained there: they are the loops the package replaced, kept to
+pin down its results.
 """
 
 import random
@@ -17,9 +18,19 @@ from multiplier import MultiplierAlgebra
 from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import BudgetExceeded, SoundnessAlarm
-from zpbal.linalg import Matrix, SpanBuilder, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, dot, vec_is_zero
 from zpbal.squarezero import FactorizableWitness
-from zpbal.tensorsquare import TensorSquare
+from zpbal.tensorsquare import (
+    EXACT,
+    MEMBERSHIP,
+    NO,
+    SEPARATING,
+    UNKNOWN,
+    YES,
+    BalancedVerdict,
+    Certificate,
+    TensorSquare,
+)
 
 
 def rank_mod_p(rows, p):
@@ -327,6 +338,62 @@ def reference_factorizable_span(algebra, config):
                 y = [rng.randrange(f.characteristic) for _ in range(d)]
             stall = 0 if _factor_sweep(algebra, builder, witnesses, y) else stall + 1
     return witnesses, builder
+
+
+# ---------------------------------------------------------------------------
+# The balanced decider as it was before membership and decomposition became
+# one reduction: a membership test first, then a decomposition whose
+# coefficients are read off the RREF pivots, over every row of the span.
+# ---------------------------------------------------------------------------
+
+
+def reference_membership_terms(report, target):
+    """target as Σ λ·(u⊗v) over the report's generators, or None when outside.
+
+    The span's rows are in reduced echelon form, so the multiple of each row
+    in a member is the member's entry at that row's pivot.
+    """
+    if not report.subspace.contains_vector(target):
+        return None
+    f = report.algebra.field
+    builder = report._builder
+    combo = {}
+    for rexpr, p in zip(builder.exprs, builder.pivots):
+        c = target[p]
+        if c == 0:
+            continue
+        for g, val in rexpr.items():
+            combo[g] = f.add(combo.get(g, f.zero), f.mul(c, val))
+    return [(lam, *report.generators[g]) for g, lam in sorted(combo.items()) if lam != 0]
+
+
+def reference_balanced(algebra, report, with_certificates=False):
+    """The two-step decider: contains_vector, then the decomposition."""
+    ts = report.tensor
+    d = algebra.dim
+    certs = [] if with_certificates else None
+    for i, j, k in product(range(d), repeat=3):
+        t = ts.defect_tensor(i, j, k)
+        if vec_is_zero(t):
+            if with_certificates:
+                certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=[], meta={"triple": [i, j, k]}))
+            continue
+        if report.subspace.contains_vector(t):
+            if with_certificates:
+                terms = reference_membership_terms(report, t)
+                if terms is None:
+                    raise SoundnessAlarm("membership reported but no decomposition found")
+                certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=terms, meta={"triple": [i, j, k]}))
+            continue
+        if report.status == EXACT:
+            phi = next(phi for phi in report.subspace.complement_functionals() if dot(algebra.field, phi, t))
+            cert = Certificate(kind=SEPARATING, target=t, functional=phi, generators=list(report.generators),
+                               meta={"claim": "not-zero-product-balanced", "triple": [i, j, k],
+                                     "span_status": report.status, "seed": report.config.seed})
+            return BalancedVerdict(NO, witness_triple=(i, j, k), certificate=cert, n_triples=d ** 3)
+        return BalancedVerdict(UNKNOWN, witness_triple=(i, j, k), n_triples=d ** 3,
+                               note="membership failed against a lower-bound span; not refutable over this field")
+    return BalancedVerdict(YES, certificates=certs, n_triples=d ** 3)
 
 
 # ---------------------------------------------------------------------------

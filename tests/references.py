@@ -1,6 +1,7 @@
 """Constructions that no `zpbal` command runs, kept as test fixtures.
 
-The seeded random-algebra generator feeds the property tests.  The rest each
+The seeded random-algebra generator feeds the property tests.  A few
+matrix and subspace operations serve only tests.  The rest each
 state a property of the paper's objects that the tests check on small
 algebras: the Boolean ring of idempotents and its Stone space, the
 nilpotent-generation equivalence for unital balanced algebras, the balanced
@@ -27,9 +28,9 @@ from zpbal.algebra import (
     zero_algebra,
 )
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.errors import BudgetExceeded, HypothesisFailed, SoundnessAlarm
+from zpbal.errors import BudgetExceeded, HypothesisFailed, SoundnessAlarm, ZpbalError
 from zpbal.fields import Field
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, rref, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
 from zpbal.structure import (
     CharacterReport,
@@ -46,6 +47,70 @@ from zpbal.tensorsquare import (
     compute_zero_product_span,
     is_zero_product_balanced,
 )
+
+
+# ---------------------------------------------------------------------------
+# matrix and subspace operations that only tests use
+# ---------------------------------------------------------------------------
+
+
+class NotInSubspace(ZpbalError):
+    """Coefficient extraction requested for a vector outside the span."""
+
+
+def zero_matrix(field: Field, nrows: int, ncols: int) -> Matrix:
+    return Matrix(field, [[field.zero] * ncols for _ in range(nrows)], cols=ncols)
+
+
+def is_invertible(m: Matrix) -> bool:
+    return m.nrows == m.ncols and m.rank() == m.nrows
+
+
+def rref_matrix(m: Matrix) -> Tuple[Matrix, int]:
+    """The reduced row-echelon form padded with zero rows to m's shape, and the rank."""
+    rows, _ = rref(m.rows, m.field)
+    rank = len(rows)
+    padded = rows + [[m.field.zero] * m.ncols for _ in range(m.nrows - rank)]
+    return Matrix(m.field, padded, cols=m.ncols), rank
+
+
+def coefficients(space: Subspace, v: Vector) -> Vector:
+    """Expansion of v over the reduced basis; raises NotInSubspace.
+
+    Each basis row has a 1 at its pivot and zeros at the other pivots, so the
+    coefficient of a row is v's entry at its pivot.
+    """
+    if not space.contains_vector(v):
+        raise NotInSubspace("vector outside subspace")
+    return [v[p] for p in space.pivots]
+
+
+def linear_combination(space: Subspace, coeffs: Vector) -> Vector:
+    f = space.field
+    out = [f.zero] * space.ambient
+    for c, row in zip(coeffs, space.basis):
+        if c == 0:
+            continue
+        for j, a in enumerate(row):
+            if a != 0:
+                out[j] = f.add(out[j], f.mul(c, a))
+    return out
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    a._check_compat(b)
+    return Subspace(a.field, a.ambient, a.basis + b.basis)
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus: reduce [A|A] over [B|0]; zero-left rows give the meet."""
+    a._check_compat(b)
+    f = a.field
+    n = a.ambient
+    stacked = [list(v) + list(v) for v in a.basis]
+    stacked += [list(v) + [f.zero] * n for v in b.basis]
+    rows, pivots = rref(stacked, f)
+    return Subspace(f, n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +195,11 @@ def subalgebra(alg: Algebra, generators: Sequence[Element]) -> Subalgebra:
                 if builder.add(alg.multiply_coords(u, v)):
                     stable = False
     span = builder.to_subspace()
-    table = [[span.coefficients(alg.multiply_coords(a, b)) for b in span.basis] for a in span.basis]
+    table = [[coefficients(span, alg.multiply_coords(a, b)) for b in span.basis] for a in span.basis]
     sub = Algebra(f, [f"s{k+1}" for k in range(span.dim)], table)
     for e in alg.registered_idempotents:
         if span.contains_vector(list(e.coords)):
-            img = sub.element(span.coefficients(list(e.coords)))
+            img = sub.element(coefficients(span, list(e.coords)))
             if not img.is_zero():
                 sub.register_idempotent(img)
     return Subalgebra(algebra=sub, span=span, parent=alg)

@@ -400,3 +400,15 @@ def test_example_families(tmp_path, capsys, monkeypatch):
                       (("zero", "--n", "2", "--field", "F2"), 2)]:
         code, out, _ = run_cli(capsys, "example", *args)
         assert code == 0 and f"dim {dim}" in out
+
+
+def test_cli_import_leaves_the_other_subcommands_unloaded():
+    """`check` and `verify` load only what they run; the other subcommands
+    import their modules when called."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    lazy = ["zpbal.structure", "zpbal.linmaps", "zpbal.squarezero", "zpbal.corpus", "xml.etree"]
+    code = f"import sys, zpbal.cli\nprint([m for m in {lazy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,3 +140,77 @@ def test_rational_exponent_limit():
     for text in (f"1e{limit}", f"1E-{limit}", "1e" + "9" * (limit + 1)):
         with pytest.raises(ParseError):
             QQ.parse(text)
+
+
+def _outcome(compute):
+    """The value computed, or the ParseError message raised."""
+    try:
+        return compute()
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+FIELDS = st.sampled_from((F2, F3, F5, QQ))
+TOKENS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.integers(-60, 60).map(str),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).map(str),
+    st.sampled_from(["0", "-0", "x", "", "1/0", "1e2", " 3 ", "2.5"]),
+)
+NOT_SCALARS = (True, False, 0.5, 2.0, None, [1])
+
+
+@given(FIELDS, st.lists(TOKENS, max_size=24))
+def test_vector_parse_and_format_equal_the_scalar_ones(field, values):
+    want = _outcome(lambda: [field.parse(a) for a in values])
+    got = _outcome(lambda: field.parse_vector(values))
+    assert got == want and [type(a) for a in got] == [type(a) for a in want]
+    if isinstance(want, list):
+        formatted = field.format_vector(want)
+        assert formatted == [field.format(a) for a in want]
+        assert [type(a) for a in formatted] == [type(field.format(a)) for a in want]
+
+
+@given(FIELDS, st.lists(TOKENS, max_size=12), st.sampled_from(NOT_SCALARS), st.integers(0, 12))
+def test_vector_parse_rejects_what_scalar_parse_rejects(field, values, bad, pos):
+    values = values[:pos] + [bad] + values[pos:]
+    want = _outcome(lambda: [field.parse(a) for a in values])
+    assert isinstance(want, str)
+    assert _outcome(lambda: field.parse_vector(values)) == want
+
+
+_VECTOR_REJECTS = textwrap.dedent("""
+    import sys
+    from zpbal.errors import ParseError
+    from zpbal.fields import PrimeField, QQ
+
+    if not sys.flags.optimize:
+        sys.exit("run with python -O")
+
+    def outcome(compute):
+        try:
+            return compute()
+        except ParseError as exc:
+            return str(exc)
+
+    checked = 0
+    for field in (PrimeField(2), PrimeField(3), PrimeField(5), QQ):
+        valid = [0, 1, "1", "2", 7, "0"]
+        for bad in (True, False, 0.5, 2.0, None, [1]):
+            for pos in range(len(valid) + 1):
+                values = valid[:pos] + [bad] + valid[pos:]
+                want = outcome(lambda: [field.parse(a) for a in values])
+                got = outcome(lambda: field.parse_vector(values))
+                if not isinstance(want, str) or got != want:
+                    sys.exit(f"{field} {values!r}: {got!r} != {want!r}")
+                checked += 1
+    print(checked)
+""")
+
+
+def test_vector_parse_rejects_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _VECTOR_REJECTS], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(4 * 6 * 7)

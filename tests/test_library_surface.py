@@ -13,23 +13,26 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zpbal"
 
 def _modules():
     """Per module: top-level definitions with the names they refer to, the
-    module's zpbal imports, and the names its other top-level statements use."""
+    module's zpbal imports (at top level or in a function body), and the names
+    its other top-level statements use."""
     defs, imports, loose = {}, {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         mod = path.stem
         imports[mod], loose[mod] = {}, []
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):  # also inside functions: a command imports what it runs
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zpbal"):
                 for a in node.names:  # "from zpbal import corpus" binds a module
                     where = ("module", a.name) if node.module == "zpbal" else (node.module[6:], a.name)
                     imports[mod][a.asname or a.name] = where
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[(mod, node.name)] = node
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         defs[(mod, target.id)] = node.value
-            elif not isinstance(node, ast.Import):
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 loose[mod].append(node)
     return defs, imports, loose
 

@@ -1,9 +1,11 @@
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,13 @@ from references import (
 )
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
-from zpbal.errors import BudgetExceeded, HypothesisFailed, NotCommutative, NotIdempotentModNil
+from zpbal.errors import (
+    BudgetExceeded,
+    HypothesisFailed,
+    NotCommutative,
+    NotIdempotentModNil,
+    ParentMismatch,
+)
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
     direct_sum,
@@ -40,6 +48,7 @@ from zpbal.algebra import (
     zero_algebra,
 )
 from zpbal.structure import (
+    ReducedQuotient,
     _reduced_atoms,
     atoms_from_idempotents,
     characters,
@@ -95,6 +104,40 @@ def test_atom_budget_bounds_only_p():
     assert rep.status == "PARTIAL" and rep.characters == []
     with pytest.raises(BudgetExceeded):
         sigma_splitting(alg, SweepConfig(enumeration_cap=2))
+    # atoms computed once under cap 3 are still refused to a later call under cap 2
+    reduced = ReducedQuotient(alg)
+    assert len(characters(alg, SweepConfig(enumeration_cap=3), reduced).characters) == 2
+    rep = characters(alg, SweepConfig(enumeration_cap=2), reduced)
+    assert rep.status == "PARTIAL" and rep.characters == []
+    with pytest.raises(BudgetExceeded):
+        sigma_splitting(alg, SweepConfig(enumeration_cap=2), reduced)
+    with pytest.raises(BudgetExceeded):
+        reduced.lifted_atoms(SweepConfig(enumeration_cap=2))
+    with pytest.raises(ParentMismatch):
+        characters(f3f3n4(), SweepConfig(enumeration_cap=3), reduced)
+
+
+def test_structure_command_computes_the_reduced_quotient_once(tmp_path, capsys, monkeypatch):
+    """`zpbal structure` on F3^7: one nilradical, one atom search, one lift per atom."""
+    from zpbal import cli, structure
+
+    counts = Counter()
+
+    def counted(name):
+        honest = getattr(structure, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return honest(*args, **kwargs)
+        return wrapper
+
+    for name in ("nilradical", "_reduced_atoms", "lift_idempotent"):
+        monkeypatch.setattr(structure, name, counted(name))
+    path = str(tmp_path / "k7f3.json")
+    assert cli.main(["example", "Kn", "--n", "7", "--field", "F3", "--out", path]) == 0
+    assert cli.main(["structure", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["clean"] == "YES"
+    assert counts == {"nilradical": 1, "_reduced_atoms": 1, "lift_idempotent": 7}
 
 
 def test_nilradical_is_idempotent_operation():
@@ -494,7 +537,7 @@ _TAMPER = textwrap.dedent("""
 
     print([
         # ker of a zero Frobenius is everything: the nilpotency re-check fails
-        alarms("_frobenius", lambda honest: lambda a: Matrix.zero(a.field, a.dim, a.dim)),
+        alarms("_frobenius", lambda honest: lambda a: Matrix(a.field, [[0] * a.dim] * a.dim)),
         # one atom lost: the atoms no longer partition the unit
         alarms("atoms_from_idempotents", lambda honest: lambda idems: honest(idems)[1:]),
         # a doubled functional: chi(1) = 2 is not multiplicative over F3

@@ -6,6 +6,8 @@ the frozen numbers and against a live oracle run, so a regression in either
 side is caught.
 """
 
+import json
+
 import pytest
 
 from oracles import (
@@ -13,21 +15,25 @@ from oracles import (
     brute_span_dim_zero_products,
     in_span_mod_p,
     brute_zero_product_tensors,
+    reference_balanced,
 )
-from references import balanced_defect
+from references import SHAPES, balanced_defect, random_algebra
+from zpbal.corpus import golden_corpus
 from zpbal.errors import MalformedCertificate
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
     direct_sum,
     function_algebra,
     matrix_algebra,
+    matrix_over,
     nilpotent_algebra,
     poly_quotient_algebra,
     scalar_algebra,
     tensor_product,
     zero_algebra,
 )
-from zpbal.config import SweepConfig
+from zpbal.config import DEFAULT_CONFIG, SweepConfig
+from zpbal.serialize import certificates_to_dict
 from zpbal.tensorsquare import (
     Certificate,
     MEMBERSHIP,
@@ -312,3 +318,33 @@ def test_zpd_implies_balanced_across_small_corpus():
             assert bal.status == "YES"
         if bal.status == "NO":
             assert zpd.status == "NO"
+
+
+def _balanced_oracle_cases():
+    yield from ((e.name, e.algebra, e.config) for e in golden_corpus() if e.algebra.field.is_finite())
+    for field in (F2, F3, QQ):
+        for shape in SHAPES:
+            for seed in range(3):
+                yield f"{shape}/{field.name}/{seed}", random_algebra(seed, field, shape), DEFAULT_CONFIG
+    yield "M4/F2", matrix_algebra(F2, 4), SweepConfig(seed=7)
+    yield "M3(N3)/F2", matrix_over(nilpotent_algebra(F2, 3), 3), SweepConfig(seed=7)
+    yield "N8/Q", nilpotent_algebra(QQ, 8), SweepConfig(seed=7)  # UNKNOWN: a lower-bound span
+
+
+def test_balanced_decider_equals_the_two_step_reference():
+    """One reduction per triple gives the verdict, witness triple and certificate
+    file of the former route: a membership test, then a decomposition."""
+    verdicts = set()
+    for name, alg, config in _balanced_oracle_cases():
+        span = compute_zero_product_span(alg, config)
+        for with_certificates in (False, True):
+            got = is_zero_product_balanced(alg, span, with_certificates=with_certificates)
+            want = reference_balanced(alg, span, with_certificates=with_certificates)
+            assert (got.status, got.witness_triple, got.n_triples, got.note) == \
+                (want.status, want.witness_triple, want.n_triples, want.note), name
+            files = [json.dumps(certificates_to_dict(
+                (v.certificates or []) + [c for c in (v.certificate,) if c is not None],
+                alg.field, config.seed, name, balanced=v.status), sort_keys=True) for v in (got, want)]
+            assert files[0] == files[1], name
+        verdicts.add(got.status)
+    assert verdicts == {"YES", "NO", "UNKNOWN"}
