@@ -1,22 +1,30 @@
-"""Exact dense linear algebra over a base field.
+"""Exact linear algebra over a base field, on sparse rows behind a dense API.
 
-Vectors are plain lists of scalars; matrices are row-major lists of rows.
-Subspaces are kept in reduced row-echelon form, so subspace equality is
-grid equality and coefficient extraction is a direct read-off.
+Vectors are plain lists of scalars and matrices are row-major lists of rows,
+at every public entry and exit.  Subspaces are kept in reduced row-echelon
+form, so subspace equality is grid equality and coefficient extraction is a
+direct read-off.
 
-All row reduction goes through one private loop, `_eliminate`: the span
-builder's forward reduction and back-elimination, membership tests,
-coefficient extraction and residuals modulo a subspace.
+Inside, each reduced row is a map {column: nonzero entry} keyed by its pivot
+column, because the spans this package builds are almost empty: a row of the
+zero-product span has one or two nonzero entries among d² columns.  All row
+reduction goes through one private loop, `_eliminate`, which touches only
+nonzero entries: the span builder's forward reduction and back-elimination,
+membership tests, coefficient extraction and residuals modulo a subspace.
+`SpanBuilder.add` also accepts such a map, so that a caller that builds its
+vectors sparse never expands them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from bisect import insort
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
 from zpbal.fields import Field, Scalar
 
 Vector = List[Scalar]
+Sparse = Dict[int, Scalar]  # column -> nonzero entry
 
 
 def vec_scale(field, c, u):
@@ -27,29 +35,61 @@ def vec_is_zero(u) -> bool:
     return not any(u)  # int residues and Fractions are falsy exactly at zero
 
 
-def _eliminate(field: Field, rows: Sequence[Vector], pivots: Sequence[int], v: Vector,
-               coeffs: Optional[List[Tuple[int, Scalar]]] = None) -> Vector:
-    """Residual of a copy of v after subtracting multiples of RREF rows.
+# The two conversions at the dense boundary are private, so that they stay
+# plain calls under perfbench's tracer, which wraps every public function.
+def _dense(field: Field, v: Sparse, n: int) -> Vector:
+    """The length-n list with v's entries and zeros elsewhere."""
+    out = [field.zero] * n
+    for j, a in v.items():
+        out[j] = a
+    return out
 
-    Each row has a 1 at its pivot and zeros at the other rows' pivots, so the
-    multiple of a row is the residual's entry at its pivot.  When `coeffs` is
-    given, (row index, multiple) is appended for each row used, that is each
-    row whose multiple is nonzero, in row order.
+
+def _sparse(v: Union[Vector, Sparse], ambient: int) -> Sparse:
+    """v as a map: a dict is taken as given, a list is checked for length."""
+    if type(v) is dict:
+        return v
+    if len(v) != ambient:
+        raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
+    return {j: a for j, a in enumerate(v) if a}
+
+
+def _eliminate(field: Field, rows: Dict[int, Sparse], v: Sparse,
+               coeffs: Optional[List[Tuple[int, Scalar]]] = None) -> Sparse:
+    """Residual of v after subtracting multiples of RREF rows keyed by pivot.
+
+    Each row has a 1 at its pivot and zeros at the other rows' pivots, so
+    subtracting one row changes no other row's pivot entry: the multiple of
+    the row with pivot p is v's own entry at p.  Only v's nonzero entries at
+    pivot columns are visited, and only the nonzero entries of the rows used.
+    When `coeffs` is given, (pivot, multiple) is appended for each row used,
+    in pivot order.  v is never modified, and is returned itself when no
+    row applies.
     """
-    sub, mul = field.sub, field.mul
-    v = list(v)
-    n = len(v)
-    for idx, p in enumerate(pivots):
+    if len(rows) < len(v):
+        used = [p for p in rows if p in v]
+    else:
+        used = [p for p in v if p in rows]
+    if not used:
+        return v
+    if coeffs is not None:
+        used.sort()
+    out = dict(v)
+    sub, mul, neg = field.sub, field.mul, field.neg
+    for p in used:
         c = v[p]
-        if not c:
-            continue
         if coeffs is not None:
-            coeffs.append((idx, c))
-        row = rows[idx]
-        for j in range(p, n):
-            if row[j] != 0:
-                v[j] = sub(v[j], mul(c, row[j]))
-    return v
+            coeffs.append((p, c))
+        for j, a in rows[p].items():
+            if j not in out:
+                out[j] = neg(mul(c, a))
+                continue
+            x = sub(out[j], mul(c, a))
+            if x:
+                out[j] = x
+            else:
+                del out[j]
+    return out
 
 
 def rref(rows: Sequence[Vector], field: Field) -> Tuple[List[Vector], List[int]]:
@@ -126,16 +166,20 @@ class Matrix:
     def kernel(self) -> "Subspace":
         """Null space {v : self @ v = 0} as a row-reduced subspace."""
         f = self.field
-        rows, pivots = rref(self.rows, f)
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
+        builder = SpanBuilder(f, self.ncols)
+        for r in self.rows:
+            builder.add(r)
+        rows = builder._rows
         basis = []
-        for j in free:
+        for j in range(self.ncols):
+            if j in rows:
+                continue
             v = [f.zero] * self.ncols
             v[j] = f.one
-            for row, p in zip(rows, pivots):
-                if row[j] != 0:
-                    v[p] = f.neg(row[j])
+            for p, row in rows.items():
+                a = row.get(j)
+                if a is not None:
+                    v[p] = f.neg(a)
             basis.append(v)
         return Subspace(f, self.ncols, basis)
 
@@ -185,108 +229,125 @@ class SpanBuilder:
     `add` reports whether the vector enlarged the span.  With
     `track_expressions=True` each row also carries its expression over the
     retained (span-enlarging) input vectors, so members of the span can be
-    written exactly in terms of the original generators.
+    written exactly in terms of the original generators.  `rows`, `pivots`
+    and `exprs` are lists in pivot order; the rows are dense.
     """
 
     def __init__(self, field: Field, ambient: int, track_expressions: bool = False):
         self.field = field
         self.ambient = ambient
-        self.rows: List[Vector] = []
+        self._rows: Dict[int, Sparse] = {}  # pivot -> RREF row
         self.pivots: List[int] = []
         self.track = track_expressions
-        self.exprs: List[dict] = []  # generator index -> coefficient
+        self._exprs: Dict[int, dict] = {}  # pivot -> {generator index: coefficient}
         self.n_retained = 0
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> List[Vector]:
+        return [_dense(self.field, self._rows[p], self.ambient) for p in self.pivots]
+
+    @property
+    def exprs(self) -> List[dict]:
+        return [self._exprs[p] for p in self.pivots]
 
     def _expression(self, coeffs: List[Tuple[int, Scalar]]) -> dict:
-        """Sum of c times the expression of row idx, (idx, c) running over coeffs."""
+        """Sum of c times the expression of row p, (p, c) running over coeffs."""
         f = self.field
         expr: dict = {}
-        for idx, c in coeffs:
-            for g, val in self.exprs[idx].items():
+        for p, c in coeffs:
+            for g, val in self._exprs[p].items():
                 expr[g] = f.add(expr.get(g, f.zero), f.mul(c, val))
         return expr
 
-    def add(self, v: Vector) -> bool:
-        if len(v) != self.ambient:
-            raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
+    def add(self, v: Union[Vector, Sparse]) -> bool:
+        """Offer v, a list or a map {column: nonzero entry}; True when the span grew."""
         f = self.field
         coeffs = [] if self.track else None
-        v = _eliminate(f, self.rows, self.pivots, v, coeffs)
-        pivot = next((j for j, a in enumerate(v) if a != 0), None)
-        if pivot is None:
+        given = v
+        v = _eliminate(f, self._rows, _sparse(v, self.ambient), coeffs)
+        if not v:
             return False
+        pivot = min(v)
         inv = f.inv(v[pivot])
         if inv != f.one:
-            v = [f.mul(inv, a) for a in v]
+            v = {j: f.mul(inv, a) for j, a in v.items()}
+        elif v is given:
+            v = dict(v)  # the row must not alias the caller's map
         if self.track:
             # v = inv * (input - sum of c * row), written over the retained inputs
             expr = {self.n_retained: inv}
             for g, val in self._expression(coeffs).items():
                 expr[g] = f.mul(inv, f.neg(val))
-        # eliminate the new pivot from existing rows to keep RREF
-        for idx, row in enumerate(self.rows):
-            c = row[pivot]
-            if c == 0:
+        # eliminate the new pivot from the rows that have it, to keep RREF
+        new_row = {pivot: v}
+        for p, row in self._rows.items():
+            c = row.get(pivot)
+            if c is None:
                 continue
-            self.rows[idx] = _eliminate(f, [v], [pivot], row)
+            self._rows[p] = _eliminate(f, new_row, row)
             if self.track:
-                rexpr = self.exprs[idx]
+                rexpr = self._exprs[p]
                 for g, val in expr.items():
                     rexpr[g] = f.sub(rexpr.get(g, f.zero), f.mul(c, val))
-        pos = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, pivot)
+        self._rows[pivot] = v
+        insort(self.pivots, pivot)
         if self.track:
-            self.exprs.insert(pos, expr)
+            self._exprs[pivot] = expr
             self.n_retained += 1
         return True
 
-    def generator_coefficients(self, v: Vector) -> Optional[dict]:
+    def generator_coefficients(self, v: Union[Vector, Sparse]) -> Optional[dict]:
         """Expression of v over the retained generators, or None if outside."""
         if not self.track:
             raise ExpressionsNotTracked("builder was created without expression tracking")
         coeffs: List[Tuple[int, Scalar]] = []
-        if not vec_is_zero(_eliminate(self.field, self.rows, self.pivots, v, coeffs)):
+        if _eliminate(self.field, self._rows, _sparse(v, self.ambient), coeffs):
             return None
         combo = self._expression(coeffs)
         return {g: val for g, val in combo.items() if val != 0}
 
     def to_subspace(self) -> "Subspace":
-        return Subspace(self.field, self.ambient, self.rows, _already_reduced=True)
+        # rows are replaced, never changed in place, so the subspace may share them
+        return Subspace(self.field, self.ambient, (), _rows=dict(self._rows))
 
 
 class Subspace:
-    """Subspace of K^n held as a reduced row-echelon basis."""
+    """Subspace of K^n held as a reduced row-echelon basis (`basis`, in pivot order)."""
 
-    def __init__(self, field: Field, ambient: int, vectors: Sequence[Vector], _already_reduced=False):
+    def __init__(self, field: Field, ambient: int, vectors: Sequence[Vector],
+                 _rows: Optional[Dict[int, Sparse]] = None):
         self.field = field
         self.ambient = ambient
-        if _already_reduced:
-            self.basis = [list(v) for v in vectors]
-            self.pivots = [next(j for j, a in enumerate(v) if a != 0) for v in self.basis]
-        else:
+        if _rows is None:
             builder = SpanBuilder(field, ambient)
             for v in vectors:
                 builder.add(v)
-            self.basis = builder.rows
-            self.pivots = builder.pivots
+            _rows = builder._rows
+        self._rows = _rows
+        self.pivots = sorted(_rows)
+        self._basis: Optional[List[Vector]] = None
+
+    @property
+    def basis(self) -> List[Vector]:
+        if self._basis is None:
+            self._basis = [_dense(self.field, self._rows[p], self.ambient) for p in self.pivots]
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def _check_compat(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def contains_vector(self, v: Vector) -> bool:
-        if len(v) != self.ambient:
-            raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
-        return vec_is_zero(_eliminate(self.field, self.basis, self.pivots, v))
+    def contains_vector(self, v: Union[Vector, Sparse]) -> bool:
+        """Whether v, a list or a map {column: nonzero entry}, lies in the subspace."""
+        return not _eliminate(self.field, self._rows, _sparse(v, self.ambient))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compat(other)
@@ -294,7 +355,8 @@ class Subspace:
 
     def residual(self, v: Vector) -> Vector:
         """v minus its component along the basis; zero at every pivot column."""
-        return _eliminate(self.field, self.basis, self.pivots, v)
+        f = self.field
+        return _dense(f, _eliminate(f, self._rows, _sparse(v, self.ambient)), self.ambient)
 
     def complement_functionals(self) -> List[Vector]:
         """Basis of {phi : phi(v) = 0 for all v in the subspace}."""
@@ -305,7 +367,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __repr__(self):

@@ -188,7 +188,8 @@ class ReducedQuotient:
 
     The characters, the splitting, the clean check and the dichotomy all start
     from these; a run that reports several of them passes one ReducedQuotient
-    to each.  The cap on the atom search is checked on every call.
+    to each, and `characters` and `sigma_splitting` keep their results here.
+    The cap on the atom search is checked on every call, cached or not.
     """
 
     def __init__(self, algebra: Algebra):
@@ -197,6 +198,8 @@ class ReducedQuotient:
         self.quotient = quotient_algebra(algebra, self.nilradical)
         self._atoms: Optional[List[Element]] = None
         self._lifted: Optional[List[Element]] = None
+        self._characters: Optional[CharacterReport] = None
+        self._splitting: Optional[SigmaSplitting] = None
 
     def atoms(self, config: SweepConfig) -> List[Element]:
         """The atoms of Q (see `_reduced_atoms`)."""
@@ -260,18 +263,24 @@ def characters(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
     when the atoms from the registry span Q.
     """
     red = _reduced_quotient(algebra, reduced)
-    quot = red.quotient
     try:
         atoms = red.atoms(config)
     except BudgetExceeded as exc:
         return CharacterReport(characters=[], status=PARTIAL, notes=[f"atoms not computed: {exc}"])
+    if red._characters is None:
+        red._characters = _character_report(red, atoms)
+    return red._characters
+
+
+def _character_report(red: ReducedQuotient, atoms: List[Element]) -> CharacterReport:
+    quot = red.quotient
     chars = [chi for chi in (_atom_character(quot, a) for a in atoms) if chi is not None]
     for chi in chars:
         if chi.is_multiplicative() is not None:
             raise SoundnessAlarm("atom functional is not multiplicative")
     chars.sort(key=lambda c: tuple(c.matrix.rows[0]))
     notes = [f"{len(chars)} characters from {len(atoms)} atoms"]
-    if algebra.field.is_finite() or len(atoms) == quot.algebra.dim:
+    if red.algebra.field.is_finite() or len(atoms) == quot.algebra.dim:
         return CharacterReport(characters=chars, status=EXACT, notes=notes)
     notes.append("registered idempotents do not span the reduced quotient")
     return CharacterReport(characters=chars, status=PARTIAL, notes=notes)
@@ -347,9 +356,18 @@ def sigma_splitting(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
     atoms = red.atoms(config)
     if len(atoms) != q.dim:
         raise HypothesisFailed("reduced quotient is not spanned by known idempotents")
+    if red._splitting is None:
+        red._splitting = _lift_splitting(red, atoms, red.lifted_atoms(config))
+    return red._splitting
+
+
+def _lift_splitting(red: ReducedQuotient, atoms: List[Element], lifted: List[Element]) -> SigmaSplitting:
+    algebra = red.algebra
+    f = algebra.field
+    quot = red.quotient
+    q = quot.algebra
     # orthogonal idempotents are independent: invert the atoms as columns
     expansion = Matrix.from_columns(f, [list(a.coords) for a in atoms], q.dim).inverse()
-    lifted = red.lifted_atoms(config)
     # sigma = (lifted atoms as columns) ∘ (expansion in the atom basis)
     lift_cols = Matrix.from_columns(f, [list(a.coords) for a in lifted], algebra.dim)
     sigma = lift_cols.mul(expansion)

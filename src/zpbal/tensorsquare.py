@@ -8,18 +8,20 @@ return machine-verifiable evidence: membership decompositions into certified
 zero-product tensors for YES, separating functionals for NO.
 
 Tensor index convention: e_i ⊗ e_j sits at flat index i*d + j (row-major).
+Tensors are built sparse, as maps {flat index: nonzero entry}, and stay so
+until the span reduces them; the public methods return dense lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from zpbal.algebra import Algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
 from zpbal.fields import Field, Scalar
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, dot, vec_is_zero
+from zpbal.linalg import Matrix, Sparse, SpanBuilder, Subspace, Vector, _dense, _sparse, dot, vec_is_zero
 from zpbal.sweep import (
     LEFT,
     RIGHT,
@@ -66,36 +68,41 @@ class TensorSquare:
         return self.ambient - self.mul_matrix.rank()
 
     def tensor_coords(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        f = self.algebra.field
-        d = self.algebra.dim
-        out = [f.zero] * self.ambient
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            base = i * d
-            for j, b in enumerate(v):
-                if b != 0:
-                    out[base + j] = f.mul(a, b)
-        return out
+        alg = self.algebra
+        return _dense(alg.field, _tensor(alg.field, alg.dim, u, v), self.ambient)
 
     def apply_mul(self, t: Vector) -> Vector:
         return self.mul_matrix.apply(t)
 
     def defect_tensor(self, i: int, j: int, k: int) -> Vector:
         """(e_i e_j)⊗e_k - e_i⊗(e_j e_k)."""
-        return _defect_tensor(self.algebra, i, j, k)
+        return _dense(self.algebra.field, _defect_tensor(self.algebra, i, j, k), self.ambient)
 
 
-def _defect_tensor(algebra: Algebra, i: int, j: int, k: int) -> Vector:
+def _tensor(f: Field, d: int, u: Sequence[Scalar], v: Sequence[Scalar]) -> Sparse:
+    """u⊗v as {flat index: nonzero entry}."""
+    right = [(j, b) for j, b in enumerate(v) if b]
+    out: Sparse = {}
+    for i, a in enumerate(u):
+        if a:
+            base = i * d
+            for j, b in right:
+                out[base + j] = f.mul(a, b)
+    return out
+
+
+def _defect_tensor(algebra: Algebra, i: int, j: int, k: int) -> Sparse:
+    """(e_i e_j)⊗e_k - e_i⊗(e_j e_k) as {flat index: nonzero entry}."""
     f = algebra.field
     d = algebra.dim
-    out = [f.zero] * (d * d)
-    for s, c in enumerate(algebra.table[i][j]):
-        if c != 0:
-            out[s * d + k] = f.add(out[s * d + k], c)
-    for t, c in enumerate(algebra.table[j][k]):
-        if c != 0:
-            out[i * d + t] = f.sub(out[i * d + t], c)
+    out: Sparse = {s * d + k: c for s, c in algebra._nonzero[i][j]}
+    base = i * d
+    for t, c in algebra._nonzero[j][k]:
+        x = f.sub(out.get(base + t, f.zero), c)
+        if x:
+            out[base + t] = x
+        else:
+            del out[base + t]
     return out
 
 
@@ -132,8 +139,12 @@ class ZeroProductSpanReport:
         """
         return self.status == EXACT or self.dim == self.kernel_dim
 
-    def membership_terms(self, target: Vector) -> Optional[List[Tuple[Scalar, tuple, tuple]]]:
-        """target = sum of lambda * (u⊗v) over recorded generators, or None."""
+    def membership_terms(self, target: Union[Vector, Sparse]
+                         ) -> Optional[List[Tuple[Scalar, tuple, tuple]]]:
+        """target = sum of lambda * (u⊗v) over recorded generators, or None.
+
+        target is a list or a map {flat index: nonzero entry}.
+        """
         combo = self._builder.generator_coefficients(target)
         if combo is None:
             return None
@@ -148,7 +159,7 @@ def _offer_annihilator_tensors(sweep: AnnihilatorSweep, u, builder: SpanBuilder,
     added = 0
     for w in sweep.visit(u):
         pair = (u, tuple(w)) if sweep.side == RIGHT else (tuple(w), u)
-        if builder.add(ts.tensor_coords(*pair)):
+        if builder.add(_tensor(alg.field, alg.dim, *pair)):
             if not vec_is_zero(alg.multiply_coords(*pair)):
                 raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
             generators.append(pair)
@@ -199,7 +210,7 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
                 if vec_is_zero(algebra.table[i][j]):
                     ei = tuple(f.one if t == i else f.zero for t in range(d))
                     ej = tuple(f.one if t == j else f.zero for t in range(d))
-                    if builder.add(ts.tensor_coords(ei, ej)):
+                    if builder.add(_tensor(f, d, ei, ej)):
                         generators.append((ei, ej))
         log.append(f"zero basis pairs: dim {builder.dim}")
         # (ii) annihilator sweeps over structured elements
@@ -221,8 +232,7 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
                     c = algebra.basis_element(k)
                     ec = e * c
                     for u, v in ((ae, c - ec), (ae - a, ec)):
-                        t = ts.tensor_coords(u.coords, v.coords)
-                        if builder.add(t):
+                        if builder.add(_tensor(f, d, u.coords, v.coords)):
                             if not vec_is_zero(algebra.multiply_coords(u.coords, v.coords)):
                                 raise SoundnessAlarm(f"transfer pair {(u, v)} has a nonzero product")
                             generators.append((u.coords, v.coords))
@@ -374,31 +384,28 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
         raise MalformedCertificate("target has wrong length")
     triple = _claimed_triple(cert.meta, d)
     if triple is not None:
-        defect = _defect_tensor(algebra, *triple)
-        if target is not None and list(target) != defect:
+        claimed = _defect_tensor(algebra, *triple)
+        if target is not None and list(target) != _dense(f, claimed, ambient):
             return False
-        target = defect
     elif target is None:
         raise MalformedCertificate("certificate has neither a target nor a triple")
+    else:
+        claimed = _sparse(target, ambient)
     if cert.kind == MEMBERSHIP:
-        acc = [f.zero] * ambient
+        acc: Sparse = {}
         for lam, u, v in cert.terms:
             if len(u) != d or len(v) != d:
                 raise MalformedCertificate("term vector has wrong length")
             if not vec_is_zero(algebra.multiply_coords(u, v)):
                 return False
-            for i, a in enumerate(u):
-                if a == 0:
-                    continue
-                la = f.mul(lam, a)
-                base = i * d
-                for j, b in enumerate(v):
-                    if b != 0:
-                        acc[base + j] = f.add(acc[base + j], f.mul(la, b))
-        return acc == list(target)
+            for j, a in _tensor(f, d, u, v).items():
+                acc[j] = f.add(acc.get(j, f.zero), f.mul(lam, a))
+        got = {j: a for j, a in acc.items() if a}  # a zero lambda or cancelling terms leave zeros
+        return got == claimed
     if cert.kind == SEPARATING:
         if cert.functional is None or len(cert.functional) != ambient:
             raise MalformedCertificate("separating certificate lacks a functional")
+        target = _dense(f, claimed, ambient)
         if dot(f, cert.functional, target) == 0:
             return False
         if (cert.meta.get("claim") == "not-zero-product-determined"
@@ -409,15 +416,7 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
                 raise MalformedCertificate("generator vector has wrong length")
             if not vec_is_zero(algebra.multiply_coords(u, v)):
                 return False
-            t = [f.zero] * ambient
-            for i, a in enumerate(u):
-                if a == 0:
-                    continue
-                base = i * d
-                for j, b in enumerate(v):
-                    if b != 0:
-                        t[base + j] = f.mul(a, b)
-            if dot(f, cert.functional, t) != 0:
+            if dot(f, cert.functional, _dense(f, _tensor(f, d, u, v), ambient)) != 0:
                 return False
         return True
     if cert.kind == NOT_VERIFIED:
@@ -501,32 +500,34 @@ def is_zero_product_balanced(
     from a lower-bound span is still sound (membership in a subset implies
     membership); a NO needs the exhaustive span.
     """
-    ts = report.tensor
+    f = algebra.field
     d = algebra.dim
+    ambient = report.tensor.ambient
     certs: List[Certificate] = [] if with_certificates else None
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                t = ts.defect_tensor(i, j, k)
-                if vec_is_zero(t):
+                t = _defect_tensor(algebra, i, j, k)
+                if not t:
                     if with_certificates:
-                        certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=[],
+                        certs.append(Certificate(kind=MEMBERSHIP, target=[f.zero] * ambient, terms=[],
                                                  meta={"triple": [i, j, k]}))
                     continue
                 if with_certificates:
                     # one reduction decides membership and gives the decomposition
                     terms = report.membership_terms(t)
                     if terms is not None:
-                        certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=terms,
-                                                 meta={"triple": [i, j, k]}))
+                        certs.append(Certificate(kind=MEMBERSHIP, target=_dense(f, t, ambient),
+                                                 terms=terms, meta={"triple": [i, j, k]}))
                         continue
                 elif report.subspace.contains_vector(t):
                     continue
                 if report.status == EXACT:
-                    phi = _separating_functional(report, t)
+                    target = _dense(f, t, ambient)
+                    phi = _separating_functional(report, target)
                     cert = Certificate(
                         kind=SEPARATING,
-                        target=t,
+                        target=target,
                         functional=phi,
                         generators=list(report.generators),
                         meta={"claim": "not-zero-product-balanced", "triple": [i, j, k],

@@ -15,6 +15,7 @@ from itertools import product
 from typing import List, Union
 
 from multiplier import MultiplierAlgebra
+from references import DenseSpanBuilder
 from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import BudgetExceeded, SoundnessAlarm
@@ -179,9 +180,10 @@ def random_change_of_basis(alg, rng):
 # ---------------------------------------------------------------------------
 # Reference sweeps: the per-element loops the annihilator sweep replaced.
 #
-# Unlike the oracles above these reuse the package's operators and row
-# reducer: they pin down *which* generators the engine emits, in which order,
-# so that the optimised sweep can be required to reproduce them exactly.
+# Unlike the oracles above these reuse the package's operators: they pin down
+# *which* generators the engine emits, in which order, so that the optimised
+# sweep can be required to reproduce them exactly.  They reduce rows with the
+# dense reference builder, not with the package's sparse one.
 # ---------------------------------------------------------------------------
 
 
@@ -208,7 +210,7 @@ def reference_zero_product_span(algebra, config):
     f = algebra.field
     d = algebra.dim
     ker_dim = ts.kernel_dim()
-    builder = SpanBuilder(f, ts.ambient, track_expressions=True)
+    builder = DenseSpanBuilder(f, ts.ambient, track_expressions=True)
     generators = []
 
     size = algebra.n_elements()
@@ -304,7 +306,7 @@ def reference_factorizable_span(algebra, config):
     """(witnesses, builder) of the full per-element factorizable sweep."""
     f = algebra.field
     d = algebra.dim
-    builder = SpanBuilder(f, d)
+    builder = DenseSpanBuilder(f, d)
     witnesses = []
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
@@ -343,20 +345,32 @@ def reference_factorizable_span(algebra, config):
 # ---------------------------------------------------------------------------
 # The balanced decider as it was before membership and decomposition became
 # one reduction: a membership test first, then a decomposition whose
-# coefficients are read off the RREF pivots, over every row of the span.
+# coefficients are read off the RREF pivots, over every row of the span.  The
+# span is the report's generators reduced again by the dense reference
+# builder, so neither step runs the package's reducer.
 # ---------------------------------------------------------------------------
 
 
-def reference_membership_terms(report, target):
+def reference_span_builder(report):
+    """The report's generator tensors, in order, in a tracking dense builder."""
+    ts = report.tensor
+    builder = DenseSpanBuilder(report.algebra.field, ts.ambient, track_expressions=True)
+    for u, v in report.generators:
+        if not builder.add(ts.tensor_coords(u, v)):
+            raise AssertionError(f"generator {(u, v)} does not enlarge the span")
+    return builder
+
+
+def reference_membership_terms(report, builder, target):
     """target as Σ λ·(u⊗v) over the report's generators, or None when outside.
 
-    The span's rows are in reduced echelon form, so the multiple of each row
-    in a member is the member's entry at that row's pivot.
+    `builder` is `reference_span_builder(report)`.  Its rows are in reduced
+    echelon form, so the multiple of each row in a member is the member's
+    entry at that row's pivot.
     """
-    if not report.subspace.contains_vector(target):
+    if not builder.contains(target):
         return None
     f = report.algebra.field
-    builder = report._builder
     combo = {}
     for rexpr, p in zip(builder.exprs, builder.pivots):
         c = target[p]
@@ -368,9 +382,10 @@ def reference_membership_terms(report, target):
 
 
 def reference_balanced(algebra, report, with_certificates=False):
-    """The two-step decider: contains_vector, then the decomposition."""
+    """The two-step decider: a membership test, then the decomposition."""
     ts = report.tensor
     d = algebra.dim
+    builder = reference_span_builder(report)
     certs = [] if with_certificates else None
     for i, j, k in product(range(d), repeat=3):
         t = ts.defect_tensor(i, j, k)
@@ -378,9 +393,9 @@ def reference_balanced(algebra, report, with_certificates=False):
             if with_certificates:
                 certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=[], meta={"triple": [i, j, k]}))
             continue
-        if report.subspace.contains_vector(t):
+        if builder.contains(t):
             if with_certificates:
-                terms = reference_membership_terms(report, t)
+                terms = reference_membership_terms(report, builder, t)
                 if terms is None:
                     raise SoundnessAlarm("membership reported but no decomposition found")
                 certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=terms, meta={"triple": [i, j, k]}))

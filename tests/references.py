@@ -1,7 +1,10 @@
 """Constructions that no `zpbal` command runs, kept as test fixtures.
 
 The seeded random-algebra generator feeds the property tests.  A few
-matrix and subspace operations serve only tests.  The rest each
+matrix and subspace operations serve only tests.  `DenseSpanBuilder` is the
+dense row reducer the package's sparse one replaced; the reference sweeps in
+`oracles` run on it, so that they share no reduction with the code they pin
+down.  The rest each
 state a property of the paper's objects that the tests check on small
 algebras: the Boolean ring of idempotents and its Stone space, the
 nilpotent-generation equivalence for unital balanced algebras, the balanced
@@ -12,7 +15,7 @@ so they are references, not independent oracles (see `oracles`).
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from zpbal.algebra import (
     Algebra,
@@ -28,7 +31,14 @@ from zpbal.algebra import (
     zero_algebra,
 )
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.errors import BudgetExceeded, HypothesisFailed, SoundnessAlarm, ZpbalError
+from zpbal.errors import (
+    AmbientMismatch,
+    BudgetExceeded,
+    ExpressionsNotTracked,
+    HypothesisFailed,
+    SoundnessAlarm,
+    ZpbalError,
+)
 from zpbal.fields import Field
 from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, rref, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
@@ -111,6 +121,105 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     stacked += [list(v) + [f.zero] * n for v in b.basis]
     rows, pivots = rref(stacked, f)
     return Subspace(f, n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
+
+
+# ---------------------------------------------------------------------------
+# The dense row reducer that `zpbal.linalg` replaced by sparse rows, kept as
+# the reference that the sparse one must reproduce row for row.
+# ---------------------------------------------------------------------------
+
+
+def dense_eliminate(field: Field, rows: Sequence[Vector], pivots: Sequence[int], v: Vector,
+                    coeffs: Optional[List[Tuple[int, object]]] = None) -> Vector:
+    """Residual of a copy of v after subtracting multiples of RREF rows.
+
+    Each row has a 1 at its pivot and zeros at the other rows' pivots, so the
+    multiple of a row is the residual's entry at its pivot.  When `coeffs` is
+    given, (row index, multiple) is appended for each row used, in row order.
+    """
+    sub, mul = field.sub, field.mul
+    v = list(v)
+    n = len(v)
+    for idx, p in enumerate(pivots):
+        c = v[p]
+        if not c:
+            continue
+        if coeffs is not None:
+            coeffs.append((idx, c))
+        row = rows[idx]
+        for j in range(p, n):
+            if row[j] != 0:
+                v[j] = sub(v[j], mul(c, row[j]))
+    return v
+
+
+class DenseSpanBuilder:
+    """`SpanBuilder` on dense rows: the same rows, pivots and expressions."""
+
+    def __init__(self, field: Field, ambient: int, track_expressions: bool = False):
+        self.field = field
+        self.ambient = ambient
+        self.rows: List[Vector] = []
+        self.pivots: List[int] = []
+        self.track = track_expressions
+        self.exprs: List[dict] = []  # generator index -> coefficient
+        self.n_retained = 0
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _expression(self, coeffs) -> dict:
+        f = self.field
+        expr: dict = {}
+        for idx, c in coeffs:
+            for g, val in self.exprs[idx].items():
+                expr[g] = f.add(expr.get(g, f.zero), f.mul(c, val))
+        return expr
+
+    def contains(self, v: Vector) -> bool:
+        return vec_is_zero(dense_eliminate(self.field, self.rows, self.pivots, v))
+
+    def add(self, v: Vector) -> bool:
+        if len(v) != self.ambient:
+            raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
+        f = self.field
+        coeffs = [] if self.track else None
+        v = dense_eliminate(f, self.rows, self.pivots, v, coeffs)
+        pivot = next((j for j, a in enumerate(v) if a != 0), None)
+        if pivot is None:
+            return False
+        inv = f.inv(v[pivot])
+        if inv != f.one:
+            v = [f.mul(inv, a) for a in v]
+        if self.track:
+            expr = {self.n_retained: inv}
+            for g, val in self._expression(coeffs).items():
+                expr[g] = f.mul(inv, f.neg(val))
+        for idx, row in enumerate(self.rows):
+            c = row[pivot]
+            if c == 0:
+                continue
+            self.rows[idx] = dense_eliminate(f, [v], [pivot], row)
+            if self.track:
+                rexpr = self.exprs[idx]
+                for g, val in expr.items():
+                    rexpr[g] = f.sub(rexpr.get(g, f.zero), f.mul(c, val))
+        pos = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pivot)
+        if self.track:
+            self.exprs.insert(pos, expr)
+            self.n_retained += 1
+        return True
+
+    def generator_coefficients(self, v: Vector) -> Optional[dict]:
+        if not self.track:
+            raise ExpressionsNotTracked("builder was created without expression tracking")
+        coeffs: list = []
+        if not vec_is_zero(dense_eliminate(self.field, self.rows, self.pivots, v, coeffs)):
+            return None
+        return {g: val for g, val in self._expression(coeffs).items() if val != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,68 @@ def test_verify_requires_a_kernel_witness(tmp_path, capsys, monkeypatch):
     assert "all certificates: false" in out
 
 
+def _forge(data, how):
+    """Forge the first membership of an F3 certificate file that can take `how`.
+
+    Only nonzero defects with two or more entries are forged.  The term that
+    zeroes an entry is a generator whose u⊗v has a single nonzero entry, at a
+    nonzero entry of the defect, weighted to cancel it.
+    """
+    d = len(data["generators"][0]["u"])
+    single = {}  # flat index -> (generator, its one entry)
+    for g, pair in enumerate(data["generators"]):
+        (su, sv) = ([(n, a) for n, a in enumerate(pair[s]) if a] for s in ("u", "v"))
+        if len(su) == len(sv) == 1:
+            single[su[0][0] * d + sv[0][0]] = (g, su[0][1] * sv[0][1] % 3)
+    for cert in data["certificates"]:
+        target = cert.get("target")
+        if target is None or sum(map(bool, target)) < 2:
+            continue
+        hit = [pos for pos, a in enumerate(target) if a and pos in single]
+        if how == "zero-lambda":
+            cert["terms"][0]["lambda"] = 0
+        elif how == "cancelling-terms":
+            term = cert["terms"][0]
+            cert["terms"] = [term, {"generator": term["generator"], "lambda": -term["lambda"] % 3}]
+        elif how == "term-zeroes-an-entry":
+            if not hit:
+                continue
+            g, entry = single[hit[0]]
+            cert["terms"].append({"generator": g, "lambda": -target[hit[0]] * pow(entry, -1, 3) % 3})
+        elif how == "target-extra-entry":
+            target[target.index(0)] = 1
+        elif how == "target-wrong-length":
+            target.append(0)
+        return
+    raise AssertionError(f"no membership to forge by {how}")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_forged_memberships_verify_false(tmp_path, capsys, monkeypatch, flags):
+    """A forged decomposition or target prints false, and a target of the wrong
+    length is a malformed file; never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "DN3", "--field", "F3", "--out", "dn3.json")
+    run_cli(capsys, "check", "dn3.json", "--out", "certs.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for how in ("zero-lambda", "cancelling-terms", "term-zeroes-an-entry", "target-extra-entry",
+                "target-wrong-length"):
+        data = json.loads(Path("certs.json").read_text())
+        _forge(data, how)
+        Path(f"{how}.json").write_text(json.dumps(data))
+        argv = ["-m", "zpbal.cli", "verify", f"{how}.json", "dn3.json"]
+        proc = subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert "Traceback" not in proc.stderr, (how, proc.stderr)
+        if how == "target-wrong-length":
+            assert proc.returncode == 1 and "target has wrong length" in proc.stderr, (how, proc.stderr)
+            continue
+        assert proc.returncode == 0, (how, proc.stderr)
+        lines = proc.stdout.splitlines()
+        assert sum(line.endswith("(membership-decomposition): false") for line in lines) == 1, (how, lines)
+        assert lines[-1] == "all certificates: false", (how, lines)
+
+
 def test_factorize_map_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Kn", "--n", "2", "--field", "Q", "--out", "qq.json")

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import rank_over
 from references import (
+    DenseSpanBuilder,
     NotInSubspace,
     coefficients,
     intersect,
@@ -218,3 +220,56 @@ def test_quotient_projection_random(make):
             a = alg.element(_random_vector(rng, f, alg.dim))
             b = alg.element(_random_vector(rng, f, alg.dim))
             assert quot.project(a * b) == quot.project(a) * quot.project(b)
+
+
+def _scalars(field):
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_builder_matches_the_dense_reference(data):
+    """Zero, repeated, combined and fresh vectors, offered as lists or as maps of
+    their nonzero entries, give the dense reducer's add results, rows, pivots,
+    expressions and generator coefficients."""
+    field = data.draw(st.sampled_from([F2, F3, QQ]), label="field")
+    n = data.draw(st.integers(1, 7), label="n")
+    scalar = _scalars(field)
+    builder = SpanBuilder(field, n, track_expressions=True)
+    dense = DenseSpanBuilder(field, n, track_expressions=True)
+    offered = []
+
+    def combination():
+        coeffs = data.draw(st.lists(scalar, min_size=len(offered), max_size=len(offered)))
+        out = [field.zero] * n
+        for c, v in zip(coeffs, offered):
+            out = [field.add(a, field.mul(c, b)) for a, b in zip(out, v)]
+        return out
+
+    for _ in range(data.draw(st.integers(0, 12), label="offers")):
+        kind = data.draw(st.sampled_from(["zero", "repeat", "combination", "fresh"]))
+        if kind == "zero":
+            v = [field.zero] * n
+        elif kind == "repeat" and offered:
+            v = list(data.draw(st.sampled_from(offered)))
+        elif kind == "combination" and offered:
+            v = combination()
+        else:
+            v = data.draw(st.lists(scalar, min_size=n, max_size=n))
+        as_map = data.draw(st.booleans())
+        assert builder.add({j: a for j, a in enumerate(v) if a} if as_map else v) == dense.add(v)
+        offered.append(v)
+    assert builder.rows == dense.rows
+    assert builder.pivots == dense.pivots
+    assert builder.exprs == dense.exprs
+    assert builder.to_subspace().basis == dense.rows
+    probes = offered + [data.draw(st.lists(scalar, min_size=n, max_size=n))]
+    if offered:
+        probes.append(combination())
+    for v in probes:
+        want = dense.generator_coefficients(v)
+        assert builder.generator_coefficients(v) == want
+        assert builder.generator_coefficients({j: a for j, a in enumerate(v) if a}) == want
+        assert builder.to_subspace().contains_vector(v) == (want is not None)

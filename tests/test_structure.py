@@ -104,9 +104,14 @@ def test_atom_budget_bounds_only_p():
     assert rep.status == "PARTIAL" and rep.characters == []
     with pytest.raises(BudgetExceeded):
         sigma_splitting(alg, SweepConfig(enumeration_cap=2))
-    # atoms computed once under cap 3 are still refused to a later call under cap 2
+    # atoms, characters and the splitting computed once under cap 3 are still
+    # refused to a later call under cap 2, and handed out again under cap 3
     reduced = ReducedQuotient(alg)
-    assert len(characters(alg, SweepConfig(enumeration_cap=3), reduced).characters) == 2
+    chars = characters(alg, SweepConfig(enumeration_cap=3), reduced)
+    assert len(chars.characters) == 2
+    splitting = sigma_splitting(alg, SweepConfig(enumeration_cap=3), reduced)
+    assert characters(alg, SweepConfig(enumeration_cap=3), reduced) is chars
+    assert sigma_splitting(alg, SweepConfig(enumeration_cap=3), reduced) is splitting
     rep = characters(alg, SweepConfig(enumeration_cap=2), reduced)
     assert rep.status == "PARTIAL" and rep.characters == []
     with pytest.raises(BudgetExceeded):
@@ -118,26 +123,31 @@ def test_atom_budget_bounds_only_p():
 
 
 def test_structure_command_computes_the_reduced_quotient_once(tmp_path, capsys, monkeypatch):
-    """`zpbal structure` on F3^7: one nilradical, one atom search, one lift per atom."""
-    from zpbal import cli, structure
+    """`zpbal structure` on F3^7: one nilradical, one atom search, one lift per
+    atom, one character table and one splitting, so one multiplicativity check
+    per character and one for the splitting."""
+    from zpbal import cli, linmaps, structure
 
     counts = Counter()
 
-    def counted(name):
-        honest = getattr(structure, name)
+    def counted(owner, name):
+        honest = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return honest(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("nilradical", "_reduced_atoms", "lift_idempotent"):
-        monkeypatch.setattr(structure, name, counted(name))
+    for name in ("nilradical", "_reduced_atoms", "lift_idempotent", "_character_report", "_lift_splitting"):
+        counted(structure, name)
+    counted(linmaps.AlgMap, "is_multiplicative")
     path = str(tmp_path / "k7f3.json")
     assert cli.main(["example", "Kn", "--n", "7", "--field", "F3", "--out", path]) == 0
     assert cli.main(["structure", path, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["clean"] == "YES"
-    assert counts == {"nilradical": 1, "_reduced_atoms": 1, "lift_idempotent": 7}
+    report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert report["clean"] == "YES" and len(report["characters"]["table"]) == 7
+    assert counts == {"nilradical": 1, "_reduced_atoms": 1, "lift_idempotent": 7,
+                      "_character_report": 1, "_lift_splitting": 1, "is_multiplicative": 8}
 
 
 def test_nilradical_is_idempotent_operation():
