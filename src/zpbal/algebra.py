@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from zpbal.errors import (
     InfiniteFieldError,
@@ -23,7 +23,7 @@ from zpbal.errors import (
     ParentMismatch,
 )
 from zpbal.fields import Field, Scalar
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
+from zpbal.linalg import Matrix, Sparse, SpanBuilder, Subspace, Vector, _dense, vec_is_zero
 
 
 @dataclass
@@ -62,7 +62,7 @@ class Algebra:
             self._check_associative()
         self.registered_idempotents: List[Element] = []
         self._predicates: Optional[Predicates] = None
-        # nonzero[i][j]: the (k, c) with c != 0 in e_i e_j, for the operator builders
+        # nonzero[i][j]: the (k, c) with c != 0 in e_i e_j, for `_operator_rows`
         self._nonzero = [[[(k, c) for k, c in enumerate(v) if c != 0] for v in row] for row in self.table]
 
     def _check_associative(self):
@@ -132,31 +132,33 @@ class Algebra:
 
     # -- multiplication operators ------------------------------------------
 
+    def _operator_rows(self, u: Sequence[Scalar], left: bool) -> Dict[int, Sparse]:
+        """Nonzero rows {k: {j: entry}} of the matrix of x -> u*x (left) or x -> x*u."""
+        f = self.field
+        add, mul = f.add, f.mul
+        rows: Dict[int, Sparse] = {}
+        for i, a in enumerate(u):
+            if a == 0:
+                continue
+            # column j is e_i e_j (left) or e_j e_i (right), scaled by a
+            cells = self._nonzero[i] if left else [row[i] for row in self._nonzero]
+            for j, cell in enumerate(cells):
+                for k, c in cell:
+                    row = rows.setdefault(k, {})
+                    x = mul(a, c)
+                    row[j] = add(row[j], x) if j in row else x
+        out: Dict[int, Sparse] = {}
+        for k, row in rows.items():
+            row = {j: x for j, x in row.items() if x}  # sums may cancel
+            if row:
+                out[k] = row
+        return out
+
     def left_mult_matrix(self, u: Sequence[Scalar]) -> Matrix:
         """Matrix of x -> u*x in the chosen basis."""
         f = self.field
-        d = self.dim
-        rows = [[f.zero] * d for _ in range(d)]
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, entries in enumerate(self._nonzero[i]):
-                for k, c in entries:
-                    rows[k][j] = f.add(rows[k][j], f.mul(a, c))
-        return Matrix(f, rows, cols=d)
-
-    def right_mult_matrix(self, u: Sequence[Scalar]) -> Matrix:
-        """Matrix of x -> x*u in the chosen basis."""
-        f = self.field
-        d = self.dim
-        rows = [[f.zero] * d for _ in range(d)]
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j in range(d):
-                for k, c in self._nonzero[j][i]:
-                    rows[k][j] = f.add(rows[k][j], f.mul(a, c))
-        return Matrix(f, rows, cols=d)
+        rows = self._operator_rows(u, True)
+        return Matrix(f, [_dense(f, rows.get(k, {}), self.dim) for k in range(self.dim)], cols=self.dim)
 
     # -- predicates ---------------------------------------------------------
 
@@ -175,20 +177,16 @@ class Algebra:
                 products.add(self.table[i][j])
         idempotent = products.dim == d
 
-        unit = self._solve_unit() if d > 0 else None
+        # rows (j, k) of u -> (u e_j)_k and of u -> (e_j u)_k
+        lmap_rows = [[self.table[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]
+        rmap_rows = [[self.table[j][i][k] for i in range(d)] for j in range(d) for k in range(d)]
+        delta = [f.one if j == k else f.zero for j in range(d) for k in range(d)]
+        # a unit solves u e_j = e_j = e_j u, and a two-sided unit is unique
+        unit = Matrix(f, lmap_rows + rmap_rows, cols=d).solve(delta + delta) if d > 0 else None
         unital = unit is not None
-
         # faithful: no nonzero one-sided annihilator of the whole algebra
-        lmap_rows = []
-        rmap_rows = []
-        for j in range(d):
-            for k in range(d):
-                lmap_rows.append([self.table[i][j][k] for i in range(d)])
-                rmap_rows.append([self.table[j][i][k] for i in range(d)])
-        faithful = (
-            Matrix(f, lmap_rows, cols=d).kernel().dim == 0
-            and Matrix(f, rmap_rows, cols=d).kernel().dim == 0
-        ) if d > 0 else True
+        faithful = (Matrix(f, lmap_rows, cols=d).rank() == d
+                    and Matrix(f, rmap_rows, cols=d).rank() == d)
 
         self._predicates = Predicates(
             is_unital=unital,
@@ -199,19 +197,6 @@ class Algebra:
             has_zero_multiplication=zero_mult,
         )
         return self._predicates
-
-    def _solve_unit(self) -> Optional[Vector]:
-        f = self.field
-        d = self.dim
-        rows = []
-        rhs = []
-        for j in range(d):
-            for k in range(d):
-                rows.append([self.table[i][j][k] for i in range(d)])
-                rhs.append(f.one if j == k else f.zero)
-                rows.append([self.table[j][i][k] for i in range(d)])
-                rhs.append(f.one if j == k else f.zero)
-        return Matrix(f, rows, cols=d).solve(rhs)
 
     # -- idempotent registry --------------------------------------------------
 

@@ -357,8 +357,13 @@ def build_example(name: str, field: Field, m: int, n: int) -> Algebra:
 
 
 def cmd_example(args) -> int:
+    m, n = args.m, args.n  # the dimension, known before the dim^3 table is built
+    dim = {"Nm": m - 1, "Mn": n * n, "MnNm": n * n * (m - 1), "DN3": 4, "Kn": n, "KxNm": m,
+           "zero": n}[args.name]
+    if dim > serialize.MAX_DIM:  # a file `check` would refuse
+        raise ZpbalError(f"dim {dim} exceeds the limit {serialize.MAX_DIM}")
     field = field_from_name(args.field)
-    alg = build_example(args.name, field, args.m, args.n)
+    alg = build_example(args.name, field, m, n)
     out = args.out or f"{args.name.lower()}_{args.field.lower()}.json"
     serialize.save_algebra(alg, out)
     print(f"wrote {out} (dim {alg.dim} over {field.name})")

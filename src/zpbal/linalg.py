@@ -12,7 +12,9 @@ reduction goes through one private loop, `_eliminate`, which touches only
 nonzero entries: the span builder's forward reduction and back-elimination,
 membership tests, coefficient extraction and residuals modulo a subspace.
 `SpanBuilder.add` also accepts such a map, so that a caller that builds its
-vectors sparse never expands them.
+vectors sparse never expands them.  `SpanBuilder.null_space` is the one
+read-off of a null space from reduced rows; `Matrix.kernel` reduces and
+calls it.
 """
 
 from __future__ import annotations
@@ -92,14 +94,6 @@ def _eliminate(field: Field, rows: Dict[int, Sparse], v: Sparse,
     return out
 
 
-def rref(rows: Sequence[Vector], field: Field) -> Tuple[List[Vector], List[int]]:
-    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    builder = SpanBuilder(field, len(rows[0]) if rows else 0)
-    for r in rows:
-        builder.add(r)
-    return builder.rows, builder.pivots
-
-
 class Matrix:
     """Dense matrix with exact entries over a fixed field."""
 
@@ -160,28 +154,18 @@ class Matrix:
         f = self.field
         return Matrix(f, [vec_scale(f, c, r) for r in self.rows], cols=self.ncols)
 
+    def _row_space(self) -> "SpanBuilder":
+        builder = SpanBuilder(self.field, self.ncols)
+        for r in self.rows:
+            builder.add(r)
+        return builder
+
     def rank(self) -> int:
-        return len(rref(self.rows, self.field)[0])
+        return self._row_space().dim
 
     def kernel(self) -> "Subspace":
         """Null space {v : self @ v = 0} as a row-reduced subspace."""
-        f = self.field
-        builder = SpanBuilder(f, self.ncols)
-        for r in self.rows:
-            builder.add(r)
-        rows = builder._rows
-        basis = []
-        for j in range(self.ncols):
-            if j in rows:
-                continue
-            v = [f.zero] * self.ncols
-            v[j] = f.one
-            for p, row in rows.items():
-                a = row.get(j)
-                if a is not None:
-                    v[p] = f.neg(a)
-            basis.append(v)
-        return Subspace(f, self.ncols, basis)
+        return self._row_space().null_space()
 
     def solve(self, b: Vector) -> Optional[Vector]:
         """One exact solution of self @ x = b, or None when inconsistent."""
@@ -310,6 +294,21 @@ class SpanBuilder:
         combo = self._expression(coeffs)
         return {g: val for g, val in combo.items() if val != 0}
 
+    def null_space(self) -> "Subspace":
+        """{x : r·x = 0 for every row r} as a row-reduced subspace.
+
+        Each free column j gives the vector with 1 at j, minus row p's entry
+        at j at each pivot p, and zeros elsewhere.  A row's entries off its
+        pivot all sit at free columns, so only the nonzero entries are read.
+        """
+        f = self.field
+        free = {j: {j: f.one} for j in range(self.ambient) if j not in self._rows}
+        for p, row in self._rows.items():
+            for j, a in row.items():
+                if j != p:
+                    free[j][p] = f.neg(a)
+        return Subspace(f, self.ambient, list(free.values()))
+
     def to_subspace(self) -> "Subspace":
         # rows are replaced, never changed in place, so the subspace may share them
         return Subspace(self.field, self.ambient, (), _rows=dict(self._rows))
@@ -318,7 +317,7 @@ class SpanBuilder:
 class Subspace:
     """Subspace of K^n held as a reduced row-echelon basis (`basis`, in pivot order)."""
 
-    def __init__(self, field: Field, ambient: int, vectors: Sequence[Vector],
+    def __init__(self, field: Field, ambient: int, vectors: Sequence[Union[Vector, Sparse]],
                  _rows: Optional[Dict[int, Sparse]] = None):
         self.field = field
         self.ambient = ambient

@@ -6,7 +6,9 @@ and reading off an annihilator of u: the right annihilator ker L_u = {w :
 uw = 0} or the left annihilator ker R_u = {w : wu = 0}.  Whatever a caller
 then offers from u is linear in u for fixed annihilator W, which gives the
 memo: once u lies in the span of earlier elements with the same W, every
-vector it could offer has been offered already and u is skipped.
+vector it could offer has been offered already and u is skipped.  Each
+visit reduces the nonzero rows of L_u or R_u once: the reduced rows are the
+memo key, and a new key reads W off the same reduction.
 
 Over F_p the exhaustive element source is `projective_points`: a nonzero
 multiple cu has the same annihilator as u and comes after it in
@@ -23,7 +25,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from zpbal.algebra import Algebra
 from zpbal.fields import Field, Scalar
-from zpbal.linalg import Matrix, SpanBuilder, Vector, rref
+from zpbal.linalg import SpanBuilder, Vector
 
 RIGHT = "right"  # annihilator {w : uw = 0} = ker L_u
 LEFT = "left"  # annihilator {w : wu = 0} = ker R_u
@@ -37,8 +39,8 @@ class AnnihilatorSweep:
         self.field = algebra.field
         self.dim = algebra.dim
         self.side = side
-        # operator row space (RREF) -> (RREF basis of its null space W, span of
-        # the elements already handed out with that W)
+        # operator row space (its sparse RREF rows) -> (RREF basis of its null
+        # space W, span of the elements already handed out with that W)
         self._memo: Dict[tuple, Tuple[List[Vector], SpanBuilder]] = {}
         self.visited = 0
 
@@ -56,15 +58,14 @@ class AnnihilatorSweep:
         if not any(u):
             return []
         self.visited += 1
-        d = self.dim
-        alg = self.algebra
-        op = alg.left_mult_matrix(u) if self.side == RIGHT else alg.right_mult_matrix(u)
-        reduced, _ = rref([r for r in op.rows if any(r)], self.field)
-        key = tuple(tuple(r) for r in reduced)
+        ops = SpanBuilder(self.field, self.dim)
+        for row in self.algebra._operator_rows(u, self.side == RIGHT).values():
+            ops.add(row)
+        # RREF is unique, so equal keys are equal row spaces, hence equal null spaces
+        key = tuple(tuple(sorted(ops._rows[p].items())) for p in ops.pivots)
         entry = self._memo.get(key)
         if entry is None:
-            # the null space of the reduced rows is ker op_u, in RREF
-            entry = (Matrix(self.field, reduced, cols=d).kernel().basis, SpanBuilder(self.field, d))
+            entry = (ops.null_space().basis, SpanBuilder(self.field, self.dim))
             self._memo[key] = entry
         annihilator, seen = entry
         if not annihilator or not seen.add(list(u)):

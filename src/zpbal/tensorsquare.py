@@ -509,8 +509,8 @@ def is_zero_product_balanced(
             for k in range(d):
                 t = _defect_tensor(algebra, i, j, k)
                 if not t:
-                    if with_certificates:
-                        certs.append(Certificate(kind=MEMBERSHIP, target=[f.zero] * ambient, terms=[],
+                    if with_certificates:  # the verifier recomputes the zero defect from the triple
+                        certs.append(Certificate(kind=MEMBERSHIP, target=None, terms=[],
                                                  meta={"triple": [i, j, k]}))
                     continue
                 if with_certificates:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from references import coefficients
+from references import coefficients, operator_matrix
 from zpbal.algebra import Algebra, Element
 from zpbal.errors import NotIdempotent
 from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector
@@ -54,7 +54,7 @@ class MultiplierAlgebra:
         cols = []
         for i in range(d):
             ei = [f.one if t == i else f.zero for t in range(d)]
-            vec = self._flatten((parent.left_mult_matrix(ei), parent.right_mult_matrix(ei)))
+            vec = self._flatten((operator_matrix(parent, ei, True), operator_matrix(parent, ei, False)))
             cols.append(coefficients(carrier, vec))
         self.mu_matrix = Matrix.from_columns(f, cols, dm)
         for e in parent.registered_idempotents:

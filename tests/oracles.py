@@ -15,7 +15,7 @@ from itertools import product
 from typing import List, Union
 
 from multiplier import MultiplierAlgebra
-from references import DenseSpanBuilder
+from references import DenseSpanBuilder, dense_kernel, operator_matrix
 from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import BudgetExceeded, SoundnessAlarm
@@ -180,10 +180,11 @@ def random_change_of_basis(alg, rng):
 # ---------------------------------------------------------------------------
 # Reference sweeps: the per-element loops the annihilator sweep replaced.
 #
-# Unlike the oracles above these reuse the package's operators: they pin down
-# *which* generators the engine emits, in which order, so that the optimised
-# sweep can be required to reproduce them exactly.  They reduce rows with the
-# dense reference builder, not with the package's sparse one.
+# Unlike the oracles above these reuse the package's tensor square: they pin
+# down *which* generators the engine emits, in which order, so that the
+# optimised sweep can be required to reproduce them exactly.  They build each
+# operator from products of basis vectors and reduce rows with the dense
+# reference builder, not with the package's operator rows and sparse reducer.
 # ---------------------------------------------------------------------------
 
 
@@ -192,9 +193,8 @@ def _annihilator_tensors(report_builder, ts, u, side, generators):
     alg = ts.algebra
     if all(a == 0 for a in u):
         return 0
-    mat = alg.left_mult_matrix(u) if side == "right" else alg.right_mult_matrix(u)
     added = 0
-    for w in mat.kernel().basis:
+    for w in dense_kernel(operator_matrix(alg, u, side == "right")):
         t = ts.tensor_coords(u, w) if side == "right" else ts.tensor_coords(w, u)
         pair = (tuple(u), tuple(w)) if side == "right" else (tuple(w), tuple(u))
         if report_builder.add(t):
@@ -289,7 +289,7 @@ def _factor_sweep(algebra, builder, witnesses, y_coords):
     if all(a == 0 for a in y_coords):
         return 0
     added = 0
-    for z in algebra.right_mult_matrix(y_coords).kernel().basis:
+    for z in dense_kernel(operator_matrix(algebra, y_coords, False)):
         x = algebra.multiply_coords(y_coords, z)
         if builder.add(x):
             w = FactorizableWitness(
@@ -494,8 +494,8 @@ def reference_clean(algebra, config: SweepConfig = DEFAULT_CONFIG) -> CleanSweep
         raise BudgetExceeded(f"clean sweep over {size} elements exceeds cap {config.enumeration_cap}")
     units, idems = set(), set()
     for coords in algebra.coord_tuples():
-        if (algebra.left_mult_matrix(list(coords)).solve(unit) is not None
-                and algebra.right_mult_matrix(list(coords)).solve(unit) is not None):
+        if (operator_matrix(algebra, coords, True).solve(unit) is not None
+                and operator_matrix(algebra, coords, False).solve(unit) is not None):
             units.add(tuple(coords))
         if algebra.multiply_coords(coords, coords) == list(coords):
             idems.add(tuple(coords))

@@ -2,9 +2,10 @@
 
 The seeded random-algebra generator feeds the property tests.  A few
 matrix and subspace operations serve only tests.  `DenseSpanBuilder` is the
-dense row reducer the package's sparse one replaced; the reference sweeps in
-`oracles` run on it, so that they share no reduction with the code they pin
-down.  The rest each
+dense row reducer the package's sparse one replaced; `rref`, `dense_kernel`
+and the reference sweeps in `oracles` run on it, with operators built by
+`operator_matrix` from products of basis vectors, so that they share no
+reduction and no operator builder with the code they pin down.  The rest each
 state a property of the paper's objects that the tests check on small
 algebras: the Boolean ring of idempotents and its Stone space, the
 nilpotent-generation equivalence for unital balanced algebras, the balanced
@@ -40,7 +41,7 @@ from zpbal.errors import (
     ZpbalError,
 )
 from zpbal.fields import Field
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, rref, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
 from zpbal.structure import (
     CharacterReport,
@@ -78,7 +79,7 @@ def is_invertible(m: Matrix) -> bool:
 
 def rref_matrix(m: Matrix) -> Tuple[Matrix, int]:
     """The reduced row-echelon form padded with zero rows to m's shape, and the rank."""
-    rows, _ = rref(m.rows, m.field)
+    rows, _ = rref(m.rows, m.field, m.ncols)
     rank = len(rows)
     padded = rows + [[m.field.zero] * m.ncols for _ in range(m.nrows - rank)]
     return Matrix(m.field, padded, cols=m.ncols), rank
@@ -119,7 +120,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient
     stacked = [list(v) + list(v) for v in a.basis]
     stacked += [list(v) + [f.zero] * n for v in b.basis]
-    rows, pivots = rref(stacked, f)
+    rows, pivots = rref(stacked, f, 2 * n)
     return Subspace(f, n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
 
 
@@ -220,6 +221,40 @@ class DenseSpanBuilder:
         if not vec_is_zero(dense_eliminate(self.field, self.rows, self.pivots, v, coeffs)):
             return None
         return {g: val for g, val in self._expression(coeffs).items() if val != 0}
+
+
+def rref(rows: Sequence[Vector], field: Field, ncols: int) -> Tuple[List[Vector], List[int]]:
+    """Reduced row-echelon form on the dense reference builder: (nonzero rows, pivots)."""
+    builder = DenseSpanBuilder(field, ncols)
+    for r in rows:
+        builder.add(list(r))
+    return builder.rows, builder.pivots
+
+
+def dense_kernel(m: Matrix) -> List[Vector]:
+    """RREF basis of {x : m x = 0}, computed on the dense reference builder."""
+    f, n = m.field, m.ncols
+    rows, pivots = rref(m.rows, f, n)
+    free = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [f.zero] * n
+        v[j] = f.one
+        for row, p in zip(rows, pivots):
+            v[p] = f.neg(row[j])
+        free.append(v)
+    return rref(free, f, n)[0]
+
+
+def operator_matrix(alg: Algebra, u: Sequence, left: bool) -> Matrix:
+    """Matrix of x -> u*x (left) or x -> x*u, column j from multiplying basis vector j."""
+    f = alg.field
+    cols = []
+    for j in range(alg.dim):
+        ej = [f.one if t == j else f.zero for t in range(alg.dim)]
+        cols.append(alg.multiply_coords(u, ej) if left else alg.multiply_coords(ej, u))
+    return Matrix.from_columns(f, cols, alg.dim)
 
 
 # ---------------------------------------------------------------------------

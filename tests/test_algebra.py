@@ -22,7 +22,7 @@ from zpbal.algebra import (
     tensor_product,
     zero_algebra,
 )
-from references import matrix_trace, subalgebra
+from references import matrix_trace, operator_matrix, subalgebra
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -240,7 +240,12 @@ def test_multiplication_matrices_match_products():
         for _ in range(20):
             u, v = ([f.of_int(rng.randint(-2, 2)) for _ in range(alg.dim)] for _ in range(2))
             assert alg.left_mult_matrix(u).apply(v) == alg.multiply_coords(u, v)
-            assert alg.right_mult_matrix(u).apply(v) == alg.multiply_coords(v, u)
+            for left in (True, False):
+                rows = alg._operator_rows(u, left)
+                assert all(rows.values()) and all(all(row.values()) for row in rows.values())
+                dense = [[rows.get(k, {}).get(j, f.zero) for j in range(alg.dim)]
+                         for k in range(alg.dim)]
+                assert dense == operator_matrix(alg, u, left).rows
 
 
 def test_power_requires_positive():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from zpbal import linmaps
+from zpbal import linmaps, serialize
 from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
 from zpbal.cli import main
 from zpbal.errors import NotSemimultiplicative
@@ -462,6 +462,25 @@ def test_example_families(tmp_path, capsys, monkeypatch):
                       (("zero", "--n", "2", "--field", "F2"), 2)]:
         code, out, _ = run_cli(capsys, "example", *args)
         assert code == 0 and f"dim {dim}" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_example_refuses_a_dimension_above_the_limit(tmp_path, flags):
+    """The limit `check` holds files to, applied before the table is built."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv, code, dim in [(["Kn", "--n", "65"], 1, 65), (["Mn", "--n", "9"], 1, 81),
+                            (["MnNm", "--n", "3", "--m", "9"], 1, 72), (["Kn", "--n", "64"], 0, 64)]:
+        out = tmp_path / "example.json"
+        proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", "example", *argv,
+                               "--out", str(out)], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        if code:
+            assert f"dim {dim} exceeds the limit {serialize.MAX_DIM}" in proc.stderr, argv
+            assert not out.exists(), argv
+        else:
+            assert f"dim {dim}" in proc.stdout
+            out.unlink()
 
 
 def test_cli_import_leaves_the_other_subcommands_unloaded():

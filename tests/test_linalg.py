@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import rank_over
 from references import (
     DenseSpanBuilder,
     NotInSubspace,
     coefficients,
+    dense_kernel,
     intersect,
     linear_combination,
     random_algebra,
+    rref,
     rref_matrix,
     subspace_sum,
     zero_matrix,
@@ -20,7 +22,7 @@ from test_sweep import random_change_of_basis
 from zpbal.algebra import ideal_closure, matrix_algebra, nilpotent_algebra, quotient_algebra
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
 from zpbal.fields import PrimeField, QQ
-from zpbal.linalg import Matrix, SpanBuilder, Subspace
+from zpbal.linalg import Matrix, SpanBuilder, Subspace, dot
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -226,6 +228,45 @@ def _scalars(field):
     if field.characteristic:
         return st.integers(0, field.characteristic - 1)
     return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _matrices(draw):
+    """(field, columns, rows): random, zero or of full rank, 0 to 6 rows and columns."""
+    field = draw(st.sampled_from([F2, F3, QQ]))
+    ncols, nrows = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = _scalars(field)
+    kind = draw(st.sampled_from(["random", "zero", "full rank"]))
+    if kind == "zero":
+        return field, ncols, [[field.zero] * ncols for _ in range(nrows)]
+    if kind == "random":
+        return field, ncols, [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    # unitriangular rows, then random ones, in a random order: rank min(nrows, ncols)
+    rows = [[field.one if j == i else draw(entry) if j > i else field.zero for j in range(ncols)]
+            for i in range(min(nrows, ncols))]
+    rows += [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows - len(rows))]
+    return field, ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@example((F2, 0, [[], []]))
+@example((QQ, 3, [[QQ.zero] * 3] * 2))
+@example((F3, 3, Matrix.identity(F3, 3).rows))
+@given(_matrices())
+def test_null_space_kernel_and_rank_match_the_dense_reference(case):
+    field, ncols, rows = case
+    m = Matrix(field, rows, cols=ncols)
+    reduced, _ = rref(rows, field, ncols)
+    kernel = dense_kernel(m)
+    assert len(kernel) == ncols - len(reduced)
+    assert all(dot(field, r, v) == 0 for r in rows for v in kernel)
+    builder = SpanBuilder(field, ncols)
+    for r in rows:
+        builder.add(r)
+    assert builder.null_space().basis == kernel
+    assert builder.rows == reduced  # reading the null space leaves the rows as they were
+    assert m.kernel().basis == kernel
+    assert m.rank() == len(reduced)
 
 
 @settings(max_examples=200, deadline=None)

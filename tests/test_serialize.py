@@ -181,12 +181,11 @@ def assert_round_trip(alg, config, tmp_path):
     for cert, back in zip(certs, loaded):
         triple = cert.meta.get("triple")
         assert back.kind == cert.kind and back.meta == cert.meta
-        if triple is not None:
+        if triple is not None and cert.target is not None:
             assert ts.defect_tensor(*triple) == cert.target
-        if triple is not None and not any(cert.target):
-            assert back.target is None  # a zero defect is stored by its triple alone
-        else:
-            assert back.target == cert.target
+        if triple is not None and cert.target is None:  # a zero defect is stored by its triple alone
+            assert not any(ts.defect_tensor(*triple))
+        assert back.target == cert.target
         assert back.terms == [(lam, tuple(u), tuple(v)) for lam, u, v in cert.terms]
         assert back.functional == cert.functional
         assert back.generators == cert.generators

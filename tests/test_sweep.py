@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 
 from oracles import random_change_of_basis, reference_factorizable_span, reference_zero_product_span
-from references import SHAPES, random_algebra
+from references import SHAPES, dense_kernel, operator_matrix, random_algebra, rref
 from zpbal.algebra import matrix_algebra, nilpotent_algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
 from zpbal.fields import QQ, PrimeField
-from zpbal.linalg import Matrix
 from zpbal.squarezero import factorizable_square_zero_span
 from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep
 from zpbal.tensorsquare import compute_zero_product_span
@@ -87,8 +86,7 @@ def test_visit_matches_rebuilt_operators_on_random_elements(side):
     for _ in range(200):
         u = [rng.randrange(3) for _ in range(alg.dim)]
         nonzero += any(u)
-        mat = alg.left_mult_matrix(u) if side == RIGHT else alg.right_mult_matrix(u)
-        kernel = mat.kernel().basis
+        kernel = dense_kernel(operator_matrix(alg, u, side == RIGHT))
         got = sweep.visit(u)
         assert got in ([], kernel)
         if got:
@@ -96,8 +94,22 @@ def test_visit_matches_rebuilt_operators_on_random_elements(side):
         elif any(u) and kernel:
             # a skipped element lies in the span of earlier ones with its annihilator
             earlier = offered.get(tuple(map(tuple, kernel)), [])
-            assert Matrix(F3, earlier + [u]).rank() == Matrix(F3, earlier).rank()
+            assert len(rref(earlier + [u], F3, alg.dim)[0]) == len(rref(earlier, F3, alg.dim)[0])
     assert sweep.visited == nonzero
+
+
+@pytest.mark.parametrize("side", [RIGHT, LEFT])
+@pytest.mark.parametrize("alg", [matrix_algebra(F3, 2), nilpotent_algebra(F3, 4)], ids=["M2/F3", "N4/F3"])
+def test_memo_keys_count_the_distinct_reference_kernels(alg, side):
+    """Over every element, one memo entry per distinct annihilator: equal
+    keys exactly when the reference kernels are equal."""
+    sweep = AnnihilatorSweep(alg, side)
+    kernels = set()
+    for u in alg.coord_tuples():
+        sweep.visit(u)
+        if any(u):
+            kernels.add(tuple(map(tuple, dense_kernel(operator_matrix(alg, u, side == RIGHT)))))
+    assert sweep.distinct_annihilators == len(kernels) > 1
 
 
 _TAMPER = textwrap.dedent("""
