@@ -2,7 +2,11 @@
 
 An algebra stores a d*d table of coordinate vectors: table[i][j] holds the
 coordinates of the product of basis vectors i and j.  Associativity is
-verified exhaustively at construction; everything downstream assumes it.
+verified exhaustively at construction, on the nonzero entries of the
+table; everything downstream assumes it.  The matrices of x -> ux and
+x -> xu are built as nonzero rows in the representation `zpbal.linalg`
+reduces: over F2 an int per row, the XOR of precomputed per-basis rows,
+and otherwise a map {column: nonzero entry}.
 
 Known idempotents can be registered on an algebra; the constructors carry
 registries through so that idempotent-based strategies keep working over
@@ -23,7 +27,7 @@ from zpbal.errors import (
     ParentMismatch,
 )
 from zpbal.fields import Field, Scalar
-from zpbal.linalg import Matrix, Sparse, SpanBuilder, Subspace, Vector, _dense, vec_is_zero
+from zpbal.linalg import Matrix, Row, Sparse, SpanBuilder, Subspace, Vector, _dense, vec_is_zero
 
 
 @dataclass
@@ -58,36 +62,32 @@ class Algebra:
             for v in row:
                 if len(v) != self.dim:
                     raise ValueError("structure-constant vector has wrong length")
+        # nonzero[i][j]: the (k, c) with c != 0 in e_i e_j
+        self._nonzero = [[[(k, c) for k, c in enumerate(v) if c != 0] for v in row] for row in self.table]
         if check:
             self._check_associative()
         self.registered_idempotents: List[Element] = []
         self._predicates: Optional[Predicates] = None
-        # nonzero[i][j]: the (k, c) with c != 0 in e_i e_j, for `_operator_rows`
-        self._nonzero = [[[(k, c) for k, c in enumerate(v) if c != 0] for v in row] for row in self.table]
+        self._bit_operators = self._packed_operators() if field.characteristic == 2 else None
 
     def _check_associative(self):
+        """NotAssociative names the first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
         f = self.field
+        add, sub, mul, zero = f.add, f.sub, f.mul, f.zero
+        nz = self._nonzero
         d = self.dim
         for i in range(d):
             for j in range(d):
-                cij = self.table[i][j]
                 for k in range(d):
-                    lhs = self._combo(cij, lambda l: self.table[l][k])
-                    rhs = self._combo(self.table[j][k], lambda l: self.table[i][l])
-                    if lhs != rhs:
+                    diff: Dict[int, Scalar] = {}
+                    for l, c in nz[i][j]:
+                        for t, a in nz[l][k]:
+                            diff[t] = add(diff.get(t, zero), mul(c, a))
+                    for l, c in nz[j][k]:
+                        for t, a in nz[i][l]:
+                            diff[t] = sub(diff.get(t, zero), mul(c, a))
+                    if any(diff.values()):
                         raise NotAssociative((i, j, k))
-
-    def _combo(self, coeffs: Vector, vec_of: callable) -> Vector:
-        f = self.field
-        out = [f.zero] * self.dim
-        for l, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            v = vec_of(l)
-            for t, a in enumerate(v):
-                if a != 0:
-                    out[t] = f.add(out[t], f.mul(c, a))
-        return out
 
     # -- elements ---------------------------------------------------------
 
@@ -132,8 +132,33 @@ class Algebra:
 
     # -- multiplication operators ------------------------------------------
 
-    def _operator_rows(self, u: Sequence[Scalar], left: bool) -> Dict[int, Sparse]:
-        """Nonzero rows {k: {j: entry}} of the matrix of x -> u*x (left) or x -> x*u."""
+    def _packed_operators(self) -> Tuple[List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]:
+        """Over F2, the nonzero rows (k, bits over j) of L_{e_i} and of R_{e_i}, per i."""
+        d = self.dim
+        left: List[Dict[int, int]] = [{} for _ in range(d)]
+        right: List[Dict[int, int]] = [{} for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                for k, _ in self._nonzero[i][j]:  # e_i e_j is column j of L_{e_i}, column i of R_{e_j}
+                    left[i][k] = left[i].get(k, 0) | 1 << j
+                    right[j][k] = right[j].get(k, 0) | 1 << i
+        return [list(m.items()) for m in left], [list(m.items()) for m in right]
+
+    def _operator_rows(self, u: Sequence[Scalar], left: bool) -> Dict[int, Row]:
+        """Nonzero rows of the matrix of x -> u*x (left) or x -> x*u, keyed by k.
+
+        Over F2 a row is an int with bit j set for each nonzero column j, the
+        XOR of the rows of the basis operators that u sums; over every other
+        field it is a map {j: nonzero entry}.
+        """
+        if self._bit_operators is not None:
+            per_basis = self._bit_operators[0 if left else 1]
+            bits: Dict[int, int] = {}
+            for i, a in enumerate(u):
+                if a:
+                    for k, m in per_basis[i]:
+                        bits[k] = bits.get(k, 0) ^ m
+            return {k: m for k, m in bits.items() if m}  # sums may cancel
         f = self.field
         add, mul = f.add, f.mul
         rows: Dict[int, Sparse] = {}
@@ -158,7 +183,9 @@ class Algebra:
         """Matrix of x -> u*x in the chosen basis."""
         f = self.field
         rows = self._operator_rows(u, True)
-        return Matrix(f, [_dense(f, rows.get(k, {}), self.dim) for k in range(self.dim)], cols=self.dim)
+        zero = [f.zero] * self.dim
+        return Matrix(f, [_dense(f, rows[k], self.dim) if k in rows else zero for k in range(self.dim)],
+                      cols=self.dim)
 
     # -- predicates ---------------------------------------------------------
 

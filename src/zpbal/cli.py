@@ -358,6 +358,10 @@ def build_example(name: str, field: Field, m: int, n: int) -> Algebra:
 
 def cmd_example(args) -> int:
     m, n = args.m, args.n  # the dimension, known before the dim^3 table is built
+    if n < 0:
+        raise ZpbalError(f"--n must be at least 0, got {n}")
+    if m < 1:  # Nm and MnNm have dimension m - 1
+        raise ZpbalError(f"--m must be at least 1, got {m}")
     dim = {"Nm": m - 1, "Mn": n * n, "MnNm": n * n * (m - 1), "DN3": 4, "Kn": n, "KxNm": m,
            "zero": n}[args.name]
     if dim > serialize.MAX_DIM:  # a file `check` would refuse

@@ -1,32 +1,36 @@
-"""Exact linear algebra over a base field, on sparse rows behind a dense API.
+"""Exact linear algebra over a base field, on sparse or packed rows behind a dense API.
 
 Vectors are plain lists of scalars and matrices are row-major lists of rows,
 at every public entry and exit.  Subspaces are kept in reduced row-echelon
 form, so subspace equality is grid equality and coefficient extraction is a
 direct read-off.
 
-Inside, each reduced row is a map {column: nonzero entry} keyed by its pivot
-column, because the spans this package builds are almost empty: a row of the
-zero-product span has one or two nonzero entries among d² columns.  All row
-reduction goes through one private loop, `_eliminate`, which touches only
-nonzero entries: the span builder's forward reduction and back-elimination,
-membership tests, coefficient extraction and residuals modulo a subspace.
-`SpanBuilder.add` also accepts such a map, so that a caller that builds its
-vectors sparse never expands them.  `SpanBuilder.null_space` is the one
-read-off of a null space from reduced rows; `Matrix.kernel` reduces and
-calls it.
+Inside, each reduced row is keyed by its pivot column, and the field picks
+the row's representation.  Over F2 a row is a Python int with bit j set for
+column j, and subtracting a row is XOR.  Over every other field a row is a
+map {column: nonzero entry}, because the spans this package builds are
+almost empty: a row of the zero-product span has one or two nonzero entries
+among d² columns.  Each representation has one private reduction loop,
+`_eliminate_bits` or `_eliminate`, which touches only the rows whose pivots
+the vector meets: the span builder's forward reduction and
+back-elimination, membership tests, coefficient extraction and residuals
+modulo a subspace.  `SpanBuilder.add` also accepts a map or, over F2, an
+int, so that a caller that builds its vectors sparse never expands them.
+`SpanBuilder.null_space` is the one read-off of a null space from reduced
+rows; `Matrix.kernel` reduces and calls it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
 from zpbal.fields import Field, Scalar
 
 Vector = List[Scalar]
 Sparse = Dict[int, Scalar]  # column -> nonzero entry
+Row = Union[Sparse, int]  # a map, or over F2 the bit mask of its nonzero columns
 
 
 def vec_scale(field, c, u):
@@ -37,10 +41,12 @@ def vec_is_zero(u) -> bool:
     return not any(u)  # int residues and Fractions are falsy exactly at zero
 
 
-# The two conversions at the dense boundary are private, so that they stay
-# plain calls under perfbench's tracer, which wraps every public function.
-def _dense(field: Field, v: Sparse, n: int) -> Vector:
+# The conversions at the dense boundary are private, so that they stay plain
+# calls under perfbench's tracer, which wraps every public function.
+def _dense(field: Field, v: Row, n: int) -> Vector:
     """The length-n list with v's entries and zeros elsewhere."""
+    if type(v) is int:
+        return [(v >> j) & 1 for j in range(n)]
     out = [field.zero] * n
     for j, a in v.items():
         out[j] = a
@@ -54,6 +60,17 @@ def _sparse(v: Union[Vector, Sparse], ambient: int) -> Sparse:
     if len(v) != ambient:
         raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
     return {j: a for j, a in enumerate(v) if a}
+
+
+def _entries(row: Row) -> Iterator[Tuple[int, Scalar]]:
+    """(column, nonzero entry) of a row in either representation."""
+    if type(row) is not int:
+        yield from row.items()
+        return
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1, 1
+        row ^= low
 
 
 def _eliminate(field: Field, rows: Dict[int, Sparse], v: Sparse,
@@ -92,6 +109,24 @@ def _eliminate(field: Field, rows: Dict[int, Sparse], v: Sparse,
             else:
                 del out[j]
     return out
+
+
+def _eliminate_bits(rows: Dict[int, int], pivot_mask: int, v: int,
+                    coeffs: Optional[List[Tuple[int, Scalar]]] = None) -> int:
+    """`_eliminate` over F2 on packed rows: XOR in the row of each pivot set in v.
+
+    `pivot_mask` has the bits of the rows' pivots.  A row changes no other
+    row's pivot bit, so the pivots to clear are read once, lowest first.
+    """
+    hit = v & pivot_mask
+    while hit:
+        low = hit & -hit
+        p = low.bit_length() - 1
+        v ^= rows[p]
+        if coeffs is not None:
+            coeffs.append((p, 1))
+        hit ^= low
+    return v
 
 
 class Matrix:
@@ -207,7 +242,31 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
 
 
-class SpanBuilder:
+class _Echelon:
+    """Reduced rows keyed by pivot, in the representation the field picks:
+    ints over F2, maps {column: nonzero entry} otherwise.  A subclass sets
+    `field`, `ambient`, `_packed`, `_rows` (pivot -> RREF row), `pivots` and,
+    over F2, `_pivot_mask` (the bits of the pivots, for `_eliminate_bits`)."""
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v: Union[Vector, Sparse, int],
+                coeffs: Optional[List[Tuple[int, Scalar]]] = None) -> Row:
+        """v in this field's row representation, reduced by the rows; a list
+        is checked for length."""
+        if self._packed:
+            if type(v) is not int:  # bit j for each nonzero entry j
+                v = sum(1 << j for j in _sparse(v, self.ambient))
+            return _eliminate_bits(self._rows, self._pivot_mask, v, coeffs)
+        return _eliminate(self.field, self._rows, _sparse(v, self.ambient), coeffs)
+
+    def _dense_rows(self) -> List[Vector]:
+        return [_dense(self.field, self._rows[p], self.ambient) for p in self.pivots]
+
+
+class SpanBuilder(_Echelon):
     """Incremental span accumulator kept in reduced row-echelon form.
 
     `add` reports whether the vector enlarged the span.  With
@@ -220,19 +279,17 @@ class SpanBuilder:
     def __init__(self, field: Field, ambient: int, track_expressions: bool = False):
         self.field = field
         self.ambient = ambient
-        self._rows: Dict[int, Sparse] = {}  # pivot -> RREF row
+        self._packed = field.characteristic == 2
+        self._rows: Dict[int, Row] = {}
         self.pivots: List[int] = []
+        self._pivot_mask = 0
         self.track = track_expressions
         self._exprs: Dict[int, dict] = {}  # pivot -> {generator index: coefficient}
         self.n_retained = 0
 
     @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    @property
     def rows(self) -> List[Vector]:
-        return [_dense(self.field, self._rows[p], self.ambient) for p in self.pivots]
+        return self._dense_rows()
 
     @property
     def exprs(self) -> List[dict]:
@@ -247,49 +304,77 @@ class SpanBuilder:
                 expr[g] = f.add(expr.get(g, f.zero), f.mul(c, val))
         return expr
 
-    def add(self, v: Union[Vector, Sparse]) -> bool:
-        """Offer v, a list or a map {column: nonzero entry}; True when the span grew."""
+    def add(self, v: Union[Vector, Sparse, int]) -> bool:
+        """Offer v, a list, a map {column: nonzero entry} or over F2 an int
+        with bit j set for column j; True when the span grew."""
         f = self.field
         coeffs = [] if self.track else None
-        given = v
-        v = _eliminate(f, self._rows, _sparse(v, self.ambient), coeffs)
-        if not v:
-            return False
-        pivot = min(v)
-        inv = f.inv(v[pivot])
-        if inv != f.one:
-            v = {j: f.mul(inv, a) for j, a in v.items()}
-        elif v is given:
-            v = dict(v)  # the row must not alias the caller's map
+        rows = self._rows
+        # reduce v, scale it to a leading 1 and eliminate its pivot from the
+        # rows that have it, to keep RREF; `hit` lists (pivot, entry) of those
+        if self._packed:
+            if type(v) is not int:
+                v = sum(1 << j for j in _sparse(v, self.ambient))
+            v = _eliminate_bits(rows, self._pivot_mask, v, coeffs)
+            if not v:
+                return False
+            bit = v & -v  # the lowest set bit; its entry is 1
+            pivot = bit.bit_length() - 1
+            inv = f.one
+            hit = []
+            for p, row in rows.items():
+                if row & bit:
+                    rows[p] = row ^ v
+                    hit.append((p, 1))
+            self._pivot_mask |= bit
+        else:
+            given = v
+            v = _eliminate(f, rows, _sparse(v, self.ambient), coeffs)
+            if not v:
+                return False
+            pivot = min(v)
+            inv = f.inv(v[pivot])
+            if inv != f.one:
+                v = {j: f.mul(inv, a) for j, a in v.items()}
+            elif v is given:
+                v = dict(v)  # the row must not alias the caller's map
+            hit = []
+            new_row = {pivot: v}
+            for p, row in rows.items():
+                c = row.get(pivot)
+                if c is not None:
+                    rows[p] = _eliminate(f, new_row, row)
+                    hit.append((p, c))
+        rows[pivot] = v
+        insort(self.pivots, pivot)
         if self.track:
             # v = inv * (input - sum of c * row), written over the retained inputs
             expr = {self.n_retained: inv}
             for g, val in self._expression(coeffs).items():
                 expr[g] = f.mul(inv, f.neg(val))
-        # eliminate the new pivot from the rows that have it, to keep RREF
-        new_row = {pivot: v}
-        for p, row in self._rows.items():
-            c = row.get(pivot)
-            if c is None:
-                continue
-            self._rows[p] = _eliminate(f, new_row, row)
-            if self.track:
+            for p, c in hit:
                 rexpr = self._exprs[p]
                 for g, val in expr.items():
                     rexpr[g] = f.sub(rexpr.get(g, f.zero), f.mul(c, val))
-        self._rows[pivot] = v
-        insort(self.pivots, pivot)
-        if self.track:
             self._exprs[pivot] = expr
             self.n_retained += 1
         return True
 
-    def generator_coefficients(self, v: Union[Vector, Sparse]) -> Optional[dict]:
+    @property
+    def row_space_key(self) -> tuple:
+        """The reduced rows in a hashable form.  RREF is unique, so two
+        builders over one field give equal keys exactly when their row spaces
+        are equal."""
+        if self._packed:
+            return tuple(self._rows[p] for p in self.pivots)
+        return tuple(tuple(sorted(self._rows[p].items())) for p in self.pivots)
+
+    def generator_coefficients(self, v: Union[Vector, Sparse, int]) -> Optional[dict]:
         """Expression of v over the retained generators, or None if outside."""
         if not self.track:
             raise ExpressionsNotTracked("builder was created without expression tracking")
         coeffs: List[Tuple[int, Scalar]] = []
-        if _eliminate(self.field, self._rows, _sparse(v, self.ambient), coeffs):
+        if self._reduce(v, coeffs):
             return None
         combo = self._expression(coeffs)
         return {g: val for g, val in combo.items() if val != 0}
@@ -304,7 +389,7 @@ class SpanBuilder:
         f = self.field
         free = {j: {j: f.one} for j in range(self.ambient) if j not in self._rows}
         for p, row in self._rows.items():
-            for j, a in row.items():
+            for j, a in _entries(row):
                 if j != p:
                     free[j][p] = f.neg(a)
         return Subspace(f, self.ambient, list(free.values()))
@@ -314,39 +399,38 @@ class SpanBuilder:
         return Subspace(self.field, self.ambient, (), _rows=dict(self._rows))
 
 
-class Subspace:
+class Subspace(_Echelon):
     """Subspace of K^n held as a reduced row-echelon basis (`basis`, in pivot order)."""
 
-    def __init__(self, field: Field, ambient: int, vectors: Sequence[Union[Vector, Sparse]],
-                 _rows: Optional[Dict[int, Sparse]] = None):
-        self.field = field
-        self.ambient = ambient
+    def __init__(self, field: Field, ambient: int, vectors: Sequence[Union[Vector, Sparse, int]],
+                 _rows: Optional[Dict[int, Row]] = None):
         if _rows is None:
             builder = SpanBuilder(field, ambient)
             for v in vectors:
                 builder.add(v)
             _rows = builder._rows
+        self.field = field
+        self.ambient = ambient
+        self._packed = field.characteristic == 2
         self._rows = _rows
         self.pivots = sorted(_rows)
+        self._pivot_mask = sum(1 << p for p in _rows) if self._packed else 0
         self._basis: Optional[List[Vector]] = None
 
     @property
     def basis(self) -> List[Vector]:
         if self._basis is None:
-            self._basis = [_dense(self.field, self._rows[p], self.ambient) for p in self.pivots]
+            self._basis = self._dense_rows()
         return self._basis
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
 
     def _check_compat(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def contains_vector(self, v: Union[Vector, Sparse]) -> bool:
-        """Whether v, a list or a map {column: nonzero entry}, lies in the subspace."""
-        return not _eliminate(self.field, self._rows, _sparse(v, self.ambient))
+    def contains_vector(self, v: Union[Vector, Sparse, int]) -> bool:
+        """Whether v, a list, a map {column: nonzero entry} or over F2 an int,
+        lies in the subspace."""
+        return not self._reduce(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compat(other)
@@ -354,8 +438,7 @@ class Subspace:
 
     def residual(self, v: Vector) -> Vector:
         """v minus its component along the basis; zero at every pivot column."""
-        f = self.field
-        return _dense(f, _eliminate(f, self._rows, _sparse(v, self.ambient)), self.ambient)
+        return _dense(self.field, self._reduce(v), self.ambient)
 
     def complement_functionals(self) -> List[Vector]:
         """Basis of {phi : phi(v) = 0 for all v in the subspace}."""

@@ -8,7 +8,11 @@ then offers from u is linear in u for fixed annihilator W, which gives the
 memo: once u lies in the span of earlier elements with the same W, every
 vector it could offer has been offered already and u is skipped.  Each
 visit reduces the nonzero rows of L_u or R_u once: the reduced rows are the
-memo key, and a new key reads W off the same reduction.
+memo key, and a new key reads W off the same reduction.  The rows are in
+the representation `zpbal.linalg` picks for the field (ints over F2, where
+the reduction is XOR, and maps of nonzero entries otherwise); the sweep
+only hands them from `Algebra._operator_rows` to a `SpanBuilder` and reads
+the key back, so it does not depend on that choice.
 
 Over F_p the exhaustive element source is `projective_points`: a nonzero
 multiple cu has the same annihilator as u and comes after it in
@@ -39,8 +43,8 @@ class AnnihilatorSweep:
         self.field = algebra.field
         self.dim = algebra.dim
         self.side = side
-        # operator row space (its sparse RREF rows) -> (RREF basis of its null
-        # space W, span of the elements already handed out with that W)
+        # operator row space (`SpanBuilder.row_space_key`) -> (RREF basis of its
+        # null space W, span of the elements already handed out with that W)
         self._memo: Dict[tuple, Tuple[List[Vector], SpanBuilder]] = {}
         self.visited = 0
 
@@ -61,8 +65,8 @@ class AnnihilatorSweep:
         ops = SpanBuilder(self.field, self.dim)
         for row in self.algebra._operator_rows(u, self.side == RIGHT).values():
             ops.add(row)
-        # RREF is unique, so equal keys are equal row spaces, hence equal null spaces
-        key = tuple(tuple(sorted(ops._rows[p].items())) for p in ops.pivots)
+        # equal keys are equal row spaces, hence equal null spaces
+        key = ops.row_space_key
         entry = self._memo.get(key)
         if entry is None:
             entry = (ops.null_space().basis, SpanBuilder(self.field, self.dim))

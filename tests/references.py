@@ -257,6 +257,29 @@ def operator_matrix(alg: Algebra, u: Sequence, left: bool) -> Matrix:
     return Matrix.from_columns(f, cols, alg.dim)
 
 
+def dense_associativity_failure(field: Field, table) -> Optional[Tuple[int, int, int]]:
+    """The first (i, j, k) in loop order with (e_i e_j) e_k != e_i (e_j e_k),
+    both sides summed as dense vectors, or None when the table is associative."""
+    d = len(table)
+
+    def combo(coeffs, vec_of):
+        out = [field.zero] * d
+        for l, c in enumerate(coeffs):
+            if c != 0:
+                for t, a in enumerate(vec_of(l)):
+                    if a != 0:
+                        out[t] = field.add(out[t], field.mul(c, a))
+        return out
+
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if (combo(table[i][j], lambda l: table[l][k])
+                        != combo(table[j][k], lambda l: table[i][l])):
+                    return (i, j, k)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # random algebras (always built from validated constructors)
 # ---------------------------------------------------------------------------

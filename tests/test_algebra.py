@@ -22,7 +22,14 @@ from zpbal.algebra import (
     tensor_product,
     zero_algebra,
 )
-from references import matrix_trace, operator_matrix, subalgebra
+from references import (
+    SHAPES,
+    dense_associativity_failure,
+    matrix_trace,
+    operator_matrix,
+    random_algebra,
+    subalgebra,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -43,6 +50,30 @@ def test_non_associative_rejected():
     with pytest.raises(NotAssociative) as exc:
         Algebra(F2, ["e1", "e2"], table)
     assert exc.value.triple == (0, 0, 0)
+
+
+def test_associativity_check_names_the_dense_reference_triple():
+    """Tables with one to three random entries changed: the sparse check at
+    construction fails exactly when the dense reference does, on its triple."""
+    rng = random.Random(23)
+    failures = 0
+    for trial in range(120):
+        field = rng.choice([F2, F3, QQ])
+        alg = random_algebra(trial, field, rng.choice(SHAPES))
+        d = alg.dim
+        table = [[list(v) for v in row] for row in alg.table]
+        for _ in range(rng.randint(1, 3)):
+            v = table[rng.randrange(d)][rng.randrange(d)]
+            v[rng.randrange(d)] = field.of_int(rng.randint(-1, 2))
+        want = dense_associativity_failure(field, table)
+        if want is None:
+            Algebra(field, alg.names, table)
+            continue
+        failures += 1
+        with pytest.raises(NotAssociative) as exc:
+            Algebra(field, alg.names, table)
+        assert exc.value.triple == want
+    assert failures > 60
 
 
 def test_matrix_units():
@@ -242,10 +273,30 @@ def test_multiplication_matrices_match_products():
             assert alg.left_mult_matrix(u).apply(v) == alg.multiply_coords(u, v)
             for left in (True, False):
                 rows = alg._operator_rows(u, left)
-                assert all(rows.values()) and all(all(row.values()) for row in rows.values())
-                dense = [[rows.get(k, {}).get(j, f.zero) for j in range(alg.dim)]
-                         for k in range(alg.dim)]
+                assert all(rows.values())
+                if f.characteristic == 2:  # packed: bit j of row k is entry (k, j)
+                    assert all(type(row) is int for row in rows.values())
+                    dense = [[(rows.get(k, 0) >> j) & 1 for j in range(alg.dim)]
+                             for k in range(alg.dim)]
+                else:
+                    assert all(all(row.values()) for row in rows.values())
+                    dense = [[rows.get(k, {}).get(j, f.zero) for j in range(alg.dim)]
+                             for k in range(alg.dim)]
                 assert dense == operator_matrix(alg, u, left).rows
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_operator_rows_drop_rows_whose_sums_cancel(field):
+    """e0 e0 = e1 e0 = e2 and all else zero: for u = e0 - e1 every entry of
+    L_u sums to zero, so no row is kept; R_u keeps its one nonzero row."""
+    z = [field.zero] * 3
+    e2 = [field.zero, field.zero, field.one]
+    alg = Algebra(field, ["e0", "e1", "e2"], [[e2, z, z], [e2, z, z], [z, z, z]])
+    u = [field.one, field.neg(field.one), field.zero]
+    assert alg._operator_rows(u, True) == {}
+    right = alg._operator_rows(u, False)
+    assert list(right) == [2] and all(right.values())
+    assert alg.left_mult_matrix(u).rows == [z, z, z]
 
 
 def test_power_requires_positive():

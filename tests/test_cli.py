@@ -483,6 +483,24 @@ def test_example_refuses_a_dimension_above_the_limit(tmp_path, flags):
             out.unlink()
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_example_refuses_negative_sizes(tmp_path, flags):
+    """A negative --n or --m, or --m 0 (Nm and MnNm have dimension m - 1),
+    exits 1 with a message naming the flag and writes no file."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv, flag in [(["Kn", "--n", "-1"], "--n"), (["zero", "--n", "-1"], "--n"),
+                       (["Mn", "--n", "-9"], "--n"), (["MnNm", "--n", "-2"], "--n"),
+                       (["Nm", "--m", "0"], "--m"), (["Nm", "--m", "-3"], "--m"),
+                       (["MnNm", "--n", "2", "--m", "0"], "--m"), (["KxNm", "--m", "-2"], "--m")]:
+        out = tmp_path / "example.json"
+        proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", "example", *argv,
+                               "--out", str(out)], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.stderr.startswith(f"error: {flag} must be at least"), (argv, proc.stderr)
+        assert not out.exists(), argv
+
+
 def test_cli_import_leaves_the_other_subcommands_unloaded():
     """`check` and `verify` load only what they run; the other subcommands
     import their modules when called."""

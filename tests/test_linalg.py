@@ -314,3 +314,42 @@ def test_sparse_builder_matches_the_dense_reference(data):
         assert builder.generator_coefficients(v) == want
         assert builder.generator_coefficients({j: a for j, a in enumerate(v) if a}) == want
         assert builder.to_subspace().contains_vector(v) == (want is not None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_rows_wider_than_a_machine_word_match_the_dense_reference(seed):
+    """Over F2 rows are ints; in 256 columns, sparse tensors and sums of earlier
+    ones, offered as lists, maps or ints, give the dense reducer's add results,
+    pivots, rows, expressions, generator coefficients and null space."""
+    rng = random.Random(seed)
+    n = 256
+    builder = SpanBuilder(F2, n, track_expressions=True)
+    dense = DenseSpanBuilder(F2, n, track_expressions=True)
+    offered = []
+    for _ in range(90):
+        if offered and rng.random() < 0.3:  # a sum of earlier vectors: never enlarges the span
+            v = [0] * n
+            for w in rng.sample(offered, rng.randint(1, min(4, len(offered)))):
+                v = [a ^ b for a, b in zip(v, w)]
+        else:  # u⊗w with one or two nonzero coordinates in each factor
+            u, w = (rng.sample(range(16), rng.randint(1, 2)) for _ in range(2))
+            v = [0] * n
+            for i in u:
+                for j in w:
+                    v[i * 16 + j] = 1
+        form = rng.choice(["list", "map", "int"])
+        arg = (v if form == "list" else {j: 1 for j, a in enumerate(v) if a} if form == "map"
+               else sum(1 << j for j, a in enumerate(v) if a))
+        assert builder.add(arg) == dense.add(v)
+        offered.append(v)
+    assert builder.dim > 64 and max(builder.pivots) > 64
+    assert builder.pivots == dense.pivots
+    assert builder.rows == dense.rows
+    assert builder.exprs == dense.exprs
+    for v in offered[-20:] + [[rng.randint(0, 1) for _ in range(n)] for _ in range(5)]:
+        want = dense.generator_coefficients(v)
+        assert builder.generator_coefficients(v) == want
+        assert builder.to_subspace().contains_vector(v) == (want is not None)
+    kernel = dense_kernel(Matrix(F2, dense.rows, cols=n))
+    assert builder.null_space().basis == kernel
+    assert Matrix(F2, offered, cols=n).kernel().basis == kernel

@@ -99,7 +99,9 @@ def test_visit_matches_rebuilt_operators_on_random_elements(side):
 
 
 @pytest.mark.parametrize("side", [RIGHT, LEFT])
-@pytest.mark.parametrize("alg", [matrix_algebra(F3, 2), nilpotent_algebra(F3, 4)], ids=["M2/F3", "N4/F3"])
+@pytest.mark.parametrize("alg", [matrix_algebra(F3, 2), nilpotent_algebra(F3, 4),
+                                 matrix_algebra(F2, 2), nilpotent_algebra(F2, 4)],
+                         ids=["M2/F3", "N4/F3", "M2/F2", "N4/F2"])
 def test_memo_keys_count_the_distinct_reference_kernels(alg, side):
     """Over every element, one memo entry per distinct annihilator: equal
     keys exactly when the reference kernels are equal."""
