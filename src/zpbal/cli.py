@@ -5,8 +5,10 @@ Exit codes: 0 = analysis completed (whatever the verdict), 1 = input error,
 2 = internal soundness alarm (a verified certificate chain contradicted a
 proven implication; must never happen).
 
-All reports are deterministic for fixed inputs and configuration; the seed is
-recorded in every emitted artifact.
+check, factorize, structure and fn2 each build one report dict.  With --json
+it is printed as JSON; otherwise the text is rendered from that same dict, one
+`key: value` line per top-level key.  All reports are deterministic for fixed
+inputs and configuration; the seed is recorded in every emitted artifact.
 
 factorize, structure, fn2 and corpus import their modules when they run, so
 that check and verify, which start a process per file, load only what they use.
@@ -35,8 +37,10 @@ from zpbal.algebra import (
 )
 from zpbal.config import SweepConfig
 from zpbal.errors import (
+    BudgetExceeded,
     HypothesisFailed,
     NotSemimultiplicative,
+    ParseError,
     SoundnessAlarm,
     SpanDeficient,
     ZpbalError,
@@ -69,16 +73,26 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path for emitted artifacts")
 
 
-def _emit(report: Dict, as_json: bool, lines: List[str]):
+def _emit(report: Dict, as_json: bool):
+    """Print a report as JSON, or as one `key: value` line per top-level key."""
     if as_json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        for key, value in report.items():
+            print(f"{key}: {_text(value)}")
 
 
-def _fmt_vec(fld: Field, v) -> str:
-    return "[" + ", ".join(str(fld.format(a)) for a in v) + "]"
+def _text(value) -> str:
+    """A report value on one line: strings bare, lists in brackets, dicts in braces."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _strs(fld: Field, v) -> List[str]:
+    return [str(fld.format(a)) for a in v]
 
 
 def cmd_check(args) -> int:
@@ -101,9 +115,7 @@ def cmd_check(args) -> int:
     serialize.save_certificates(certs, fld, config.seed, cert_path,
                                 label=os.path.basename(args.algebra), balanced=balanced.status)
 
-    triple_names = None
-    if balanced.witness_triple is not None:
-        triple_names = tuple(alg.names[i] for i in balanced.witness_triple)
+    witness = balanced.witness_triple
     report = {
         "algebra": os.path.basename(args.algebra),
         "field": fld.name,
@@ -119,22 +131,12 @@ def cmd_check(args) -> int:
         "zero_product_span": {"dim": span.dim, "status": span.status,
                               "kernel_dim": span.kernel_dim},
         "balanced": balanced.status,
-        "balanced_witness": list(triple_names) if triple_names else None,
+        "balanced_witness": [alg.names[i] for i in witness] if witness else None,
         "determined": determined.status,
         "certificates": cert_path,
         "n_certificates": len(certs),
     }
-    lines = [
-        f"algebra: {report['algebra']} (dim {alg.dim} over {fld.name})",
-        f"seed: {config.seed}",
-        "predicates: " + " ".join(
-            f"{k}={'yes' if v else 'no'}" for k, v in report["predicates"].items()),
-        f"zero-product span: dim {span.dim} ({span.status}); multiplication kernel: dim {span.kernel_dim}",
-        f"balanced: {balanced.status}" + (f" (witness triple {', '.join(triple_names)})" if triple_names else ""),
-        f"determined: {determined.status}",
-        f"certificates: {cert_path} ({len(certs)} entries)",
-    ]
-    _emit(report, args.json, lines)
+    _emit(report, args.json)
     return 0
 
 
@@ -152,19 +154,13 @@ def cmd_factorize(args) -> int:
     span = compute_zero_product_span(amap.source, config)
     balanced = is_zero_product_balanced(amap.source, span)
     zp = is_zero_product_preserving(amap, span)
-    semi = is_semimultiplicative(amap)
     report: Dict = {
         "seed": config.seed,
         "source_dim": amap.source.dim,
         "target_dim": amap.target.dim,
         "zero_product_preserving": zp.status,
-        "semimultiplicative": semi,
+        "semimultiplicative": is_semimultiplicative(amap),
     }
-    lines = [
-        f"map: {amap.source.dim} -> {amap.target.dim} over {fld.name}",
-        f"zero-product preserving: {zp.status}",
-        f"semimultiplicative: {'yes' if semi else 'no'}",
-    ]
     try:
         if balanced.status == YES and zp.status == YES:
             # weighted-epimorphism theorem: such a map must factor, else an alarm
@@ -173,95 +169,91 @@ def cmd_factorize(args) -> int:
             w = weighted_factorization(amap)
     except (HypothesisFailed, NotSemimultiplicative, SpanDeficient) as exc:
         report["factorization"] = f"failed: {exc}"
-        lines.append(f"factorization: failed ({exc})")
-        _emit(report, args.json, lines)
-        return 0
-    report["factorization"] = {
-        "T": [[str(fld.format(a)) for a in row] for row in w.T.rows],
-        "S": [[str(fld.format(a)) for a in row] for row in w.S.rows],
-        "pi0": [[str(fld.format(a)) for a in row] for row in w.pi0.matrix.rows],
-        "kernel_ideal_dim": w.kernel_ideal.dim,
-        "kernel_ideal_basis": [[str(fld.format(a)) for a in row] for row in w.kernel_ideal.basis],
-    }
-    lines.append("factorization: map = S ∘ pi0 with")
-    lines.append("  T rows: " + "; ".join(_fmt_vec(fld, r) for r in w.T.rows))
-    lines.append("  S rows: " + "; ".join(_fmt_vec(fld, r) for r in w.S.rows))
-    lines.append("  pi0 rows: " + "; ".join(_fmt_vec(fld, r) for r in w.pi0.matrix.rows))
-    lines.append(f"  kernel ideal: dim {w.kernel_ideal.dim}; quotient is isomorphic to the target")
-    _emit(report, args.json, lines)
+    else:
+        report["factorization"] = {
+            "T": [_strs(fld, row) for row in w.T.rows],
+            "S": [_strs(fld, row) for row in w.S.rows],
+            "pi0": [_strs(fld, row) for row in w.pi0.matrix.rows],
+            "kernel_ideal_dim": w.kernel_ideal.dim,
+            "kernel_ideal_basis": [_strs(fld, row) for row in w.kernel_ideal.basis],
+        }
+    _emit(report, args.json)
     return 0
 
 
+def _parse_elements(texts: Optional[List[str]], alg: Algebra) -> List[List]:
+    """The coordinates of each `--element`, checked against the field and the dimension."""
+    elements = []
+    for text in texts or []:
+        parts = text.split(",")
+        if len(parts) != alg.dim:
+            raise ZpbalError(f"--element {text!r}: expected {alg.dim} comma-separated "
+                             f"coordinates, got {len(parts)}")
+        try:
+            elements.append(alg.field.parse_vector(parts))
+        except ParseError as exc:
+            raise ParseError(f"--element {text!r}: {exc}") from exc
+    return elements
+
+
 def cmd_structure(args) -> int:
+    from zpbal.structure import dichotomy_general
+
+    config = _config_from_args(args)
+    alg = serialize.load_algebra(args.algebra)
+    elements = _parse_elements(args.element, alg)
+    report: Dict = {"algebra": os.path.basename(args.algebra), "seed": config.seed,
+                    "commutative": alg.predicates().is_commutative}
+    if report["commutative"]:
+        report.update(_commutative_report(alg, config, elements))
+    else:
+        dich = dichotomy_general(alg, config)
+        report["general_dichotomy"] = {"kind": dich.kind, "exponents": dich.exponents}
+    _emit(report, args.json)
+    return 0
+
+
+def _commutative_report(alg: Algebra, config: SweepConfig, elements: List[List]) -> Dict:
+    """Nilradical, characters, splitting with the decomposition of each element,
+    cleanness and dichotomy of a commutative algebra."""
     from zpbal.structure import (
         ReducedQuotient,
         characters,
         decompose,
         dichotomy_commutative,
-        dichotomy_general,
         regular_and_clean_check,
         sigma_splitting,
     )
 
-    config = _config_from_args(args)
-    alg = serialize.load_algebra(args.algebra)
     fld = alg.field
-    report: Dict = {"algebra": os.path.basename(args.algebra), "seed": config.seed}
-    lines = [f"algebra: {report['algebra']} (dim {alg.dim} over {fld.name})"]
-    if not alg.predicates().is_commutative:
-        dich = dichotomy_general(alg, config)
-        report["commutative"] = False
-        report["general_dichotomy"] = {"kind": dich.kind, "exponents": dich.exponents}
-        lines.append("commutative: no")
-        lines.append(f"general dichotomy: {dich.kind}"
-                     + (f" (exponents {dich.exponents})" if dich.exponents else ""))
-        _emit(report, args.json, lines)
-        return 0
     reduced = ReducedQuotient(alg)  # nilradical, quotient and atoms, shared by every report
     nil = reduced.nilradical
     chars = characters(alg, config, reduced)
-    report["commutative"] = True
-    report["nilradical"] = {"dim": nil.dim,
-                            "basis": [[str(fld.format(a)) for a in row] for row in nil.basis]}
-    report["characters"] = {
-        "status": chars.status,
-        "table": [[str(fld.format(a)) for a in c.matrix.rows[0]] for c in chars.characters],
+    report: Dict = {
+        "nilradical": {"dim": nil.dim, "basis": [_strs(fld, row) for row in nil.basis]},
+        "characters": {"status": chars.status,
+                       "table": [_strs(fld, c.matrix.rows[0]) for c in chars.characters]},
     }
-    lines.append(f"nilradical: dim {nil.dim}")
-    lines.append(f"characters: {len(chars.characters)} ({chars.status})")
     try:
         splitting = sigma_splitting(alg, config, reduced)
-        report["atoms"] = [[str(fld.format(a)) for a in at.coords] for at in splitting.atoms]
-        report["sigma"] = [[str(fld.format(a)) for a in row] for row in splitting.sigma.rows]
-        lines.append(f"atoms of the reduced quotient: {len(splitting.atoms)}")
-        lines.append("splitting: section and multiplicativity verified")
-        for coords_text in args.element or []:
-            coords = [fld.parse(c) for c in coords_text.split(",")]
+    except (HypothesisFailed, BudgetExceeded) as exc:  # as in regular_and_clean_check
+        report["splitting"] = f"not available: {exc}"
+    else:
+        report["atoms"] = [_strs(fld, at.coords) for at in splitting.atoms]
+        report["sigma"] = [_strs(fld, row) for row in splitting.sigma.rows]
+        for coords in elements:
             dec = decompose(alg.element(coords), splitting)
-            terms = " + ".join(
-                f"{fld.format(lam)}*{_fmt_vec(fld, e.coords)}" for lam, e in dec.terms)
-            line = (f"decompose {_fmt_vec(fld, coords)}: nil {_fmt_vec(fld, dec.nil_part.coords)}"
-                    + (f" + {terms}" if terms else ""))
-            lines.append(line)
             report.setdefault("decompositions", []).append({
-                "element": [str(fld.format(a)) for a in coords],
-                "nil_part": [str(fld.format(a)) for a in dec.nil_part.coords],
-                "terms": [{"coefficient": str(fld.format(lam)),
-                           "idempotent": [str(fld.format(a)) for a in e.coords]}
+                "element": _strs(fld, coords),
+                "nil_part": _strs(fld, dec.nil_part.coords),
+                "terms": [{"coefficient": str(fld.format(lam)), "idempotent": _strs(fld, e.coords)}
                           for lam, e in dec.terms],
             })
-    except ZpbalError as exc:
-        report["splitting"] = f"not available: {exc}"
-        lines.append(f"splitting: not available ({exc})")
     rc = regular_and_clean_check(alg, config, reduced)
     report["regular_on_quotient"] = rc.regular_on_quotient
     report["clean"] = rc.clean
-    lines.append(f"regular on reduced quotient: {rc.regular_on_quotient}; clean: {rc.clean}")
-    dich = dichotomy_commutative(alg, config, reduced)
-    report["dichotomy"] = dich.kind
-    lines.append(f"dichotomy: {dich.kind}")
-    _emit(report, args.json, lines)
-    return 0
+    report["dichotomy"] = dichotomy_commutative(alg, config, reduced).kind
+    return report
 
 
 def cmd_fn2(args) -> int:
@@ -270,7 +262,7 @@ def cmd_fn2(args) -> int:
     config = _config_from_args(args)
     alg = serialize.load_algebra(args.algebra)
     eq = check_span_equality(alg, config)
-    report = {
+    _emit({
         "algebra": os.path.basename(args.algebra),
         "seed": config.seed,
         "commutator_span_dim": eq.commutator_dim,
@@ -279,16 +271,7 @@ def cmd_fn2(args) -> int:
         "containment": eq.containment_ok,
         "applicable": eq.applicable,
         "equal": eq.equal,
-    }
-    lines = [
-        f"algebra: {report['algebra']}",
-        f"commutator span: dim {eq.commutator_dim}",
-        f"factorizable square-zero span: dim {eq.factorizable_dim} ({eq.factorizable_status})",
-        f"containment (factorizable inside commutator span): {'yes' if eq.containment_ok else 'no'}",
-        f"span equality criteria (balanced + idempotent): {'apply' if eq.applicable else 'do not apply'}",
-        f"spans equal: {eq.equal}",
-    ]
-    _emit(report, args.json, lines)
+    }, args.json)
     return 0
 
 

@@ -50,40 +50,21 @@ class CorpusEntry:
     hand_certificates: List[Tuple[str, Certificate, bool]] = dc_field(default_factory=list)
 
 
-def _nilpotent_separating_certificate(algebra: Algebra, span_generators) -> Certificate:
-    """Refutation functional for the one-generator nilpotent families of
-    order >= 5: the coordinate functional at x^2 ⊗ x separates
-    x^2⊗x - x⊗x^2 from every zero-product tensor."""
+def _separating_certificate(algebra: Algebra, span_generators, a: int) -> Certificate:
+    """Hand refutation of zero-product determination: the coordinate
+    functional at e_a⊗e_0 separates e_a⊗e_0 - e_0⊗e_a from every
+    zero-product tensor.
+
+    a = 1 for the one-generator nilpotent families of order >= 5 (x^2⊗x -
+    x⊗x^2); a = 2 for D ⊗ (order-3 nilpotent) with D = Q[t]/(t^2-2), whose
+    basis order is 1⊗x, 1⊗x^2, t⊗x, t⊗x^2 ((t⊗x)⊗(1⊗x) - (1⊗x)⊗(t⊗x))."""
     f = algebra.field
     d = algebra.dim
     target = [f.zero] * (d * d)
-    target[1 * d + 0] = f.one  # x^2 ⊗ x
-    target[0 * d + 1] = f.neg(f.one)  # - x ⊗ x^2
+    target[a * d] = f.one
+    target[a] = f.neg(f.one)
     functional = [f.zero] * (d * d)
-    functional[1 * d + 0] = f.one
-    return Certificate(
-        kind=SEPARATING,
-        target=target,
-        functional=functional,
-        generators=list(span_generators),
-        meta={"claim": "not-zero-product-determined", "construction": "hand"},
-    )
-
-
-def _torsion_free_tensor_certificate(algebra: Algebra, span_generators) -> Certificate:
-    """Refutation functional for D ⊗ (order-3 nilpotent) with D = Q[t]/(t^2-2):
-    separate (t⊗x)⊗(1⊗x) - (1⊗x)⊗(t⊗x) from the zero-product tensors.
-
-    Basis order is 1⊗x, 1⊗x^2, t⊗x, t⊗x^2; the functional reads the
-    coefficient of (t⊗x)⊗(1⊗x)."""
-    f = algebra.field
-    d = algebra.dim
-    assert d == 4
-    target = [f.zero] * (d * d)
-    target[2 * d + 0] = f.one
-    target[0 * d + 2] = f.neg(f.one)
-    functional = [f.zero] * (d * d)
-    functional[2 * d + 0] = f.one
+    functional[a * d] = f.one
     return Certificate(
         kind=SEPARATING,
         target=target,
@@ -123,7 +104,7 @@ def golden_corpus() -> List[CorpusEntry]:
                      "zpd": "derived: engine stays honest over Q; hand functional refutes externally"})
         span = compute_zero_product_span(alg)
         entry.hand_certificates.append(
-            ("hand separating functional", _nilpotent_separating_certificate(alg, span.generators), True)
+            ("hand separating functional", _separating_certificate(alg, span.generators, 1), True)
         )
 
     add("N4/F2:dims", nilpotent_algebra(F2, 4),
@@ -143,7 +124,7 @@ def golden_corpus() -> List[CorpusEntry]:
                  "zpd": "derived: refutation over Q only via the hand functional"})
     span = compute_zero_product_span(dn3)
     entry.hand_certificates.append(
-        ("hand separating functional", _torsion_free_tensor_certificate(dn3, span.generators), True)
+        ("hand separating functional", _separating_certificate(dn3, span.generators, 2), True)
     )
 
     add("M2/F2", matrix_algebra(F2, 2), {"balanced": "YES", "zpd": "YES"},

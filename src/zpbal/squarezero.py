@@ -21,7 +21,6 @@ from zpbal.tensorsquare import (
     EXACT,
     LOWER_BOUND,
     YES,
-    ZeroProductSpanReport,
     compute_zero_product_span,
     is_zero_product_balanced,
 )
@@ -123,27 +122,18 @@ class SpanEqualityReport:
     containment_ok: bool  # factorizable span inside commutator span (unconditional)
     applicable: bool  # balanced YES and idempotent
     equal: Optional[bool]  # None when the factorizable span is only a lower bound
-    balanced_status: str
-    is_idempotent: bool
 
 
-def check_span_equality(
-    algebra: Algebra,
-    config: SweepConfig = DEFAULT_CONFIG,
-    span_report: Optional[ZeroProductSpanReport] = None,
-) -> SpanEqualityReport:
+def check_span_equality(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> SpanEqualityReport:
     """Where balancedness and idempotency hold, the two spans must coincide;
     a verified counterexample would be a soundness alarm."""
-    if span_report is None:
-        span_report = compute_zero_product_span(algebra, config)
-    balanced = is_zero_product_balanced(algebra, span_report)
+    balanced = is_zero_product_balanced(algebra, compute_zero_product_span(algebra, config))
     comm = commutator_span(algebra)
     fact = factorizable_square_zero_span(algebra, config)
     containment = comm.contains_subspace(fact.subspace)
     if not containment:
         raise SoundnessAlarm("factorizable square-zero span escapes the commutator span")
-    idem = algebra.predicates().is_idempotent
-    applicable = balanced.status == YES and idem
+    applicable = balanced.status == YES and algebra.predicates().is_idempotent
     equal: Optional[bool]
     if fact.status == EXACT:
         equal = comm.dim == fact.subspace.dim
@@ -160,6 +150,4 @@ def check_span_equality(
         containment_ok=containment,
         applicable=applicable,
         equal=equal,
-        balanced_status=balanced.status,
-        is_idempotent=idem,
     )

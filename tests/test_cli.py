@@ -9,7 +9,7 @@ import pytest
 from zpbal import linmaps, serialize
 from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
 from zpbal.cli import main
-from zpbal.errors import NotSemimultiplicative
+from zpbal.errors import NotSemimultiplicative, SoundnessAlarm
 from zpbal.fields import PrimeField
 from zpbal.serialize import save_algebra
 from zpbal.tensorsquare import TensorSquare
@@ -21,6 +21,12 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _value(out, key):
+    """The rendered value on the one text line that `key` starts."""
+    (value,) = [line[len(key) + 2:] for line in out.splitlines() if line.startswith(f"{key}: ")]
+    return value
+
+
 def test_example_and_check(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "example", "Nm", "--m", "4", "--field", "F2",
@@ -28,9 +34,9 @@ def test_example_and_check(tmp_path, capsys, monkeypatch):
     assert code == 0 and "n4.json" in out
     code, out, _ = run_cli(capsys, "check", "n4.json")
     assert code == 0
-    assert "balanced: NO (witness triple x, x, x)" in out
+    assert "balanced: NO\n" in out and "balanced_witness: [x, x, x]\n" in out
     assert "determined: NO" in out
-    assert "dim 6 (EXACT)" in out and "kernel: dim 7" in out
+    assert "zero_product_span: {dim: 6, status: EXACT, kernel_dim: 7}" in out
     assert os.path.exists("n4.certs.json")
 
 
@@ -224,8 +230,8 @@ def test_factorize_map_file(tmp_path, capsys, monkeypatch):
         json.dump(mapfile, fh)
     code, out, _ = run_cli(capsys, "factorize", "scale.json")
     assert code == 0
-    assert "semimultiplicative: yes" in out
-    assert "factorization: map = S ∘ pi0" in out
+    assert "semimultiplicative: true" in out
+    assert "factorization: {T: [[1/2, 0], [0, 1/3]], S: [[2, 0], [0, 3]], pi0: " in out
     code, out, _ = run_cli(capsys, "factorize", "scale.json", "--json")
     report = json.loads(out)
     assert report["factorization"]["T"] == [["1/2", "0"], ["0", "1/3"]]
@@ -262,7 +268,7 @@ def test_factorize_alarms_when_the_weighted_theorem_fails(tmp_path, capsys, monk
     # the shear does not preserve zero products: no theorem applies, as before
     code, out, _ = run_cli(capsys, "factorize", "shear.json")
     assert code == 0
-    assert "zero-product preserving: NO" in out and "factorization: failed" in out
+    assert "zero_product_preserving: NO" in out and "factorization: failed" in out
 
 
 def test_fn2_report(tmp_path, capsys, monkeypatch):
@@ -270,9 +276,9 @@ def test_fn2_report(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
     code, out, _ = run_cli(capsys, "fn2", "m2.json")
     assert code == 0
-    assert "commutator span: dim 3" in out
-    assert "factorizable square-zero span: dim 3 (EXACT)" in out
-    assert "spans equal: True" in out
+    assert "commutator_span_dim: 3" in out
+    assert "factorizable_span_dim: 3\nfactorizable_status: EXACT" in out
+    assert "equal: true" in out
 
 
 def test_structure_report(tmp_path, capsys, monkeypatch):
@@ -280,9 +286,10 @@ def test_structure_report(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "example", "KxNm", "--m", "3", "--field", "F2", "--out", "kxn3.json")
     code, out, _ = run_cli(capsys, "structure", "kxn3.json", "--element", "1,1,0")
     assert code == 0
-    assert "nilradical: dim 2" in out
-    assert "characters: 1 (EXACT)" in out
-    assert "decompose [1, 1, 0]: nil [0, 1, 0] + 1*[1, 0, 0]" in out
+    assert "nilradical: {dim: 2, " in out
+    assert "characters: {status: EXACT, table: [[1, 0, 0]]}" in out
+    assert ("decompositions: [{element: [1, 1, 0], nil_part: [0, 1, 0], "
+            "terms: [{coefficient: 1, idempotent: [1, 0, 0]}]}]") in out
     assert "dichotomy: HAS_CHARACTER" in out
 
 
@@ -292,9 +299,10 @@ def test_structure_beyond_the_enumeration_cap(tmp_path, capsys, monkeypatch):
     save_algebra(direct_sum(function_algebra(f2, 6), nilpotent_algebra(f2, 12)), "f2_6_n12.json")
     code, out, err = run_cli(capsys, "structure", "f2_6_n12.json")  # dim 17, 2^17 elements
     assert code == 0, err
-    assert "nilradical: dim 11" in out
-    assert "characters: 6 (EXACT)" in out
-    assert "atoms of the reduced quotient: 6" in out
+    assert "nilradical: {dim: 11, " in out
+    chars = _value(out, "characters")
+    assert chars.startswith("{status: EXACT, table: [[") and chars.count("[") - 1 == 6
+    assert _value(out, "atoms").count("[") - 1 == 6
 
 
 def test_structure_clean_without_enumeration(tmp_path, capsys, monkeypatch):
@@ -311,8 +319,81 @@ def test_structure_noncommutative(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
     code, out, _ = run_cli(capsys, "structure", "m2.json")
     assert code == 0
-    assert "commutative: no" in out
-    assert "RADICAL_OVER_COMMUTATOR_IDEAL" in out
+    assert "commutative: false" in out
+    assert "general_dichotomy: {kind: RADICAL_OVER_COMMUTATOR_IDEAL, " in out
+
+
+KXN3Q = ("KxNm", "--m", "3", "--field", "Q")
+KXN3F2 = ("KxNm", "--m", "3", "--field", "F2")
+M2F2 = ("Mn", "--n", "2", "--field", "F2")
+
+
+@pytest.mark.parametrize("example, elements, message", [
+    (KXN3Q, ["a,0,0"], "--element 'a,0,0': invalid rational scalar 'a'"),
+    (KXN3Q, ["1,0,0", "a,0,0"], "--element 'a,0,0': invalid rational scalar 'a'"),
+    (KXN3Q, ["1/0,0,0"], "--element '1/0,0,0': invalid rational scalar"),
+    (KXN3Q, ["1,1"], "--element '1,1': expected 3 comma-separated coordinates, got 2"),
+    (KXN3F2, ["1,1,0,0"], "expected 3 comma-separated coordinates, got 4"),
+    (KXN3F2, ["1,x,0"], "--element '1,x,0': invalid residue 'x' for F2"),
+    (M2F2, ["zz"], "--element 'zz': expected 4 comma-separated coordinates, got 1"),
+    (M2F2, ["1,0,0,z"], "invalid residue 'z' for F2"),
+], ids=["letter-Q", "after-a-valid-one", "zero-denominator-Q", "too-few", "too-many", "letter-F2",
+        "noncommutative-too-few", "noncommutative-letter"])
+def test_structure_rejects_a_malformed_element(tmp_path, capsys, monkeypatch, example, elements, message):
+    """Every --element is parsed against the field and the dimension before
+    any computation: exit 1 with a message and no report."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", *example, "--out", "alg.json")
+    argv = [arg for e in elements for arg in ("--element", e)]
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "structure", "alg.json", *argv, *flags)
+        assert code == 1, err
+        assert err.startswith("error: ") and message in err, err
+        assert out == ""
+
+
+def test_structure_exits_2_on_an_alarm_while_decomposing(tmp_path, capsys, monkeypatch):
+    """An alarm while decomposing an element is never reported as a
+    splitting that is not available."""
+    from zpbal import structure
+
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", *KXN3F2, "--out", "alg.json")
+
+    def alarm(*args):
+        raise SoundnessAlarm("forced")
+
+    monkeypatch.setattr(structure, "decompose", alarm)
+    code, out, err = run_cli(capsys, "structure", "alg.json", "--element", "1,1,0")
+    assert code == 2 and "SOUNDNESS ALARM: forced" in err and out == "", err
+
+
+def test_text_renders_every_key_of_the_json_report(tmp_path, capsys, monkeypatch):
+    """Text and --json come from one report: each top-level key of the JSON
+    starts exactly one text line, no other line is printed, and a string
+    value is printed as it is."""
+    monkeypatch.chdir(tmp_path)
+    for example, path in ((("Nm", "--m", "4", "--field", "F2"), "n4.json"), (M2F2, "m2.json"),
+                          (KXN3Q, "kxn3q.json"), (("Kn", "--n", "2", "--field", "F3"), "k2f3.json"),
+                          (("Kn", "--n", "2", "--field", "Q"), "qq.json")):
+        run_cli(capsys, "example", *example, "--out", path)
+    for name, matrix in (("scale.json", [["2", "0"], ["0", "3"]]), ("proj.json", [["1", "0"], ["0", "0"]])):
+        Path(name).write_text(json.dumps({"source": "qq.json", "target": "qq.json", "matrix": matrix}))
+    for argv in (["check", "n4.json"], ["check", "m2.json"], ["factorize", "scale.json"],
+                 ["factorize", "proj.json"], ["structure", "kxn3q.json", "--element", "1/2,1,0"],
+                 ["structure", "k2f3.json", "--cap", "2", "--element", "1,2"],  # splitting not available
+                 ["structure", "m2.json"], ["fn2", "m2.json"]):
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        lines = text.splitlines()
+        for key, value in report.items():
+            assert sum(line.startswith(f"{key}: ") for line in lines) == 1, (argv, key, text)
+            if isinstance(value, str):
+                assert f"{key}: {value}" in lines, (argv, key, text)
+        assert len(lines) == len(report), (argv, text)
 
 
 def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
