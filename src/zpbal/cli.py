@@ -100,7 +100,7 @@ def cmd_check(args) -> int:
     alg = serialize.load_algebra(args.algebra)
     fld = alg.field
     span = compute_zero_product_span(alg, config)
-    balanced = is_zero_product_balanced(alg, span, with_certificates=True)
+    balanced = is_zero_product_balanced(alg, span)
     determined = is_zero_product_determined(alg, span)
     pred = alg.predicates()
 
@@ -155,6 +155,7 @@ def cmd_factorize(args) -> int:
     balanced = is_zero_product_balanced(amap.source, span)
     zp = is_zero_product_preserving(amap, span)
     report: Dict = {
+        "field": fld.name,
         "seed": config.seed,
         "source_dim": amap.source.dim,
         "target_dim": amap.target.dim,
@@ -202,7 +203,8 @@ def cmd_structure(args) -> int:
     config = _config_from_args(args)
     alg = serialize.load_algebra(args.algebra)
     elements = _parse_elements(args.element, alg)
-    report: Dict = {"algebra": os.path.basename(args.algebra), "seed": config.seed,
+    report: Dict = {"algebra": os.path.basename(args.algebra), "field": alg.field.name,
+                    "dim": alg.dim, "seed": config.seed,
                     "commutative": alg.predicates().is_commutative}
     if report["commutative"]:
         report.update(_commutative_report(alg, config, elements))
@@ -269,7 +271,6 @@ def cmd_fn2(args) -> int:
         "factorizable_span_dim": eq.factorizable_dim,
         "factorizable_status": eq.factorizable_status,
         "containment": eq.containment_ok,
-        "applicable": eq.applicable,
         "equal": eq.equal,
     }, args.json)
     return 0

@@ -190,7 +190,7 @@ def run_entry_checks(entry: CorpusEntry) -> List[SuiteResult]:
     results: List[SuiteResult] = []
     alg = entry.algebra
     span = compute_zero_product_span(alg, entry.config)
-    balanced = is_zero_product_balanced(alg, span, with_certificates=(alg.dim <= 4))
+    balanced = is_zero_product_balanced(alg, span)
     zpd = is_zero_product_determined(alg, span)
 
     def check(name, passed, detail=""):

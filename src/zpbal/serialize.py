@@ -185,8 +185,6 @@ def load_map(path: str) -> AlgMap:
 
 def certificates_to_dict(certs: List[Certificate], fld: Field, seed: int,
                          label: str = "", *, balanced: str) -> Dict:
-    if any(c.convention != TENSOR_CONVENTION for c in certs):
-        raise MalformedCertificate(f"certificate files use the convention {TENSOR_CONVENTION!r} only")
     index: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position, first use first
     entries = [c.to_dict(fld, lambda pair: index.setdefault(pair, len(index))) for c in certs]
     fmt = fld.format_vector

@@ -121,7 +121,6 @@ class ZeroProductSpanReport:
     subspace: Subspace
     status: str
     generators: List[Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]]
-    strategy_log: List[str]
     kernel_dim: int
     config: SweepConfig
     _builder: SpanBuilder = dc_field(repr=False, default=None)
@@ -185,7 +184,6 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
     ker_dim = ts.kernel_dim()
     builder = SpanBuilder(f, ts.ambient, track_expressions=True)
     generators: List[Tuple[tuple, tuple]] = []
-    log: List[str] = [f"seed={config.seed}", f"convention={TENSOR_CONVENTION}"]
     right = AnnihilatorSweep(algebra, RIGHT)
 
     size = algebra.n_elements()
@@ -194,13 +192,8 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
             if builder.dim >= ker_dim:
                 break
             _offer_annihilator_tensors(right, u, builder, ts, generators)
-        stop = "stopped at the kernel ceiling" if builder.dim >= ker_dim else "ran to the end"
-        log.append(f"exhaustive annihilator sweep: {right.visited} projective points of {size} "
-                   f"elements, {right.distinct_annihilators} distinct annihilators, {stop}")
         status = EXACT
     else:
-        reason = "infinite field" if size is None else f"{size} elements exceed cap {config.enumeration_cap}"
-        log.append(f"lower-bound strategy ({reason})")
         left = AnnihilatorSweep(algebra, LEFT)
         # (i) basis pairs with zero product
         for i in range(d):
@@ -212,15 +205,12 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
                     ej = tuple(f.one if t == j else f.zero for t in range(d))
                     if builder.add(_tensor(f, d, ei, ej)):
                         generators.append((ei, ej))
-        log.append(f"zero basis pairs: dim {builder.dim}")
         # (ii) annihilator sweeps over structured elements
-        sweep = structured_elements(algebra, idempotent_pairs=True)
-        for u in sweep:
+        for u in structured_elements(algebra, idempotent_pairs=True):
             if builder.dim >= ker_dim:
                 break
             _offer_annihilator_tensors(right, u, builder, ts, generators)
             _offer_annihilator_tensors(left, u, builder, ts, generators)
-        log.append(f"structured annihilator sweep ({len(sweep)} elements): dim {builder.dim}")
         # (iii) idempotent transfer tensors: ae⊗(c-ec) and (ae-a)⊗ec
         for e in algebra.registered_idempotents:
             if builder.dim >= ker_dim:
@@ -236,21 +226,15 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
                             if not vec_is_zero(algebra.multiply_coords(u.coords, v.coords)):
                                 raise SoundnessAlarm(f"transfer pair {(u, v)} has a nonzero product")
                             generators.append((u.coords, v.coords))
-        log.append(f"idempotent transfer tensors: dim {builder.dim}")
         # (iv) seeded random elements until the span stalls
         stall = 0
-        samples = 0
         for u in random_elements(f, d, config.seed):
             if stall >= config.stall_rounds or builder.dim >= ker_dim:
                 break
-            samples += 1
             added = _offer_annihilator_tensors(right, u, builder, ts, generators)
             added += _offer_annihilator_tensors(left, u, builder, ts, generators)
             stall = 0 if added else stall + 1
-        log.append(f"random sweep: {samples} samples, dim {builder.dim}")
         status = LOWER_BOUND
-        if builder.dim == ker_dim:
-            log.append("lower bound reached the multiplication-kernel ceiling")
 
     subspace = builder.to_subspace()
     if subspace.dim > ker_dim:
@@ -261,7 +245,6 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
         subspace=subspace,
         status=status,
         generators=generators,
-        strategy_log=log,
         kernel_dim=ker_dim,
         config=config,
         _builder=builder,
@@ -296,7 +279,6 @@ class Certificate:
     terms: List[Tuple[Scalar, tuple, tuple]] = dc_field(default_factory=list)
     functional: Optional[Vector] = None
     generators: List[Tuple[tuple, tuple]] = dc_field(default_factory=list)
-    convention: str = TENSOR_CONVENTION
     meta: Dict = dc_field(default_factory=dict)
 
     def to_dict(self, fld: Field, generator_index: Callable[[Tuple[tuple, tuple]], int]) -> Dict:
@@ -489,38 +471,31 @@ class BalancedVerdict:
     note: str = ""
 
 
-def is_zero_product_balanced(
-    algebra: Algebra,
-    report: ZeroProductSpanReport,
-    with_certificates: bool = False,
-) -> BalancedVerdict:
+def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) -> BalancedVerdict:
     """Decide whether every shifted product tensor lies in the zero-product span.
 
-    By trilinearity it suffices to test the basis triples.  A YES obtained
-    from a lower-bound span is still sound (membership in a subset implies
+    By trilinearity it suffices to test the basis triples.  One reduction per
+    triple decides membership and gives its decomposition, so a YES carries a
+    membership certificate for every triple.  A YES obtained from a
+    lower-bound span is still sound (membership in a subset implies
     membership); a NO needs the exhaustive span.
     """
     f = algebra.field
     d = algebra.dim
     ambient = report.tensor.ambient
-    certs: List[Certificate] = [] if with_certificates else None
+    certs: List[Certificate] = []
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 t = _defect_tensor(algebra, i, j, k)
-                if not t:
-                    if with_certificates:  # the verifier recomputes the zero defect from the triple
-                        certs.append(Certificate(kind=MEMBERSHIP, target=None, terms=[],
-                                                 meta={"triple": [i, j, k]}))
+                if not t:  # the verifier recomputes the zero defect from the triple
+                    certs.append(Certificate(kind=MEMBERSHIP, target=None, terms=[],
+                                             meta={"triple": [i, j, k]}))
                     continue
-                if with_certificates:
-                    # one reduction decides membership and gives the decomposition
-                    terms = report.membership_terms(t)
-                    if terms is not None:
-                        certs.append(Certificate(kind=MEMBERSHIP, target=_dense(f, t, ambient),
-                                                 terms=terms, meta={"triple": [i, j, k]}))
-                        continue
-                elif report.subspace.contains_vector(t):
+                terms = report.membership_terms(t)
+                if terms is not None:
+                    certs.append(Certificate(kind=MEMBERSHIP, target=_dense(f, t, ambient),
+                                             terms=terms, meta={"triple": [i, j, k]}))
                     continue
                 if report.status == EXACT:
                     target = _dense(f, t, ambient)

@@ -381,24 +381,22 @@ def reference_membership_terms(report, builder, target):
     return [(lam, *report.generators[g]) for g, lam in sorted(combo.items()) if lam != 0]
 
 
-def reference_balanced(algebra, report, with_certificates=False):
+def reference_balanced(algebra, report):
     """The two-step decider: a membership test, then the decomposition."""
     ts = report.tensor
     d = algebra.dim
     builder = reference_span_builder(report)
-    certs = [] if with_certificates else None
+    certs = []
     for i, j, k in product(range(d), repeat=3):
         t = ts.defect_tensor(i, j, k)
         if vec_is_zero(t):
-            if with_certificates:
-                certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=[], meta={"triple": [i, j, k]}))
+            certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=[], meta={"triple": [i, j, k]}))
             continue
         if builder.contains(t):
-            if with_certificates:
-                terms = reference_membership_terms(report, builder, t)
-                if terms is None:
-                    raise SoundnessAlarm("membership reported but no decomposition found")
-                certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=terms, meta={"triple": [i, j, k]}))
+            terms = reference_membership_terms(report, builder, t)
+            if terms is None:
+                raise SoundnessAlarm("membership reported but no decomposition found")
+            certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=terms, meta={"triple": [i, j, k]}))
             continue
         if report.status == EXACT:
             phi = next(phi for phi in report.subspace.complement_functionals() if dot(algebra.field, phi, t))

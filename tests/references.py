@@ -12,6 +12,8 @@ nilpotent-generation equivalence for unital balanced algebras, the balanced
 defect of the tensor square, the centralizer space, the subalgebra closure
 and the matrix trace.  They reuse the package's operators and row reducer,
 so they are references, not independent oracles (see `oracles`).
+`one_dimension_short` fakes a factorizable sweep that missed a dimension, to
+reach the span-equality alarm.
 """
 
 import random
@@ -42,7 +44,7 @@ from zpbal.errors import (
 )
 from zpbal.fields import Field
 from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
-from zpbal.squarezero import factorizable_square_zero_span
+from zpbal.squarezero import FactorizableSpanReport, factorizable_square_zero_span
 from zpbal.structure import (
     CharacterReport,
     _reduced_atoms,
@@ -515,6 +517,14 @@ def factorizable_pair_product_span(
         for v in xs:
             builder.add(algebra.multiply_coords(u, v))
     return builder.to_subspace(), fact.status
+
+
+def one_dimension_short(report: FactorizableSpanReport) -> FactorizableSpanReport:
+    """The report of a factorizable sweep that missed one dimension, same status:
+    a fake that lets a test reach the span-equality alarm."""
+    basis = report.subspace.basis[:-1]
+    return FactorizableSpanReport(Subspace(report.subspace.field, report.subspace.ambient, basis),
+                                  report.status, report.witnesses[:len(basis)])
 
 
 @dataclass

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from zpbal import linmaps, serialize
+from references import one_dimension_short
+from zpbal import linmaps, serialize, squarezero
 from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
 from zpbal.cli import main
 from zpbal.errors import NotSemimultiplicative, SoundnessAlarm
@@ -230,10 +231,12 @@ def test_factorize_map_file(tmp_path, capsys, monkeypatch):
         json.dump(mapfile, fh)
     code, out, _ = run_cli(capsys, "factorize", "scale.json")
     assert code == 0
+    assert out.startswith("field: Q\n")
     assert "semimultiplicative: true" in out
     assert "factorization: {T: [[1/2, 0], [0, 1/3]], S: [[2, 0], [0, 3]], pi0: " in out
     code, out, _ = run_cli(capsys, "factorize", "scale.json", "--json")
     report = json.loads(out)
+    assert report["field"] == "Q"
     assert report["factorization"]["T"] == [["1/2", "0"], ["0", "1/3"]]
     assert report["factorization"]["S"] == [["2", "0"], ["0", "3"]]
 
@@ -279,6 +282,9 @@ def test_fn2_report(tmp_path, capsys, monkeypatch):
     assert "commutator_span_dim: 3" in out
     assert "factorizable_span_dim: 3\nfactorizable_status: EXACT" in out
     assert "equal: true" in out
+    code, out, _ = run_cli(capsys, "fn2", "m2.json", "--json")
+    assert set(json.loads(out)) == {"algebra", "seed", "commutator_span_dim", "factorizable_span_dim",
+                                    "factorizable_status", "containment", "equal"}
 
 
 def test_structure_report(tmp_path, capsys, monkeypatch):
@@ -286,6 +292,7 @@ def test_structure_report(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "example", "KxNm", "--m", "3", "--field", "F2", "--out", "kxn3.json")
     code, out, _ = run_cli(capsys, "structure", "kxn3.json", "--element", "1,1,0")
     assert code == 0
+    assert out.startswith("algebra: kxn3.json\nfield: F2\ndim: 3\nseed: 0\n")  # as in check
     assert "nilradical: {dim: 2, " in out
     assert "characters: {status: EXACT, table: [[1, 0, 0]]}" in out
     assert ("decompositions: [{element: [1, 1, 0], nil_part: [0, 1, 0], "
@@ -326,6 +333,45 @@ def test_structure_noncommutative(tmp_path, capsys, monkeypatch):
 KXN3Q = ("KxNm", "--m", "3", "--field", "Q")
 KXN3F2 = ("KxNm", "--m", "3", "--field", "F2")
 M2F2 = ("Mn", "--n", "2", "--field", "F2")
+
+
+def test_fn2_reads_no_balanced_verdict_when_the_spans_are_equal(tmp_path, capsys, monkeypatch):
+    # equal spans cannot raise the alarm, so balancedness is never decided
+    def refuse(*args):
+        raise AssertionError("fn2 computed the zero-product span")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(squarezero, "compute_zero_product_span", refuse)
+    for example, path in ((M2F2, "m2.json"), (("Nm", "--m", "3", "--field", "F2"), "n3.json")):
+        run_cli(capsys, "example", *example, "--out", path)
+        code, out, err = run_cli(capsys, "fn2", path)
+        assert code == 0, err
+        assert "equal: true" in out
+
+
+@pytest.mark.parametrize("example, idempotent", [
+    (M2F2, True),
+    (("MnNm", "--n", "2", "--m", "3", "--field", "F2"), False),  # M2(N3): nilpotent, so not idempotent
+], ids=["M2/F2", "M2(N3)/F2"])
+def test_fn2_decides_balancedness_only_for_unequal_exact_spans(tmp_path, capsys, monkeypatch, example,
+                                                                idempotent):
+    # an EXACT factorizable span one dimension short of the commutator span
+    spans = []
+    real_factorizable = squarezero.factorizable_square_zero_span
+    real_span = squarezero.compute_zero_product_span
+    monkeypatch.setattr(squarezero, "factorizable_square_zero_span",
+                        lambda *a: one_dimension_short(real_factorizable(*a)))
+    monkeypatch.setattr(squarezero, "compute_zero_product_span",
+                        lambda *a: spans.append(a) or real_span(*a))
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", *example, "--out", "a.json")
+    code, out, err = run_cli(capsys, "fn2", "a.json")
+    if idempotent:  # M2 is balanced: the theorem fails, so the alarm fires
+        assert (code, out, len(spans)) == (2, "", 1)
+        assert "SOUNDNESS ALARM: balanced idempotent algebra" in err
+    else:
+        assert (code, spans) == (0, []), err
+        assert "equal: false" in out
 
 
 @pytest.mark.parametrize("example, elements, message", [

@@ -159,7 +159,7 @@ def test_certificate_loader_and_verifier_never_crash(cert_files, which, data):
 def check_certificates(alg, config):
     """The certificates `zpbal check` writes, in its order, and the balanced verdict."""
     span = compute_zero_product_span(alg, config)
-    balanced = is_zero_product_balanced(alg, span, with_certificates=True)
+    balanced = is_zero_product_balanced(alg, span)
     determined = is_zero_product_determined(alg, span)
     certs = list(balanced.certificates or [])
     certs += [c for c in (balanced.certificate, determined.certificate) if c is not None]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_factorizable_elements, rank_mod_p
-from references import factorizable_pair_product_span, matrix_trace
+from references import factorizable_pair_product_span, matrix_trace, one_dimension_short
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
     commutator,
@@ -17,11 +17,13 @@ from zpbal.algebra import (
     tensor_product,
     zero_algebra,
 )
+from zpbal import squarezero
 from zpbal.squarezero import (
     check_span_equality,
     commutator_span,
     factorizable_square_zero_span,
 )
+from zpbal.tensorsquare import compute_zero_product_span, is_zero_product_balanced
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -90,23 +92,45 @@ def test_factorizable_span_zero_multiplication():
     assert rep.subspace.dim == 0
 
 
+def _balanced_and_idempotent(alg) -> bool:
+    """The hypothesis of the span-equality theorem."""
+    span = compute_zero_product_span(alg)
+    return is_zero_product_balanced(alg, span).status == "YES" and alg.predicates().is_idempotent
+
+
 def test_span_equality_m2():
-    eq = check_span_equality(matrix_algebra(F2, 2))
-    assert eq.applicable and eq.equal and eq.containment_ok
+    m2 = matrix_algebra(F2, 2)
+    eq = check_span_equality(m2)
+    assert _balanced_and_idempotent(m2) and eq.equal and eq.containment_ok
     assert eq.commutator_dim == eq.factorizable_dim == 3
 
 
 def test_span_equality_not_applicable_for_nilpotent():
-    eq = check_span_equality(nilpotent_algebra(F2, 3))
-    assert not eq.applicable  # not idempotent
+    n3 = nilpotent_algebra(F2, 3)
+    eq = check_span_equality(n3)
+    assert not _balanced_and_idempotent(n3)  # not idempotent
     assert eq.containment_ok
     assert eq.commutator_dim == eq.factorizable_dim == 0
 
 
 def test_span_equality_commutative():
-    eq = check_span_equality(function_algebra(F2, 2))
-    assert eq.applicable
+    k2 = function_algebra(F2, 2)
+    eq = check_span_equality(k2)
+    assert _balanced_and_idempotent(k2)
     assert eq.commutator_dim == 0 and eq.factorizable_dim == 0 and eq.equal
+
+
+def test_span_equality_over_a_lower_bound(monkeypatch):
+    # a lower bound that reaches the commutator span proves equality; one that
+    # falls short proves nothing either way
+    m2 = matrix_algebra(QQ, 2)
+    eq = check_span_equality(m2)
+    assert (eq.factorizable_status, eq.commutator_dim, eq.factorizable_dim, eq.equal) == ("LOWER_BOUND", 3, 3, True)
+    real = squarezero.factorizable_square_zero_span
+    monkeypatch.setattr(squarezero, "factorizable_square_zero_span",
+                        lambda *a: one_dimension_short(real(*a)))
+    eq = check_span_equality(m2)
+    assert (eq.factorizable_status, eq.factorizable_dim, eq.equal) == ("LOWER_BOUND", 2, None)
 
 
 def test_containment_on_everything():

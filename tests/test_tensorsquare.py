@@ -135,7 +135,7 @@ def test_commutator_tensor_escapes_span_in_n4():
 def test_balanced_verdicts_with_certificates():
     n3 = nilpotent_algebra(F2, 3)
     span = compute_zero_product_span(n3)
-    verdict = is_zero_product_balanced(n3, span, with_certificates=True)
+    verdict = is_zero_product_balanced(n3, span)
     assert verdict.status == "YES"
     assert all(verify_certificate(n3, c) for c in verdict.certificates)
 
@@ -255,7 +255,7 @@ def test_malformed_certificates():
 def test_triple_certificates_are_bound_to_their_defect_tensor():
     m2 = matrix_algebra(F2, 2)
     span = compute_zero_product_span(m2)
-    certs = is_zero_product_balanced(m2, span, with_certificates=True).certificates
+    certs = is_zero_product_balanced(m2, span).certificates
     cert = next(c for c in certs if c.terms)
     assert verify_certificate(m2, cert)
     # the same decomposition, stored without its target, still proves its triple
@@ -337,14 +337,13 @@ def test_balanced_decider_equals_the_two_step_reference():
     verdicts = set()
     for name, alg, config in _balanced_oracle_cases():
         span = compute_zero_product_span(alg, config)
-        for with_certificates in (False, True):
-            got = is_zero_product_balanced(alg, span, with_certificates=with_certificates)
-            want = reference_balanced(alg, span, with_certificates=with_certificates)
-            assert (got.status, got.witness_triple, got.n_triples, got.note) == \
-                (want.status, want.witness_triple, want.n_triples, want.note), name
-            files = [json.dumps(certificates_to_dict(
-                (v.certificates or []) + [c for c in (v.certificate,) if c is not None],
-                alg.field, config.seed, name, balanced=v.status), sort_keys=True) for v in (got, want)]
-            assert files[0] == files[1], name
+        got = is_zero_product_balanced(alg, span)
+        want = reference_balanced(alg, span)
+        assert (got.status, got.witness_triple, got.n_triples, got.note) == \
+            (want.status, want.witness_triple, want.n_triples, want.note), name
+        files = [json.dumps(certificates_to_dict(
+            (v.certificates or []) + [c for c in (v.certificate,) if c is not None],
+            alg.field, config.seed, name, balanced=v.status), sort_keys=True) for v in (got, want)]
+        assert files[0] == files[1], name
         verdicts.add(got.status)
     assert verdicts == {"YES", "NO", "UNKNOWN"}
