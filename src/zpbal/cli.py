@@ -141,20 +141,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    from zpbal.linmaps import (
-        is_semimultiplicative,
-        is_zero_product_preserving,
-        weighted_factorization,
-        zp_implies_weighted,
-    )
+    from zpbal.linmaps import is_semimultiplicative, is_zero_product_preserving, weighted_factorization
 
     config = _config_from_args(args)
     amap = serialize.load_map(args.map)
     fld = amap.source.field
     span = compute_zero_product_span(amap.source, config)
-    balanced = is_zero_product_balanced(amap.source, span)
     zp = is_zero_product_preserving(amap, span)
     report: Dict = {
+        "map": os.path.basename(args.map),
         "field": fld.name,
         "seed": config.seed,
         "source_dim": amap.source.dim,
@@ -163,12 +158,15 @@ def cmd_factorize(args) -> int:
         "semimultiplicative": is_semimultiplicative(amap),
     }
     try:
-        if balanced.status == YES and zp.status == YES:
-            # weighted-epimorphism theorem: such a map must factor, else an alarm
-            w = zp_implies_weighted(amap, span, balanced.status)
-        else:
-            w = weighted_factorization(amap)
-    except (HypothesisFailed, NotSemimultiplicative, SpanDeficient) as exc:
+        w = weighted_factorization(amap)
+    except NotSemimultiplicative as exc:
+        # weighted-epimorphism theorem: a zero-product preserving surjection
+        # out of a balanced algebra factors, so a balanced YES here is an alarm
+        if zp.status == YES and is_zero_product_balanced(amap.source, span).status == YES:
+            raise SoundnessAlarm("zero-product preserving map out of a balanced algebra "
+                                 f"failed to factor: {exc}") from exc
+        report["factorization"] = f"failed: {exc}"
+    except (HypothesisFailed, SpanDeficient) as exc:
         report["factorization"] = f"failed: {exc}"
     else:
         report["factorization"] = {
@@ -266,6 +264,8 @@ def cmd_fn2(args) -> int:
     eq = check_span_equality(alg, config)
     _emit({
         "algebra": os.path.basename(args.algebra),
+        "field": alg.field.name,
+        "dim": alg.dim,
         "seed": config.seed,
         "commutator_span_dim": eq.commutator_dim,
         "factorizable_span_dim": eq.factorizable_dim,

@@ -77,9 +77,6 @@ class Field:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def div(self, a, b):
-        raise NotImplementedError
-
     def neg(self, a):
         raise NotImplementedError
 
@@ -127,11 +124,6 @@ class Rationals(Field):
 
     def mul(self, a, b):
         return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return a / b
 
     def neg(self, a):
         return -a
@@ -215,11 +207,6 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in {self.name}")
-        return (a * pow(b, -1, self.p)) % self.p
 
     def neg(self, a):
         return (-a) % self.p

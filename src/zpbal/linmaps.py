@@ -6,6 +6,11 @@ The factorization builds the connecting map T from the basis-pair relations
 T(pi(e_i)pi(e_j)) = pi(e_i e_j) by exact linear solving and then re-verifies
 every claimed property (centralizer identities, bijectivity, multiplicativity
 of the homomorphism part) rather than trusting the derivation.
+
+Every zero-product preserving surjection out of a balanced algebra is such a
+weighted epimorphism.  `zpbal factorize` holds a map to that theorem: only
+when the factorization fails with NotSemimultiplicative does it decide
+balancedness, and a YES there is a soundness alarm.
 """
 
 from __future__ import annotations
@@ -240,27 +245,3 @@ def weighted_factorization(f: AlgMap) -> WeightedFactorization:
         raise SoundnessAlarm("induced quotient map is not an isomorphism")
     return WeightedFactorization(pi=f, pi0=pi0, T=T, S=S, kernel_ideal=kernel,
                                  quotient=quot, quotient_iso=iso)
-
-
-def zp_implies_weighted(
-    f: AlgMap,
-    source_span: ZeroProductSpanReport,
-    balanced_status: str,
-) -> WeightedFactorization:
-    """Factorization guaranteed for zero-product preserving surjections out of
-    a balanced algebra; any NotSemimultiplicative outcome under the verified
-    hypotheses falsifies a certificate chain and is escalated.
-    """
-    if balanced_status != YES:
-        raise HypothesisFailed("source not certified zero-product balanced")
-    zp = is_zero_product_preserving(f, source_span)
-    if zp.status == NO:
-        raise HypothesisFailed("map does not preserve zero products")
-    if zp.status == UNKNOWN:
-        raise HypothesisFailed("zero-product preservation not certified (span is a lower bound)")
-    try:
-        return weighted_factorization(f)
-    except NotSemimultiplicative as exc:
-        raise SoundnessAlarm(
-            f"zero-product preserving map out of a balanced algebra failed to factor: {exc}"
-        ) from exc

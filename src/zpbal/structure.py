@@ -562,34 +562,32 @@ class DichotomyResult:
 
 def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
                           reduced: Optional[ReducedQuotient] = None) -> DichotomyResult:
-    """A commutative balanced algebra either has a character or is all
-    nilradical; exactly one branch holds.  Without certified balancedness the
-    result is INAPPLICABLE with a best-effort report."""
+    """The branch that holds: NILRADICAL when every element is nilpotent,
+    HAS_CHARACTER when a character exists, otherwise INAPPLICABLE.
+
+    A commutative balanced algebra is spanned by nilpotents and idempotents,
+    so it lands on one of the first two branches.  Balancedness is decided
+    only on the third, where a YES with a complete character search
+    contradicts that theorem and raises SoundnessAlarm.
+    """
     red = _reduced_quotient(algebra, reduced)
-    span = compute_zero_product_span(algebra, config)
-    balanced = is_zero_product_balanced(algebra, span)
     nil = red.nilradical
     chars = characters(algebra, config, red)
-    nil_all = nil.dim == algebra.dim
-    if balanced.status != YES:
-        return DichotomyResult(
-            kind=INAPPLICABLE,
-            nilradical_dim=nil.dim,
-            character_count=len(chars.characters) if chars.status == EXACT else None,
-            note=f"balancedness not certified (verdict {balanced.status}); report is best-effort",
-        )
-    if nil_all and chars.characters:
-        raise SoundnessAlarm("nilradical algebra with a character")
-    if nil_all:
-        return DichotomyResult(kind=NILRADICAL, nilradical_dim=nil.dim,
-                               character_count=len(chars.characters) if chars.status == EXACT else 0)
-    if not chars.characters:
-        if chars.status == EXACT:
-            raise SoundnessAlarm("balanced commutative algebra with neither character nor nilradical")
+    if nil.dim == algebra.dim:
+        if chars.characters:
+            raise SoundnessAlarm("nilradical algebra with a character")
+        return DichotomyResult(kind=NILRADICAL, nilradical_dim=nil.dim, character_count=0)
+    if chars.characters:
+        return DichotomyResult(kind=HAS_CHARACTER, witness=chars.characters[0],
+                               nilradical_dim=nil.dim, character_count=len(chars.characters))
+    if chars.status != EXACT:
         return DichotomyResult(kind=INAPPLICABLE, nilradical_dim=nil.dim,
                                note="character search incomplete over this field")
-    return DichotomyResult(kind=HAS_CHARACTER, witness=chars.characters[0],
-                           nilradical_dim=nil.dim, character_count=len(chars.characters))
+    balanced = is_zero_product_balanced(algebra, compute_zero_product_span(algebra, config))
+    if balanced.status == YES:
+        raise SoundnessAlarm("balanced commutative algebra with neither character nor nilradical")
+    return DichotomyResult(kind=INAPPLICABLE, nilradical_dim=nil.dim, character_count=0,
+                           note=f"neither branch holds; balanced verdict {balanced.status}")
 
 
 def commutator_ideal(algebra: Algebra) -> Subspace:
@@ -597,8 +595,7 @@ def commutator_ideal(algebra: Algebra) -> Subspace:
     return ideal_closure(algebra, commutator_span(algebra).basis)
 
 
-def dichotomy_general(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
-                      balanced_status: Optional[str] = None) -> DichotomyResult:
+def dichotomy_general(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> DichotomyResult:
     """Either a character exists, or every element has a power inside the
     commutator ideal (checked on basis images in the commutative quotient,
     which suffices since nilpotents there form an ideal)."""
@@ -632,7 +629,5 @@ def dichotomy_general(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
     if radical:
         return DichotomyResult(kind=RADICAL_OVER_COMMUTATOR_IDEAL, exponents=exponents,
                                character_count=0 if chars.status == EXACT else None)
-    if chars.status == EXACT and balanced_status == YES:
-        raise SoundnessAlarm("balanced algebra fits neither dichotomy branch")
     return DichotomyResult(kind=UNKNOWN,
                            note="no character found (search incomplete) and not radical over the commutator ideal")

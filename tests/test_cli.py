@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from references import one_dimension_short
 from zpbal import linmaps, serialize, squarezero
-from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra
+from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra, poly_quotient_algebra
 from zpbal.cli import main
 from zpbal.errors import NotSemimultiplicative, SoundnessAlarm
 from zpbal.fields import PrimeField
@@ -231,12 +232,12 @@ def test_factorize_map_file(tmp_path, capsys, monkeypatch):
         json.dump(mapfile, fh)
     code, out, _ = run_cli(capsys, "factorize", "scale.json")
     assert code == 0
-    assert out.startswith("field: Q\n")
+    assert out.startswith("map: scale.json\nfield: Q\n")
     assert "semimultiplicative: true" in out
     assert "factorization: {T: [[1/2, 0], [0, 1/3]], S: [[2, 0], [0, 3]], pi0: " in out
     code, out, _ = run_cli(capsys, "factorize", "scale.json", "--json")
     report = json.loads(out)
-    assert report["field"] == "Q"
+    assert report["map"] == "scale.json" and report["field"] == "Q"
     assert report["factorization"]["T"] == [["1/2", "0"], ["0", "1/3"]]
     assert report["factorization"]["S"] == [["2", "0"], ["0", "3"]]
 
@@ -274,6 +275,29 @@ def test_factorize_alarms_when_the_weighted_theorem_fails(tmp_path, capsys, monk
     assert "zero_product_preserving: NO" in out and "factorization: failed" in out
 
 
+def test_factorize_decides_balancedness_only_when_the_factorization_fails(tmp_path, capsys, monkeypatch):
+    # a map that factors, or one that does not preserve zero products, cannot
+    # raise the weighted-epimorphism alarm, so balancedness is never decided
+    from zpbal import cli
+
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "Kn", "--n", "2", "--field", "Q", "--out", "qq.json")
+    for name, matrix in (("scale.json", [["2", "0"], ["0", "3"]]),
+                         ("shear.json", [["1", "1"], ["0", "1"]])):
+        with open(name, "w") as fh:
+            json.dump({"source": "qq.json", "target": "qq.json", "matrix": matrix}, fh)
+    runs = [("factorize", name, *flags) for name in ("scale.json", "shear.json") for flags in ([], ["--json"])]
+    expected = [run_cli(capsys, *argv) for argv in runs]
+
+    def refuse(*args):
+        raise AssertionError("factorize decided balancedness")
+
+    monkeypatch.setattr(cli, "is_zero_product_balanced", refuse)
+    assert [run_cli(capsys, *argv) for argv in runs] == expected
+    assert expected[0][0] == 0 and "factorization: {T: " in expected[0][1]
+    assert expected[2][0] == 0 and "factorization: failed" in expected[2][1]
+
+
 def test_fn2_report(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
@@ -283,8 +307,12 @@ def test_fn2_report(tmp_path, capsys, monkeypatch):
     assert "factorizable_span_dim: 3\nfactorizable_status: EXACT" in out
     assert "equal: true" in out
     code, out, _ = run_cli(capsys, "fn2", "m2.json", "--json")
-    assert set(json.loads(out)) == {"algebra", "seed", "commutator_span_dim", "factorizable_span_dim",
-                                    "factorizable_status", "containment", "equal"}
+    report = json.loads(out)
+    assert set(report) == {"algebra", "field", "dim", "seed", "commutator_span_dim", "factorizable_span_dim",
+                           "factorizable_status", "containment", "equal"}
+    assert (report["field"], report["dim"]) == ("F2", 4)
+    code, out, _ = run_cli(capsys, "fn2", "m2.json")
+    assert out.startswith("algebra: m2.json\nfield: F2\ndim: 4\nseed: 0\n")  # as in check
 
 
 def test_structure_report(tmp_path, capsys, monkeypatch):
@@ -328,6 +356,41 @@ def test_structure_noncommutative(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "commutative: false" in out
     assert "general_dichotomy: {kind: RADICAL_OVER_COMMUTATOR_IDEAL, " in out
+
+
+def test_structure_computes_no_zero_product_span_when_a_branch_holds(tmp_path, capsys, monkeypatch):
+    # a character or an all-nilpotent algebra settles the dichotomy without
+    # the balanced verdict
+    from zpbal import structure
+
+    def refuse(*args):
+        raise AssertionError("structure computed the zero-product span")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(structure, "compute_zero_product_span", refuse)
+    for example, kind in ((("Kn", "--n", "3", "--field", "F3"), "HAS_CHARACTER"),
+                          (("KxNm", "--m", "3"), "HAS_CHARACTER"),
+                          (("Nm", "--m", "5", "--field", "F2"), "NILRADICAL")):
+        run_cli(capsys, "example", *example, "--out", "a.json")
+        code, out, err = run_cli(capsys, "structure", "a.json")
+        assert code == 0, err
+        assert f"dichotomy: {kind}" in out
+
+
+def test_structure_alarms_when_a_balanced_algebra_fits_neither_branch(tmp_path, capsys, monkeypatch):
+    # F4 over F2 is a field with no character: neither branch holds, so a
+    # balanced YES would contradict the theorem
+    from zpbal import structure
+
+    monkeypatch.chdir(tmp_path)
+    save_algebra(poly_quotient_algebra(PrimeField(2), [1, 1, 1]), "f4.json")
+    code, out, err = run_cli(capsys, "structure", "f4.json")
+    assert code == 0, err
+    assert "dichotomy: INAPPLICABLE" in out
+    monkeypatch.setattr(structure, "is_zero_product_balanced", lambda *a: SimpleNamespace(status="YES"))
+    code, out, err = run_cli(capsys, "structure", "f4.json")
+    assert (code, out) == (2, "")
+    assert "SOUNDNESS ALARM: balanced commutative algebra with neither character nor nilradical" in err
 
 
 KXN3Q = ("KxNm", "--m", "3", "--field", "Q")

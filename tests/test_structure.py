@@ -7,6 +7,7 @@ import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +35,7 @@ from zpbal.errors import (
     NotCommutative,
     NotIdempotentModNil,
     ParentMismatch,
+    SoundnessAlarm,
 )
 from zpbal.fields import PrimeField, QQ
 from zpbal.algebra import (
@@ -347,6 +349,23 @@ def test_dichotomy_commutative():
     res = dichotomy_commutative(f4)
     assert res.kind == "INAPPLICABLE"
     assert res.character_count == 0 and res.nilradical_dim == 0
+
+
+def test_dichotomy_commutative_reports_the_branch_that_holds(monkeypatch):
+    # balancedness is only the theorem's hypothesis: N5 and F3×F3×N4 are not
+    # balanced, and each still lands on the branch that holds
+    from zpbal import structure
+
+    res = dichotomy_commutative(nilpotent_algebra(F2, 5))
+    assert (res.kind, res.nilradical_dim, res.character_count) == ("NILRADICAL", 4, 0)
+    res = dichotomy_commutative(f3f3n4())
+    assert (res.kind, res.nilradical_dim, res.character_count) == ("HAS_CHARACTER", 3, 2)
+    assert res.witness.is_multiplicative() is None
+    # neither branch holds for the field F4 (test_dichotomy_commutative): the decider runs,
+    # and a YES is an alarm
+    monkeypatch.setattr(structure, "is_zero_product_balanced", lambda *a: SimpleNamespace(status="YES"))
+    with pytest.raises(SoundnessAlarm, match="neither character nor nilradical"):
+        dichotomy_commutative(poly_quotient_algebra(F2, [1, 1, 1]))
 
 
 def test_dichotomy_exclusive_on_balanced_entries():
