@@ -18,7 +18,7 @@ from zpbal.algebra import Algebra, Element, commutator
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import SoundnessAlarm
 from zpbal.linalg import SpanBuilder, Subspace
-from zpbal.sweep import LEFT, AnnihilatorSweep, projective_points, random_elements, structured_elements
+from zpbal.sweep import LEFT, AnnihilatorSweep, Block, random_elements, structured_elements
 from zpbal.tensorsquare import (
     EXACT,
     LOWER_BOUND,
@@ -70,11 +70,14 @@ def factorizable_square_zero_span(
 ) -> FactorizableSpanReport:
     """Span of {yz : zy = 0}; exhaustive over finite algebras within budget.
 
-    For fixed y the eligible products form a subspace (the image of the left
-    annihilator of y under left multiplication by y), so sweeping y suffices;
-    the annihilator sweep (see `zpbal.sweep`) visits projective points only
-    and skips y whose products were all offered already.  Each yz equals
-    [y, z], so the sweep stops once the span reaches the commutator span.
+    For fixed z the eligible y form a subspace, so the products come in
+    closed blocks: for the left annihilator W = {z : zy = 0} of some y,
+    every y' in RAnn(W) = {y' : Wy' = 0} has zy' = 0 for each z in W, and
+    the products y'z over basis pairs span the block.  The annihilator sweep
+    (see `zpbal.sweep`) hands out each block once: the block of RAnn(A)
+    first, then one per new annihilator met on projective points modulo
+    RAnn(A).  Each yz equals [y, z], so the sweep stops once the span
+    reaches the commutator span.
     """
     f = algebra.field
     d = algebra.dim
@@ -83,33 +86,35 @@ def factorizable_square_zero_span(
     witnesses: List[FactorizableWitness] = []
     sweep = AnnihilatorSweep(algebra, LEFT)
 
-    def offer(y) -> int:
+    def offer(block: Block) -> int:
+        closure, annihilator = block
         added = 0
-        for z in sweep.visit(y):
-            x = algebra.multiply_coords(y, z)
-            if builder.add(x):
-                w = FactorizableWitness(x=algebra.element(x), y=algebra.element(y), z=algebra.element(z))
-                if not w.verify():
-                    raise SoundnessAlarm("factorizable witness failed re-verification")
-                witnesses.append(w)
-                added += 1
+        for y in closure:
+            for z in annihilator:
+                x = algebra.multiply_coords(y, z)
+                if builder.add(x):
+                    w = FactorizableWitness(x=algebra.element(x), y=algebra.element(y), z=algebra.element(z))
+                    if not w.verify():
+                        raise SoundnessAlarm("factorizable witness failed re-verification")
+                    witnesses.append(w)
+                    added += 1
         return added
 
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
-        for y in projective_points(algebra):
-            if builder.dim >= ceiling:
+        for block in sweep.exhaustive_blocks():
+            offer(block)
+            if builder.dim >= ceiling:  # before the sweep looks for another block
                 break
-            offer(y)
         status = EXACT
     else:
         for y in structured_elements(algebra, idempotent_pairs=False):
-            offer(y)
+            offer(sweep.visit(y))
         stall = 0
         for y in random_elements(f, d, config.seed):
             if stall >= config.stall_rounds or builder.dim >= ceiling:
                 break
-            stall = 0 if offer(y) else stall + 1
+            stall = 0 if offer(sweep.visit(y)) else stall + 1
         status = LOWER_BOUND
     return FactorizableSpanReport(subspace=builder.to_subspace(), status=status, witnesses=witnesses)
 

@@ -598,7 +598,9 @@ def commutator_ideal(algebra: Algebra) -> Subspace:
 def dichotomy_general(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> DichotomyResult:
     """Either a character exists, or every element has a power inside the
     commutator ideal (checked on basis images in the commutative quotient,
-    which suffices since nilpotents there form an ideal)."""
+    which suffices since nilpotents there form an ideal).  When neither
+    holds the result is INAPPLICABLE if the character search was exact and
+    UNKNOWN otherwise."""
     ideal = commutator_ideal(algebra)
     quot = quotient_algebra(algebra, ideal)
     q = quot.algebra
@@ -629,5 +631,8 @@ def dichotomy_general(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) ->
     if radical:
         return DichotomyResult(kind=RADICAL_OVER_COMMUTATOR_IDEAL, exponents=exponents,
                                character_count=0 if chars.status == EXACT else None)
+    if chars.status == EXACT:
+        return DichotomyResult(kind=INAPPLICABLE, character_count=0,
+                               note="no character exists and not radical over the commutator ideal")
     return DichotomyResult(kind=UNKNOWN,
                            note="no character found (search incomplete) and not radical over the commutator ideal")

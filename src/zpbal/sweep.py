@@ -1,86 +1,122 @@
 """The annihilator sweep: one element-sweep primitive for two spans.
 
-Both the zero-product span (tensors u⊗w with uw = 0) and the factorizable
-square-zero span (products yz with zy = 0) are grown by visiting elements u
-and reading off an annihilator of u: the right annihilator ker L_u = {w :
-uw = 0} or the left annihilator ker R_u = {w : wu = 0}.  Whatever a caller
-then offers from u is linear in u for fixed annihilator W, which gives the
-memo: once u lies in the span of earlier elements with the same W, every
-vector it could offer has been offered already and u is skipped.  Each
-visit reduces the nonzero rows of L_u or R_u once: the reduced rows are the
-memo key, and a new key reads W off the same reduction.  The rows are in
-the representation `zpbal.linalg` picks for the field (ints over F2, where
-the reduction is XOR, and maps of nonzero entries otherwise); the sweep
-only hands them from `Algebra._operator_rows` to a `SpanBuilder` and reads
-the key back, so it does not depend on that choice.
+Both the zero-product span (tensors x⊗w with xw = 0) and the factorizable
+square-zero span (products yz with zy = 0) are grown from annihilators.  A
+visit to u reads off an annihilator of u: the right annihilator W = ker L_u
+= {w : uw = 0} or the left annihilator W = ker R_u = {w : wu = 0}.  The
+pairs that W admits form a closed block.  On the right the block is
+LAnn(W) ⊗ W, where LAnn(W) = {x : xW = 0} is W's closure: every x in it
+has xw = 0 for every w in W, and u is one such x.  On the left the closure
+is RAnn(W) = {x : Wx = 0}, and the pairs are w ⊗ x.  So the first visit
+that meets W hands out W's basis with its closure's basis, and a later u
+with the same W is skipped at once, because u lies in the closure and all
+its pairs are in the block.  The memo is the set of operator row spaces
+already met.  Each visit reduces the nonzero rows of L_u or R_u once: the
+reduced rows are the key, and a new key reads W off the same reduction; one
+more reduction, of the stacked operators of W's basis on the other side,
+gives the closure.  The rows are in the representation `zpbal.linalg`
+picks for the field (ints over F2, where the reduction is XOR, and maps of
+nonzero entries otherwise); the sweep only hands them from
+`Algebra._operator_rows` to a `SpanBuilder` and reads the key back, so it
+does not depend on that choice.
 
-Over F_p the exhaustive element source is `projective_points`: a nonzero
-multiple cu has the same annihilator as u and comes after it in
-coordinate-tuple order, so only tuples whose first nonzero coordinate is 1
-need a visit.  Skipping cu, or a memo hit, removes only offers that would
-not have enlarged a span, so callers emit the same generators as a sweep
-over every element.
+Over F_p, `AnnihilatorSweep.exhaustive_blocks` covers every element.  The
+operator of u depends only on u modulo K = {u : op_u = 0}, the closure of
+W = A (LAnn(A) on the right, RAnn(A) on the left), so K's block K⊗A
+(A⊗K on the left) comes first, and then only one representative per coset
+is visited: the tuples that are zero at K's pivot columns.  Of those,
+`projective_points` keeps the tuples whose first nonzero coordinate is 1,
+since a nonzero multiple cu has the same annihilator as u.  Every pair (u,
+w) with uw = 0 lies in the block of u's coset representative, so the
+blocks span the same space as a sweep over every element, though not in
+the same order or from the same generators.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from zpbal.algebra import Algebra
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import SpanBuilder, Vector
 
-RIGHT = "right"  # annihilator {w : uw = 0} = ker L_u
-LEFT = "left"  # annihilator {w : wu = 0} = ker R_u
+RIGHT = "right"  # annihilator {w : uw = 0} = ker L_u, closure {x : xW = 0}
+LEFT = "left"  # annihilator {w : wu = 0} = ker R_u, closure {x : Wx = 0}
+
+Block = Tuple[List[Vector], List[Vector]]  # RREF bases of (closure, annihilator)
 
 
 class AnnihilatorSweep:
-    """Annihilators of a stream of elements, with the per-annihilator memo."""
+    """Closed annihilator blocks of a stream of elements, each handed out once."""
 
     def __init__(self, algebra: Algebra, side: str):
         self.algebra = algebra
         self.field = algebra.field
         self.dim = algebra.dim
         self.side = side
-        # operator row space (`SpanBuilder.row_space_key`) -> (RREF basis of its
-        # null space W, span of the elements already handed out with that W)
-        self._memo: Dict[tuple, Tuple[List[Vector], SpanBuilder]] = {}
+        # operator row spaces (`SpanBuilder.row_space_key`) whose block was handed out
+        self._keys: Set[tuple] = set()
         self.visited = 0
 
     @property
     def distinct_annihilators(self) -> int:
-        return len(self._memo)
+        return len(self._keys)
 
-    def visit(self, u) -> List[Vector]:
-        """RREF basis of u's annihilator, or [] when u can offer nothing new.
+    def _closure(self, annihilator: List[Vector]) -> List[Vector]:
+        """RREF basis of {x : xw = 0} (right) or {x : wx = 0} (left) for every
+        w in `annihilator`: the null space of the stacked operators of w."""
+        ops = SpanBuilder(self.field, self.dim)
+        for w in annihilator:
+            for row in self.algebra._operator_rows(w, self.side == LEFT).values():
+                ops.add(row)
+        return ops.null_space().basis
 
-        A nonempty answer records u in the memo: the caller must offer every
-        vector it derives from u and the returned basis.
+    def visit(self, u) -> Block:
+        """(closure, annihilator) of u's annihilator W the first time W is
+        met, or ([], []) when W is zero or its block was handed out already.
+
+        A nonempty answer records W: the caller must offer every pair of the
+        block.
         """
-        u = tuple(u)
         if not any(u):
-            return []
+            return [], []
         self.visited += 1
         ops = SpanBuilder(self.field, self.dim)
         for row in self.algebra._operator_rows(u, self.side == RIGHT).values():
             ops.add(row)
         # equal keys are equal row spaces, hence equal null spaces
         key = ops.row_space_key
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = (ops.null_space().basis, SpanBuilder(self.field, self.dim))
-            self._memo[key] = entry
-        annihilator, seen = entry
-        if not annihilator or not seen.add(list(u)):
-            return []
-        return annihilator
+        if key in self._keys:
+            return [], []
+        self._keys.add(key)
+        annihilator = ops.null_space().basis
+        if not annihilator:
+            return [], []
+        return self._closure(annihilator), annihilator
+
+    def exhaustive_blocks(self) -> Iterator[Block]:
+        """K's block for W = A, then the block of each new annihilator met
+        on the projective points that are zero at K's pivot columns."""
+        f = self.field
+        whole = [[f.one if t == i else f.zero for t in range(self.dim)] for i in range(self.dim)]
+        kernel = self._closure(whole)
+        self._keys.add(())  # op_u = 0 exactly on K
+        yield kernel, whole
+        pivots = [next(j for j, c in enumerate(k) if c) for k in kernel]
+        for u in projective_points(self.algebra, pivots):
+            block = self.visit(u)
+            if block[1]:
+                yield block
 
 
-def projective_points(algebra: Algebra) -> Iterator[Tuple[Scalar, ...]]:
-    """The tuples of `Algebra.coord_tuples()` whose first nonzero coordinate is 1."""
+def projective_points(algebra: Algebra, zero_at: Sequence[int] = ()) -> Iterator[Tuple[Scalar, ...]]:
+    """The tuples of `Algebra.coord_tuples()` that are zero at every index in
+    `zero_at` and whose first nonzero coordinate is 1."""
     one = algebra.field.one
     for u in algebra.coord_tuples():
+        if any(u[p] for p in zero_at):
+            continue
         if next((c for c in u if c != 0), None) == one:
             yield u
 

@@ -22,14 +22,7 @@ from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import Matrix, Sparse, SpanBuilder, Subspace, Vector, _dense, _sparse, dot, vec_is_zero
-from zpbal.sweep import (
-    LEFT,
-    RIGHT,
-    AnnihilatorSweep,
-    projective_points,
-    random_elements,
-    structured_elements,
-)
+from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep, Block, random_elements, structured_elements
 
 TENSOR_CONVENTION = "row-major i*d+j"
 
@@ -150,33 +143,37 @@ class ZeroProductSpanReport:
         return [(lam, self.generators[g][0], self.generators[g][1]) for g, lam in sorted(combo.items())]
 
 
-def _offer_annihilator_tensors(sweep: AnnihilatorSweep, u, builder: SpanBuilder, ts: TensorSquare,
+def _offer_annihilator_tensors(block: Block, side: str, builder: SpanBuilder, ts: TensorSquare,
                                generators) -> int:
-    """Offer u⊗w (right annihilators w of u) or w⊗u (left) to the span."""
+    """Offer the pairs of a closed block (see `zpbal.sweep`): x⊗w for x in
+    its closure and w in its annihilator on the right, w⊗x on the left."""
     alg = ts.algebra
-    u = tuple(u)
+    closure, annihilator = block
     added = 0
-    for w in sweep.visit(u):
-        pair = (u, tuple(w)) if sweep.side == RIGHT else (tuple(w), u)
-        if builder.add(_tensor(alg.field, alg.dim, *pair)):
-            if not vec_is_zero(alg.multiply_coords(*pair)):
-                raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
-            generators.append(pair)
-            added += 1
+    for x in closure:
+        x = tuple(x)
+        for w in annihilator:
+            pair = (x, tuple(w)) if side == RIGHT else (tuple(w), x)
+            if builder.add(_tensor(alg.field, alg.dim, *pair)):
+                if not vec_is_zero(alg.multiply_coords(*pair)):
+                    raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
+                generators.append(pair)
+                added += 1
     return added
 
 
 def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> ZeroProductSpanReport:
     """Span of {u⊗v : uv = 0}, exhaustive over finite algebras within budget.
 
-    Exhaustive route: sweep the elements u and adjoin u ⊗ (right annihilator
-    of u); this reaches the whole span because each zero-product pair (u, v)
-    appears with v in the annihilator of u.  The annihilator sweep visits
-    projective points only and skips elements whose tensors were all offered
-    already (see `zpbal.sweep`), which leaves the generators unchanged.
-    Otherwise a lower bound is grown from zero basis pairs, one- and
-    two-basis-vector annihilator sweeps, registered idempotents (with their
-    transfer tensors), and seeded random elements until the span stalls.
+    Exhaustive route: offer the closed block LAnn(W) ⊗ W of each distinct
+    right annihilator W = {w : uw = 0}; this reaches the whole span because
+    each zero-product pair (u, v) has v in W and u in LAnn(W).  The sweep
+    (see `zpbal.sweep`) offers the block of K = LAnn(A) first and then
+    visits one projective point per coset of K, stopping at the kernel
+    ceiling.  Otherwise a lower bound is grown from zero basis pairs, the
+    right and left blocks of one- and two-basis-vector elements, registered
+    idempotents (with their transfer tensors), and the blocks of seeded
+    random elements until the span stalls.
     """
     ts = TensorSquare(algebra)
     f = algebra.field
@@ -188,10 +185,10 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
 
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
-        for u in projective_points(algebra):
-            if builder.dim >= ker_dim:
+        for block in right.exhaustive_blocks():
+            _offer_annihilator_tensors(block, RIGHT, builder, ts, generators)
+            if builder.dim >= ker_dim:  # before the sweep looks for another block
                 break
-            _offer_annihilator_tensors(right, u, builder, ts, generators)
         status = EXACT
     else:
         left = AnnihilatorSweep(algebra, LEFT)
@@ -209,8 +206,8 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
         for u in structured_elements(algebra, idempotent_pairs=True):
             if builder.dim >= ker_dim:
                 break
-            _offer_annihilator_tensors(right, u, builder, ts, generators)
-            _offer_annihilator_tensors(left, u, builder, ts, generators)
+            _offer_annihilator_tensors(right.visit(u), RIGHT, builder, ts, generators)
+            _offer_annihilator_tensors(left.visit(u), LEFT, builder, ts, generators)
         # (iii) idempotent transfer tensors: ae⊗(c-ec) and (ae-a)⊗ec
         for e in algebra.registered_idempotents:
             if builder.dim >= ker_dim:
@@ -231,8 +228,8 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
         for u in random_elements(f, d, config.seed):
             if stall >= config.stall_rounds or builder.dim >= ker_dim:
                 break
-            added = _offer_annihilator_tensors(right, u, builder, ts, generators)
-            added += _offer_annihilator_tensors(left, u, builder, ts, generators)
+            added = _offer_annihilator_tensors(right.visit(u), RIGHT, builder, ts, generators)
+            added += _offer_annihilator_tensors(left.visit(u), LEFT, builder, ts, generators)
             stall = 0 if added else stall + 1
         status = LOWER_BOUND
 

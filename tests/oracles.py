@@ -180,11 +180,13 @@ def random_change_of_basis(alg, rng):
 # ---------------------------------------------------------------------------
 # Reference sweeps: the per-element loops the annihilator sweep replaced.
 #
-# Unlike the oracles above these reuse the package's tensor square: they pin
-# down *which* generators the engine emits, in which order, so that the
-# optimised sweep can be required to reproduce them exactly.  They build each
-# operator from products of basis vectors and reduce rows with the dense
-# reference builder, not with the package's operator rows and sparse reducer.
+# Unlike the oracles above these reuse the package's tensor square, and they
+# follow the engine's routes (exhaustive within the cap, the seeded lower
+# bound beyond it), so that the span of the block sweep can be required to
+# equal theirs row for row; their generators come one element at a time and
+# differ from the engine's.  They build each operator from products of basis
+# vectors and reduce rows with the dense reference builder, not with the
+# package's operator rows and sparse reducer.
 # ---------------------------------------------------------------------------
 
 

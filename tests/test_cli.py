@@ -9,7 +9,7 @@ import pytest
 
 from references import one_dimension_short
 from zpbal import linmaps, serialize, squarezero
-from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra, poly_quotient_algebra
+from zpbal.algebra import direct_sum, function_algebra, matrix_algebra, nilpotent_algebra, poly_quotient_algebra
 from zpbal.cli import main
 from zpbal.errors import NotSemimultiplicative, SoundnessAlarm
 from zpbal.fields import PrimeField
@@ -391,6 +391,17 @@ def test_structure_alarms_when_a_balanced_algebra_fits_neither_branch(tmp_path, 
     code, out, err = run_cli(capsys, "structure", "f4.json")
     assert (code, out) == (2, "")
     assert "SOUNDNESS ALARM: balanced commutative algebra with neither character nor nilradical" in err
+
+
+def test_structure_reports_inapplicable_when_neither_general_branch_holds(tmp_path, capsys, monkeypatch):
+    # F4 ⊕ M2 over F2: an exact search finds no character of the quotient F4,
+    # and F4 is not radical, so the general dichotomy does not apply
+    monkeypatch.chdir(tmp_path)
+    f2 = PrimeField(2)
+    save_algebra(direct_sum(poly_quotient_algebra(f2, [1, 1, 1]), matrix_algebra(f2, 2)), "f4m2.json")
+    code, out, err = run_cli(capsys, "structure", "f4m2.json", "--json")
+    assert code == 0, err
+    assert json.loads(out)["general_dichotomy"] == {"kind": "INAPPLICABLE", "exponents": None}
 
 
 KXN3Q = ("KxNm", "--m", "3", "--field", "Q")

@@ -393,6 +393,12 @@ def test_dichotomy_general():
     assert res.kind == "RADICAL_OVER_COMMUTATOR_IDEAL"
     assert max(res.exponents) <= 3  # triple products vanish
 
+    # F4 ⊕ M2: the quotient by the commutator ideal is F4, which has exactly
+    # 0 characters over F2 and is not nilpotent, so neither branch holds
+    res = dichotomy_general(direct_sum(f4, matrix_algebra(F2, 2)))
+    assert (res.kind, res.character_count) == ("INAPPLICABLE", 0)
+    assert "incomplete" not in res.note
+
 
 def test_generated_by_nilpotents():
     rep = generated_by_nilpotents_check(matrix_algebra(F2, 2))

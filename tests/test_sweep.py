@@ -1,8 +1,11 @@
 """The annihilator sweep against the per-element loops it replaced.
 
-The reference loops in oracles.py visit every element; the sweep visits
-projective points and skips memo hits.  Neither shortcut may change a single
-emitted generator, witness or reduced row.
+The reference loops in oracles.py visit every element and offer u⊗w one
+element at a time; the sweep offers closed annihilator blocks and visits one
+projective point per coset of K = {u : op_u = 0}.  The two emit different
+generators in a different order, so they are held to the same span (equal
+RREF rows), to re-verified generators and witnesses, one per span
+dimension, and to certificates that still verify.
 """
 
 import os
@@ -14,36 +17,72 @@ from pathlib import Path
 
 import pytest
 
-from oracles import random_change_of_basis, reference_factorizable_span, reference_zero_product_span
+from oracles import (
+    brute_span_dim_zero_products,
+    random_change_of_basis,
+    reference_factorizable_span,
+    reference_zero_product_span,
+)
 from references import SHAPES, dense_kernel, operator_matrix, random_algebra, rref
-from zpbal.algebra import matrix_algebra, nilpotent_algebra
+from zpbal.algebra import Algebra, direct_sum, matrix_algebra, nilpotent_algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
 from zpbal.fields import QQ, PrimeField
+from zpbal.linalg import Matrix, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
 from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep
-from zpbal.tensorsquare import compute_zero_product_span
+from zpbal.tensorsquare import (
+    compute_zero_product_span,
+    is_zero_product_balanced,
+    is_zero_product_determined,
+    verify_certificate,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def witness_triples(witnesses):
-    return [(w.x.coords, w.y.coords, w.z.coords) for w in witnesses]
+def b_algebra(field, opposite=False):
+    """B = span(e, n) with e² = e, en = n and ne = n² = 0, or its opposite.
+
+    LAnn(B) = span(n) and RAnn(B) = 0; in B^op the two swap."""
+    zero, one = field.zero, field.one
+    table = [[[zero, zero] for _ in range(2)] for _ in range(2)]
+    table[0][0] = [one, zero]  # e·e = e
+    product = (1, 0) if opposite else (0, 1)  # n·e = n in B^op, e·n = n in B
+    table[product[0]][product[1]] = [zero, one]
+    return Algebra(field, ["e", "n"], table)
+
+
+def one_sided(field):
+    """B ⊕ B^op: both annihilators of the algebra are nonzero and they differ."""
+    return direct_sum(b_algebra(field), b_algebra(field, opposite=True))
+
+
+ONE_SIDED = {"B+Bop/F3": lambda: one_sided(F3),
+             "B+Bop+N3/F2": lambda: direct_sum(one_sided(F2), nilpotent_algebra(F2, 3))}
 
 
 def assert_same_as_reference(alg, config):
     span = compute_zero_product_span(alg, config)
-    generators, builder = reference_zero_product_span(alg, config)
-    assert span.generators == generators
+    _, builder = reference_zero_product_span(alg, config)
     assert span.subspace.basis == builder.rows
-    assert span._builder.exprs == builder.exprs
+    assert len(span.generators) == span.dim
+    for u, v in span.generators:
+        assert vec_is_zero(alg.multiply_coords(u, v))
+
+    balanced = is_zero_product_balanced(alg, span)
+    determined = is_zero_product_determined(alg, span)
+    certs = list(balanced.certificates or [])
+    certs += [c for c in (balanced.certificate, determined.certificate) if c is not None]
+    assert all(verify_certificate(alg, c) for c in certs)
 
     fact = factorizable_square_zero_span(alg, config)
-    witnesses, fbuilder = reference_factorizable_span(alg, config)
-    assert witness_triples(fact.witnesses) == witness_triples(witnesses)
+    _, fbuilder = reference_factorizable_span(alg, config)
     assert fact.subspace.basis == fbuilder.rows
+    assert len(fact.witnesses) == fact.subspace.dim
+    assert all(w.verify() for w in fact.witnesses)
     return span
 
 
@@ -75,27 +114,40 @@ def test_lower_bound_route_matches_reference_on_rational_corpus(entry):
     assert span.status == "LOWER_BOUND"
 
 
+def _stacked_kernel(alg, vectors, left):
+    """RREF basis of the common kernel of the operators of `vectors`."""
+    rows = [row for w in vectors for row in operator_matrix(alg, w, left).rows]
+    return dense_kernel(Matrix(alg.field, rows, cols=alg.dim))
+
+
 @pytest.mark.parametrize("side", [RIGHT, LEFT])
 def test_visit_matches_rebuilt_operators_on_random_elements(side):
-    """The memo against a from-scratch kernel."""
+    """Each block against from-scratch kernels: the annihilator is the kernel
+    of u's operator and the closure the common kernel of the other side's
+    operators of the annihilator's basis; a skipped u met that annihilator
+    before and lies in its closure."""
     alg = matrix_algebra(F3, 2)
     sweep = AnnihilatorSweep(alg, side)
     rng = random.Random(7)
-    offered = {}
+    closures = {}
     nonzero = 0
     for _ in range(200):
         u = [rng.randrange(3) for _ in range(alg.dim)]
         nonzero += any(u)
         kernel = dense_kernel(operator_matrix(alg, u, side == RIGHT))
-        got = sweep.visit(u)
-        assert got in ([], kernel)
-        if got:
-            offered.setdefault(tuple(map(tuple, kernel)), []).append(u)
-        elif any(u) and kernel:
-            # a skipped element lies in the span of earlier ones with its annihilator
-            earlier = offered.get(tuple(map(tuple, kernel)), [])
-            assert len(rref(earlier + [u], F3, alg.dim)[0]) == len(rref(earlier, F3, alg.dim)[0])
+        closure, annihilator = sweep.visit(u)
+        key = tuple(map(tuple, kernel))
+        if annihilator:
+            assert annihilator == kernel
+            assert closure == _stacked_kernel(alg, kernel, side == LEFT)
+            assert key not in closures
+            closures[key] = closure
+        else:
+            assert closure == []
+            if any(u) and kernel:
+                assert len(rref(closures[key] + [u], F3, alg.dim)[0]) == len(closures[key])
     assert sweep.visited == nonzero
+    assert len(closures) > 1
 
 
 @pytest.mark.parametrize("side", [RIGHT, LEFT])
@@ -112,6 +164,42 @@ def test_memo_keys_count_the_distinct_reference_kernels(alg, side):
         if any(u):
             kernels.add(tuple(map(tuple, dense_kernel(operator_matrix(alg, u, side == RIGHT)))))
     assert sweep.distinct_annihilators == len(kernels) > 1
+
+
+@pytest.mark.parametrize("side", [RIGHT, LEFT])
+@pytest.mark.parametrize("make", list(ONE_SIDED.values()) + [
+    lambda: nilpotent_algebra(F2, 6), lambda: nilpotent_algebra(F3, 5)],
+    ids=list(ONE_SIDED) + ["N6/F2", "N5/F3"])
+def test_exhaustive_blocks_visit_one_projective_point_per_coset(make, side):
+    """K = {u : op_u = 0} comes first, as the closure of the whole algebra;
+    then only the (p^(d-k) - 1)/(p - 1) projective points of A/K are visited."""
+    alg = make()
+    p, d = alg.field.characteristic, alg.dim
+    sweep = AnnihilatorSweep(alg, side)
+    blocks = list(sweep.exhaustive_blocks())
+    kernel, whole = blocks[0]
+    assert whole == [[int(i == j) for j in range(d)] for i in range(d)]
+    assert kernel == _stacked_kernel(alg, whole, side == LEFT)
+    assert sweep.visited == (p ** (d - len(kernel)) - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("make, k_dims", [
+    (lambda: b_algebra(F3), (1, 0)),
+    (lambda: b_algebra(F2, opposite=True), (0, 1)),
+    (ONE_SIDED["B+Bop/F3"], (1, 1)),
+    (ONE_SIDED["B+Bop+N3/F2"], (2, 2)),
+], ids=["B/F3", "Bop/F2", *ONE_SIDED])
+def test_quotient_route_on_algebras_with_different_one_sided_annihilators(make, k_dims):
+    """B's zero-product span is n⊗A, reached only through the block of
+    K = LAnn(B) = span(n); B^op's factorizable span is span(n'), reached only
+    through the block of RAnn(B^op) = span(n')."""
+    alg = make()
+    left_k = next(AnnihilatorSweep(alg, RIGHT).exhaustive_blocks())[0]  # LAnn(A)
+    right_k = next(AnnihilatorSweep(alg, LEFT).exhaustive_blocks())[0]  # RAnn(A)
+    assert (len(left_k), len(right_k)) == k_dims and left_k != right_k
+    span = assert_same_as_reference(alg, DEFAULT_CONFIG)
+    assert span.status == "EXACT"
+    assert span.dim == brute_span_dim_zero_products(alg)
 
 
 _TAMPER = textwrap.dedent("""
@@ -179,7 +267,9 @@ def test_soundness_checks_survive_python_O():
     lambda: matrix_algebra(F3, 2),
     lambda: nilpotent_algebra(QQ, 3),
     lambda: matrix_algebra(QQ, 2),
-], ids=["N5/F2", "M2/F2", "N4/F3", "M2/F3", "N3/Q", "M2/Q"])
+    lambda: matrix_algebra(F2, 3),
+    *ONE_SIDED.values(),
+], ids=["N5/F2", "M2/F2", "N4/F3", "M2/F3", "N3/Q", "M2/Q", "M3/F2", *ONE_SIDED])
 def test_span_dimensions_invariant_under_change_of_basis(make):
     alg = make()
     rng = random.Random(11)
