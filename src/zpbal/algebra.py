@@ -16,8 +16,7 @@ infinite fields, where exhaustive enumeration is impossible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from zpbal.errors import (
     InfiniteFieldError,
@@ -30,8 +29,7 @@ from zpbal.fields import Field, Scalar
 from zpbal.linalg import Matrix, Row, Sparse, SpanBuilder, Subspace, Vector, _dense, vec_is_zero
 
 
-@dataclass
-class Predicates:
+class Predicates(NamedTuple):
     """Cached structural predicates of an algebra."""
 
     is_unital: bool
@@ -583,8 +581,7 @@ def ideal_closure(alg: Algebra, seeds: Sequence[Vector]) -> Subspace:
     return builder.to_subspace()
 
 
-@dataclass
-class Quotient:
+class Quotient(NamedTuple):
     """Quotient algebra with the projection and a linear section."""
 
     algebra: Algebra

@@ -115,7 +115,8 @@ def cmd_check(args) -> int:
     serialize.save_certificates(certs, fld, config.seed, cert_path,
                                 label=os.path.basename(args.algebra), balanced=balanced.status)
 
-    witness = balanced.witness_triple
+    # only a NO names a witness; an UNKNOWN's triple merely failed against a lower bound
+    witness = balanced.witness_triple if balanced.status == NO else None
     report = {
         "algebra": os.path.basename(args.algebra),
         "field": fld.name,
@@ -132,7 +133,9 @@ def cmd_check(args) -> int:
                               "kernel_dim": span.kernel_dim},
         "balanced": balanced.status,
         "balanced_witness": [alg.names[i] for i in witness] if witness else None,
+        "balanced_note": balanced.note or None,
         "determined": determined.status,
+        "determined_note": determined.note or None,
         "certificates": cert_path,
         "n_certificates": len(certs),
     }

@@ -2,25 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class SweepConfig:
-    """Budget knobs for exhaustive and sampled sweeps.
+    """Budget knobs for exhaustive and sampled sweeps; immutable.
 
     enumeration_cap: largest carrier size an exhaustive sweep may visit.
     stall_rounds: consecutive non-enlarging random samples before giving up.
     seed: root of all pseudo-randomness; recorded in emitted artifacts.
     """
 
-    enumeration_cap: int = 6561
-    stall_rounds: int = 64
-    seed: int = 0
+    __slots__ = ("enumeration_cap", "stall_rounds", "seed")
 
-    def __post_init__(self):
-        if self.enumeration_cap < 1 or self.stall_rounds < 1:
+    def __init__(self, enumeration_cap: int = 6561, stall_rounds: int = 64, seed: int = 0):
+        if enumeration_cap < 1 or stall_rounds < 1:
             raise ValueError("caps must be positive")
+        object.__setattr__(self, "enumeration_cap", enumeration_cap)
+        object.__setattr__(self, "stall_rounds", stall_rounds)
+        object.__setattr__(self, "seed", seed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SweepConfig is immutable: cannot set {name!r}")
 
 
 DEFAULT_CONFIG = SweepConfig()

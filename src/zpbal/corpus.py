@@ -9,8 +9,7 @@ expectation against the engines and re-verifies every emitted certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from zpbal.algebra import (
     Algebra,
@@ -40,14 +39,13 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 
 
-@dataclass
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     algebra: Algebra
     expected: Dict[str, object]
     provenance: Dict[str, str]
-    config: SweepConfig = DEFAULT_CONFIG
-    hand_certificates: List[Tuple[str, Certificate, bool]] = dc_field(default_factory=list)
+    config: SweepConfig
+    hand_certificates: List[Tuple[str, Certificate, bool]]  # (label, certificate, expected verdict)
 
 
 def _separating_certificate(algebra: Algebra, span_generators, a: int) -> Certificate:
@@ -79,7 +77,7 @@ def golden_corpus() -> List[CorpusEntry]:
 
     def add(name, algebra, expected, provenance, config=DEFAULT_CONFIG):
         entry = CorpusEntry(name=name, algebra=algebra, expected=expected,
-                            provenance=provenance, config=config)
+                            provenance=provenance, config=config, hand_certificates=[])
         entries.append(entry)
         return entry
 
@@ -177,8 +175,7 @@ def golden_corpus() -> List[CorpusEntry]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     entry: str
     check: str
     passed: bool

@@ -15,8 +15,7 @@ balancedness, and a YES there is a soundness alarm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from zpbal.algebra import Algebra, Element, Quotient, quotient_algebra
 from zpbal.errors import (
@@ -29,19 +28,17 @@ from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
 from zpbal.tensorsquare import NO, UNKNOWN, YES, ZeroProductSpanReport
 
 
-@dataclass
 class AlgMap:
     """Linear map between algebras over one field; columns are basis images."""
 
-    source: Algebra
-    target: Algebra
-    matrix: Matrix  # target.dim rows, source.dim columns
-
-    def __post_init__(self):
-        if self.source.field != self.target.field:
+    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix):
+        if source.field != target.field:
             raise ValueError("source and target must share the base field")
-        if self.matrix.nrows != self.target.dim or self.matrix.ncols != self.source.dim:
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ValueError("map matrix has wrong shape")
+        self.source = source
+        self.target = target
+        self.matrix = matrix  # target.dim rows, source.dim columns
 
     def apply(self, a: Element) -> Element:
         return self.target.element(self.matrix.apply(list(a.coords)))
@@ -100,8 +97,7 @@ def is_semimultiplicative(f: AlgMap) -> bool:
     return semimultiplicative_witness(f) is None
 
 
-@dataclass
-class ZeroProductPreservingVerdict:
+class ZeroProductPreservingVerdict(NamedTuple):
     status: str  # YES / NO / UNKNOWN
     witness: Optional[Tuple[tuple, tuple]] = None  # pair with uv = 0, pi(u)pi(v) != 0
     note: str = ""
@@ -127,8 +123,7 @@ def is_zero_product_preserving(f: AlgMap, source_span: ZeroProductSpanReport) ->
     )
 
 
-@dataclass
-class WeightedFactorization:
+class WeightedFactorization(NamedTuple):
     """pi = S ∘ pi0 with pi0 a surjective homomorphism and S = T^-1 a
     bijective centralizer; T satisfies T(pi(a)pi(b)) = pi(ab)."""
 

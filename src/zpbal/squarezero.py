@@ -11,8 +11,7 @@ algebra, where a YES would contradict the theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from zpbal.algebra import Algebra, Element, commutator
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
@@ -40,8 +39,7 @@ def commutator_span(algebra: Algebra) -> Subspace:
     return builder.to_subspace()
 
 
-@dataclass
-class FactorizableWitness:
+class FactorizableWitness(NamedTuple):
     """x = yz with zy = 0; re-verified together with x² = 0 and x = [y,z]."""
 
     x: Element
@@ -58,8 +56,7 @@ class FactorizableWitness:
         )
 
 
-@dataclass
-class FactorizableSpanReport:
+class FactorizableSpanReport(NamedTuple):
     subspace: Subspace
     status: str  # EXACT / LOWER_BOUND
     witnesses: List[FactorizableWitness]  # one per retained generator
@@ -119,8 +116,7 @@ def factorizable_square_zero_span(
     return FactorizableSpanReport(subspace=builder.to_subspace(), status=status, witnesses=witnesses)
 
 
-@dataclass
-class SpanEqualityReport:
+class SpanEqualityReport(NamedTuple):
     """Comparison of the commutator span with the factorizable square-zero span."""
 
     commutator_dim: int

@@ -19,8 +19,7 @@ decompositions against invertibility on every basis element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from zpbal.algebra import (
     Algebra,
@@ -230,8 +229,7 @@ def _reduced_quotient(algebra: Algebra, given: Optional[ReducedQuotient]) -> Red
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CharacterReport:
+class CharacterReport(NamedTuple):
     """Nonzero multiplicative functionals to the base field."""
 
     characters: List[AlgMap]
@@ -325,8 +323,7 @@ def lift_idempotent(algebra: Algebra, quot: Quotient, ebar: Element) -> Element:
     return e
 
 
-@dataclass
-class SigmaSplitting:
+class SigmaSplitting(NamedTuple):
     """Multiplicative linear section of the projection onto the reduced quotient."""
 
     quotient: Quotient
@@ -381,8 +378,7 @@ def _lift_splitting(red: ReducedQuotient, atoms: List[Element], lifted: List[Ele
                           multiplicative_ok=multiplicative_ok)
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     """a = nil_part + sum of lambda_i * e_i with orthogonal idempotents e_i and
     distinct nonzero coefficients; unique up to permutation, so coefficients
     are stored in a canonical sort order."""
@@ -446,8 +442,7 @@ def decompose(a: Element, splitting: SigmaSplitting) -> Decomposition:
 NOT_EVALUATED = "NOT_EVALUATED"
 
 
-@dataclass
-class CleanWitness:
+class CleanWitness(NamedTuple):
     """Clean decompositions from the atoms ē_i of Q = A/N and their lifts e_i."""
 
     quotient: Quotient
@@ -466,8 +461,7 @@ class CleanWitness:
         return f
 
 
-@dataclass
-class RegularCleanReport:
+class RegularCleanReport(NamedTuple):
     regular_on_quotient: Optional[bool]
     clean: str  # YES / NOT_EVALUATED / UNKNOWN
     notes: List[str]
@@ -550,8 +544,7 @@ INAPPLICABLE = "INAPPLICABLE"
 RADICAL_OVER_COMMUTATOR_IDEAL = "RADICAL_OVER_COMMUTATOR_IDEAL"
 
 
-@dataclass
-class DichotomyResult:
+class DichotomyResult(NamedTuple):
     kind: str
     witness: Optional[AlgMap] = None  # character, when found
     nilradical_dim: Optional[int] = None

@@ -14,8 +14,7 @@ until the span reduces them; the public methods return dense lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from zpbal.algebra import Algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
@@ -99,24 +98,28 @@ def _defect_tensor(algebra: Algebra, i: int, j: int, k: int) -> Sparse:
     return out
 
 
-@dataclass
 class ZeroProductSpanReport:
     """Computed (or lower-bounded) span of zero-product tensors.
 
     Every generator pair (u, v) was re-verified to satisfy uv = 0 before
     insertion, so the recorded subspace is a certified subset of the true
     span regardless of status.  Status EXACT means the generating sweep was
-    exhaustive over the whole (finite) algebra.
+    exhaustive over the whole (finite) algebra.  `builder` is the
+    expression-tracking span that produced the subspace; membership
+    decompositions are read from it.
     """
 
-    algebra: Algebra
-    tensor: TensorSquare
-    subspace: Subspace
-    status: str
-    generators: List[Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]]
-    kernel_dim: int
-    config: SweepConfig
-    _builder: SpanBuilder = dc_field(repr=False, default=None)
+    def __init__(self, algebra: Algebra, tensor: TensorSquare, subspace: Subspace, status: str,
+                 generators: List[Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]], kernel_dim: int,
+                 config: SweepConfig, builder: SpanBuilder):
+        self.algebra = algebra
+        self.tensor = tensor
+        self.subspace = subspace
+        self.status = status
+        self.generators = generators
+        self.kernel_dim = kernel_dim
+        self.config = config
+        self._builder = builder
 
     @property
     def dim(self) -> int:
@@ -244,7 +247,7 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
         generators=generators,
         kernel_dim=ker_dim,
         config=config,
-        _builder=builder,
+        builder=builder,
     )
 
 
@@ -257,7 +260,6 @@ SEPARATING = "separating-functional"
 NOT_VERIFIED = "not-verified"
 
 
-@dataclass
 class Certificate:
     """Independently re-checkable evidence for one membership/refutation claim.
 
@@ -271,12 +273,17 @@ class Certificate:
     must equal it.  A loaded certificate of a zero defect has no target.
     """
 
-    kind: str
-    target: Optional[Vector]
-    terms: List[Tuple[Scalar, tuple, tuple]] = dc_field(default_factory=list)
-    functional: Optional[Vector] = None
-    generators: List[Tuple[tuple, tuple]] = dc_field(default_factory=list)
-    meta: Dict = dc_field(default_factory=dict)
+    def __init__(self, kind: str, target: Optional[Vector],
+                 terms: Optional[List[Tuple[Scalar, tuple, tuple]]] = None,
+                 functional: Optional[Vector] = None,
+                 generators: Optional[List[Tuple[tuple, tuple]]] = None,
+                 meta: Optional[Dict] = None):
+        self.kind = kind
+        self.target = target
+        self.terms = [] if terms is None else terms
+        self.functional = functional
+        self.generators = [] if generators is None else generators
+        self.meta = {} if meta is None else meta
 
     def to_dict(self, fld: Field, generator_index: Callable[[Tuple[tuple, tuple]], int]) -> Dict:
         """JSON form; zero-product pairs become indices into the file's generator table."""
@@ -417,8 +424,7 @@ def _separating_functional(report: ZeroProductSpanReport, target: Vector) -> Vec
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DeterminedVerdict:
+class DeterminedVerdict(NamedTuple):
     status: str  # YES / NO / UNKNOWN
     span_dim: int
     kernel_dim: int
@@ -458,8 +464,7 @@ def is_zero_product_determined(algebra: Algebra, report: ZeroProductSpanReport) 
     return DeterminedVerdict(NO, span_dim, ker_dim, witness=witness, certificate=cert)
 
 
-@dataclass
-class BalancedVerdict:
+class BalancedVerdict(NamedTuple):
     status: str  # YES / NO / UNKNOWN
     witness_triple: Optional[Tuple[int, int, int]] = None
     certificate: Optional[Certificate] = None  # separating functional for NO

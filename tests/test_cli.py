@@ -42,6 +42,41 @@ def test_example_and_check(tmp_path, capsys, monkeypatch):
     assert os.path.exists("n4.certs.json")
 
 
+def test_check_names_a_witness_only_for_no(tmp_path, capsys, monkeypatch):
+    """An UNKNOWN's first failed triple is no witness; each UNKNOWN verdict
+    carries its decider's note, and a NO has its witness and no note."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "Nm", "--m", "5", "--field", "Q", "--out", "n5q.json")
+    code, out, _ = run_cli(capsys, "check", "n5q.json", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["balanced"], report["determined"]) == ("UNKNOWN", "UNKNOWN")
+    assert report["balanced_witness"] is None
+    assert "lower-bound span" in report["balanced_note"]
+    assert "lower bound below the kernel ceiling" in report["determined_note"]
+    code, out, _ = run_cli(capsys, "check", "n5q.json")
+    assert "balanced_witness: null\n" in out and "balanced_note: membership failed" in out
+    run_cli(capsys, "example", "Nm", "--m", "4", "--field", "F2", "--out", "n4.json")
+    code, out, _ = run_cli(capsys, "check", "n4.json", "--json")
+    report = json.loads(out)
+    assert (report["balanced"], report["balanced_witness"]) == ("NO", ["x", "x", "x"])
+    assert (report["balanced_note"], report["determined_note"]) == (None, None)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_check_refuses_nonpositive_caps(tmp_path, flags):
+    """`SweepConfig` refuses a zero cap with a raise, not an assert."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    alg = tmp_path / "n4.json"
+    save_algebra(nilpotent_algebra(PrimeField(2), 4), str(alg))
+    for option in ("--cap", "--stall"):
+        proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", "check", str(alg),
+                               option, "0", "--out", str(tmp_path / "certs.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, "error: caps must be positive\n"), option
+        assert not (tmp_path / "certs.json").exists()
+
+
 def test_check_json_report(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")

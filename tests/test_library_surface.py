@@ -6,6 +6,9 @@ tests use live under `tests/` (`references`, `multiplier`, `oracles`).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zpbal"
@@ -66,3 +69,15 @@ def test_only_the_projective_sweep_enumerates_elements():
                if ".coord_tuples()" in path.read_text(encoding="utf-8")]
     assert callers == ["sweep.py"]
     assert "n_elements" not in (PACKAGE / "structure.py").read_text(encoding="utf-8")
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    """Records are NamedTuples or plain classes: `dataclasses` pulls in
+    `inspect`, `ast`, `dis` and `tokenize`, which every process would pay for."""
+    code = ("import sys, zpbal.cli, zpbal.structure, zpbal.squarezero, zpbal.linmaps, zpbal.corpus\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -126,6 +126,16 @@ def test_perturbed_map_raises_with_witness():
     assert semimultiplicative_witness(bad) == (i, j, k)
 
 
+def test_algmap_refuses_mismatched_fields_and_wrong_shape():
+    m2 = matrix_algebra(F2, 2)
+    with pytest.raises(ValueError, match="share the base field"):
+        AlgMap(m2, matrix_algebra(F3, 2), Matrix.identity(F2, 4))
+    with pytest.raises(ValueError, match="wrong shape"):
+        AlgMap(m2, nilpotent_algebra(F2, 4), Matrix.identity(F2, 4))
+    with pytest.raises(ValueError, match="wrong shape"):
+        AlgMap(nilpotent_algebra(F2, 4), m2, Matrix.identity(F2, 4))
+
+
 def test_hypothesis_failures_are_named():
     n4 = nilpotent_algebra(F2, 4)
     with pytest.raises(HypothesisFailed) as exc:

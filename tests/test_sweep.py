@@ -202,6 +202,18 @@ def test_quotient_route_on_algebras_with_different_one_sided_annihilators(make, 
     assert span.dim == brute_span_dim_zero_products(alg)
 
 
+def test_sweep_config_is_immutable():
+    config = SweepConfig(enumeration_cap=8, seed=3)
+    assert (config.enumeration_cap, config.stall_rounds, config.seed) == (8, 64, 3)
+    for name in ("enumeration_cap", "stall_rounds", "seed", "other"):
+        with pytest.raises(AttributeError):
+            setattr(config, name, 1)
+    assert (config.enumeration_cap, config.stall_rounds, config.seed) == (8, 64, 3)
+    for caps in ({"enumeration_cap": 0}, {"stall_rounds": 0}, {"enumeration_cap": -1}):
+        with pytest.raises(ValueError, match="caps must be positive"):
+            SweepConfig(**caps)
+
+
 _TAMPER = textwrap.dedent("""
     import sys
     from zpbal.algebra import Algebra, matrix_algebra, nilpotent_algebra

@@ -37,6 +37,7 @@ from zpbal.serialize import certificates_to_dict
 from zpbal.tensorsquare import (
     Certificate,
     MEMBERSHIP,
+    SEPARATING,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
@@ -250,6 +251,15 @@ def test_malformed_certificates():
                                            target=[0, 0, 0, 0], functional=None))
     with pytest.raises(MalformedCertificate):
         verify_certificate(kk, Certificate(kind="nonsense", target=[0, 0, 0, 0]))
+
+
+def test_certificates_do_not_share_default_lists():
+    first, second = Certificate(MEMBERSHIP, None), Certificate(SEPARATING, None)
+    first.terms.append((1, (1,), (0,)))
+    first.generators.append(((1,), (0,)))
+    first.meta["triple"] = [0, 0, 0]
+    assert (second.terms, second.generators, second.meta) == ([], [], {})
+    assert first.terms is not second.terms and first.meta is not second.meta
 
 
 def test_triple_certificates_are_bound_to_their_defect_tensor():
