@@ -3,10 +3,11 @@ determined finite-dimensional associative algebras.
 
 All arithmetic is exact (arbitrary-precision rationals or prime-field
 residues); every non-trivial verdict is backed by an independently
-re-checkable certificate.
+re-checkable certificate.  The rationals are `zpbal.rationals.QQ`, imported
+only where a rational field is asked for.
 """
 
-from zpbal.fields import Rationals, PrimeField, field_from_name
+from zpbal.fields import PrimeField, field_from_name
 from zpbal.algebra import Algebra, Element
 
-__all__ = ["Rationals", "PrimeField", "field_from_name", "Algebra", "Element"]
+__all__ = ["PrimeField", "field_from_name", "Algebra", "Element"]

@@ -10,8 +10,11 @@ it is printed as JSON; otherwise the text is rendered from that same dict, one
 `key: value` line per top-level key.  All reports are deterministic for fixed
 inputs and configuration; the seed is recorded in every emitted artifact.
 
-factorize, structure, fn2 and corpus import their modules when they run, so
-that check and verify, which start a process per file, load only what they use.
+check and verify start a process per file, and every process compiles the
+modules it imports, so a module they import holds only what they run.  This
+module holds their handlers.  factorize, structure and fn2 build their reports
+in `zpbal.reports`, and corpus runs there; `main` imports that module only when
+one of them runs.  example imports `zpbal.constructions` when it runs.
 """
 
 from __future__ import annotations
@@ -23,29 +26,9 @@ import sys
 from collections import Counter
 from typing import Dict, List, Optional
 
-from zpbal.algebra import (
-    Algebra,
-    direct_sum,
-    function_algebra,
-    matrix_algebra,
-    matrix_over,
-    nilpotent_algebra,
-    poly_quotient_algebra,
-    scalar_algebra,
-    tensor_product,
-    zero_algebra,
-)
 from zpbal.config import SweepConfig
-from zpbal.errors import (
-    BudgetExceeded,
-    HypothesisFailed,
-    NotSemimultiplicative,
-    ParseError,
-    SoundnessAlarm,
-    SpanDeficient,
-    ZpbalError,
-)
-from zpbal.fields import Field, PrimeField, field_from_name
+from zpbal.errors import SoundnessAlarm, ZpbalError
+from zpbal.fields import field_from_name
 from zpbal import serialize
 from zpbal.tensorsquare import (
     MEMBERSHIP,
@@ -91,10 +74,6 @@ def _text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
-def _strs(fld: Field, v) -> List[str]:
-    return [str(fld.format(a)) for a in v]
-
-
 def cmd_check(args) -> int:
     config = _config_from_args(args)
     alg = serialize.load_algebra(args.algebra)
@@ -115,8 +94,7 @@ def cmd_check(args) -> int:
     serialize.save_certificates(certs, fld, config.seed, cert_path,
                                 label=os.path.basename(args.algebra), balanced=balanced.status)
 
-    # only a NO names a witness; an UNKNOWN's triple merely failed against a lower bound
-    witness = balanced.witness_triple if balanced.status == NO else None
+    witness = balanced.witness_triple  # a NO's refuted triple
     report = {
         "algebra": os.path.basename(args.algebra),
         "field": fld.name,
@@ -143,139 +121,13 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_factorize(args) -> int:
-    from zpbal.linmaps import is_semimultiplicative, is_zero_product_preserving, weighted_factorization
+def cmd_report(args) -> int:
+    """factorize, structure and fn2: `zpbal.reports` builds the report, cli prints it."""
+    from zpbal import reports
 
-    config = _config_from_args(args)
-    amap = serialize.load_map(args.map)
-    fld = amap.source.field
-    span = compute_zero_product_span(amap.source, config)
-    zp = is_zero_product_preserving(amap, span)
-    report: Dict = {
-        "map": os.path.basename(args.map),
-        "field": fld.name,
-        "seed": config.seed,
-        "source_dim": amap.source.dim,
-        "target_dim": amap.target.dim,
-        "zero_product_preserving": zp.status,
-        "semimultiplicative": is_semimultiplicative(amap),
-    }
-    try:
-        w = weighted_factorization(amap)
-    except NotSemimultiplicative as exc:
-        # weighted-epimorphism theorem: a zero-product preserving surjection
-        # out of a balanced algebra factors, so a balanced YES here is an alarm
-        if zp.status == YES and is_zero_product_balanced(amap.source, span).status == YES:
-            raise SoundnessAlarm("zero-product preserving map out of a balanced algebra "
-                                 f"failed to factor: {exc}") from exc
-        report["factorization"] = f"failed: {exc}"
-    except (HypothesisFailed, SpanDeficient) as exc:
-        report["factorization"] = f"failed: {exc}"
-    else:
-        report["factorization"] = {
-            "T": [_strs(fld, row) for row in w.T.rows],
-            "S": [_strs(fld, row) for row in w.S.rows],
-            "pi0": [_strs(fld, row) for row in w.pi0.matrix.rows],
-            "kernel_ideal_dim": w.kernel_ideal.dim,
-            "kernel_ideal_basis": [_strs(fld, row) for row in w.kernel_ideal.basis],
-        }
-    _emit(report, args.json)
-    return 0
-
-
-def _parse_elements(texts: Optional[List[str]], alg: Algebra) -> List[List]:
-    """The coordinates of each `--element`, checked against the field and the dimension."""
-    elements = []
-    for text in texts or []:
-        parts = text.split(",")
-        if len(parts) != alg.dim:
-            raise ZpbalError(f"--element {text!r}: expected {alg.dim} comma-separated "
-                             f"coordinates, got {len(parts)}")
-        try:
-            elements.append(alg.field.parse_vector(parts))
-        except ParseError as exc:
-            raise ParseError(f"--element {text!r}: {exc}") from exc
-    return elements
-
-
-def cmd_structure(args) -> int:
-    from zpbal.structure import dichotomy_general
-
-    config = _config_from_args(args)
-    alg = serialize.load_algebra(args.algebra)
-    elements = _parse_elements(args.element, alg)
-    report: Dict = {"algebra": os.path.basename(args.algebra), "field": alg.field.name,
-                    "dim": alg.dim, "seed": config.seed,
-                    "commutative": alg.predicates().is_commutative}
-    if report["commutative"]:
-        report.update(_commutative_report(alg, config, elements))
-    else:
-        dich = dichotomy_general(alg, config)
-        report["general_dichotomy"] = {"kind": dich.kind, "exponents": dich.exponents}
-    _emit(report, args.json)
-    return 0
-
-
-def _commutative_report(alg: Algebra, config: SweepConfig, elements: List[List]) -> Dict:
-    """Nilradical, characters, splitting with the decomposition of each element,
-    cleanness and dichotomy of a commutative algebra."""
-    from zpbal.structure import (
-        ReducedQuotient,
-        characters,
-        decompose,
-        dichotomy_commutative,
-        regular_and_clean_check,
-        sigma_splitting,
-    )
-
-    fld = alg.field
-    reduced = ReducedQuotient(alg)  # nilradical, quotient and atoms, shared by every report
-    nil = reduced.nilradical
-    chars = characters(alg, config, reduced)
-    report: Dict = {
-        "nilradical": {"dim": nil.dim, "basis": [_strs(fld, row) for row in nil.basis]},
-        "characters": {"status": chars.status,
-                       "table": [_strs(fld, c.matrix.rows[0]) for c in chars.characters]},
-    }
-    try:
-        splitting = sigma_splitting(alg, config, reduced)
-    except (HypothesisFailed, BudgetExceeded) as exc:  # as in regular_and_clean_check
-        report["splitting"] = f"not available: {exc}"
-    else:
-        report["atoms"] = [_strs(fld, at.coords) for at in splitting.atoms]
-        report["sigma"] = [_strs(fld, row) for row in splitting.sigma.rows]
-        for coords in elements:
-            dec = decompose(alg.element(coords), splitting)
-            report.setdefault("decompositions", []).append({
-                "element": _strs(fld, coords),
-                "nil_part": _strs(fld, dec.nil_part.coords),
-                "terms": [{"coefficient": str(fld.format(lam)), "idempotent": _strs(fld, e.coords)}
-                          for lam, e in dec.terms],
-            })
-    rc = regular_and_clean_check(alg, config, reduced)
-    report["regular_on_quotient"] = rc.regular_on_quotient
-    report["clean"] = rc.clean
-    report["dichotomy"] = dichotomy_commutative(alg, config, reduced).kind
-    return report
-
-
-def cmd_fn2(args) -> int:
-    from zpbal.squarezero import check_span_equality
-
-    config = _config_from_args(args)
-    alg = serialize.load_algebra(args.algebra)
-    eq = check_span_equality(alg, config)
-    _emit({
-        "algebra": os.path.basename(args.algebra),
-        "field": alg.field.name,
-        "dim": alg.dim,
-        "seed": config.seed,
-        "commutator_span_dim": eq.commutator_dim,
-        "factorizable_span_dim": eq.factorizable_dim,
-        "factorizable_status": eq.factorizable_status,
-        "containment": eq.containment_ok,
-        "equal": eq.equal,
-    }, args.json)
+    build = {"factorize": reports.factorize, "structure": reports.structure,
+             "fn2": reports.fn2}[args.command]
+    _emit(build(args, _config_from_args(args)), args.json)
     return 0
 
 
@@ -311,39 +163,9 @@ def cmd_verify(args) -> int:
 EXAMPLE_NAMES = ("Nm", "Mn", "MnNm", "DN3", "Kn", "KxNm", "zero")
 
 
-def _irreducible_quadratic(field: PrimeField):
-    """Monic irreducible x^2 + ax + b over a prime field, by root search."""
-    p = field.p
-    for a in range(p):
-        for b in range(p):
-            if all((x * x + a * x + b) % p != 0 for x in range(p)):
-                return [b % p, a % p, 1]
-    raise ValueError("no irreducible quadratic found")
-
-
-def build_example(name: str, field: Field, m: int, n: int) -> Algebra:
-    if name == "Nm":
-        return nilpotent_algebra(field, m)
-    if name == "Mn":
-        return matrix_algebra(field, n)
-    if name == "MnNm":
-        return matrix_over(nilpotent_algebra(field, m), n)
-    if name == "DN3":
-        if field.characteristic == 0:
-            base = poly_quotient_algebra(field, [field.of_int(-2), field.zero, field.one])
-        else:
-            base = poly_quotient_algebra(field, _irreducible_quadratic(field))
-        return tensor_product(base, nilpotent_algebra(field, 3))
-    if name == "Kn":
-        return function_algebra(field, n)
-    if name == "KxNm":
-        return direct_sum(scalar_algebra(field), nilpotent_algebra(field, m))
-    if name == "zero":
-        return zero_algebra(field, n)
-    raise ZpbalError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
-
-
 def cmd_example(args) -> int:
+    from zpbal.constructions import build_example
+
     m, n = args.m, args.n  # the dimension, known before the dim^3 table is built
     if n < 0:
         raise ZpbalError(f"--n must be at least 0, got {n}")
@@ -362,28 +184,9 @@ def cmd_example(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    from xml.etree import ElementTree as ET
+    from zpbal import reports
 
-    from zpbal.corpus import run_suites
-
-    results = run_suites(args.filter)
-    failures = [r for r in results if not r.passed]
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        detail = f" :: {r.detail}" if (r.detail and not r.passed) else ""
-        print(f"{mark} {r.entry} :: {r.check}{detail}")
-    print(f"{len(results) - len(failures)}/{len(results)} checks passed")
-    if args.out:
-        suite = ET.Element("testsuite", name="zpbal-corpus", tests=str(len(results)),
-                           failures=str(len(failures)))
-        for r in results:
-            case = ET.SubElement(suite, "testcase", classname=r.entry, name=r.check)
-            if not r.passed:
-                fail = ET.SubElement(case, "failure", message=r.detail or "expectation violated")
-                fail.text = r.detail
-        ET.ElementTree(suite).write(args.out, encoding="unicode", xml_declaration=True)
-        print(f"wrote {args.out}")
-    return 0
+    return reports.corpus(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,19 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="weight ∘ homomorphism factorization of a map")
     p.add_argument("map", help="map JSON file")
     _add_common(p)
-    p.set_defaults(func=cmd_factorize)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("structure", help="commutative structure report")
     p.add_argument("algebra", help="algebra JSON file")
     p.add_argument("--element", action="append",
                    help="comma-separated coordinates to decompose (repeatable)")
     _add_common(p)
-    p.set_defaults(func=cmd_structure)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("fn2", help="commutator span vs factorizable square-zero span")
     p.add_argument("algebra", help="algebra JSON file")
     _add_common(p)
-    p.set_defaults(func=cmd_fn2)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="independently re-check a certificate file")
     p.add_argument("certificate", help="certificate JSON file")

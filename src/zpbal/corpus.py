@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from zpbal.algebra import (
-    Algebra,
+from zpbal.algebra import Algebra
+from zpbal.config import DEFAULT_CONFIG, SweepConfig
+from zpbal.constructions import (
     direct_sum,
     function_algebra,
     matrix_algebra,
@@ -23,8 +24,8 @@ from zpbal.algebra import (
     tensor_product,
     zero_algebra,
 )
-from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.fields import PrimeField, QQ
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
 from zpbal.tensorsquare import (
     SEPARATING,
     YES,

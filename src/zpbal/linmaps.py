@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from zpbal.algebra import Algebra, Element, Quotient, quotient_algebra
+from zpbal.algebra import Algebra, Element
+from zpbal.constructions import Quotient, quotient_algebra
 from zpbal.errors import (
     HypothesisFailed,
     NotSemimultiplicative,

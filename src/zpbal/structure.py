@@ -21,15 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from zpbal.algebra import (
-    Algebra,
-    Element,
-    Quotient,
-    ideal_closure,
-    quotient_algebra,
-    scalar_algebra,
-)
+from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
+from zpbal.constructions import Quotient, ideal_closure, quotient_algebra, scalar_algebra
 from zpbal.errors import (
     BudgetExceeded,
     HypothesisFailed,

@@ -424,6 +424,16 @@ def _separating_functional(report: ZeroProductSpanReport, target: Vector) -> Vec
 # ---------------------------------------------------------------------------
 
 
+def _lower_bound_cause(report: ZeroProductSpanReport) -> str:
+    """Why a lower-bound span refutes nothing: over F_p the sweep stopped at the
+    cap, and over Q no certificate kind refutes."""
+    f = report.algebra.field
+    if f.is_finite():
+        return (f"the algebra has {f.characteristic}^{report.algebra.dim} elements, more than "
+                f"--cap {report.config.enumeration_cap}; a larger --cap sweeps it exhaustively")
+    return "no certificate kind refutes over Q"
+
+
 class DeterminedVerdict(NamedTuple):
     status: str  # YES / NO / UNKNOWN
     span_dim: int
@@ -444,7 +454,7 @@ def is_zero_product_determined(algebra: Algebra, report: ZeroProductSpanReport) 
             UNKNOWN,
             span_dim,
             ker_dim,
-            note="span is a lower bound below the kernel ceiling; no refutation over this field",
+            note=f"span is a lower bound below the kernel ceiling: {_lower_bound_cause(report)}",
         )
     witness = next(
         (v for v in report.tensor.kernel().basis if not report.subspace.contains_vector(v)),
@@ -466,7 +476,7 @@ def is_zero_product_determined(algebra: Algebra, report: ZeroProductSpanReport) 
 
 class BalancedVerdict(NamedTuple):
     status: str  # YES / NO / UNKNOWN
-    witness_triple: Optional[Tuple[int, int, int]] = None
+    witness_triple: Optional[Tuple[int, int, int]] = None  # the refuted triple of a NO
     certificate: Optional[Certificate] = None  # separating functional for NO
     certificates: Optional[List[Certificate]] = None  # per-triple memberships for YES
     n_triples: int = 0
@@ -514,8 +524,7 @@ def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) ->
                                            n_triples=d ** 3)
                 return BalancedVerdict(
                     UNKNOWN,
-                    witness_triple=(i, j, k),
                     n_triples=d ** 3,
-                    note="membership failed against a lower-bound span; not refutable over this field",
+                    note=f"membership failed against a lower-bound span: {_lower_bound_cause(report)}",
                 )
     return BalancedVerdict(YES, certificates=certs, n_triples=d ** 3)

@@ -406,8 +406,12 @@ def reference_balanced(algebra, report):
                                meta={"claim": "not-zero-product-balanced", "triple": [i, j, k],
                                      "span_status": report.status, "seed": report.config.seed})
             return BalancedVerdict(NO, witness_triple=(i, j, k), certificate=cert, n_triples=d ** 3)
-        return BalancedVerdict(UNKNOWN, witness_triple=(i, j, k), n_triples=d ** 3,
-                               note="membership failed against a lower-bound span; not refutable over this field")
+        f = algebra.field
+        cause = (f"the algebra has {f.characteristic}^{d} elements, more than --cap "
+                 f"{report.config.enumeration_cap}; a larger --cap sweeps it exhaustively"
+                 if f.is_finite() else "no certificate kind refutes over Q")
+        return BalancedVerdict(UNKNOWN, n_triples=d ** 3,
+                               note=f"membership failed against a lower-bound span: {cause}")
     return BalancedVerdict(YES, certificates=certs, n_triples=d ** 3)
 
 

@@ -20,9 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from zpbal.algebra import (
-    Algebra,
-    Element,
+from zpbal.algebra import Algebra, Element
+from zpbal.constructions import (
     direct_sum,
     function_algebra,
     ideal_closure,

@@ -21,8 +21,9 @@ from references import (
     matrix_from_flat,
 )
 from zpbal.cli import main as cli_main
-from zpbal.fields import PrimeField, QQ
-from zpbal.algebra import (
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
+from zpbal.constructions import (
     direct_sum,
     function_algebra,
     matrix_algebra,

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from zpbal.errors import NotAnIdeal, NotAssociative, NotIdempotent, ParentMismatch
-from zpbal.fields import PrimeField, QQ
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
 from zpbal.linalg import Subspace
-from zpbal.algebra import (
-    Algebra,
-    commutator,
+from zpbal.algebra import Algebra, commutator
+from zpbal.constructions import (
     direct_sum,
     function_algebra,
     ideal_closure,

@@ -9,7 +9,7 @@ import pytest
 
 from references import one_dimension_short
 from zpbal import linmaps, serialize, squarezero
-from zpbal.algebra import direct_sum, function_algebra, matrix_algebra, nilpotent_algebra, poly_quotient_algebra
+from zpbal.constructions import direct_sum, function_algebra, matrix_algebra, nilpotent_algebra, poly_quotient_algebra
 from zpbal.cli import main
 from zpbal.errors import NotSemimultiplicative, SoundnessAlarm
 from zpbal.fields import PrimeField
@@ -313,7 +313,7 @@ def test_factorize_alarms_when_the_weighted_theorem_fails(tmp_path, capsys, monk
 def test_factorize_decides_balancedness_only_when_the_factorization_fails(tmp_path, capsys, monkeypatch):
     # a map that factors, or one that does not preserve zero products, cannot
     # raise the weighted-epimorphism alarm, so balancedness is never decided
-    from zpbal import cli
+    from zpbal import reports
 
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Kn", "--n", "2", "--field", "Q", "--out", "qq.json")
@@ -327,7 +327,7 @@ def test_factorize_decides_balancedness_only_when_the_factorization_fails(tmp_pa
     def refuse(*args):
         raise AssertionError("factorize decided balancedness")
 
-    monkeypatch.setattr(cli, "is_zero_product_balanced", refuse)
+    monkeypatch.setattr(reports, "is_zero_product_balanced", refuse)
     assert [run_cli(capsys, *argv) for argv in runs] == expected
     assert expected[0][0] == 0 and "factorization: {T: " in expected[0][1]
     assert expected[2][0] == 0 and "factorization: failed" in expected[2][1]

@@ -1,10 +1,11 @@
-"""`check` and `verify` refuse a file with one field of the wrong type or range.
+"""Every command refuses an input with one field of the wrong type or range.
 
-Each case takes a valid algebra file or a valid certificate file written by
-the CLI itself, replaces one field that the file format defines with a value
-the format refuses there, and runs `zpbal.cli.main` in process: the exit code
-is 1, standard error carries an `error:` line, and no exception escapes.
-The `meta` entries other than `triple` are free-form and are not fuzzed.
+Each case takes a valid algebra file, certificate file or map file written by
+the CLI itself (or a valid `structure --element`), replaces one field that
+the format defines with a value the format refuses there, and runs
+`zpbal.cli.main` in process: the exit code is 1, standard error carries an
+`error:` line, and no exception escapes.  The `meta` entries other than
+`triple` are free-form and are not fuzzed.
 """
 
 import json
@@ -20,7 +21,7 @@ from zpbal.cli import main
 EXAMPLES = [("k2f2", ["Kn", "--n", "2", "--field", "F2"]),
             ("n4f3", ["Nm", "--m", "4", "--field", "F3"]),
             ("dn3q", ["DN3", "--field", "Q"])]
-SCALARS = {"coords", "idempotents", "u", "v", "target", "functional", "lambda"}
+SCALARS = {"coords", "idempotents", "u", "v", "target", "functional", "lambda", "matrix"}
 INDICES = {"dim", "i", "j", "generator", "triple"}
 FREE_TEXT = {"label", "basis"}  # any string is valid there
 
@@ -105,3 +106,58 @@ def test_verify_refuses_a_certificate_file_with_one_bad_field(files, capsys, whi
     bad = work / "bad.certs.json"
     bad.write_text(json.dumps(_mutant(data, cert_doc)))
     _assert_refused(capsys, ["verify", str(bad), str(work / f"{stem}.json")])
+
+
+@pytest.fixture(scope="module")
+def maps(files):
+    """Per example: its identity map, with the source an inline algebra object
+    and the target a path, so that both kinds of algebra reference are fuzzed."""
+    work, docs = files
+    out = [{"source": alg_doc, "target": f"{stem}.json",
+            "matrix": [[int(i == j) for j in range(alg_doc["dim"])] for i in range(alg_doc["dim"])]}
+           for stem, alg_doc, _ in docs]
+    for doc in out:  # each is a valid map before it is mutated
+        path = work / "map.json"
+        path.write_text(json.dumps(doc))
+        assert main(["factorize", str(path)]) == 0
+    return out
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(0, len(EXAMPLES) - 1), data=st.data())
+def test_factorize_refuses_a_map_file_with_one_bad_field(files, maps, capsys, which, data):
+    work, _ = files
+    bad = work / "bad.map.json"
+    bad.write_text(json.dumps(_mutant(data, maps[which])))
+    _assert_refused(capsys, ["factorize", str(bad)])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(0, len(EXAMPLES) - 1), data=st.data())
+def test_fn2_refuses_an_algebra_file_with_one_bad_field(files, capsys, which, data):
+    work, docs = files
+    _, alg_doc, _ = docs[which]
+    bad = work / "bad.json"
+    bad.write_text(json.dumps(_mutant(data, alg_doc)))
+    _assert_refused(capsys, ["fn2", str(bad)])
+
+
+# Coordinates that neither F_p nor Q parses: no digits, a zero denominator, a
+# float word, an exponent or a digit string past Python's int(str) limit.
+BAD_COORDS = ["", "zz", "nan", "1e", "/", "1/0", "1 1", "0x1", "1e999999", "9" * 5000]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(0, len(EXAMPLES) - 1), data=st.data())
+def test_structure_refuses_an_element_with_one_bad_coordinate(files, capsys, which, data):
+    work, docs = files
+    stem, alg_doc, _ = docs[which]
+    coords = ["1"] + ["0"] * (alg_doc["dim"] - 1)
+    assert main(["structure", str(work / f"{stem}.json"), "--element", ",".join(coords)]) == 0
+    capsys.readouterr()
+    if data.draw(st.booleans(), label="wrong count"):
+        coords = coords[:-1] if data.draw(st.booleans(), label="drop") else coords + ["0"]
+    else:
+        coords[data.draw(st.integers(0, len(coords) - 1), label="at")] = \
+            data.draw(st.sampled_from(BAD_COORDS), label="coordinate")
+    _assert_refused(capsys, ["structure", str(work / f"{stem}.json"), "--element", ",".join(coords)])

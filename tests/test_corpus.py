@@ -1,6 +1,6 @@
 from references import SHAPES, random_algebra, subalgebra
 from zpbal.fields import PrimeField
-from zpbal.algebra import direct_sum, matrix_over, quotient_algebra, ideal_closure
+from zpbal.constructions import direct_sum, matrix_over, quotient_algebra, ideal_closure
 from zpbal.corpus import golden_corpus, run_suites
 from zpbal.linalg import Subspace
 from zpbal.squarezero import check_span_equality
@@ -89,7 +89,7 @@ def test_quotients_of_balanced_are_balanced():
 def test_full_summand_ideals_of_balanced_are_balanced():
     # an ideal with span(I*A) = span(A*I) = I, re-presented as an algebra,
     # stays balanced; direct-sum summands of unital entries qualify
-    from zpbal.algebra import matrix_algebra, function_algebra
+    from zpbal.constructions import matrix_algebra, function_algebra
     a = direct_sum(matrix_algebra(F2, 2), function_algebra(F2, 2))
     span = compute_zero_product_span(a)
     assert is_zero_product_balanced(a, span).status == "YES"
@@ -124,7 +124,7 @@ def test_direct_sums_of_balanced_are_balanced():
 
 
 def test_matrices_over_anything_are_balanced():
-    from zpbal.algebra import nilpotent_algebra, function_algebra, zero_algebra
+    from zpbal.constructions import nilpotent_algebra, function_algebra, zero_algebra
     for base in (nilpotent_algebra(F2, 3), function_algebra(F2, 2), zero_algebra(F2, 1)):
         mn = matrix_over(base, 2)
         span = compute_zero_product_span(mn)

@@ -74,10 +74,35 @@ def test_only_the_projective_sweep_enumerates_elements():
 def test_no_module_loads_dataclasses_or_inspect():
     """Records are NamedTuples or plain classes: `dataclasses` pulls in
     `inspect`, `ast`, `dis` and `tokenize`, which every process would pay for."""
-    code = ("import sys, zpbal.cli, zpbal.structure, zpbal.squarezero, zpbal.linmaps, zpbal.corpus\n"
+    code = ("import sys, zpbal.cli, zpbal.reports, zpbal.structure, zpbal.squarezero, zpbal.linmaps,"
+            " zpbal.corpus\n"
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_check_and_verify_load_only_what_they_run(tmp_path):
+    """Over F_p, `check` and `verify` load neither the constructors, nor the
+    code of the other commands, nor `fractions`.  Over Q the same child loads
+    `fractions`, so the child does see what a command imports."""
+    from zpbal.cli import main
+
+    off_path = ("fractions", "zpbal.constructions", "zpbal.reports", "zpbal.structure",
+                "zpbal.squarezero", "zpbal.linmaps", "zpbal.corpus")
+    code = ("import sys\nfrom zpbal.cli import main\nalg, certs = sys.argv[1:]\n"
+            "for argv in (['check', alg, '--out', certs], ['verify', certs, alg]):\n"
+            "    assert main(argv) == 0\n"
+            f"print(sorted(m for m in {off_path!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = {}
+    for field in ("F2", "Q"):
+        alg = tmp_path / f"n4{field}.json"
+        assert main(["example", "Nm", "--m", "4", "--field", field, "--out", str(alg)]) == 0
+        proc = subprocess.run([sys.executable, "-c", code, str(alg), str(tmp_path / "certs.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded[field] = proc.stdout.strip().splitlines()[-1]
+    assert loaded == {"F2": "[]", "Q": "['fractions']"}

@@ -19,9 +19,10 @@ from references import (
     zero_matrix,
 )
 from test_sweep import random_change_of_basis
-from zpbal.algebra import ideal_closure, matrix_algebra, nilpotent_algebra, quotient_algebra
+from zpbal.constructions import ideal_closure, matrix_algebra, nilpotent_algebra, quotient_algebra
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
-from zpbal.fields import PrimeField, QQ
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
 from zpbal.linalg import Matrix, SpanBuilder, Subspace, dot
 
 F2 = PrimeField(2)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from zpbal.errors import HypothesisFailed, NotSemimultiplicative
-from zpbal.fields import PrimeField, QQ
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
 from zpbal.linalg import Matrix
-from zpbal.algebra import (
+from zpbal.constructions import (
     direct_sum,
     function_algebra,
     matrix_algebra,

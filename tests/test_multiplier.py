@@ -2,9 +2,10 @@ import pytest
 
 from oracles import all_elements, enumerate_idempotents, mult
 from zpbal.errors import BudgetExceeded, NotIdempotent
-from zpbal.fields import PrimeField, QQ
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
 from zpbal.linalg import Matrix
-from zpbal.algebra import function_algebra, matrix_algebra, nilpotent_algebra
+from zpbal.constructions import function_algebra, matrix_algebra, nilpotent_algebra
 from zpbal.config import SweepConfig
 from multiplier import (
     idempotent_generated_certificate,

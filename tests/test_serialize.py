@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from references import SHAPES, random_algebra
-from zpbal.algebra import Algebra, function_algebra, nilpotent_algebra
+from zpbal.algebra import Algebra
+from zpbal.constructions import function_algebra, nilpotent_algebra
 from zpbal.config import DEFAULT_CONFIG
 from zpbal.corpus import golden_corpus
 from zpbal.errors import MalformedCertificate, ParseError

@@ -5,9 +5,10 @@ import pytest
 
 from oracles import brute_factorizable_elements, rank_mod_p
 from references import factorizable_pair_product_span, matrix_trace, one_dimension_short
-from zpbal.fields import PrimeField, QQ
-from zpbal.algebra import (
-    commutator,
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
+from zpbal.algebra import commutator
+from zpbal.constructions import (
     function_algebra,
     matrix_algebra,
     matrix_over,

@@ -37,8 +37,9 @@ from zpbal.errors import (
     ParentMismatch,
     SoundnessAlarm,
 )
-from zpbal.fields import PrimeField, QQ
-from zpbal.algebra import (
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
+from zpbal.constructions import (
     direct_sum,
     function_algebra,
     matrix_algebra,
@@ -542,7 +543,7 @@ def test_structure_beyond_the_enumeration_cap():
 _TAMPER = textwrap.dedent("""
     import sys
     from zpbal import structure
-    from zpbal.algebra import direct_sum, function_algebra, nilpotent_algebra, poly_quotient_algebra
+    from zpbal.constructions import direct_sum, function_algebra, nilpotent_algebra, poly_quotient_algebra
     from zpbal.errors import SoundnessAlarm
     from zpbal.fields import PrimeField
     from zpbal.linalg import Matrix

@@ -24,10 +24,12 @@ from oracles import (
     reference_zero_product_span,
 )
 from references import SHAPES, dense_kernel, operator_matrix, random_algebra, rref
-from zpbal.algebra import Algebra, direct_sum, matrix_algebra, nilpotent_algebra
+from zpbal.algebra import Algebra
+from zpbal.constructions import direct_sum, matrix_algebra, nilpotent_algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
-from zpbal.fields import QQ, PrimeField
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
 from zpbal.linalg import Matrix, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
 from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep
@@ -216,11 +218,13 @@ def test_sweep_config_is_immutable():
 
 _TAMPER = textwrap.dedent("""
     import sys
-    from zpbal.algebra import Algebra, matrix_algebra, nilpotent_algebra
+    from zpbal.algebra import Algebra
     from zpbal.config import SweepConfig
+    from zpbal.constructions import matrix_algebra, nilpotent_algebra
     from zpbal.errors import ExpressionsNotTracked, SoundnessAlarm
-    from zpbal.fields import QQ, PrimeField
+    from zpbal.fields import PrimeField
     from zpbal.linalg import SpanBuilder
+    from zpbal.rationals import QQ
     from zpbal.squarezero import factorizable_square_zero_span
     from zpbal.tensorsquare import compute_zero_product_span
 

@@ -20,8 +20,9 @@ from oracles import (
 from references import SHAPES, balanced_defect, random_algebra
 from zpbal.corpus import golden_corpus
 from zpbal.errors import MalformedCertificate
-from zpbal.fields import PrimeField, QQ
-from zpbal.algebra import (
+from zpbal.fields import PrimeField
+from zpbal.rationals import QQ
+from zpbal.constructions import (
     direct_sum,
     function_algebra,
     matrix_algebra,
@@ -339,12 +340,13 @@ def _balanced_oracle_cases():
     yield "M4/F2", matrix_algebra(F2, 4), SweepConfig(seed=7)
     yield "M3(N3)/F2", matrix_over(nilpotent_algebra(F2, 3), 3), SweepConfig(seed=7)
     yield "N8/Q", nilpotent_algebra(QQ, 8), SweepConfig(seed=7)  # UNKNOWN: a lower-bound span
+    yield "N9/F3 cap 3^7", nilpotent_algebra(F3, 9), SweepConfig(enumeration_cap=3 ** 7, seed=7)  # UNKNOWN
 
 
 def test_balanced_decider_equals_the_two_step_reference():
     """One reduction per triple gives the verdict, witness triple and certificate
     file of the former route: a membership test, then a decomposition."""
-    verdicts = set()
+    verdicts, unknown_finite = set(), set()
     for name, alg, config in _balanced_oracle_cases():
         span = compute_zero_product_span(alg, config)
         got = is_zero_product_balanced(alg, span)
@@ -355,5 +357,9 @@ def test_balanced_decider_equals_the_two_step_reference():
             (v.certificates or []) + [c for c in (v.certificate,) if c is not None],
             alg.field, config.seed, name, balanced=v.status), sort_keys=True) for v in (got, want)]
         assert files[0] == files[1], name
+        if got.status == "UNKNOWN":  # only a NO names a refuted triple
+            assert got.witness_triple is None, name
+            unknown_finite.add(alg.field.is_finite())
         verdicts.add(got.status)
     assert verdicts == {"YES", "NO", "UNKNOWN"}
+    assert unknown_finite == {True, False}  # the notes of both causes were compared
