@@ -100,15 +100,15 @@ class Algebra:
         f = self.field
         out = [f.zero] * self.dim
         for i, a in enumerate(u):
-            if a == 0:
+            if not a:
                 continue
             row = self.table[i]
             for j, b in enumerate(v):
-                if b == 0:
+                if not b:
                     continue
                 ab = f.mul(a, b)
                 for t, c in enumerate(row[j]):
-                    if c != 0:
+                    if c:
                         out[t] = f.add(out[t], f.mul(ab, c))
         return out
 
@@ -156,7 +156,7 @@ class Algebra:
         add, mul = f.add, f.mul
         rows: Dict[int, Sparse] = {}
         for i, a in enumerate(u):
-            if a == 0:
+            if not a:
                 continue
             # column j is e_i e_j (left) or e_j e_i (right), scaled by a
             cells = self._nonzero[i] if left else [row[i] for row in self._nonzero]
@@ -289,7 +289,7 @@ class Element:
             square = square * square
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.coords)
 
     def is_nilpotent(self) -> bool:
         """a is nilpotent iff a^(2^k) = 0 with 2^k > dim, because a nilpotent a

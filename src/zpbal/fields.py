@@ -1,12 +1,13 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Scalars are plain Python values: `fractions.Fraction` over the rationals
-(always stored reduced with positive denominator) and `int` residues in
-[0, p) over a prime field.  A field object supplies the arithmetic, the
-parsing/formatting of the textual syntax ("p/q" over the rationals, a
-decimal residue over a prime field), and enumeration where finite.  Parsed
-scalars are integers or strings; a float or a bool is a ParseError, so no
-inexact value enters through an input file.
+Scalars are plain Python values.  Over the rationals a scalar is an `int`
+when it is integral and a reduced `fractions.Fraction` with positive
+denominator otherwise; over a prime field it is an `int` residue in [0, p).
+A field object supplies the arithmetic, the parsing/formatting of the
+textual syntax ("p/q" over the rationals, a decimal residue over a prime
+field), and enumeration where finite.  Parsed scalars are integers or
+strings; a float or a bool is a ParseError, so no inexact value enters
+through an input file.
 
 The rationals live in `zpbal.rationals`, which `field_from_name("Q")` imports
 when it is asked for them, so a process over a prime field never loads
@@ -22,7 +23,7 @@ from zpbal.errors import ParseError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Scalar = Union["Fraction", int]
+Scalar = Union[int, "Fraction"]  # a Fraction only for a non-integral rational
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality

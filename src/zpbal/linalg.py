@@ -38,7 +38,7 @@ def vec_scale(field, c, u):
 
 
 def vec_is_zero(u) -> bool:
-    return not any(u)  # int residues and Fractions are falsy exactly at zero
+    return not any(u)  # ints and Fractions are falsy exactly at zero
 
 
 # The conversions at the dense boundary are private, so that they stay plain
@@ -163,7 +163,7 @@ class Matrix:
         for row in self.rows:
             acc = f.zero
             for a, x in zip(row, v):
-                if a != 0 and x != 0:
+                if a and x:
                     acc = f.add(acc, f.mul(a, x))
             out.append(acc)
         return out
@@ -176,11 +176,11 @@ class Matrix:
         for row in self.rows:
             new = [f.zero] * other.ncols
             for k, a in enumerate(row):
-                if a == 0:
+                if not a:
                     continue
                 orow = other.rows[k]
                 for j, b in enumerate(orow):
-                    if b != 0:
+                    if b:
                         new[j] = f.add(new[j], f.mul(a, b))
             out.append(new)
         return Matrix(f, out, cols=other.ncols)
@@ -459,6 +459,6 @@ class Subspace(_Echelon):
 def dot(field: Field, u: Vector, v: Vector) -> Scalar:
     acc = field.zero
     for a, b in zip(u, v):
-        if a != 0 and b != 0:
+        if a and b:
             acc = field.add(acc, field.mul(a, b))
     return acc

@@ -1,5 +1,12 @@
 """The field of rationals, `QQ`.
 
+A rational has one normal form: a Python `int` when it is integral, and a
+reduced `fractions.Fraction` otherwise.  Every operation returns that form,
+so arithmetic on the 0 and ±1 structure constants of the usual examples stays
+on ints and never enters Fraction's pure-Python code.  An int and the integral
+`Fraction` equal to it compare and hash equal and print the same, so the
+representation never shows in a verdict, a report or a file.
+
 Kept out of `zpbal.fields` so that a process over a prime field never imports
 `fractions` (and with it `decimal` and `numbers`); `field_from_name("Q")`
 imports this module.
@@ -19,33 +26,40 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def _normal(r):
+    """r in normal form: an int when integral, else the reduced Fraction."""
+    return r if type(r) is int or r.denominator != 1 else r.numerator
+
+
 class Rationals(Field):
-    """The field of arbitrary-precision rationals."""
+    """The field of arbitrary-precision rationals, in the normal form above."""
 
     name = "Q"
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _normal(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _normal(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _normal(a * b)
 
     def neg(self, a):
-        return -a
+        return _normal(-a)
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / Fraction(a)
+        if type(a) is int:
+            return a if abs(a) == 1 else Fraction(1, a)
+        return _normal(Fraction(a.denominator, a.numerator))
 
     def of_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, text):
         if type(text) is not int and not isinstance(text, str):  # no bool, no float
@@ -59,7 +73,7 @@ class Rationals(Field):
             if abs(exponent) + len(text) > limit:
                 raise ParseError(f"rational scalar {text[:40]!r} expands to more than {limit} digits")
         try:
-            return Fraction(text)
+            return _normal(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid rational scalar {text!r}") from exc
 

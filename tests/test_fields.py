@@ -89,6 +89,47 @@ def test_rational_field_axioms(a, b, c):
         assert QQ.mul(a, QQ.inv(a)) == QQ.one
 
 
+# Integral Fractions too: a table built by hand may hold Fraction(2, 1).
+q_scalars = st.integers(-10 ** 20, 10 ** 20) | st.fractions(min_value=-50, max_value=50, max_denominator=6)
+
+
+def _is_normal(r):
+    """The normal form of a rational: an int when integral, a Fraction otherwise."""
+    return type(r) is int if Fraction(r).denominator == 1 else type(r) is Fraction
+
+
+@given(q_scalars, q_scalars)
+def test_rational_ops_return_the_normal_form(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    for got, want in ((QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+                      (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa)):
+        assert got == want and _is_normal(got)
+    if a:
+        assert QQ.inv(a) == 1 / fa and _is_normal(QQ.inv(a))
+
+
+def test_rational_constants_and_integral_parses_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.of_int(-7)) is int and QQ.of_int(-7) == -7
+    for text, value in (("4/2", 2), ("3", 3), (3, 3), ("-4/4", -1), ("0/5", 0), ("1e2", 100)):
+        assert type(QQ.parse(text)) is int and QQ.parse(text) == value
+    assert type(QQ.parse("2/4")) is Fraction
+
+
+RATIONAL_TEXT = (
+    st.integers(-10 ** 30, 10 ** 30).map(str)
+    | st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+    | st.decimals(min_value=-1000, max_value=1000, places=3).map(str)
+)
+
+
+@given(RATIONAL_TEXT)
+def test_rational_format_of_a_parse_is_the_fraction_text(text):
+    value = QQ.parse(text)
+    assert _is_normal(value)
+    assert QQ.format(value) == str(Fraction(text))
+
+
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 def test_prime_field_axioms(a, b, c):
     f = F5

@@ -5,18 +5,28 @@ certificates it was built from, and every one of them verifies.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from references import SHAPES, random_algebra
+from zpbal import serialize
 from zpbal.algebra import Algebra
-from zpbal.constructions import function_algebra, nilpotent_algebra
+from zpbal.cli import main
+from zpbal.constructions import (
+    function_algebra,
+    matrix_algebra,
+    nilpotent_algebra,
+    poly_quotient_algebra,
+    tensor_product,
+)
 from zpbal.config import DEFAULT_CONFIG
 from zpbal.corpus import golden_corpus
 from zpbal.errors import MalformedCertificate, ParseError
 from zpbal.fields import PrimeField
 from zpbal.linmaps import AlgMap
+from zpbal.rationals import QQ
 from zpbal.serialize import (
     algebra_from_dict,
     certificates_from_dict,
@@ -205,3 +215,49 @@ def test_certificate_file_round_trip_on_finite_corpus(entry, tmp_path):
 def test_certificate_file_round_trip_on_random_algebras(field, shape, tmp_path):
     for seed in range(3):
         assert_round_trip(random_algebra(seed, field, shape), DEFAULT_CONFIG, tmp_path)
+
+
+# --- the representation of a rational never shows in an artifact --------------
+
+Q_ALGEBRAS = {
+    "M2/Q": lambda: matrix_algebra(QQ, 2),
+    "Q(i)xN3/Q": lambda: tensor_product(poly_quotient_algebra(QQ, [1, 0, 1]), nilpotent_algebra(QQ, 3)),
+    "DxN3/Q": lambda: tensor_product(poly_quotient_algebra(QQ, [-2, 0, 1]), nilpotent_algebra(QQ, 3)),
+}
+
+
+def _check_artifacts(tmp_path, capsys, monkeypatch, name, alg):
+    """`check --json` and `verify` on alg as file <name>/a.json: the report with
+    its certificate path dropped, the certificate file bytes and the verify output."""
+    where = tmp_path / name
+    where.mkdir()
+    path, certs = where / "a.json", where / "a.certs.json"
+    with monkeypatch.context() as m:
+        if isinstance(alg, Algebra):  # held in memory, not read from a file
+            m.setattr(serialize, "load_algebra", lambda _: alg)
+        else:
+            path.write_text(json.dumps(alg))
+        assert main(["check", str(path), "--json", "--seed", "7", "--out", str(certs)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("certificates") == str(certs)
+        assert main(["verify", str(certs), str(path)]) == 0
+    return report, certs.read_bytes(), capsys.readouterr().out.replace(str(where), "")
+
+
+@pytest.mark.parametrize("build", Q_ALGEBRAS.values(), ids=Q_ALGEBRAS.keys())
+def test_check_output_does_not_depend_on_how_a_rational_is_held(build, tmp_path, capsys, monkeypatch):
+    alg = build()
+    assert all(Fraction(c).denominator == 1 for row in alg.table for v in row for c in v)
+    ints = [[[int(c) for c in v] for v in row] for row in alg.table]
+    fracs = [[[Fraction(c) for c in v] for v in row] for row in alg.table]
+    spelled = serialize.algebra_to_dict(alg)  # each constant n as "2n/2" or "4n/4", so ±1 as "2/2", "-4/4"
+    for p, entry in enumerate(spelled["products"]):
+        k = 2 if p % 2 == 0 else 4
+        entry["coords"] = [f"{int(c) * k}/{k}" for c in entry["coords"]]
+    assert any(c in ("2/2", "4/4", "-2/2", "-4/4") for e in spelled["products"] for c in e["coords"])
+    runs = [
+        _check_artifacts(tmp_path, capsys, monkeypatch, "ints", Algebra(QQ, alg.names, ints)),
+        _check_artifacts(tmp_path, capsys, monkeypatch, "fractions", Algebra(QQ, alg.names, fracs)),
+        _check_artifacts(tmp_path, capsys, monkeypatch, "spelled", spelled),
+    ]
+    assert runs[0] == runs[1] == runs[2]
