@@ -187,34 +187,28 @@ def weighted_factorization(f: AlgMap) -> WeightedFactorization:
     images = [f.basis_image(i) for i in range(d)]
     builder = SpanBuilder(fld, dB, track_expressions=True)
     defining: List[Tuple[Vector, Vector]] = []  # (pi(e_i)pi(e_j), pi(e_i e_j)) retained
+
+    def weighted(v: Vector) -> Vector:
+        """Σ λ_g pi(e_i e_j) for v = Σ λ_g pi(e_i)pi(e_j) over the retained pairs."""
+        out = [fld.zero] * dB
+        for g, lam in builder.generator_coefficients(v).items():
+            for t, a in enumerate(defining[g][1]):
+                if a != 0:
+                    out[t] = fld.add(out[t], fld.mul(lam, a))
+        return out
+
     for i in range(d):
         for j in range(d):
             v = tgt.multiply_coords(images[i], images[j])
             w = f.apply_coords(src.table[i][j])
             if builder.add(v):
                 defining.append((v, w))
-            else:
-                combo = builder.generator_coefficients(v)
-                expected = [fld.zero] * dB
-                for g, lam in combo.items():
-                    for t, a in enumerate(defining[g][1]):
-                        if a != 0:
-                            expected[t] = fld.add(expected[t], fld.mul(lam, a))
-                if expected != w:
-                    fail()
+            elif weighted(v) != w:
+                fail()
     if builder.dim != dB:
         raise SpanDeficient("products of images do not span the target")
 
-    cols = []
-    for k in range(dB):
-        ek = [fld.one if t == k else fld.zero for t in range(dB)]
-        combo = builder.generator_coefficients(ek)
-        col = [fld.zero] * dB
-        for g, lam in combo.items():
-            for t, a in enumerate(defining[g][1]):
-                if a != 0:
-                    col[t] = fld.add(col[t], fld.mul(lam, a))
-        cols.append(col)
+    cols = [weighted([fld.one if t == k else fld.zero for t in range(dB)]) for k in range(dB)]
     T = Matrix.from_columns(fld, cols, dB)
 
     if _centralizer_witness(tgt, T) is not None:

@@ -26,6 +26,10 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+_TOKENS: dict = {}  # valid str or int token -> its normal form, for `Rationals.parse`
+_TOKEN_LIMIT = 4096  # emptied at this size, so a long-lived process cannot grow it without bound
+
+
 def _normal(r):
     """r in normal form: an int when integral, else the reduced Fraction."""
     return r if type(r) is int or r.denominator != 1 else r.numerator
@@ -62,7 +66,15 @@ class Rationals(Field):
         return n
 
     def parse(self, text):
-        if type(text) is not int and not isinstance(text, str):  # no bool, no float
+        # One memo for every token parsed: a certificate file repeats "0", "1"
+        # and "-1" thousands of times.  It is read only for str and int tokens,
+        # since True == 1 and 1.0 == 1 would otherwise find the entry of a
+        # valid token and skip the ParseError.
+        if type(text) is str or type(text) is int:
+            x = _TOKENS.get(text)
+            if x is not None:
+                return x
+        elif not isinstance(text, str):  # no bool, no float
             raise ParseError(f"invalid rational scalar {text!r}: not an integer or a string")
         if isinstance(text, str) and "e" in text.lower():  # "1e<n>" expands to n digits
             try:
@@ -73,28 +85,19 @@ class Rationals(Field):
             if abs(exponent) + len(text) > limit:
                 raise ParseError(f"rational scalar {text[:40]!r} expands to more than {limit} digits")
         try:
-            return _normal(Fraction(text))
+            x = _normal(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid rational scalar {text!r}") from exc
+        if len(_TOKENS) >= _TOKEN_LIMIT:
+            _TOKENS.clear()
+        _TOKENS[text] = x
+        return x
 
     def format(self, a):
         return str(a)
 
     def parse_vector(self, values):
-        # each distinct token is parsed once: certificate vectors are mostly "0".
-        # Only str and int tokens are memoised, since True == 1 and 1.0 == 1
-        # would otherwise find the entry of a valid token and skip the ParseError.
-        memo: dict = {}
-        out = []
-        for a in values:
-            if type(a) is str or type(a) is int:
-                x = memo.get(a)
-                if x is None:
-                    x = memo[a] = self.parse(a)
-            else:
-                x = self.parse(a)
-            out.append(x)
-        return out
+        return [self.parse(a) for a in values]
 
     def format_vector(self, v):
         return [str(a) for a in v]

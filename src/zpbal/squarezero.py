@@ -17,14 +17,8 @@ from zpbal.algebra import Algebra, Element, commutator
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import SoundnessAlarm
 from zpbal.linalg import SpanBuilder, Subspace
-from zpbal.sweep import LEFT, AnnihilatorSweep, Block, random_elements, structured_elements
-from zpbal.tensorsquare import (
-    EXACT,
-    LOWER_BOUND,
-    YES,
-    compute_zero_product_span,
-    is_zero_product_balanced,
-)
+from zpbal.sweep import EXACT, LEFT, Block, sweep_blocks
+from zpbal.tensorsquare import YES, compute_zero_product_span, is_zero_product_balanced
 
 
 def commutator_span(algebra: Algebra) -> Subspace:
@@ -70,20 +64,15 @@ def factorizable_square_zero_span(
     For fixed z the eligible y form a subspace, so the products come in
     closed blocks: for the left annihilator W = {z : zy = 0} of some y,
     every y' in RAnn(W) = {y' : Wy' = 0} has zy' = 0 for each z in W, and
-    the products y'z over basis pairs span the block.  The annihilator sweep
-    (see `zpbal.sweep`) hands out each block once: the block of RAnn(A)
-    first, then one per new annihilator met on projective points modulo
-    RAnn(A).  Each yz equals [y, z], so the sweep stops once the span
-    reaches the commutator span.
+    the products y'z over basis pairs span the block.  The left sweep of
+    `zpbal.sweep.sweep_blocks` hands out each block once.  Each yz equals
+    [y, z], so the sweep stops once the span reaches the commutator span.
     """
-    f = algebra.field
-    d = algebra.dim
     ceiling = commutator_span(algebra).dim
-    builder = SpanBuilder(f, d)
+    builder = SpanBuilder(algebra.field, algebra.dim)
     witnesses: List[FactorizableWitness] = []
-    sweep = AnnihilatorSweep(algebra, LEFT)
 
-    def offer(block: Block) -> int:
+    def offer(block: Block, side: str) -> int:
         closure, annihilator = block
         added = 0
         for y in closure:
@@ -97,22 +86,8 @@ def factorizable_square_zero_span(
                     added += 1
         return added
 
-    size = algebra.n_elements()
-    if size is not None and size <= config.enumeration_cap:
-        for block in sweep.exhaustive_blocks():
-            offer(block)
-            if builder.dim >= ceiling:  # before the sweep looks for another block
-                break
-        status = EXACT
-    else:
-        for y in structured_elements(algebra, idempotent_pairs=False):
-            offer(sweep.visit(y))
-        stall = 0
-        for y in random_elements(f, d, config.seed):
-            if stall >= config.stall_rounds or builder.dim >= ceiling:
-                break
-            stall = 0 if offer(sweep.visit(y)) else stall + 1
-        status = LOWER_BOUND
+    status = sweep_blocks(algebra, (LEFT,), config, offer, lambda: builder.dim >= ceiling,
+                          idempotent_pairs=False)
     return FactorizableSpanReport(subspace=builder.to_subspace(), status=status, witnesses=witnesses)
 
 

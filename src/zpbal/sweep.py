@@ -30,14 +30,34 @@ since a nonzero multiple cu has the same annihilator as u.  Every pair (u,
 w) with uw = 0 lies in the block of u's coset representative, so the
 blocks span the same space as a sweep over every element, though not in
 the same order or from the same generators.
+
+`sweep_blocks` is the one place that chooses between that exhaustive route
+and a lower bound, for both spans.  Beyond `--cap` it visits the structured
+elements (basis vectors, e_i ± e_j, the registered idempotents) on every
+side the caller asks for, then seeded random elements until `stall_rounds`
+visits in a row add nothing.  Visited on both sides, as the zero-product
+span asks, the structured blocks hold two families of zero-product pairs
+that therefore need no stage of their own:
+
+- a zero basis product e_i e_j = 0: the right visit of e_i gives
+  W = ker L_{e_i}, which holds e_j, and its closure LAnn(W) holds e_i;
+- the transfer pairs of a registered idempotent e: ae⊗(c - ec) lies in
+  LAnn(W)⊗W for W = ker L_e, since e(c - ec) = 0 and ae·w = a(ew) = 0, and
+  (ae - a)⊗ec lies in W'⊗RAnn(W') for the left annihilator W' = {w : we = 0},
+  since (ae - a)e = 0 and w·ec = (we)c = 0.
+
+A visit offers nothing only when its block was offered before or the span
+has reached the caller's ceiling, so both families lie in the span that the
+structured phase leaves.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Sequence, Set, Tuple
 
 from zpbal.algebra import Algebra
+from zpbal.config import SweepConfig
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import SpanBuilder, Vector
 
@@ -45,6 +65,9 @@ RIGHT = "right"  # annihilator {w : uw = 0} = ker L_u, closure {x : xW = 0}
 LEFT = "left"  # annihilator {w : wu = 0} = ker R_u, closure {x : Wx = 0}
 
 Block = Tuple[List[Vector], List[Vector]]  # RREF bases of (closure, annihilator)
+
+EXACT = "EXACT"
+LOWER_BOUND = "LOWER_BOUND"
 
 
 class AnnihilatorSweep:
@@ -156,3 +179,38 @@ def random_elements(field: Field, dim: int, seed: int) -> Iterator[List[Scalar]]
             yield [field.of_int(rng.randint(-3, 3)) for _ in range(dim)]
         else:
             yield [rng.randrange(field.characteristic) for _ in range(dim)]
+
+
+def sweep_blocks(algebra: Algebra, sides: Sequence[str], config: SweepConfig,
+                 offer: Callable[[Block, str], int], full: Callable[[], bool],
+                 idempotent_pairs: bool) -> str:
+    """Hand every block the sweep meets to `offer(block, side)`, which returns
+    how many vectors it added, and stop as soon as `full()` holds.
+
+    With at most `config.enumeration_cap` elements, the exhaustive blocks of
+    the first side; the answer is EXACT.  Otherwise each structured element,
+    then each seeded random element until `config.stall_rounds` in a row add
+    nothing, is visited on every side in turn; the answer is LOWER_BOUND.
+    """
+    sweeps = [AnnihilatorSweep(algebra, side) for side in sides]
+    size = algebra.n_elements()
+    if size is not None and size <= config.enumeration_cap:
+        for block in sweeps[0].exhaustive_blocks():
+            offer(block, sides[0])
+            if full():  # before the sweep looks for another block
+                break
+        return EXACT
+
+    def visit(u) -> int:
+        return sum(offer(sweep.visit(u), sweep.side) for sweep in sweeps)
+
+    for u in structured_elements(algebra, idempotent_pairs):
+        if full():
+            return LOWER_BOUND
+        visit(u)
+    stall = 0
+    for u in random_elements(algebra.field, algebra.dim, config.seed):
+        if stall >= config.stall_rounds or full():
+            break
+        stall = 0 if visit(u) else stall + 1
+    return LOWER_BOUND

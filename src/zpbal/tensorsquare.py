@@ -21,12 +21,10 @@ from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import Matrix, Sparse, SpanBuilder, Subspace, Vector, _dense, _sparse, dot, vec_is_zero
-from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep, Block, random_elements, structured_elements
+from zpbal.sweep import EXACT, LEFT, LOWER_BOUND, RIGHT, Block, sweep_blocks  # EXACT, LOWER_BOUND re-exported
 
 TENSOR_CONVENTION = "row-major i*d+j"
 
-EXACT = "EXACT"
-LOWER_BOUND = "LOWER_BOUND"
 YES = "YES"
 NO = "NO"
 UNKNOWN = "UNKNOWN"
@@ -146,37 +144,15 @@ class ZeroProductSpanReport:
         return [(lam, self.generators[g][0], self.generators[g][1]) for g, lam in sorted(combo.items())]
 
 
-def _offer_annihilator_tensors(block: Block, side: str, builder: SpanBuilder, ts: TensorSquare,
-                               generators) -> int:
-    """Offer the pairs of a closed block (see `zpbal.sweep`): x⊗w for x in
-    its closure and w in its annihilator on the right, w⊗x on the left."""
-    alg = ts.algebra
-    closure, annihilator = block
-    added = 0
-    for x in closure:
-        x = tuple(x)
-        for w in annihilator:
-            pair = (x, tuple(w)) if side == RIGHT else (tuple(w), x)
-            if builder.add(_tensor(alg.field, alg.dim, *pair)):
-                if not vec_is_zero(alg.multiply_coords(*pair)):
-                    raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
-                generators.append(pair)
-                added += 1
-    return added
-
-
 def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> ZeroProductSpanReport:
     """Span of {u⊗v : uv = 0}, exhaustive over finite algebras within budget.
 
-    Exhaustive route: offer the closed block LAnn(W) ⊗ W of each distinct
-    right annihilator W = {w : uw = 0}; this reaches the whole span because
-    each zero-product pair (u, v) has v in W and u in LAnn(W).  The sweep
-    (see `zpbal.sweep`) offers the block of K = LAnn(A) first and then
-    visits one projective point per coset of K, stopping at the kernel
-    ceiling.  Otherwise a lower bound is grown from zero basis pairs, the
-    right and left blocks of one- and two-basis-vector elements, registered
-    idempotents (with their transfer tensors), and the blocks of seeded
-    random elements until the span stalls.
+    Offers the closed blocks of `zpbal.sweep.sweep_blocks`: LAnn(W) ⊗ W for
+    a right annihilator W = {w : uw = 0}, and W ⊗ RAnn(W) for a left one,
+    W = {w : wu = 0}.  Exhaustively the right blocks reach the whole span,
+    because each zero-product pair (u, v) has v in W and u in LAnn(W);
+    otherwise the blocks of both sides give a lower bound.  Either way the
+    sweep stops at the kernel ceiling.
     """
     ts = TensorSquare(algebra)
     f = algebra.field
@@ -184,58 +160,25 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
     ker_dim = ts.kernel_dim()
     builder = SpanBuilder(f, ts.ambient, track_expressions=True)
     generators: List[Tuple[tuple, tuple]] = []
-    right = AnnihilatorSweep(algebra, RIGHT)
 
-    size = algebra.n_elements()
-    if size is not None and size <= config.enumeration_cap:
-        for block in right.exhaustive_blocks():
-            _offer_annihilator_tensors(block, RIGHT, builder, ts, generators)
-            if builder.dim >= ker_dim:  # before the sweep looks for another block
-                break
-        status = EXACT
-    else:
-        left = AnnihilatorSweep(algebra, LEFT)
-        # (i) basis pairs with zero product
-        for i in range(d):
-            if builder.dim >= ker_dim:
-                break
-            for j in range(d):
-                if vec_is_zero(algebra.table[i][j]):
-                    ei = tuple(f.one if t == i else f.zero for t in range(d))
-                    ej = tuple(f.one if t == j else f.zero for t in range(d))
-                    if builder.add(_tensor(f, d, ei, ej)):
-                        generators.append((ei, ej))
-        # (ii) annihilator sweeps over structured elements
-        for u in structured_elements(algebra, idempotent_pairs=True):
-            if builder.dim >= ker_dim:
-                break
-            _offer_annihilator_tensors(right.visit(u), RIGHT, builder, ts, generators)
-            _offer_annihilator_tensors(left.visit(u), LEFT, builder, ts, generators)
-        # (iii) idempotent transfer tensors: ae⊗(c-ec) and (ae-a)⊗ec
-        for e in algebra.registered_idempotents:
-            if builder.dim >= ker_dim:
-                break
-            for i in range(d):
-                a = algebra.basis_element(i)
-                ae = a * e
-                for k in range(d):
-                    c = algebra.basis_element(k)
-                    ec = e * c
-                    for u, v in ((ae, c - ec), (ae - a, ec)):
-                        if builder.add(_tensor(f, d, u.coords, v.coords)):
-                            if not vec_is_zero(algebra.multiply_coords(u.coords, v.coords)):
-                                raise SoundnessAlarm(f"transfer pair {(u, v)} has a nonzero product")
-                            generators.append((u.coords, v.coords))
-        # (iv) seeded random elements until the span stalls
-        stall = 0
-        for u in random_elements(f, d, config.seed):
-            if stall >= config.stall_rounds or builder.dim >= ker_dim:
-                break
-            added = _offer_annihilator_tensors(right.visit(u), RIGHT, builder, ts, generators)
-            added += _offer_annihilator_tensors(left.visit(u), LEFT, builder, ts, generators)
-            stall = 0 if added else stall + 1
-        status = LOWER_BOUND
+    def offer(block: Block, side: str) -> int:
+        """x⊗w for x in the closure and w in the annihilator on the right,
+        w⊗x on the left."""
+        closure, annihilator = block
+        added = 0
+        for x in closure:
+            x = tuple(x)
+            for w in annihilator:
+                pair = (x, tuple(w)) if side == RIGHT else (tuple(w), x)
+                if builder.add(_tensor(f, d, *pair)):
+                    if not vec_is_zero(algebra.multiply_coords(*pair)):
+                        raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
+                    generators.append(pair)
+                    added += 1
+        return added
 
+    status = sweep_blocks(algebra, (RIGHT, LEFT), config, offer, lambda: builder.dim >= ker_dim,
+                          idempotent_pairs=True)
     subspace = builder.to_subspace()
     if subspace.dim > ker_dim:
         raise SoundnessAlarm("zero-product span exceeds multiplication kernel")

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from zpbal.errors import InfiniteFieldError, ParseError
 from zpbal.fields import PrimeField, _is_prime, field_from_name
-from zpbal.rationals import QQ
+from zpbal.rationals import QQ, _TOKEN_LIMIT, _TOKENS
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -114,6 +114,20 @@ def test_rational_constants_and_integral_parses_are_ints():
     for text, value in (("4/2", 2), ("3", 3), (3, 3), ("-4/4", -1), ("0/5", 0), ("1e2", 100)):
         assert type(QQ.parse(text)) is int and QQ.parse(text) == value
     assert type(QQ.parse("2/4")) is Fraction
+
+
+def test_rational_token_memo_is_shared_and_bounded():
+    """One memo serves every parse of a process: a bool or float equal to a
+    memoised token is still rejected, and the memo never passes its limit."""
+    QQ.parse_vector(["1", 1, "2/4"])
+    assert QQ.parse_vector(["2/4", 1]) == [Fraction(1, 2), 1]
+    for bad in (True, 1.0):
+        with pytest.raises(ParseError):
+            QQ.parse_vector(["1", bad])
+    for n in range(2 * _TOKEN_LIMIT):
+        assert QQ.parse(f"{n}/3") == Fraction(n, 3)
+        assert len(_TOKENS) <= _TOKEN_LIMIT
+    assert QQ.parse("1") == 1 and "1" in _TOKENS
 
 
 RATIONAL_TEXT = (

@@ -71,6 +71,21 @@ def test_only_the_projective_sweep_enumerates_elements():
     assert "n_elements" not in (PACKAGE / "structure.py").read_text(encoding="utf-8")
 
 
+def test_only_the_sweep_module_chooses_a_span_strategy():
+    """Exhaustive or lower bound, and the structured and random phases of the
+    latter, are decided in `zpbal.sweep.sweep_blocks` alone."""
+    phases = {"structured_elements", "random_elements", "exhaustive_blocks"}
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in phases:
+                    callers.add(path.name)
+    assert callers == {"sweep.py"}
+
+
 def test_no_module_loads_dataclasses_or_inspect():
     """Records are NamedTuples or plain classes: `dataclasses` pulls in
     `inspect`, `ast`, `dis` and `tokenize`, which every process would pay for."""
