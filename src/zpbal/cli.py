@@ -27,7 +27,7 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 from zpbal.config import SweepConfig
-from zpbal.errors import SoundnessAlarm, ZpbalError
+from zpbal.errors import SoundnessAlarm, WriteError, ZpbalError
 from zpbal.fields import field_from_name
 from zpbal import serialize
 from zpbal.tensorsquare import (
@@ -91,8 +91,11 @@ def cmd_check(args) -> int:
     if determined.certificate is not None:
         certs.append(determined.certificate)
     cert_path = args.out or (os.path.splitext(os.path.basename(args.algebra))[0] + ".certs.json")
-    serialize.save_certificates(certs, fld, config.seed, cert_path,
-                                label=os.path.basename(args.algebra), balanced=balanced.status)
+    try:
+        serialize.save_certificates(certs, fld, config.seed, cert_path,
+                                    label=os.path.basename(args.algebra), balanced=balanced.status)
+    except OSError as exc:
+        raise WriteError(cert_path, exc) from exc
 
     witness = balanced.witness_triple  # a NO's refuted triple
     report = {
@@ -134,29 +137,33 @@ def cmd_report(args) -> int:
 def cmd_verify(args) -> int:
     alg = serialize.load_algebra(args.algebra)
     balanced, certs = serialize.load_certificates(args.certificate, alg.field)
-    all_ok = True
-    refuted = False
-    for idx, cert in enumerate(certs):
-        ok = verify_certificate(alg, cert)
-        all_ok = all_ok and ok
-        refuted = refuted or (ok and cert.kind == SEPARATING
-                              and cert.meta.get("claim") == "not-zero-product-balanced")
-        print(f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}")
-    # the file's balancedness claim needs its evidence: for YES all d^3
-    # triples, each once; for NO a verified refutation
-    triples = Counter(tuple(c.meta["triple"]) for c in certs
-                      if c.kind == MEMBERSHIP and "triple" in c.meta)
-    if balanced == NO and not refuted:
-        all_ok = False
-        print("balanced NO: false (no verified not-zero-product-balanced certificate)")
-    if balanced == YES or triples:
-        missing = alg.dim ** 3 - len(triples)
-        repeated = sum(n - 1 for n in triples.values())
-        covered = missing == 0 and repeated == 0
-        all_ok = all_ok and covered
-        print(f"triple coverage: {'true' if covered else 'false'} "
-              f"({missing} of {alg.dim ** 3} triples missing, {repeated} repeated)")
-    print(f"all certificates: {'true' if all_ok else 'false'}")
+    lines: List[str] = []  # written in one call: a print per certificate is slower
+    try:
+        all_ok = True
+        refuted = False
+        for idx, cert in enumerate(certs):
+            ok = verify_certificate(alg, cert)
+            all_ok = all_ok and ok
+            refuted = refuted or (ok and cert.kind == SEPARATING
+                                  and cert.meta.get("claim") == "not-zero-product-balanced")
+            lines.append(f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}")
+        # the file's balancedness claim needs its evidence: for YES all d^3
+        # triples, each once; for NO a verified refutation
+        triples = Counter(tuple(c.meta["triple"]) for c in certs
+                          if c.kind == MEMBERSHIP and "triple" in c.meta)
+        if balanced == NO and not refuted:
+            all_ok = False
+            lines.append("balanced NO: false (no verified not-zero-product-balanced certificate)")
+        if balanced == YES or triples:
+            missing = alg.dim ** 3 - len(triples)
+            repeated = sum(n - 1 for n in triples.values())
+            covered = missing == 0 and repeated == 0
+            all_ok = all_ok and covered
+            lines.append(f"triple coverage: {'true' if covered else 'false'} "
+                         f"({missing} of {alg.dim ** 3} triples missing, {repeated} repeated)")
+        lines.append(f"all certificates: {'true' if all_ok else 'false'}")
+    finally:  # a malformed certificate still leaves the lines before it
+        sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -178,7 +185,10 @@ def cmd_example(args) -> int:
     field = field_from_name(args.field)
     alg = build_example(args.name, field, m, n)
     out = args.out or f"{args.name.lower()}_{args.field.lower()}.json"
-    serialize.save_algebra(alg, out)
+    try:
+        serialize.save_algebra(alg, out)
+    except OSError as exc:
+        raise WriteError(out, exc) from exc
     print(f"wrote {out} (dim {alg.dim} over {field.name})")
     return 0
 

@@ -84,6 +84,13 @@ class ParseError(ZpbalError):
     """Input file is syntactically or semantically invalid."""
 
 
+class WriteError(ZpbalError):
+    """An output file could not be written; carries the path and the reason."""
+
+    def __init__(self, path: str, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
 class SoundnessAlarm(ZpbalError):
     """A verified certificate chain contradicts a proven implication.
 

@@ -22,6 +22,7 @@ from zpbal.errors import (
     ParseError,
     SoundnessAlarm,
     SpanDeficient,
+    WriteError,
     ZpbalError,
 )
 from zpbal.fields import Field
@@ -184,6 +185,9 @@ def corpus(args) -> int:
             if not r.passed:
                 fail = ET.SubElement(case, "failure", message=r.detail or "expectation violated")
                 fail.text = r.detail
-        ET.ElementTree(suite).write(args.out, encoding="unicode", xml_declaration=True)
+        try:
+            ET.ElementTree(suite).write(args.out, encoding="unicode", xml_declaration=True)
+        except OSError as exc:
+            raise WriteError(args.out, exc) from exc
         print(f"wrote {args.out}")
     return 0

@@ -34,21 +34,28 @@ Certificate files:
 Algebra files may declare at most MAX_DIM basis vectors.  Scalars use the
 textual syntax of the base field ("p/q" over the rationals,
 decimal residues over prime fields).  Output is deterministic: fixed key
-order, no timestamps.  Certificate files are compact JSON with one
-certificate per line.
+order, no timestamps.
+
+Certificate files are compact JSON with sorted keys and one certificate per
+line, and `save_certificates` is their one writer.  It builds each line as
+text straight from the `Certificate`, with no intermediate dict: a per-file
+token table formats and encodes each distinct scalar once, so a dense target
+of d*d scalars is a single join, and each line goes to the file as soon as it
+is built.  `tests/oracles.py` keeps the dict form and the `sort_keys` encoder
+it replaced, and the tests hold the writer to their bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from zpbal.algebra import Algebra
 from zpbal.errors import MalformedCertificate, NotAssociative, NotIdempotent, ParseError
 from zpbal.fields import Field, field_from_name
 from zpbal.linalg import Matrix, vec_is_zero
-from zpbal.tensorsquare import NO, TENSOR_CONVENTION, UNKNOWN, YES, Certificate
+from zpbal.tensorsquare import MEMBERSHIP, NO, SEPARATING, TENSOR_CONVENTION, UNKNOWN, YES, Certificate
 
 if TYPE_CHECKING:
     from zpbal.linmaps import AlgMap
@@ -183,33 +190,72 @@ def load_map(path: str) -> AlgMap:
     return map_from_dict(_read_json(path), base_dir=os.path.dirname(path) or ".")
 
 
-def certificates_to_dict(certs: List[Certificate], fld: Field, seed: int,
-                         label: str = "", *, balanced: str) -> Dict:
-    index: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position, first use first
-    entries = [c.to_dict(fld, lambda pair: index.setdefault(pair, len(index))) for c in certs]
-    fmt = fld.format_vector
-    return {
-        "balanced": balanced,
-        "field": fld.name,
-        "label": label,
-        "seed": seed,
-        "convention": TENSOR_CONVENTION,
-        "generators": [{"u": fmt(u), "v": fmt(v)} for u, v in index],
-        "certificates": entries,
-    }
+class _Tokens(dict):
+    """Scalar -> its JSON text; each distinct value is formatted and encoded once."""
+
+    def __init__(self, fld: Field, encode: Callable[[object], str]):
+        super().__init__()
+        self.format, self.encode = fld.format, encode
+
+    def __missing__(self, a) -> str:
+        token = self[a] = self.encode(self.format(a))
+        return token
+
+    def vector(self, v) -> str:
+        return ",".join(map(self.__getitem__, v))
+
+
+def _meta_text(meta: Dict, encode: Callable[[object], str]) -> str:
+    """JSON of a certificate's meta; the usual {"triple": [i, j, k]} skips the encoder."""
+    triple = meta.get("triple")
+    if len(meta) == 1 and type(triple) is list and len(triple) == 3:
+        i, j, k = triple
+        if type(i) is type(j) is type(k) is int:
+            return '{"triple":[%d,%d,%d]}' % (i, j, k)
+    return encode(meta)
+
+
+def _certificate_line(cert: Certificate, tokens: _Tokens, index: Callable[[tuple, tuple], int]) -> str:
+    """One certificate as a JSON object with sorted keys; a zero-product pair
+    becomes its index in the file's generator table."""
+    kind, meta, target = cert.kind, cert.meta, cert.target
+    line = "{"
+    if kind == SEPARATING:
+        line += ('"functional":[' + tokens.vector(cert.functional) + '],"generators":['
+                 + ",".join([str(index(u, v)) for u, v in cert.generators]) + "],")
+    line += '"kind":' + tokens.encode(kind)
+    if meta:
+        line += ',"meta":' + _meta_text(meta, tokens.encode)
+    if target is not None and not ("triple" in meta and not any(target)):  # a zero defect: no target
+        line += ',"target":[' + tokens.vector(target) + "]"
+    if kind == MEMBERSHIP:
+        line += ',"terms":[' + ",".join(['{"generator":%d,"lambda":%s}' % (index(u, v), tokens[lam])
+                                         for lam, u, v in cert.terms]) + "]"
+    return line + "}"
 
 
 def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str,
                       label: str = "", *, balanced: str):
-    """Compact JSON, one certificate per line: the C encoder holds one at a time."""
+    """Compact JSON with sorted keys, one certificate per line, each line written
+    as it is built.  Scalars come from a per-file token table, so a dense target
+    is one join; zero-product pairs are indexed in the order certificates first
+    use them."""
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-    data = certificates_to_dict(certs, fld, seed, label, balanced=balanced)
-    claim, entries = data.pop("balanced"), data.pop("certificates")  # the first keys in sorted order
+    tokens = _Tokens(fld, encode)
+    table: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position
+
+    def index(u, v) -> int:
+        return table.setdefault((tuple(u), tuple(v)), len(table))
+
     with open(path, "w") as fh:
-        fh.write('{"balanced":' + encode(claim) + ',"certificates":[')
-        for n, entry in enumerate(entries):
-            fh.write(("," if n else "") + "\n" + encode(entry))
-        fh.write("\n]," + encode(data)[1:] + "\n")
+        fh.write('{"balanced":' + encode(balanced) + ',"certificates":[')
+        for n, cert in enumerate(certs):
+            fh.write(("," if n else "") + "\n" + _certificate_line(cert, tokens, index))
+        generators = ",".join(['{"u":[' + tokens.vector(u) + '],"v":[' + tokens.vector(v) + "]}"
+                               for u, v in table])
+        fh.write('\n],"convention":' + encode(TENSOR_CONVENTION) + ',"field":' + encode(fld.name)
+                 + ',"generators":[' + generators + '],"label":' + encode(label)
+                 + ',"seed":' + encode(seed) + "}\n")
 
 
 def certificates_from_dict(data: Dict, fld: Field) -> Tuple[str, List[Certificate]]:

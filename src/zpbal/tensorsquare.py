@@ -14,7 +14,7 @@ until the span reduces them; the public methods return dense lists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from zpbal.algebra import Algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
@@ -228,25 +228,11 @@ class Certificate:
         self.generators = [] if generators is None else generators
         self.meta = {} if meta is None else meta
 
-    def to_dict(self, fld: Field, generator_index: Callable[[Tuple[tuple, tuple]], int]) -> Dict:
-        """JSON form; zero-product pairs become indices into the file's generator table."""
-        out: Dict = {"kind": self.kind}
-        if self.target is not None and not ("triple" in self.meta and not any(self.target)):
-            out["target"] = fld.format_vector(self.target)
-        if self.kind == MEMBERSHIP:
-            lams = fld.format_vector([lam for lam, _, _ in self.terms])
-            out["terms"] = [{"generator": generator_index((tuple(u), tuple(v))), "lambda": lam}
-                            for lam, (_, u, v) in zip(lams, self.terms)]
-        if self.kind == SEPARATING:
-            out["functional"] = fld.format_vector(self.functional)
-            out["generators"] = [generator_index((tuple(u), tuple(v))) for u, v in self.generators]
-        if self.meta:
-            out["meta"] = self.meta
-        return out
-
     @classmethod
     def from_dict(cls, data: Dict, fld: Field, generators: Sequence[Tuple[tuple, tuple]]) -> "Certificate":
-        """Inverse of `to_dict`; `generators` is the file's parsed generator table."""
+        """The certificate a file's JSON object describes (the writer is
+        `serialize.save_certificates`); `generators` is the file's parsed
+        generator table."""
         if not isinstance(data, dict):
             raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
         kind = data.get("kind")

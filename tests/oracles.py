@@ -3,11 +3,12 @@
 Deliberately reimplemented from scratch: rank via plain forward elimination
 (no reduced echelon machinery), spans via all-pairs enumeration.  These must
 not share code paths with the package so that agreement is evidence.  The
-reference sweeps and the two-step balanced decider at the end are the
-exception, explained there: they are the loops the package replaced, kept to
-pin down its results.
+reference sweeps, the two-step balanced decider and the certificate encoding
+at the end are the exception, explained there: they are the code the package
+replaced, kept to pin down its results.
 """
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ from zpbal.tensorsquare import (
     MEMBERSHIP,
     NO,
     SEPARATING,
+    TENSOR_CONVENTION,
     UNKNOWN,
     YES,
     BalancedVerdict,
@@ -414,6 +416,55 @@ def reference_balanced(algebra, report):
                                note=f"membership failed against a lower-bound span: {cause}")
     return BalancedVerdict(YES, certificates=certs, n_triples=d ** 3)
 
+
+
+# ---------------------------------------------------------------------------
+# Reference certificate encoding: the dict form and the per-line `sort_keys`
+# encode that `serialize.save_certificates` replaced with a token table.  The
+# writer must produce exactly these bytes.
+# ---------------------------------------------------------------------------
+
+
+def certificate_to_dict(cert: Certificate, fld, generator_index) -> dict:
+    """JSON form of one certificate; zero-product pairs become indices into the file's generator table."""
+    out = {"kind": cert.kind}
+    if cert.target is not None and not ("triple" in cert.meta and not any(cert.target)):
+        out["target"] = fld.format_vector(cert.target)
+    if cert.kind == MEMBERSHIP:
+        lams = fld.format_vector([lam for lam, _, _ in cert.terms])
+        out["terms"] = [{"generator": generator_index((tuple(u), tuple(v))), "lambda": lam}
+                        for lam, (_, u, v) in zip(lams, cert.terms)]
+    if cert.kind == SEPARATING:
+        out["functional"] = fld.format_vector(cert.functional)
+        out["generators"] = [generator_index((tuple(u), tuple(v))) for u, v in cert.generators]
+    if cert.meta:
+        out["meta"] = cert.meta
+    return out
+
+
+def certificates_to_dict(certs, fld, seed: int, label: str = "", *, balanced: str) -> dict:
+    """The whole certificate file as one JSON object."""
+    index = {}  # zero-product pair -> table position, first use first
+    entries = [certificate_to_dict(c, fld, lambda pair: index.setdefault(pair, len(index))) for c in certs]
+    fmt = fld.format_vector
+    return {
+        "balanced": balanced,
+        "field": fld.name,
+        "label": label,
+        "seed": seed,
+        "convention": TENSOR_CONVENTION,
+        "generators": [{"u": fmt(u), "v": fmt(v)} for u, v in index],
+        "certificates": entries,
+    }
+
+
+def reference_certificate_text(certs, fld, seed: int, label: str = "", *, balanced: str) -> str:
+    """The certificate file's text: compact JSON with sorted keys, one certificate per line."""
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+    data = certificates_to_dict(certs, fld, seed, label, balanced=balanced)
+    claim, entries = data.pop("balanced"), data.pop("certificates")  # the first keys in sorted order
+    lines = ",".join("\n" + encode(entry) for entry in entries)
+    return '{"balanced":' + encode(claim) + ',"certificates":[' + lines + "\n]," + encode(data)[1:] + "\n"
 
 # ---------------------------------------------------------------------------
 # Reference sweeps of commutative structure: the element loops that the

@@ -115,6 +115,34 @@ def test_verify_rejects_corruption(tmp_path, capsys, monkeypatch):
     assert "false" in out
 
 
+def test_verify_prints_the_lines_before_a_malformed_certificate(tmp_path, capsys, monkeypatch):
+    """verify writes its report in one call; a certificate that raises
+    MalformedCertificate still leaves the lines of the ones before it."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
+    run_cli(capsys, "check", "m2.json", "--out", "certs.json")
+    with open("certs.json") as fh:
+        data = json.load(fh)
+    data["certificates"][3]["meta"]["triple"] = [0, 0, 9]  # not a basis triple of M2
+    with open("bad.json", "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run_cli(capsys, "verify", "bad.json", "m2.json")
+    assert code == 1 and err.startswith("error: triple [0, 0, 9]")
+    assert out == "".join(f"certificate {n} (membership-decomposition): true\n" for n in range(3))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{alg}", "--out", "{out}"),
+    ("example", "Nm", "--out", "{out}"),
+    ("corpus", "run", "--filter", "zero(1)/F2", "--out", "{out}"),
+], ids=["check", "example", "corpus"])
+def test_an_unwritable_output_path_exits_1_with_a_message(tmp_path, capsys, argv):
+    alg, out = tmp_path / "n4.json", tmp_path / "missing" / "x.out"
+    save_algebra(nilpotent_algebra(PrimeField(2), 4), str(alg))
+    code, _, err = run_cli(capsys, *(a.format(alg=alg, out=out) for a in argv))
+    assert (code, err) == (1, f"error: cannot write {out}: No such file or directory\n")
+    assert not out.parent.exists()
+
 def _tampered(capsys, example, change):
     """verify's output on the certificate file of `example` after `change(data)`."""
     run_cli(capsys, "example", *example, "--out", "alg.json")

@@ -4,12 +4,16 @@ Certificate files also round-trip: what `check` writes loads back as the
 certificates it was built from, and every one of them verifies.
 """
 
+import hashlib
 import json
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import certificates_to_dict, random_change_of_basis, reference_certificate_text
 from references import SHAPES, random_algebra
 from zpbal import serialize
 from zpbal.algebra import Algebra
@@ -21,7 +25,7 @@ from zpbal.constructions import (
     poly_quotient_algebra,
     tensor_product,
 )
-from zpbal.config import DEFAULT_CONFIG
+from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
 from zpbal.errors import MalformedCertificate, ParseError
 from zpbal.fields import PrimeField
@@ -30,12 +34,13 @@ from zpbal.rationals import QQ
 from zpbal.serialize import (
     algebra_from_dict,
     certificates_from_dict,
-    certificates_to_dict,
     load_certificates,
     map_from_dict,
     save_certificates,
 )
 from zpbal.tensorsquare import (
+    MEMBERSHIP,
+    SEPARATING,
     Certificate,
     TensorSquare,
     compute_zero_product_span,
@@ -183,8 +188,7 @@ def assert_round_trip(alg, config, tmp_path):
     save_certificates(certs, alg.field, config.seed, str(first), label="x", balanced=claim)
     save_certificates(certs, alg.field, config.seed, str(second), label="x", balanced=claim)
     assert first.read_bytes() == second.read_bytes()
-    assert json.loads(first.read_text()) == certificates_to_dict(
-        certs, alg.field, config.seed, "x", balanced=claim)
+    assert first.read_text() == reference_certificate_text(certs, alg.field, config.seed, "x", balanced=claim)
     loaded_claim, loaded = load_certificates(str(first), alg.field)
     assert loaded_claim == claim
     assert len(loaded) == len(certs)
@@ -216,6 +220,111 @@ def test_certificate_file_round_trip_on_random_algebras(field, shape, tmp_path):
     for seed in range(3):
         assert_round_trip(random_algebra(seed, field, shape), DEFAULT_CONFIG, tmp_path)
 
+
+# --- the token-table writer against the reference encoding ---------------------
+
+@lru_cache(maxsize=None)
+def writer_cases():
+    """(name, field, certificates, claim) of the files `check` writes for the
+    corpus, random algebras and the same in random bases, each over F2, F3 and
+    Q, plus lower-bound UNKNOWNs and the corpus's hand certificates."""
+    algebras = [(e.name, e.algebra, e.config) for e in golden_corpus()]
+    rng = random.Random(19)
+    for field in (F2, F3, QQ):
+        for shape in SHAPES:
+            alg = random_algebra(1, field, shape)
+            algebras.append((f"{shape}/{field.name}", alg, DEFAULT_CONFIG))
+            algebras.append((f"{shape}/{field.name} rebased", random_change_of_basis(alg, rng), DEFAULT_CONFIG))
+    algebras.append(("M2/Q rebased", random_change_of_basis(matrix_algebra(QQ, 2), rng), DEFAULT_CONFIG))
+    algebras.append(("N8/Q", nilpotent_algebra(QQ, 8), SweepConfig(seed=7)))
+    algebras.append(("N9/F3 cap 3^7", nilpotent_algebra(F3, 9), SweepConfig(enumeration_cap=3 ** 7, seed=7)))
+    cases = []
+    for name, alg, config in algebras:
+        certs, claim = check_certificates(alg, config)
+        cases.append((name, alg.field, tuple(certs), claim))
+    for e in golden_corpus():
+        for label, cert, _ in e.hand_certificates:
+            cases.append((f"{e.name} {label}", e.algebra.field, (cert,), "NO"))
+    return cases
+
+
+def _written_text(tmp_path, certs, fld, seed, label, claim) -> str:
+    path = tmp_path / "w.certs.json"
+    save_certificates(list(certs), fld, seed, str(path), label=label, balanced=claim)
+    return path.read_bytes().decode()
+
+
+def test_writer_cases_cover_every_kind_of_file():
+    cases = writer_cases()
+    assert {fld.name for _, fld, _, _ in cases} == {"F2", "F3", "Q"}
+    assert {claim for _, _, _, claim in cases} == {"YES", "NO", "UNKNOWN"}
+    certs = [c for _, _, file, _ in cases for c in file]
+    assert any(c.kind == MEMBERSHIP and c.target is None for c in certs)  # a zero-defect triple
+    assert {c.meta.get("claim") for c in certs if c.kind == SEPARATING} == \
+        {"not-zero-product-balanced", "not-zero-product-determined"}
+    lams = [lam for _, fld, file, _ in cases if fld == QQ for c in file for lam, _, _ in c.terms]
+    assert any(Fraction(lam).denominator > 1 for lam in lams)
+    assert any(lam < 0 for lam in lams)
+
+
+def test_writer_matches_the_reference_on_every_case(tmp_path):
+    for name, fld, certs, claim in writer_cases():
+        want = reference_certificate_text(list(certs), fld, 5, name, balanced=claim)
+        assert _written_text(tmp_path, certs, fld, 5, name, claim) == want, name
+
+
+metas = st.fixed_dictionaries({"triple": st.lists(st.integers(0, 3) | st.booleans(), min_size=3, max_size=3)
+                                         | st.lists(st.integers(-1, 70), max_size=4)
+                                         | st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))}) \
+    | st.dictionaries(st.text(max_size=3), st.integers(-5, 5) | st.text(max_size=3) | st.booleans()
+                      | st.none() | st.lists(st.integers(0, 9), max_size=3), max_size=3)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), seed=st.integers(-2 ** 40, 2 ** 40), label=st.text(max_size=6))
+def test_writer_writes_the_reference_bytes(tmp_path, data, seed, label):
+    """Any seed and label, any choice of a file's certificates in any order, odd
+    meta objects and zero targets, and over Q λ and targets scaled by any
+    nonzero rational."""
+    name, fld, certs, claim = data.draw(st.sampled_from(writer_cases()), label="case")
+    certs = data.draw(st.lists(st.sampled_from(certs), max_size=8) if certs else st.just([]), label="certs")
+    if fld == QQ and certs:
+        c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool), label="scale")
+        certs = [Certificate(x.kind, None if x.target is None else [QQ.mul(c, a) for a in x.target],
+                             [(QQ.mul(c, lam), u, v) for lam, u, v in x.terms], x.functional,
+                             x.generators, x.meta) for x in certs]
+    if certs and data.draw(st.booleans(), label="odd meta or zero target"):
+        n = data.draw(st.integers(0, len(certs) - 1))
+        x = certs[n]
+        target = x.target if x.target is None or data.draw(st.booleans()) else [fld.zero] * len(x.target)
+        certs[n] = Certificate(x.kind, target, x.terms, x.functional, x.generators, data.draw(metas))
+    want = reference_certificate_text(certs, fld, seed, label, balanced=claim)
+    assert _written_text(tmp_path, certs, fld, seed, label, claim) == want, name
+
+
+# sha256 of the certificate file `check --seed 7` writes for each `example`,
+# captured before the token-table writer; any change to these bytes must be
+# deliberate and update the digest.
+GOLDEN_CERTIFICATES = {
+    "m2f2": (("Mn", "--n", "2", "--field", "F2"),
+             "7ac7b7f7db7f5a769ceef0d7b761da5546653faa60f363196ea501da05dfaf0b"),
+    "n4f3": (("Nm", "--m", "4", "--field", "F3"),
+             "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532"),
+    "m2q": (("Mn", "--n", "2", "--field", "Q"),
+            "326a41228e29d483bff8fc7917c52170a5105edf9f3d5be84f06d76c71b8ab98"),
+    "dn3q": (("DN3", "--field", "Q"),
+             "3ef27c2f0bc048ca851602418ec3c62633435eac7d35ac0abd157ef199c50b38"),
+}
+
+
+@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
+def test_check_writes_the_golden_certificate_bytes(stem, tmp_path, capsys, monkeypatch):
+    example, digest = GOLDEN_CERTIFICATES[stem]
+    monkeypatch.chdir(tmp_path)  # the file name is the label inside the file
+    assert main(["example", *example, "--out", f"{stem}.json"]) == 0
+    assert main(["check", f"{stem}.json", "--seed", "7", "--out", f"{stem}.certs.json"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / f"{stem}.certs.json").read_bytes()).hexdigest() == digest
 
 # --- the representation of a rational never shows in an artifact --------------
 

@@ -15,6 +15,8 @@ from oracles import (
     brute_span_dim_zero_products,
     in_span_mod_p,
     brute_zero_product_tensors,
+    certificate_to_dict,
+    certificates_to_dict,
     reference_balanced,
 )
 from references import SHAPES, balanced_defect, random_algebra
@@ -34,7 +36,6 @@ from zpbal.constructions import (
     zero_algebra,
 )
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.serialize import certificates_to_dict
 from zpbal.tensorsquare import (
     Certificate,
     MEMBERSHIP,
@@ -292,7 +293,7 @@ def test_certificate_json_roundtrip():
     verdict = is_zero_product_balanced(n4, span)
     cert = verdict.certificate
     table = []  # the file's generator table; this one repeats equal pairs
-    data = cert.to_dict(F3, lambda pair: table.append(pair) or len(table) - 1)
+    data = certificate_to_dict(cert, F3, lambda pair: table.append(pair) or len(table) - 1)
     assert data["generators"] == list(range(len(span.generators)))
     back = Certificate.from_dict(data, F3, table)
     assert back.kind == cert.kind
