@@ -43,7 +43,6 @@ class Algebra:
         field: Field,
         basis_names: Sequence[str],
         table: Sequence[Sequence[Sequence[Scalar]]],
-        check: bool = True,
     ):
         self.field = field
         self.names = list(basis_names)
@@ -57,8 +56,7 @@ class Algebra:
                     raise ValueError("structure-constant vector has wrong length")
         # nonzero[i][j]: the (k, c) with c != 0 in e_i e_j
         self._nonzero = [[[(k, c) for k, c in enumerate(v) if c != 0] for v in row] for row in self.table]
-        if check:
-            self._check_associative()
+        self._check_associative()
         self.registered_idempotents: List[Element] = []
         self._predicates: Optional[Predicates] = None
         self._bit_operators = self._packed_operators() if field.characteristic == 2 else None
@@ -191,11 +189,7 @@ class Algebra:
             self.table[i][j] == self.table[j][i] for i in range(d) for j in range(i + 1, d)
         )
         zero_mult = all(vec_is_zero(self.table[i][j]) for i in range(d) for j in range(d))
-        products = SpanBuilder(f, d)
-        for i in range(d):
-            for j in range(d):
-                products.add(self.table[i][j])
-        idempotent = products.dim == d
+        idempotent = SpanBuilder(f, d, (v for row in self.table for v in row)).dim == d
 
         # rows (j, k) of u -> (u e_j)_k and of u -> (e_j u)_k
         lmap_rows = [[self.table[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]

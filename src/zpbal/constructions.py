@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 from zpbal.algebra import Algebra, Element
 from zpbal.errors import NotAnIdeal, ZpbalError
 from zpbal.fields import Field, PrimeField, Scalar
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Vector, vec_is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +25,7 @@ def zero_algebra(field: Field, dim: int) -> Algebra:
     """dim-dimensional algebra with identically zero multiplication."""
     z = [field.zero] * dim
     table = [[list(z) for _ in range(dim)] for _ in range(dim)]
-    return Algebra(field, [f"z{i+1}" for i in range(dim)], table, check=False)
+    return Algebra(field, [f"z{i+1}" for i in range(dim)], table)
 
 
 def nilpotent_algebra(field: Field, order: int) -> Algebra:
@@ -62,7 +62,7 @@ def function_algebra(field: Field, n: int) -> Algebra:
                 v[i] = f.one
             row.append(v)
         table.append(row)
-    alg = Algebra(field, [f"e{i+1}" for i in range(n)], table, check=False)
+    alg = Algebra(field, [f"e{i+1}" for i in range(n)], table)
     for i in range(n):
         alg.register_idempotent(alg.basis_element(i))
     return alg
@@ -233,7 +233,7 @@ def tensor_product(left: Algebra, right: Algebra) -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-def is_ideal(alg: Algebra, space: Subspace) -> Tuple[bool, Optional[Tuple[int, int, str]]]:
+def is_ideal(alg: Algebra, space: SpanBuilder) -> Tuple[bool, Optional[Tuple[int, int, str]]]:
     """Whether the subspace is a two-sided ideal; witness (row, basis, side)."""
     for m, v in enumerate(space.basis):
         for i in range(alg.dim):
@@ -245,13 +245,11 @@ def is_ideal(alg: Algebra, space: Subspace) -> Tuple[bool, Optional[Tuple[int, i
     return True, None
 
 
-def ideal_closure(alg: Algebra, seeds: Sequence[Vector]) -> Subspace:
+def ideal_closure(alg: Algebra, seeds: Sequence[Vector]) -> SpanBuilder:
     """Smallest two-sided ideal containing the seed vectors."""
     f = alg.field
-    builder = SpanBuilder(f, alg.dim)
     frontier = [list(s) for s in seeds if not vec_is_zero(s)]
-    for s in frontier:
-        builder.add(s)
+    builder = SpanBuilder(f, alg.dim, frontier)
     basis_vecs = [
         [f.one if t == i else f.zero for t in range(alg.dim)] for i in range(alg.dim)
     ]
@@ -263,7 +261,7 @@ def ideal_closure(alg: Algebra, seeds: Sequence[Vector]) -> Subspace:
                     if builder.add(w):
                         new_frontier.append(w)
         frontier = new_frontier
-    return builder.to_subspace()
+    return builder
 
 
 class Quotient(NamedTuple):
@@ -272,7 +270,7 @@ class Quotient(NamedTuple):
     algebra: Algebra
     projection: Matrix  # q.dim x a.dim
     section: Matrix  # a.dim x q.dim; projection @ section = identity
-    ideal: Subspace
+    ideal: SpanBuilder
     parent: Algebra
 
     def project(self, a: Element) -> Element:
@@ -282,7 +280,7 @@ class Quotient(NamedTuple):
         return self.parent.element(self.section.apply(list(q.coords)))
 
 
-def quotient_algebra(alg: Algebra, ideal: Subspace) -> Quotient:
+def quotient_algebra(alg: Algebra, ideal: SpanBuilder) -> Quotient:
     """Quotient by a verified two-sided ideal."""
     ok, witness = is_ideal(alg, ideal)
     if not ok:

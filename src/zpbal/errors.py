@@ -10,7 +10,7 @@ class InfiniteFieldError(ZpbalError):
 
 
 class AmbientMismatch(ZpbalError):
-    """Subspace/vector operands live in different ambient spaces."""
+    """A row space and a vector or another row space live in different ambient spaces."""
 
 
 class ExpressionsNotTracked(ZpbalError):
@@ -33,7 +33,7 @@ class ParentMismatch(ZpbalError):
 
 
 class NotAnIdeal(ZpbalError):
-    """Subspace is not a two-sided ideal; carries a witness product."""
+    """A subspace is not a two-sided ideal; carries a witness product."""
 
     def __init__(self, witness):
         self.witness = witness

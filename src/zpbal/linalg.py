@@ -1,9 +1,11 @@
 """Exact linear algebra over a base field, on sparse or packed rows behind a dense API.
 
 Vectors are plain lists of scalars and matrices are row-major lists of rows,
-at every public entry and exit.  Subspaces are kept in reduced row-echelon
-form, so subspace equality is grid equality and coefficient extraction is a
-direct read-off.
+at every public entry and exit.  A subspace is a `SpanBuilder`, the one
+row-space type: its rows are kept in reduced row-echelon form, so subspace
+equality is row equality and coefficient extraction is a direct read-off.
+It grows by `add`, and the same object answers membership, residuals and
+complements.
 
 Inside, each reduced row is keyed by its pivot column, and the field picks
 the row's representation.  Over F2 a row is a Python int with bit j set for
@@ -12,18 +14,17 @@ map {column: nonzero entry}, because the spans this package builds are
 almost empty: a row of the zero-product span has one or two nonzero entries
 among d² columns.  Each representation has one private reduction loop,
 `_eliminate_bits` or `_eliminate`, which touches only the rows whose pivots
-the vector meets: the span builder's forward reduction and
-back-elimination, membership tests, coefficient extraction and residuals
-modulo a subspace.  `SpanBuilder.add` also accepts a map or, over F2, an
-int, so that a caller that builds its vectors sparse never expands them.
-`SpanBuilder.null_space` is the one read-off of a null space from reduced
-rows; `Matrix.kernel` reduces and calls it.
+the vector meets: the forward reduction and back-elimination of `add`,
+membership tests, coefficient extraction and residuals.  `add` also accepts
+a map or, over F2, an int, so that a caller that builds its vectors sparse
+never expands them.  `SpanBuilder.null_space` is the one read-off of a null
+space from reduced rows; `Matrix.kernel` and `complement_functionals` call it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
 from zpbal.fields import Field, Scalar
@@ -190,26 +191,21 @@ class Matrix:
         return Matrix(f, [vec_scale(f, c, r) for r in self.rows], cols=self.ncols)
 
     def _row_space(self) -> "SpanBuilder":
-        builder = SpanBuilder(self.field, self.ncols)
-        for r in self.rows:
-            builder.add(r)
-        return builder
+        return SpanBuilder(self.field, self.ncols, self.rows)
 
     def rank(self) -> int:
         return self._row_space().dim
 
-    def kernel(self) -> "Subspace":
-        """Null space {v : self @ v = 0} as a row-reduced subspace."""
+    def kernel(self) -> "SpanBuilder":
+        """Null space {v : self @ v = 0} as a row space."""
         return self._row_space().null_space()
 
     def solve(self, b: Vector) -> Optional[Vector]:
         """One exact solution of self @ x = b, or None when inconsistent."""
         f = self.field
-        builder = SpanBuilder(f, self.ncols + 1)
-        for row, rhs in zip(self.rows, b):
-            builder.add(list(row) + [rhs])
+        builder = SpanBuilder(f, self.ncols + 1, (list(row) + [rhs] for row, rhs in zip(self.rows, b)))
         x = [f.zero] * self.ncols
-        for row, p in zip(builder.rows, builder.pivots):
+        for row, p in zip(builder.basis, builder.pivots):
             if p == self.ncols:
                 return None
             x[p] = row[self.ncols]
@@ -221,13 +217,11 @@ class Matrix:
             return None
         f = self.field
         n = self.nrows
-        builder = SpanBuilder(f, 2 * n)
         ident = Matrix.identity(f, n)
-        for row, erow in zip(self.rows, ident.rows):
-            builder.add(list(row) + list(erow))
-        if builder.pivots[:n] != list(range(n)) or len(builder.rows) != n:
+        builder = SpanBuilder(f, 2 * n, (list(row) + erow for row, erow in zip(self.rows, ident.rows)))
+        if builder.pivots[:n] != list(range(n)) or builder.dim != n:
             return None
-        return Matrix(f, [r[n:] for r in builder.rows], cols=n)
+        return Matrix(f, [r[n:] for r in builder.basis], cols=n)
 
     def __eq__(self, other):
         return (
@@ -242,15 +236,46 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
 
 
-class _Echelon:
-    """Reduced rows keyed by pivot, in the representation the field picks:
-    ints over F2, maps {column: nonzero entry} otherwise.  A subclass sets
-    `field`, `ambient`, `_packed`, `_rows` (pivot -> RREF row), `pivots` and,
-    over F2, `_pivot_mask` (the bits of the pivots, for `_eliminate_bits`)."""
+class SpanBuilder:
+    """A row space of K^n kept in reduced row-echelon form, grown by `add`.
+
+    Rows are keyed by pivot, in the representation the field picks: ints
+    over F2, maps {column: nonzero entry} otherwise.  `add` reports whether
+    the vector enlarged the span.  With `track_expressions=True` each row also
+    carries its expression over the retained (span-enlarging) input vectors,
+    so members of the span can be written exactly in terms of the original
+    generators.  `pivots` is a list in pivot order, and `basis` holds the
+    dense rows in that order.
+    """
+
+    def __init__(self, field: Field, ambient: int, vectors: Iterable[Union[Vector, Sparse, int]] = (),
+                 track_expressions: bool = False):
+        self.field = field
+        self.ambient = ambient
+        self._packed = field.characteristic == 2
+        self._rows: Dict[int, Row] = {}
+        self.pivots: List[int] = []
+        self._pivot_mask = 0  # over F2, the bits of the pivots, for `_eliminate_bits`
+        self.track = track_expressions
+        self._exprs: Dict[int, dict] = {}  # pivot -> {generator index: coefficient}
+        self.n_retained = 0
+        self._basis: Optional[List[Vector]] = None
+        for v in vectors:
+            self.add(v)
 
     @property
     def dim(self) -> int:
         return len(self._rows)
+
+    @property
+    def exprs(self) -> List[dict]:
+        return [self._exprs[p] for p in self.pivots]
+
+    @property
+    def basis(self) -> List[Vector]:
+        if self._basis is None:
+            self._basis = [_dense(self.field, self._rows[p], self.ambient) for p in self.pivots]
+        return self._basis
 
     def _reduce(self, v: Union[Vector, Sparse, int],
                 coeffs: Optional[List[Tuple[int, Scalar]]] = None) -> Row:
@@ -261,39 +286,6 @@ class _Echelon:
                 v = sum(1 << j for j in _sparse(v, self.ambient))
             return _eliminate_bits(self._rows, self._pivot_mask, v, coeffs)
         return _eliminate(self.field, self._rows, _sparse(v, self.ambient), coeffs)
-
-    def _dense_rows(self) -> List[Vector]:
-        return [_dense(self.field, self._rows[p], self.ambient) for p in self.pivots]
-
-
-class SpanBuilder(_Echelon):
-    """Incremental span accumulator kept in reduced row-echelon form.
-
-    `add` reports whether the vector enlarged the span.  With
-    `track_expressions=True` each row also carries its expression over the
-    retained (span-enlarging) input vectors, so members of the span can be
-    written exactly in terms of the original generators.  `rows`, `pivots`
-    and `exprs` are lists in pivot order; the rows are dense.
-    """
-
-    def __init__(self, field: Field, ambient: int, track_expressions: bool = False):
-        self.field = field
-        self.ambient = ambient
-        self._packed = field.characteristic == 2
-        self._rows: Dict[int, Row] = {}
-        self.pivots: List[int] = []
-        self._pivot_mask = 0
-        self.track = track_expressions
-        self._exprs: Dict[int, dict] = {}  # pivot -> {generator index: coefficient}
-        self.n_retained = 0
-
-    @property
-    def rows(self) -> List[Vector]:
-        return self._dense_rows()
-
-    @property
-    def exprs(self) -> List[dict]:
-        return [self._exprs[p] for p in self.pivots]
 
     def _expression(self, coeffs: List[Tuple[int, Scalar]]) -> dict:
         """Sum of c times the expression of row p, (p, c) running over coeffs."""
@@ -347,6 +339,7 @@ class SpanBuilder(_Echelon):
                     hit.append((p, c))
         rows[pivot] = v
         insort(self.pivots, pivot)
+        self._basis = None
         if self.track:
             # v = inv * (input - sum of c * row), written over the retained inputs
             expr = {self.n_retained: inv}
@@ -379,8 +372,8 @@ class SpanBuilder(_Echelon):
         combo = self._expression(coeffs)
         return {g: val for g, val in combo.items() if val != 0}
 
-    def null_space(self) -> "Subspace":
-        """{x : r·x = 0 for every row r} as a row-reduced subspace.
+    def null_space(self) -> "SpanBuilder":
+        """{x : r·x = 0 for every row r} as a row space.
 
         Each free column j gives the vector with 1 at j, minus row p's entry
         at j at each pivot p, and zeros elsewhere.  A row's entries off its
@@ -392,47 +385,18 @@ class SpanBuilder(_Echelon):
             for j, a in _entries(row):
                 if j != p:
                     free[j][p] = f.neg(a)
-        return Subspace(f, self.ambient, list(free.values()))
+        return SpanBuilder(f, self.ambient, free.values())
 
-    def to_subspace(self) -> "Subspace":
-        # rows are replaced, never changed in place, so the subspace may share them
-        return Subspace(self.field, self.ambient, (), _rows=dict(self._rows))
-
-
-class Subspace(_Echelon):
-    """Subspace of K^n held as a reduced row-echelon basis (`basis`, in pivot order)."""
-
-    def __init__(self, field: Field, ambient: int, vectors: Sequence[Union[Vector, Sparse, int]],
-                 _rows: Optional[Dict[int, Row]] = None):
-        if _rows is None:
-            builder = SpanBuilder(field, ambient)
-            for v in vectors:
-                builder.add(v)
-            _rows = builder._rows
-        self.field = field
-        self.ambient = ambient
-        self._packed = field.characteristic == 2
-        self._rows = _rows
-        self.pivots = sorted(_rows)
-        self._pivot_mask = sum(1 << p for p in _rows) if self._packed else 0
-        self._basis: Optional[List[Vector]] = None
-
-    @property
-    def basis(self) -> List[Vector]:
-        if self._basis is None:
-            self._basis = self._dense_rows()
-        return self._basis
-
-    def _check_compat(self, other: "Subspace"):
+    def _check_compat(self, other: "SpanBuilder"):
         if self.ambient != other.ambient or self.field != other.field:
-            raise AmbientMismatch("subspaces live in different ambient spaces")
+            raise AmbientMismatch("row spaces live in different ambient spaces")
 
     def contains_vector(self, v: Union[Vector, Sparse, int]) -> bool:
         """Whether v, a list, a map {column: nonzero entry} or over F2 an int,
-        lies in the subspace."""
+        lies in the span."""
         return not self._reduce(v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
+    def contains_subspace(self, other: "SpanBuilder") -> bool:
         self._check_compat(other)
         return all(self.contains_vector(v) for v in other.basis)
 
@@ -441,19 +405,19 @@ class Subspace(_Echelon):
         return _dense(self.field, self._reduce(v), self.ambient)
 
     def complement_functionals(self) -> List[Vector]:
-        """Basis of {phi : phi(v) = 0 for all v in the subspace}."""
-        return Matrix(self.field, self.basis, cols=self.ambient).kernel().basis
+        """Basis of {phi : phi(v) = 0 for all v in the span}."""
+        return self.null_space().basis
 
     def __eq__(self, other):
         return (
-            isinstance(other, Subspace)
+            isinstance(other, SpanBuilder)
             and self.field == other.field
             and self.ambient == other.ambient
             and self._rows == other._rows
         )
 
     def __repr__(self):
-        return f"Subspace(dim {self.dim} of K^{self.ambient} over {self.field.name})"
+        return f"SpanBuilder(dim {self.dim} of K^{self.ambient} over {self.field.name})"
 
 
 def dot(field: Field, u: Vector, v: Vector) -> Scalar:

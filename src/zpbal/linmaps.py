@@ -25,7 +25,7 @@ from zpbal.errors import (
     SoundnessAlarm,
     SpanDeficient,
 )
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Vector, vec_is_zero
 from zpbal.tensorsquare import NO, UNKNOWN, YES, ZeroProductSpanReport
 
 
@@ -59,7 +59,7 @@ class AlgMap:
     def is_bijective(self) -> bool:
         return self.source.dim == self.target.dim and self.is_surjective()
 
-    def kernel_subspace(self) -> Subspace:
+    def kernel_subspace(self) -> SpanBuilder:
         return self.matrix.kernel()
 
     def is_multiplicative(self) -> Optional[Tuple[int, int]]:
@@ -132,7 +132,7 @@ class WeightedFactorization(NamedTuple):
     pi0: AlgMap
     T: Matrix
     S: Matrix
-    kernel_ideal: Subspace
+    kernel_ideal: SpanBuilder
     quotient: Quotient
     quotient_iso: AlgMap  # induced isomorphism source/kernel -> target
 

@@ -16,21 +16,18 @@ from typing import List, NamedTuple, Optional
 from zpbal.algebra import Algebra, Element, commutator
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import SoundnessAlarm
-from zpbal.linalg import SpanBuilder, Subspace
+from zpbal.linalg import SpanBuilder
 from zpbal.sweep import EXACT, LEFT, Block, sweep_blocks
 from zpbal.tensorsquare import YES, compute_zero_product_span, is_zero_product_balanced
 
 
-def commutator_span(algebra: Algebra) -> Subspace:
+def commutator_span(algebra: Algebra) -> SpanBuilder:
     """Span of [e_i, e_j] over basis pairs (sufficient by bilinearity)."""
     f = algebra.field
     d = algebra.dim
-    builder = SpanBuilder(f, d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            diff = [f.sub(a, b) for a, b in zip(algebra.table[i][j], algebra.table[j][i])]
-            builder.add(diff)
-    return builder.to_subspace()
+    table = algebra.table
+    return SpanBuilder(f, d, ([f.sub(a, b) for a, b in zip(table[i][j], table[j][i])]
+                              for i in range(d) for j in range(i + 1, d)))
 
 
 class FactorizableWitness(NamedTuple):
@@ -51,7 +48,7 @@ class FactorizableWitness(NamedTuple):
 
 
 class FactorizableSpanReport(NamedTuple):
-    subspace: Subspace
+    subspace: SpanBuilder
     status: str  # EXACT / LOWER_BOUND
     witnesses: List[FactorizableWitness]  # one per retained generator
 
@@ -88,7 +85,7 @@ def factorizable_square_zero_span(
 
     status = sweep_blocks(algebra, (LEFT,), config, offer, lambda: builder.dim >= ceiling,
                           idempotent_pairs=False)
-    return FactorizableSpanReport(subspace=builder.to_subspace(), status=status, witnesses=witnesses)
+    return FactorizableSpanReport(subspace=builder, status=status, witnesses=witnesses)
 
 
 class SpanEqualityReport(NamedTuple):

@@ -33,7 +33,7 @@ from zpbal.errors import (
     SoundnessAlarm,
 )
 from zpbal.fields import Scalar
-from zpbal.linalg import Matrix, Subspace, vec_scale
+from zpbal.linalg import Matrix, SpanBuilder, vec_scale
 from zpbal.linmaps import AlgMap
 from zpbal.squarezero import commutator_span
 from zpbal.tensorsquare import (
@@ -59,7 +59,7 @@ def _frobenius(algebra: Algebra) -> Matrix:
     return Matrix.from_columns(algebra.field, cols, algebra.dim)
 
 
-def nilradical(algebra: Algebra) -> Subspace:
+def nilradical(algebra: Algebra) -> SpanBuilder:
     """The ideal of nilpotent elements of a commutative algebra.
 
     Characteristic 0: radical of the trace form (x,y) -> tr(L_x L_y).  Prime
@@ -577,7 +577,7 @@ def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG
                            note=f"neither branch holds; balanced verdict {balanced.status}")
 
 
-def commutator_ideal(algebra: Algebra) -> Subspace:
+def commutator_ideal(algebra: Algebra) -> SpanBuilder:
     """Two-sided ideal generated by all commutators."""
     return ideal_closure(algebra, commutator_span(algebra).basis)
 

@@ -9,7 +9,11 @@ zero-product tensors for YES, separating functionals for NO.
 
 Tensor index convention: e_i ⊗ e_j sits at flat index i*d + j (row-major).
 Tensors are built sparse, as maps {flat index: nonzero entry}, and stay so
-until the span reduces them; the public methods return dense lists.
+until the span reduces them; certificates and verdicts hold dense lists.
+The multiplication map μ: a⊗b -> ab is never a dense d × d² matrix: its d
+rows are read sparse from the structure constants (`_multiplication_rows`),
+ker μ has dimension d² minus their rank and a basis in their null space, and
+`_apply_mul` evaluates μ on a sparse tensor for the verifier.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from zpbal.algebra import Algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
 from zpbal.fields import Field, Scalar
-from zpbal.linalg import Matrix, Sparse, SpanBuilder, Subspace, Vector, _dense, _sparse, dot, vec_is_zero
+from zpbal.linalg import Sparse, SpanBuilder, Vector, _dense, _sparse, dot, vec_is_zero
 from zpbal.sweep import EXACT, LEFT, LOWER_BOUND, RIGHT, Block, sweep_blocks  # EXACT, LOWER_BOUND re-exported
 
 TENSOR_CONVENTION = "row-major i*d+j"
@@ -30,43 +34,26 @@ NO = "NO"
 UNKNOWN = "UNKNOWN"
 
 
-class TensorSquare:
-    """Tensor square A⊗A with the linear multiplication map a⊗b -> ab."""
+def _multiplication_rows(algebra: Algebra) -> List[Sparse]:
+    """Row k of the multiplication map μ: A⊗A -> A, as {i*d+j: (e_i e_j)_k}."""
+    d = algebra.dim
+    rows: List[Sparse] = [{} for _ in range(d)]
+    for i, products in enumerate(algebra._nonzero):
+        for j, nonzero in enumerate(products):
+            for k, c in nonzero:
+                rows[k][i * d + j] = c
+    return rows
 
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-        d = algebra.dim
-        self.ambient = d * d
-        f = algebra.field
-        # mul matrix: d rows, d*d columns; column i*d+j holds coords of e_i e_j
-        rows = [[f.zero] * self.ambient for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                cij = algebra.table[i][j]
-                for k, c in enumerate(cij):
-                    if c != 0:
-                        rows[k][i * d + j] = c
-        self.mul_matrix = Matrix(f, rows, cols=self.ambient)
-        self._kernel: Optional[Subspace] = None
 
-    def kernel(self) -> Subspace:
-        if self._kernel is None:
-            self._kernel = self.mul_matrix.kernel()
-        return self._kernel
-
-    def kernel_dim(self) -> int:
-        return self.ambient - self.mul_matrix.rank()
-
-    def tensor_coords(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        alg = self.algebra
-        return _dense(alg.field, _tensor(alg.field, alg.dim, u, v), self.ambient)
-
-    def apply_mul(self, t: Vector) -> Vector:
-        return self.mul_matrix.apply(t)
-
-    def defect_tensor(self, i: int, j: int, k: int) -> Vector:
-        """(e_i e_j)⊗e_k - e_i⊗(e_j e_k)."""
-        return _dense(self.algebra.field, _defect_tensor(self.algebra, i, j, k), self.ambient)
+def _apply_mul(algebra: Algebra, t: Sparse) -> Vector:
+    """μ(t) in coordinates, for a tensor t given as {flat index: nonzero entry}."""
+    f = algebra.field
+    d = algebra.dim
+    out = [f.zero] * d
+    for ij, a in t.items():
+        for k, c in algebra._nonzero[ij // d][ij % d]:
+            out[k] = f.add(out[k], f.mul(a, c))
+    return out
 
 
 def _tensor(f: Field, d: int, u: Sequence[Scalar], v: Sequence[Scalar]) -> Sparse:
@@ -102,22 +89,20 @@ class ZeroProductSpanReport:
     Every generator pair (u, v) was re-verified to satisfy uv = 0 before
     insertion, so the recorded subspace is a certified subset of the true
     span regardless of status.  Status EXACT means the generating sweep was
-    exhaustive over the whole (finite) algebra.  `builder` is the
-    expression-tracking span that produced the subspace; membership
+    exhaustive over the whole (finite) algebra.  `subspace` is the
+    expression-tracking row space of the generators; membership
     decompositions are read from it.
     """
 
-    def __init__(self, algebra: Algebra, tensor: TensorSquare, subspace: Subspace, status: str,
+    def __init__(self, algebra: Algebra, subspace: SpanBuilder, status: str,
                  generators: List[Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]], kernel_dim: int,
-                 config: SweepConfig, builder: SpanBuilder):
+                 config: SweepConfig):
         self.algebra = algebra
-        self.tensor = tensor
         self.subspace = subspace
         self.status = status
         self.generators = generators
         self.kernel_dim = kernel_dim
         self.config = config
-        self._builder = builder
 
     @property
     def dim(self) -> int:
@@ -138,7 +123,7 @@ class ZeroProductSpanReport:
 
         target is a list or a map {flat index: nonzero entry}.
         """
-        combo = self._builder.generator_coefficients(target)
+        combo = self.subspace.generator_coefficients(target)
         if combo is None:
             return None
         return [(lam, self.generators[g][0], self.generators[g][1]) for g, lam in sorted(combo.items())]
@@ -154,11 +139,10 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
     otherwise the blocks of both sides give a lower bound.  Either way the
     sweep stops at the kernel ceiling.
     """
-    ts = TensorSquare(algebra)
     f = algebra.field
     d = algebra.dim
-    ker_dim = ts.kernel_dim()
-    builder = SpanBuilder(f, ts.ambient, track_expressions=True)
+    ker_dim = d * d - SpanBuilder(f, d * d, _multiplication_rows(algebra)).dim
+    builder = SpanBuilder(f, d * d, track_expressions=True)
     generators: List[Tuple[tuple, tuple]] = []
 
     def offer(block: Block, side: str) -> int:
@@ -179,18 +163,15 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
 
     status = sweep_blocks(algebra, (RIGHT, LEFT), config, offer, lambda: builder.dim >= ker_dim,
                           idempotent_pairs=True)
-    subspace = builder.to_subspace()
-    if subspace.dim > ker_dim:
+    if builder.dim > ker_dim:
         raise SoundnessAlarm("zero-product span exceeds multiplication kernel")
     return ZeroProductSpanReport(
         algebra=algebra,
-        tensor=ts,
-        subspace=subspace,
+        subspace=builder,
         status=status,
         generators=generators,
         kernel_dim=ker_dim,
         config=config,
-        builder=builder,
     )
 
 
@@ -200,7 +181,6 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
 
 MEMBERSHIP = "membership-decomposition"
 SEPARATING = "separating-functional"
-NOT_VERIFIED = "not-verified"
 
 
 class Certificate:
@@ -289,7 +269,8 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
     Deliberately independent of the span engine: a third party holding the
     structure constants can re-run this check.  The claim binds the target:
     a certificate naming a basis triple is about that triple's defect tensor,
-    and a refutation of determination must separate a kernel tensor.
+    a refutation of balancedness must name one, and a refutation of
+    determination must separate a kernel tensor.
     """
     f = algebra.field
     d = algebra.dim
@@ -320,11 +301,13 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
     if cert.kind == SEPARATING:
         if cert.functional is None or len(cert.functional) != ambient:
             raise MalformedCertificate("separating certificate lacks a functional")
+        claim = cert.meta.get("claim")
+        if claim == "not-zero-product-balanced" and triple is None:
+            return False
+        if claim == "not-zero-product-determined" and not vec_is_zero(_apply_mul(algebra, claimed)):
+            return False
         target = _dense(f, claimed, ambient)
         if dot(f, cert.functional, target) == 0:
-            return False
-        if (cert.meta.get("claim") == "not-zero-product-determined"
-                and not vec_is_zero(TensorSquare(algebra).apply_mul(target))):
             return False
         for u, v in cert.generators:
             if len(u) != d or len(v) != d:
@@ -334,8 +317,6 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
             if dot(f, cert.functional, _dense(f, _tensor(f, d, u, v), ambient)) != 0:
                 return False
         return True
-    if cert.kind == NOT_VERIFIED:
-        return False
     raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
 
 
@@ -385,10 +366,9 @@ def is_zero_product_determined(algebra: Algebra, report: ZeroProductSpanReport) 
             ker_dim,
             note=f"span is a lower bound below the kernel ceiling: {_lower_bound_cause(report)}",
         )
-    witness = next(
-        (v for v in report.tensor.kernel().basis if not report.subspace.contains_vector(v)),
-        None,
-    )
+    d = algebra.dim
+    kernel = SpanBuilder(algebra.field, d * d, _multiplication_rows(algebra)).null_space()
+    witness = next((v for v in kernel.basis if not report.subspace.contains_vector(v)), None)
     if witness is None:
         raise SoundnessAlarm("kernel dimension exceeds span but every kernel basis vector is inside")
     phi = _separating_functional(report, witness)
@@ -423,7 +403,7 @@ def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) ->
     """
     f = algebra.field
     d = algebra.dim
-    ambient = report.tensor.ambient
+    ambient = d * d
     certs: List[Certificate] = []
     for i in range(d):
         for j in range(d):

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from references import coefficients, operator_matrix
 from zpbal.algebra import Algebra, Element
 from zpbal.errors import NotIdempotent
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector
+from zpbal.linalg import Matrix, SpanBuilder, Vector
 from zpbal.tensorsquare import (
     MEMBERSHIP,
     Certificate,
@@ -35,7 +35,7 @@ class MultiplierAlgebra:
     Carrier vectors flatten L row-major, then R row-major (length 2*d*d).
     """
 
-    def __init__(self, parent: Algebra, carrier: Subspace):
+    def __init__(self, parent: Algebra, carrier: SpanBuilder):
         self.parent = parent
         self.carrier = carrier
         d = parent.dim
@@ -96,7 +96,7 @@ class MultiplierAlgebra:
         """Canonical image of an algebra element among the multipliers."""
         return self.algebra.element(self.mu_matrix.apply(list(a.coords)))
 
-    def mu_kernel(self) -> Subspace:
+    def mu_kernel(self) -> SpanBuilder:
         """Kernel of the canonical map: the two-sided annihilators."""
         return self.mu_matrix.kernel()
 
@@ -158,7 +158,7 @@ class TransferableReport:
     bound it is a certified subset (flag certified="partial").
     """
 
-    subspace: Subspace
+    subspace: SpanBuilder
     scope: str  # "inner" | "multiplier"
     certified: str  # "exact" | "partial"
     closed_under_products: bool
@@ -286,7 +286,7 @@ def idempotent_transfer_witness(
 @dataclass
 class GeneratedResult:
     status: str  # "CONTAINED" | "NOT_BY_THESE"
-    generated: Subspace  # inside the multiplier algebra coordinates
+    generated: SpanBuilder  # inside the multiplier algebra coordinates
     dimension_trace: List[int]  # per closure round
     missing_basis: List[int]  # parent basis indices whose image falls outside
 
@@ -316,20 +316,17 @@ def idempotent_generated_certificate(
             raise NotIdempotent(f"idempotent #{idx} fails e*e = e")
         gens.append(m)
     f = algebra.field
-    builder = SpanBuilder(f, malg.dim)
-    for g in gens:
-        builder.add(list(g.coords))
-    trace = [builder.dim]
+    generated = SpanBuilder(f, malg.dim, (list(g.coords) for g in gens))
+    trace = [generated.dim]
     stable = False
     while not stable:
         stable = True
-        current = [list(r) for r in builder.rows]
+        current = [list(r) for r in generated.basis]
         for u in current:
             for v in current:
-                if builder.add(malg.multiply_coords(u, v)):
+                if generated.add(malg.multiply_coords(u, v)):
                     stable = False
-        trace.append(builder.dim)
-    generated = builder.to_subspace()
+        trace.append(generated.dim)
     missing = [
         i for i in range(algebra.dim)
         if not generated.contains_vector(list(mult.mu(algebra.basis_element(i)).coords))

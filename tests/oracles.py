@@ -16,7 +16,7 @@ from itertools import product
 from typing import List, Union
 
 from multiplier import MultiplierAlgebra
-from references import DenseSpanBuilder, dense_kernel, operator_matrix
+from references import DenseSpanBuilder, DenseTensorSquare, dense_kernel, operator_matrix
 from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import BudgetExceeded, SoundnessAlarm
@@ -32,7 +32,6 @@ from zpbal.tensorsquare import (
     YES,
     BalancedVerdict,
     Certificate,
-    TensorSquare,
 )
 
 
@@ -210,7 +209,7 @@ def _annihilator_tensors(report_builder, ts, u, side, generators):
 
 def reference_zero_product_span(algebra, config):
     """(generators, tracking builder) of the full per-element sweep."""
-    ts = TensorSquare(algebra)
+    ts = DenseTensorSquare(algebra)
     f = algebra.field
     d = algebra.dim
     ker_dim = ts.kernel_dim()
@@ -357,7 +356,7 @@ def reference_factorizable_span(algebra, config):
 
 def reference_span_builder(report):
     """The report's generator tensors, in order, in a tracking dense builder."""
-    ts = report.tensor
+    ts = DenseTensorSquare(report.algebra)
     builder = DenseSpanBuilder(report.algebra.field, ts.ambient, track_expressions=True)
     for u, v in report.generators:
         if not builder.add(ts.tensor_coords(u, v)):
@@ -387,7 +386,7 @@ def reference_membership_terms(report, builder, target):
 
 def reference_balanced(algebra, report):
     """The two-step decider: a membership test, then the decomposition."""
-    ts = report.tensor
+    ts = DenseTensorSquare(algebra)
     d = algebra.dim
     builder = reference_span_builder(report)
     certs = []
@@ -497,7 +496,7 @@ def reference_nilradical(algebra, config: SweepConfig = DEFAULT_CONFIG):
     for coords in algebra.coord_tuples():
         if _is_nilpotent_coords(algebra, coords):
             builder.add(list(coords))
-    return builder.to_subspace()
+    return builder
 
 
 def reference_character_table(algebra):

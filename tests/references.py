@@ -5,7 +5,9 @@ matrix and subspace operations serve only tests.  `DenseSpanBuilder` is the
 dense row reducer the package's sparse one replaced; `rref`, `dense_kernel`
 and the reference sweeps in `oracles` run on it, with operators built by
 `operator_matrix` from products of basis vectors, so that they share no
-reduction and no operator builder with the code they pin down.  The rest each
+reduction and no operator builder with the code they pin down.
+`DenseTensorSquare` is the dense multiplication map of the tensor square
+that the package's sparse multiplication rows replaced.  The rest each
 state a property of the paper's objects that the tests check on small
 algebras: the Boolean ring of idempotents and its Stone space, the
 nilpotent-generation equivalence for unital balanced algebras, the balanced
@@ -42,7 +44,7 @@ from zpbal.errors import (
     ZpbalError,
 )
 from zpbal.fields import Field
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, Vector, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Vector, vec_is_zero
 from zpbal.squarezero import FactorizableSpanReport, factorizable_square_zero_span
 from zpbal.structure import (
     CharacterReport,
@@ -86,7 +88,7 @@ def rref_matrix(m: Matrix) -> Tuple[Matrix, int]:
     return Matrix(m.field, padded, cols=m.ncols), rank
 
 
-def coefficients(space: Subspace, v: Vector) -> Vector:
+def coefficients(space: SpanBuilder, v: Vector) -> Vector:
     """Expansion of v over the reduced basis; raises NotInSubspace.
 
     Each basis row has a 1 at its pivot and zeros at the other pivots, so the
@@ -97,7 +99,7 @@ def coefficients(space: Subspace, v: Vector) -> Vector:
     return [v[p] for p in space.pivots]
 
 
-def linear_combination(space: Subspace, coeffs: Vector) -> Vector:
+def linear_combination(space: SpanBuilder, coeffs: Vector) -> Vector:
     f = space.field
     out = [f.zero] * space.ambient
     for c, row in zip(coeffs, space.basis):
@@ -109,12 +111,12 @@ def linear_combination(space: Subspace, coeffs: Vector) -> Vector:
     return out
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+def subspace_sum(a: SpanBuilder, b: SpanBuilder) -> SpanBuilder:
     a._check_compat(b)
-    return Subspace(a.field, a.ambient, a.basis + b.basis)
+    return SpanBuilder(a.field, a.ambient, a.basis + b.basis)
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
+def intersect(a: SpanBuilder, b: SpanBuilder) -> SpanBuilder:
     """Zassenhaus: reduce [A|A] over [B|0]; zero-left rows give the meet."""
     a._check_compat(b)
     f = a.field
@@ -122,7 +124,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     stacked = [list(v) + list(v) for v in a.basis]
     stacked += [list(v) + [f.zero] * n for v in b.basis]
     rows, pivots = rref(stacked, f, 2 * n)
-    return Subspace(f, n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
+    return SpanBuilder(f, n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +260,55 @@ def operator_matrix(alg: Algebra, u: Sequence, left: bool) -> Matrix:
     return Matrix.from_columns(f, cols, alg.dim)
 
 
+class DenseTensorSquare:
+    """A⊗A with the multiplication map a⊗b -> ab as a dense d × d² `Matrix`.
+
+    The reference for `zpbal.tensorsquare`, which reads μ as sparse rows from
+    the structure constants: column i*d+j of `mul_matrix` holds the
+    coordinates of e_i e_j, its kernel and rank come from the dense reference
+    builder, and tensors are dense lists built entry by entry.
+    """
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        d = algebra.dim
+        self.ambient = d * d
+        f = algebra.field
+        rows = [[f.zero] * self.ambient for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                for k, c in enumerate(algebra.table[i][j]):
+                    if c != 0:
+                        rows[k][i * d + j] = c
+        self.mul_matrix = Matrix(f, rows, cols=self.ambient)
+
+    def kernel(self) -> List[Vector]:
+        """The RREF basis of the multiplication kernel."""
+        return dense_kernel(self.mul_matrix)
+
+    def kernel_dim(self) -> int:
+        return self.ambient - len(rref(self.mul_matrix.rows, self.algebra.field, self.ambient)[0])
+
+    def tensor_coords(self, u: Sequence, v: Sequence) -> Vector:
+        f = self.algebra.field
+        return [f.mul(a, b) for a in u for b in v]
+
+    def apply_mul(self, t: Vector) -> Vector:
+        return self.mul_matrix.apply(t)
+
+    def defect_tensor(self, i: int, j: int, k: int) -> Vector:
+        """(e_i e_j)⊗e_k - e_i⊗(e_j e_k)."""
+        alg = self.algebra
+        f = alg.field
+        d = alg.dim
+        out = [f.zero] * self.ambient
+        for s, c in enumerate(alg.table[i][j]):
+            out[s * d + k] = f.add(out[s * d + k], c)
+        for t, c in enumerate(alg.table[j][k]):
+            out[i * d + t] = f.sub(out[i * d + t], c)
+        return out
+
+
 def dense_associativity_failure(field: Field, table) -> Optional[Tuple[int, int, int]]:
     """The first (i, j, k) in loop order with (e_i e_j) e_k != e_i (e_j e_k),
     both sides summed as dense vectors, or None when the table is associative."""
@@ -344,25 +395,22 @@ class Subalgebra:
     """Subalgebra re-presented as an algebra in its own right."""
 
     algebra: Algebra
-    span: Subspace  # rows are the chosen basis, in parent coordinates
+    span: SpanBuilder  # rows are the chosen basis, in parent coordinates
     parent: Algebra
 
 
 def subalgebra(alg: Algebra, generators: Sequence[Element]) -> Subalgebra:
     """Close generators under span and products; re-present as an algebra."""
     f = alg.field
-    builder = SpanBuilder(f, alg.dim)
-    for g in generators:
-        builder.add(list(g.coords))
+    span = SpanBuilder(f, alg.dim, (list(g.coords) for g in generators))
     stable = False
     while not stable:
         stable = True
-        current = [list(r) for r in builder.rows]
+        current = [list(r) for r in span.basis]
         for u in current:
             for v in current:
-                if builder.add(alg.multiply_coords(u, v)):
+                if span.add(alg.multiply_coords(u, v)):
                     stable = False
-    span = builder.to_subspace()
     table = [[coefficients(span, alg.multiply_coords(a, b)) for b in span.basis] for a in span.basis]
     sub = Algebra(f, [f"s{k+1}" for k in range(span.dim)], table)
     for e in alg.registered_idempotents:
@@ -373,26 +421,23 @@ def subalgebra(alg: Algebra, generators: Sequence[Element]) -> Subalgebra:
     return Subalgebra(algebra=sub, span=span, parent=alg)
 
 
-def balanced_defect(algebra: Algebra, report: ZeroProductSpanReport) -> Tuple[Subspace, int]:
+def balanced_defect(algebra: Algebra, report: ZeroProductSpanReport) -> Tuple[SpanBuilder, int]:
     """Span of all shifted-product tensors plus the zero-product span.
 
     The excess over the span dimension is 0 exactly when the algebra is
     balanced (granted a complete span).
     """
-    ts = report.tensor
+    ts = DenseTensorSquare(algebra)
     d = algebra.dim
-    builder = SpanBuilder(algebra.field, ts.ambient)
-    for row in report.subspace.basis:
-        builder.add(row)
+    total = SpanBuilder(algebra.field, ts.ambient, report.subspace.basis)
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                builder.add(ts.defect_tensor(i, j, k))
-    total = builder.to_subspace()
+                total.add(ts.defect_tensor(i, j, k))
     return total, total.dim - report.dim
 
 
-def centralizer_space(algebra: Algebra) -> Subspace:
+def centralizer_space(algebra: Algebra) -> SpanBuilder:
     """All linear S with S(ab) = S(a)b = aS(b), as flattened matrices."""
     f = algebra.field
     d = algebra.dim
@@ -503,7 +548,7 @@ def boolean_ring_and_stone(algebra: Algebra, config: SweepConfig = DEFAULT_CONFI
 
 def factorizable_pair_product_span(
     algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG
-) -> Tuple[Subspace, str]:
+) -> Tuple[SpanBuilder, str]:
     """Span of pairwise products of factorizable square-zero elements.
 
     Generators of the factorizable span suffice: any product of two such
@@ -515,14 +560,14 @@ def factorizable_pair_product_span(
     for u in xs:
         for v in xs:
             builder.add(algebra.multiply_coords(u, v))
-    return builder.to_subspace(), fact.status
+    return builder, fact.status
 
 
 def one_dimension_short(report: FactorizableSpanReport) -> FactorizableSpanReport:
     """The report of a factorizable sweep that missed one dimension, same status:
     a fake that lets a test reach the span-equality alarm."""
     basis = report.subspace.basis[:-1]
-    return FactorizableSpanReport(Subspace(report.subspace.field, report.subspace.ambient, basis),
+    return FactorizableSpanReport(SpanBuilder(report.subspace.field, report.subspace.ambient, basis),
                                   report.status, report.witnesses[:len(basis)])
 
 
@@ -559,7 +604,7 @@ def generated_by_nilpotents_check(algebra: Algebra, config: SweepConfig = DEFAUL
     for coords in algebra.coord_tuples():
         if algebra.element(coords).is_nilpotent():
             builder.add(list(coords))
-    nilpotents_generate = ideal_closure(algebra, builder.rows).dim == algebra.dim
+    nilpotents_generate = ideal_closure(algebra, builder.basis).dim == algebra.dim
 
     pair_span, pair_status = factorizable_pair_product_span(algebra, config)
     if pair_status != EXACT:

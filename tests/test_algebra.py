@@ -6,7 +6,7 @@ import pytest
 from zpbal.errors import NotAnIdeal, NotAssociative, NotIdempotent, ParentMismatch
 from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
-from zpbal.linalg import Subspace
+from zpbal.linalg import SpanBuilder
 from zpbal.algebra import Algebra, commutator
 from zpbal.constructions import (
     direct_sum,
@@ -223,7 +223,7 @@ def test_quotient_algebra():
 
 def test_quotient_rejects_non_ideal():
     m2 = matrix_algebra(F2, 2)
-    not_ideal = Subspace(F2, 4, [[1, 0, 0, 0]])  # span{E11} is not an ideal
+    not_ideal = SpanBuilder(F2, 4, [[1, 0, 0, 0]])  # span{E11} is not an ideal
     ok, witness = is_ideal(m2, not_ideal)
     assert not ok and witness is not None
     with pytest.raises(NotAnIdeal):

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from references import one_dimension_short
+from references import DenseTensorSquare, one_dimension_short
 from zpbal import linmaps, serialize, squarezero
 from zpbal.constructions import direct_sum, function_algebra, matrix_algebra, nilpotent_algebra, poly_quotient_algebra
 from zpbal.cli import main
 from zpbal.errors import NotSemimultiplicative, SoundnessAlarm
 from zpbal.fields import PrimeField
 from zpbal.serialize import save_algebra
-from zpbal.tensorsquare import TensorSquare
+from zpbal.tensorsquare import compute_zero_product_span
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +131,41 @@ def test_verify_prints_the_lines_before_a_malformed_certificate(tmp_path, capsys
     assert out == "".join(f"certificate {n} (membership-decomposition): true\n" for n in range(3))
 
 
+def test_verify_exits_1_on_the_retired_not_verified_kind(tmp_path, capsys, monkeypatch):
+    """No certificate kind "not-verified" exists: a file that uses it is malformed."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
+    run_cli(capsys, "check", "m2.json", "--out", "certs.json")
+    with open("certs.json") as fh:
+        data = json.load(fh)
+    data["certificates"][1]["kind"] = "not-verified"
+    with open("bad.json", "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run_cli(capsys, "verify", "bad.json", "m2.json")
+    assert code == 1 and "unknown certificate kind 'not-verified'" in err
+    assert out == "certificate 0 (membership-decomposition): true\n"
+
+
+def test_verify_refuses_a_balanced_refutation_that_names_no_triple(tmp_path, capsys, monkeypatch):
+    """M2/F2 is balanced.  A NO file whose one refutation separates e_0⊗e_0 from
+    every generator in the file is refused: e_0⊗e_0 is no defect tensor."""
+    monkeypatch.chdir(tmp_path)
+
+    def forge(data):
+        alg = serialize.load_algebra("alg.json")
+        span = compute_zero_product_span(alg)
+        phi = next(phi for phi in span.subspace.complement_functionals() if phi[0])
+        data["balanced"] = "NO"
+        data["certificates"] = [{
+            "kind": "separating-functional", "target": [1] + [0] * 15, "functional": phi,
+            "generators": list(range(len(data["generators"]))),
+            "meta": {"claim": "not-zero-product-balanced"}}]
+
+    out = _tampered(capsys, ("Mn", "--n", "2", "--field", "F2"), forge)
+    assert "certificate 0 (separating-functional): false" in out
+    assert "all certificates: false" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "{alg}", "--out", "{out}"),
     ("example", "Nm", "--out", "{out}"),
@@ -201,7 +236,7 @@ def test_verify_holds_the_file_to_its_balanced_claim(tmp_path, capsys, monkeypat
 def test_verify_requires_a_kernel_witness(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     alg = nilpotent_algebra(PrimeField(2), 4)
-    ts = TensorSquare(alg)
+    ts = DenseTensorSquare(alg)
 
     def outside_kernel(data):
         cert = next(c for c in data["certificates"]

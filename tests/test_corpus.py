@@ -2,7 +2,7 @@ from references import SHAPES, random_algebra, subalgebra
 from zpbal.fields import PrimeField
 from zpbal.constructions import direct_sum, matrix_over, quotient_algebra, ideal_closure
 from zpbal.corpus import golden_corpus, run_suites
-from zpbal.linalg import Subspace
+from zpbal.linalg import SpanBuilder
 from zpbal.squarezero import check_span_equality
 from zpbal.tensorsquare import (
     compute_zero_product_span,
@@ -95,7 +95,7 @@ def test_full_summand_ideals_of_balanced_are_balanced():
     assert is_zero_product_balanced(a, span).status == "YES"
     f = a.field
     ideal_rows = [[f.one if t == i else f.zero for t in range(a.dim)] for i in range(4)]
-    ideal = Subspace(f, a.dim, ideal_rows)
+    ideal = SpanBuilder(f, a.dim, ideal_rows)
     # hypothesis check: span I*A = span A*I = I
     prods = []
     for v in ideal.basis:
@@ -103,7 +103,7 @@ def test_full_summand_ideals_of_balanced_are_balanced():
             ei = [f.one if t == i else f.zero for t in range(a.dim)]
             prods.append(a.multiply_coords(v, ei))
             prods.append(a.multiply_coords(ei, v))
-    assert Subspace(f, a.dim, prods) == ideal
+    assert SpanBuilder(f, a.dim, prods) == ideal
     sub = subalgebra(a, [a.element(v) for v in ideal.basis])
     sspan = compute_zero_product_span(sub.algebra)
     assert is_zero_product_balanced(sub.algebra, sspan).status == "YES"

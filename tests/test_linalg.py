@@ -23,7 +23,7 @@ from zpbal.constructions import ideal_closure, matrix_algebra, nilpotent_algebra
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
 from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
-from zpbal.linalg import Matrix, SpanBuilder, Subspace, dot
+from zpbal.linalg import Matrix, SpanBuilder, dot
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -57,7 +57,7 @@ def test_kernel_zero_and_identity():
     assert z.kernel().dim == 3
     assert Matrix.identity(QQ, 3).kernel().dim == 0
     for n in (0, 1, 3):  # no equations: the whole space, in reduced form
-        assert Matrix(F2, [], cols=n).kernel() == Subspace(F2, n, Matrix.identity(F2, n).rows)
+        assert Matrix(F2, [], cols=n).kernel() == SpanBuilder(F2, n, Matrix.identity(F2, n).rows)
 
 
 def test_solve():
@@ -74,11 +74,11 @@ def test_inverse():
 
 
 def test_subspace_ops():
-    s1 = Subspace(QQ, 3, [[q(1), q(0), q(0)]])
-    s2 = Subspace(QQ, 3, [[q(0), q(1), q(0)]])
+    s1 = SpanBuilder(QQ, 3, [[q(1), q(0), q(0)]])
+    s2 = SpanBuilder(QQ, 3, [[q(0), q(1), q(0)]])
     assert subspace_sum(s1, s2).dim == 2
-    full2 = Subspace(QQ, 2, [[q(1), q(0)], [q(0), q(1)]])
-    diag = Subspace(QQ, 2, [[q(1), q(1)]])
+    full2 = SpanBuilder(QQ, 2, [[q(1), q(0)], [q(0), q(1)]])
+    diag = SpanBuilder(QQ, 2, [[q(1), q(1)]])
     meet = intersect(full2, diag)
     assert meet.dim == 1 and meet.basis == [[q(1), q(1)]]
     assert diag.contains_vector([q(2), q(2)])
@@ -88,7 +88,7 @@ def test_subspace_ops():
 
 
 def test_coefficients_roundtrip():
-    s = Subspace(QQ, 3, [[q(1), q(1), q(0)], [q(0), q(0), q(1)]])
+    s = SpanBuilder(QQ, 3, [[q(1), q(1), q(0)], [q(0), q(0), q(1)]])
     v = [q(2), q(2), q(5)]
     coeffs = coefficients(s, v)
     assert linear_combination(s, coeffs) == v
@@ -97,11 +97,11 @@ def test_coefficients_roundtrip():
 
 
 def test_ambient_mismatch():
-    s = Subspace(QQ, 2, [[q(1), q(0)]])
+    s = SpanBuilder(QQ, 2, [[q(1), q(0)]])
     with pytest.raises(AmbientMismatch):
         s.contains_vector([q(1), q(0), q(0)])
     with pytest.raises(AmbientMismatch):
-        subspace_sum(s, Subspace(QQ, 3, []))
+        subspace_sum(s, SpanBuilder(QQ, 3, []))
 
 
 def test_span_builder_tracks_expressions():
@@ -141,8 +141,8 @@ def test_modular_dimension_law_random(field):
         n = rng.randint(1, 5)
         a = _random_matrix(rng, field, rng.randint(0, 3), n).rows
         b = _random_matrix(rng, field, rng.randint(0, 3), n).rows
-        sa = Subspace(field, n, a)
-        sb = Subspace(field, n, b)
+        sa = SpanBuilder(field, n, a)
+        sb = SpanBuilder(field, n, b)
         assert sa.dim + sb.dim == subspace_sum(sa, sb).dim + intersect(sa, sb).dim
 
 
@@ -160,12 +160,12 @@ def test_solve_consistency_random(field):
 
 
 def test_complement_functionals():
-    s = Subspace(QQ, 3, [[q(1), q(0), q(1)]])
+    s = SpanBuilder(QQ, 3, [[q(1), q(0), q(1)]])
     funcs = s.complement_functionals()
     assert len(funcs) == 2
     for phi in funcs:
         assert sum(a * b for a, b in zip(phi, [q(1), q(0), q(1)])) == 0
-    assert Subspace(QQ, 3, []).complement_functionals() == Matrix.identity(QQ, 3).rows
+    assert SpanBuilder(QQ, 3, []).complement_functionals() == Matrix.identity(QQ, 3).rows
 
 
 def _random_vector(rng, field, n):
@@ -179,7 +179,7 @@ def test_reduction_against_oracle_random(field):
     for _ in range(40):
         n = rng.randint(1, 6)
         gens = _random_matrix(rng, field, rng.randint(0, 5), n).rows
-        space = Subspace(field, n, gens)
+        space = SpanBuilder(field, n, gens)
         builder = SpanBuilder(field, n, track_expressions=True)
         retained = [g for g in gens if builder.add(g)]
         for _ in range(4):
@@ -261,11 +261,9 @@ def test_null_space_kernel_and_rank_match_the_dense_reference(case):
     kernel = dense_kernel(m)
     assert len(kernel) == ncols - len(reduced)
     assert all(dot(field, r, v) == 0 for r in rows for v in kernel)
-    builder = SpanBuilder(field, ncols)
-    for r in rows:
-        builder.add(r)
+    builder = SpanBuilder(field, ncols, rows)
     assert builder.null_space().basis == kernel
-    assert builder.rows == reduced  # reading the null space leaves the rows as they were
+    assert builder.basis == reduced  # reading the null space leaves the rows as they were
     assert m.kernel().basis == kernel
     assert m.rank() == len(reduced)
 
@@ -302,11 +300,10 @@ def test_sparse_builder_matches_the_dense_reference(data):
             v = data.draw(st.lists(scalar, min_size=n, max_size=n))
         as_map = data.draw(st.booleans())
         assert builder.add({j: a for j, a in enumerate(v) if a} if as_map else v) == dense.add(v)
+        assert builder.basis == dense.rows  # the cached basis follows every add
         offered.append(v)
-    assert builder.rows == dense.rows
     assert builder.pivots == dense.pivots
     assert builder.exprs == dense.exprs
-    assert builder.to_subspace().basis == dense.rows
     probes = offered + [data.draw(st.lists(scalar, min_size=n, max_size=n))]
     if offered:
         probes.append(combination())
@@ -314,7 +311,7 @@ def test_sparse_builder_matches_the_dense_reference(data):
         want = dense.generator_coefficients(v)
         assert builder.generator_coefficients(v) == want
         assert builder.generator_coefficients({j: a for j, a in enumerate(v) if a}) == want
-        assert builder.to_subspace().contains_vector(v) == (want is not None)
+        assert builder.contains_vector(v) == (want is not None)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -345,12 +342,12 @@ def test_packed_rows_wider_than_a_machine_word_match_the_dense_reference(seed):
         offered.append(v)
     assert builder.dim > 64 and max(builder.pivots) > 64
     assert builder.pivots == dense.pivots
-    assert builder.rows == dense.rows
+    assert builder.basis == dense.rows
     assert builder.exprs == dense.exprs
     for v in offered[-20:] + [[rng.randint(0, 1) for _ in range(n)] for _ in range(5)]:
         want = dense.generator_coefficients(v)
         assert builder.generator_coefficients(v) == want
-        assert builder.to_subspace().contains_vector(v) == (want is not None)
+        assert builder.contains_vector(v) == (want is not None)
     kernel = dense_kernel(Matrix(F2, dense.rows, cols=n))
     assert builder.null_space().basis == kernel
     assert Matrix(F2, offered, cols=n).kernel().basis == kernel

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import certificates_to_dict, random_change_of_basis, reference_certificate_text
-from references import SHAPES, random_algebra
+from references import SHAPES, DenseTensorSquare, random_algebra
 from zpbal import serialize
 from zpbal.algebra import Algebra
 from zpbal.cli import main
@@ -42,7 +42,6 @@ from zpbal.tensorsquare import (
     MEMBERSHIP,
     SEPARATING,
     Certificate,
-    TensorSquare,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
@@ -192,7 +191,7 @@ def assert_round_trip(alg, config, tmp_path):
     loaded_claim, loaded = load_certificates(str(first), alg.field)
     assert loaded_claim == claim
     assert len(loaded) == len(certs)
-    ts = TensorSquare(alg)
+    ts = DenseTensorSquare(alg)
     for cert, back in zip(certs, loaded):
         triple = cert.meta.get("triple")
         assert back.kind == cert.kind and back.meta == cert.meta

@@ -7,6 +7,7 @@ side is caught.
 """
 
 import json
+import random
 
 import pytest
 
@@ -17,9 +18,10 @@ from oracles import (
     brute_zero_product_tensors,
     certificate_to_dict,
     certificates_to_dict,
+    random_change_of_basis,
     reference_balanced,
 )
-from references import SHAPES, balanced_defect, random_algebra
+from references import SHAPES, DenseTensorSquare, balanced_defect, dense_kernel, random_algebra
 from zpbal.corpus import golden_corpus
 from zpbal.errors import MalformedCertificate
 from zpbal.fields import PrimeField
@@ -36,10 +38,13 @@ from zpbal.constructions import (
     zero_algebra,
 )
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
+from zpbal.linalg import Matrix, SpanBuilder, _sparse
 from zpbal.tensorsquare import (
     Certificate,
     MEMBERSHIP,
     SEPARATING,
+    _apply_mul,
+    _multiplication_rows,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
@@ -50,15 +55,45 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 
 
+def _mul_map_cases():
+    """The golden corpus and the random algebras of every shape, each also in a
+    random basis."""
+    rng = random.Random(21)
+    cases = [(e.name, e.algebra, e.config) for e in golden_corpus()]
+    cases += [(f"{shape}/{field.name}/{seed}", random_algebra(seed, field, shape), DEFAULT_CONFIG)
+              for field in (F2, F3, QQ) for shape in SHAPES for seed in range(3)]
+    for name, alg, config in cases:
+        yield name, alg, config
+        yield f"{name} rebased", random_change_of_basis(alg, rng), config
+
+
 def test_mul_map_matches_table():
-    n3 = nilpotent_algebra(F2, 3)
-    span = compute_zero_product_span(n3)
-    ts = span.tensor
-    for i in range(n3.dim):
-        for j in range(n3.dim):
-            ei = [1 if t == i else 0 for t in range(n3.dim)]
-            ej = [1 if t == j else 0 for t in range(n3.dim)]
-            assert ts.apply_mul(ts.tensor_coords(ei, ej)) == n3.table[i][j]
+    """μ read as sparse rows of the structure constants gives the dense d × d²
+    reference's kernel dimension, kernel basis, products and determination
+    witness, and the span's complement functionals are the dense null space
+    of its basis."""
+    rng = random.Random(3)
+    for name, alg, config in _mul_map_cases():
+        f, d = alg.field, alg.dim
+        ts = DenseTensorSquare(alg)
+        rows = _multiplication_rows(alg)
+        kernel = ts.kernel()
+        span = compute_zero_product_span(alg, config)
+        assert span.kernel_dim == ts.kernel_dim() == len(kernel), name
+        assert SpanBuilder(f, d * d, rows).null_space().basis == kernel, name
+        for i in range(d):
+            for j in range(d):
+                ei = [f.one if t == i else f.zero for t in range(d)]
+                ej = [f.one if t == j else f.zero for t in range(d)]
+                assert _apply_mul(alg, _sparse(ts.tensor_coords(ei, ej), d * d)) == alg.table[i][j], name
+        for _ in range(4):
+            t = [f.of_int(rng.randint(-2, 2)) if rng.random() < 0.4 else f.zero for _ in range(d * d)]
+            assert _apply_mul(alg, _sparse(t, d * d)) == ts.apply_mul(t), name
+        basis = span.subspace.basis
+        assert span.subspace.complement_functionals() == dense_kernel(Matrix(f, basis, cols=d * d)), name
+        determined = is_zero_product_determined(alg, span)
+        if determined.status == "NO":  # the first dense kernel vector outside the span
+            assert determined.witness == next(v for v in kernel if not span.subspace.contains_vector(v)), name
 
 
 @pytest.mark.parametrize(
@@ -91,8 +126,9 @@ def test_kernel_of_n3_multiplication():
     # 3-dimensional kernel inside the 4-dimensional tensor square
     n3 = nilpotent_algebra(F2, 3)
     span = compute_zero_product_span(n3)
-    assert span.tensor.ambient == 4
-    assert span.tensor.kernel().dim == 3
+    assert span.kernel_dim == 3
+    assert DenseTensorSquare(n3).ambient == 4
+    assert len(DenseTensorSquare(n3).kernel()) == 3
 
 
 def test_generators_are_zero_product_pairs():
@@ -103,7 +139,7 @@ def test_generators_are_zero_product_pairs():
             assert all(a == 0 for a in alg.multiply_coords(u, v))
         # the span always sits inside the multiplication kernel
         for row in span.subspace.basis:
-            assert all(a == 0 for a in span.tensor.apply_mul(row))
+            assert all(a == 0 for a in DenseTensorSquare(alg).apply_mul(row))
 
 
 def test_determined_verdicts():
@@ -116,7 +152,7 @@ def test_determined_verdicts():
     assert v4.status == "NO"
     assert v4.witness is not None
     # the witness is in the kernel and outside the span
-    assert all(a == 0 for a in span4.tensor.apply_mul(v4.witness))
+    assert all(a == 0 for a in DenseTensorSquare(n4).apply_mul(v4.witness))
     assert not span4.subspace.contains_vector(v4.witness)
     assert verify_certificate(n4, v4.certificate)
 
@@ -129,7 +165,7 @@ def test_commutator_tensor_escapes_span_in_n4():
     t = [0] * (d * d)
     t[1 * d + 0] = 1
     t[0 * d + 1] = 1  # -1 == 1 over F2
-    assert all(a == 0 for a in span.tensor.apply_mul(t))
+    assert all(a == 0 for a in DenseTensorSquare(n4).apply_mul(t))
     assert not span.subspace.contains_vector(t)
     # against the oracle too
     assert not in_span_mod_p(brute_zero_product_tensors(n4), t, 2)
