@@ -17,7 +17,7 @@ from zpbal.algebra import Algebra, Element, commutator
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import SoundnessAlarm
 from zpbal.linalg import SpanBuilder
-from zpbal.sweep import EXACT, LEFT, Block, sweep_blocks
+from zpbal.sweep import EXACT, Pair, sweep_blocks
 from zpbal.tensorsquare import YES, compute_zero_product_span, is_zero_product_balanced
 
 
@@ -58,33 +58,28 @@ def factorizable_square_zero_span(
 ) -> FactorizableSpanReport:
     """Span of {yz : zy = 0}; exhaustive over finite algebras within budget.
 
-    For fixed z the eligible y form a subspace, so the products come in
-    closed blocks: for the left annihilator W = {z : zy = 0} of some y,
-    every y' in RAnn(W) = {y' : Wy' = 0} has zy' = 0 for each z in W, and
-    the products y'z over basis pairs span the block.  The left sweep of
-    `zpbal.sweep.sweep_blocks` hands out each block once.  Each yz equals
-    [y, z], so the sweep stops once the span reaches the commutator span.
+    Adds ba for the zero-product pairs (a, b) that `zpbal.sweep.sweep_blocks`
+    hands out, the pairs whose tensors a⊗b span the zero-product span: this
+    span is that span's image under a⊗b -> ba.  Each ba equals [b, a], so the
+    sweep stops once the span reaches the commutator span.
     """
     ceiling = commutator_span(algebra).dim
     builder = SpanBuilder(algebra.field, algebra.dim)
     witnesses: List[FactorizableWitness] = []
 
-    def offer(block: Block, side: str) -> int:
-        closure, annihilator = block
+    def offer(pairs: List[Pair]) -> int:
         added = 0
-        for y in closure:
-            for z in annihilator:
-                x = algebra.multiply_coords(y, z)
-                if builder.add(x):
-                    w = FactorizableWitness(x=algebra.element(x), y=algebra.element(y), z=algebra.element(z))
-                    if not w.verify():
-                        raise SoundnessAlarm("factorizable witness failed re-verification")
-                    witnesses.append(w)
-                    added += 1
+        for z, y in pairs:
+            x = algebra.multiply_coords(y, z)
+            if builder.add(x):
+                w = FactorizableWitness(x=algebra.element(x), y=algebra.element(y), z=algebra.element(z))
+                if not w.verify():
+                    raise SoundnessAlarm("factorizable witness failed re-verification")
+                witnesses.append(w)
+                added += 1
         return added
 
-    status = sweep_blocks(algebra, (LEFT,), config, offer, lambda: builder.dim >= ceiling,
-                          idempotent_pairs=False)
+    status = sweep_blocks(algebra, config, offer, lambda: builder.dim >= ceiling)
     return FactorizableSpanReport(subspace=builder, status=status, witnesses=witnesses)
 
 

@@ -1,50 +1,52 @@
-"""The annihilator sweep: one element-sweep primitive for two spans.
+"""The annihilator sweep: the zero-product pairs both spans are built from.
 
-Both the zero-product span (tensors x⊗w with xw = 0) and the factorizable
-square-zero span (products yz with zy = 0) are grown from annihilators.  A
-visit to u reads off an annihilator of u: the right annihilator W = ker L_u
-= {w : uw = 0} or the left annihilator W = ker R_u = {w : wu = 0}.  The
-pairs that W admits form a closed block.  On the right the block is
-LAnn(W) ⊗ W, where LAnn(W) = {x : xW = 0} is W's closure: every x in it
-has xw = 0 for every w in W, and u is one such x.  On the left the closure
-is RAnn(W) = {x : Wx = 0}, and the pairs are w ⊗ x.  So the first visit
-that meets W hands out W's basis with its closure's basis, and a later u
-with the same W is skipped at once, because u lies in the closure and all
-its pairs are in the block.  The memo is the set of operator row spaces
-already met.  Each visit reduces the nonzero rows of L_u or R_u once: the
-reduced rows are the key, and a new key reads W off the same reduction; one
-more reduction, of the stacked operators of W's basis on the other side,
-gives the closure.  The rows are in the representation `zpbal.linalg`
-picks for the field (ints over F2, where the reduction is XOR, and maps of
-nonzero entries otherwise); the sweep only hands them from
-`Algebra._operator_rows` to a `SpanBuilder` and reads the key back, so it
-does not depend on that choice.
+The zero-product span keeps a⊗b and the factorizable square-zero span keeps
+ba, for the same pairs (a, b) with ab = 0, so `sweep_blocks` hands both the
+same pairs and is the one place that knows how they are grouped.  A visit to
+u reads off an annihilator of u: the right annihilator W = ker L_u = {w : uw
+= 0} or the left annihilator W = ker R_u = {w : wu = 0}.  The pairs that W
+admits form a closed block.  On the right the block is LAnn(W) × W, where
+LAnn(W) = {x : xW = 0} is W's closure: every x in it has xw = 0 for every w
+in W, and u is one such x.  On the left the closure is RAnn(W) = {x : Wx =
+0}, and the pairs are (w, x).  So the first visit that meets W hands out
+W's basis with its closure's basis, and a later u with the same W is
+skipped at once, because u lies in the closure and all its pairs are in the
+block.  The memo is the set of operator row spaces already met.  Each visit
+reduces the nonzero rows of L_u or R_u once: the reduced rows are the key,
+and a new key reads W off the same reduction; one more reduction, of the
+stacked operators of W's basis on the other side, gives the closure.  The
+rows are in the representation `zpbal.linalg` picks for the field (ints
+over F2, where the reduction is XOR, and maps of nonzero entries
+otherwise); the sweep only hands them from `Algebra._operator_rows` to a
+`SpanBuilder` and reads the key back, so it does not depend on that choice.
 
 Over F_p, `AnnihilatorSweep.exhaustive_blocks` covers every element.  The
 operator of u depends only on u modulo K = {u : op_u = 0}, the closure of
-W = A (LAnn(A) on the right, RAnn(A) on the left), so K's block K⊗A
-(A⊗K on the left) comes first, and then only one representative per coset
+W = A (LAnn(A) on the right, RAnn(A) on the left), so K's block K × A
+(A × K on the left) comes first, and then only one representative per coset
 is visited: the tuples that are zero at K's pivot columns.  Of those,
 `projective_points` keeps the tuples whose first nonzero coordinate is 1,
 since a nonzero multiple cu has the same annihilator as u.  Every pair (u,
-w) with uw = 0 lies in the block of u's coset representative, so the
-blocks span the same space as a sweep over every element, though not in
-the same order or from the same generators.
+w) with uw = 0 lies in the right block of u's coset representative, so the
+right blocks alone span the zero-product span, though not in the same order
+or from the same generators as a sweep over every element.  The
+factorizable span is that span's image under a⊗b -> ba, so the same right
+blocks fill it too.
 
 `sweep_blocks` is the one place that chooses between that exhaustive route
-and a lower bound, for both spans.  Beyond `--cap` it visits the structured
-elements (basis vectors, e_i ± e_j, the registered idempotents) on every
-side the caller asks for, then seeded random elements until `stall_rounds`
-visits in a row add nothing.  Visited on both sides, as the zero-product
-span asks, the structured blocks hold two families of zero-product pairs
-that therefore need no stage of their own:
+and a lower bound.  Beyond `--cap` it visits the structured elements (basis
+vectors, e_i ± e_j, the registered idempotents and their pairwise sums and
+differences) on the right and then on the left, then seeded random elements
+until `stall_rounds` visits in a row add nothing.  The structured blocks
+hold two families of zero-product pairs that therefore need no stage of
+their own:
 
 - a zero basis product e_i e_j = 0: the right visit of e_i gives
   W = ker L_{e_i}, which holds e_j, and its closure LAnn(W) holds e_i;
-- the transfer pairs of a registered idempotent e: ae⊗(c - ec) lies in
-  LAnn(W)⊗W for W = ker L_e, since e(c - ec) = 0 and ae·w = a(ew) = 0, and
-  (ae - a)⊗ec lies in W'⊗RAnn(W') for the left annihilator W' = {w : we = 0},
-  since (ae - a)e = 0 and w·ec = (we)c = 0.
+- the transfer pairs of a registered idempotent e: (ae, c - ec) lies in
+  LAnn(W) × W for W = ker L_e, since e(c - ec) = 0 and ae·w = a(ew) = 0, and
+  (ae - a, ec) lies in W' × RAnn(W') for the left annihilator W' = {w : we
+  = 0}, since (ae - a)e = 0 and w·ec = (we)c = 0.
 
 A visit offers nothing only when its block was offered before or the span
 has reached the caller's ceiling, so both families lie in the span that the
@@ -65,6 +67,7 @@ RIGHT = "right"  # annihilator {w : uw = 0} = ker L_u, closure {x : xW = 0}
 LEFT = "left"  # annihilator {w : wu = 0} = ker R_u, closure {x : Wx = 0}
 
 Block = Tuple[List[Vector], List[Vector]]  # RREF bases of (closure, annihilator)
+Pair = Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]  # (a, b) with ab = 0
 
 EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
@@ -118,6 +121,14 @@ class AnnihilatorSweep:
             return [], []
         return self._closure(annihilator), annihilator
 
+    def pairs(self, block: Block) -> List[Pair]:
+        """The block's pairs, closure-major: (x, w) on the right, (w, x) on the left."""
+        closure, annihilator = block
+        ws = [tuple(w) for w in annihilator]
+        if self.side == RIGHT:
+            return [(x, w) for x in map(tuple, closure) for w in ws]
+        return [(w, x) for x in map(tuple, closure) for w in ws]
+
     def exhaustive_blocks(self) -> Iterator[Block]:
         """K's block for W = A, then the block of each new annihilator met
         on the projective points that are zero at K's pivot columns."""
@@ -144,10 +155,9 @@ def projective_points(algebra: Algebra, zero_at: Sequence[int] = ()) -> Iterator
             yield u
 
 
-def structured_elements(algebra: Algebra, idempotent_pairs: bool) -> List[List[Scalar]]:
+def structured_elements(algebra: Algebra) -> List[List[Scalar]]:
     """Basis vectors, e_i ± e_j (e_i - e_j outside characteristic 2), the
-    registered idempotents and, with `idempotent_pairs`, their pairwise sums
-    and differences."""
+    registered idempotents and their pairwise sums and differences."""
     f = algebra.field
     d = algebra.dim
     out: List[List[Scalar]] = [[f.one if t == i else f.zero for t in range(d)] for i in range(d)]
@@ -163,11 +173,10 @@ def structured_elements(algebra: Algebra, idempotent_pairs: bool) -> List[List[S
                 out.append(w)
     idems = [list(e.coords) for e in algebra.registered_idempotents]
     out.extend(idems)
-    if idempotent_pairs:
-        for a in range(len(idems)):
-            for b in range(a + 1, len(idems)):
-                out.append([f.add(x, y) for x, y in zip(idems[a], idems[b])])
-                out.append([f.sub(x, y) for x, y in zip(idems[a], idems[b])])
+    for a in range(len(idems)):
+        for b in range(a + 1, len(idems)):
+            out.append([f.add(x, y) for x, y in zip(idems[a], idems[b])])
+            out.append([f.sub(x, y) for x, y in zip(idems[a], idems[b])])
     return out
 
 
@@ -181,30 +190,33 @@ def random_elements(field: Field, dim: int, seed: int) -> Iterator[List[Scalar]]
             yield [rng.randrange(field.characteristic) for _ in range(dim)]
 
 
-def sweep_blocks(algebra: Algebra, sides: Sequence[str], config: SweepConfig,
-                 offer: Callable[[Block, str], int], full: Callable[[], bool],
-                 idempotent_pairs: bool) -> str:
-    """Hand every block the sweep meets to `offer(block, side)`, which returns
-    how many vectors it added, and stop as soon as `full()` holds.
+def sweep_blocks(algebra: Algebra, config: SweepConfig, offer: Callable[[List[Pair]], int],
+                 full: Callable[[], bool]) -> str:
+    """Hand each block the sweep meets to `offer` as its zero-product pairs
+    (a, b), closure-major: (x, w) on the right and (w, x) on the left, for x
+    in the closure and w in the annihilator.  `offer` returns how many
+    vectors it added; the sweep stops as soon as `full()` holds.
 
-    With at most `config.enumeration_cap` elements, the exhaustive blocks of
-    the first side; the answer is EXACT.  Otherwise each structured element,
-    then each seeded random element until `config.stall_rounds` in a row add
-    nothing, is visited on every side in turn; the answer is LOWER_BOUND.
+    With at most `config.enumeration_cap` elements, the exhaustive right
+    blocks; the answer is EXACT.  Otherwise each structured element, then
+    each seeded random element until `config.stall_rounds` in a row add
+    nothing, is visited on the right and then on the left; the answer is
+    LOWER_BOUND.
     """
-    sweeps = [AnnihilatorSweep(algebra, side) for side in sides]
+    right = AnnihilatorSweep(algebra, RIGHT)
     size = algebra.n_elements()
     if size is not None and size <= config.enumeration_cap:
-        for block in sweeps[0].exhaustive_blocks():
-            offer(block, sides[0])
+        for block in right.exhaustive_blocks():
+            offer(right.pairs(block))
             if full():  # before the sweep looks for another block
                 break
         return EXACT
+    sweeps = (right, AnnihilatorSweep(algebra, LEFT))
 
     def visit(u) -> int:
-        return sum(offer(sweep.visit(u), sweep.side) for sweep in sweeps)
+        return sum(offer(sweep.pairs(sweep.visit(u))) for sweep in sweeps)
 
-    for u in structured_elements(algebra, idempotent_pairs):
+    for u in structured_elements(algebra):
         if full():
             return LOWER_BOUND
         visit(u)

@@ -25,7 +25,7 @@ from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import Sparse, SpanBuilder, Vector, _dense, _sparse, dot, vec_is_zero
-from zpbal.sweep import EXACT, LEFT, LOWER_BOUND, RIGHT, Block, sweep_blocks  # EXACT, LOWER_BOUND re-exported
+from zpbal.sweep import EXACT, LOWER_BOUND, Pair, sweep_blocks  # EXACT, LOWER_BOUND re-exported
 
 TENSOR_CONVENTION = "row-major i*d+j"
 
@@ -132,12 +132,9 @@ class ZeroProductSpanReport:
 def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) -> ZeroProductSpanReport:
     """Span of {u⊗v : uv = 0}, exhaustive over finite algebras within budget.
 
-    Offers the closed blocks of `zpbal.sweep.sweep_blocks`: LAnn(W) ⊗ W for
-    a right annihilator W = {w : uw = 0}, and W ⊗ RAnn(W) for a left one,
-    W = {w : wu = 0}.  Exhaustively the right blocks reach the whole span,
-    because each zero-product pair (u, v) has v in W and u in LAnn(W);
-    otherwise the blocks of both sides give a lower bound.  Either way the
-    sweep stops at the kernel ceiling.
+    Adds a⊗b for the zero-product pairs (a, b) that `zpbal.sweep.sweep_blocks`
+    hands out, block by block, until the span reaches the kernel ceiling;
+    `zpbal.sweep` says why its blocks reach the whole span.
     """
     f = algebra.field
     d = algebra.dim
@@ -145,24 +142,17 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
     builder = SpanBuilder(f, d * d, track_expressions=True)
     generators: List[Tuple[tuple, tuple]] = []
 
-    def offer(block: Block, side: str) -> int:
-        """x⊗w for x in the closure and w in the annihilator on the right,
-        w⊗x on the left."""
-        closure, annihilator = block
+    def offer(pairs: List[Pair]) -> int:
         added = 0
-        for x in closure:
-            x = tuple(x)
-            for w in annihilator:
-                pair = (x, tuple(w)) if side == RIGHT else (tuple(w), x)
-                if builder.add(_tensor(f, d, *pair)):
-                    if not vec_is_zero(algebra.multiply_coords(*pair)):
-                        raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
-                    generators.append(pair)
-                    added += 1
+        for pair in pairs:
+            if builder.add(_tensor(f, d, *pair)):
+                if not vec_is_zero(algebra.multiply_coords(*pair)):
+                    raise SoundnessAlarm(f"annihilator pair {pair} has a nonzero product")
+                generators.append(pair)
+                added += 1
         return added
 
-    status = sweep_blocks(algebra, (RIGHT, LEFT), config, offer, lambda: builder.dim >= ker_dim,
-                          idempotent_pairs=True)
+    status = sweep_blocks(algebra, config, offer, lambda: builder.dim >= ker_dim)
     if builder.dim > ker_dim:
         raise SoundnessAlarm("zero-product span exceeds multiplication kernel")
     return ZeroProductSpanReport(
@@ -269,8 +259,9 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
     Deliberately independent of the span engine: a third party holding the
     structure constants can re-run this check.  The claim binds the target:
     a certificate naming a basis triple is about that triple's defect tensor,
-    a refutation of balancedness must name one, and a refutation of
-    determination must separate a kernel tensor.
+    a refutation of balancedness must name one, a refutation of
+    determination must separate a kernel tensor, and a refutation that
+    claims neither proves nothing.
     """
     f = algebra.field
     d = algebra.dim
@@ -302,9 +293,8 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
         if cert.functional is None or len(cert.functional) != ambient:
             raise MalformedCertificate("separating certificate lacks a functional")
         claim = cert.meta.get("claim")
-        if claim == "not-zero-product-balanced" and triple is None:
-            return False
-        if claim == "not-zero-product-determined" and not vec_is_zero(_apply_mul(algebra, claimed)):
+        if not (claim == "not-zero-product-balanced" and triple is not None
+                or claim == "not-zero-product-determined" and vec_is_zero(_apply_mul(algebra, claimed))):
             return False
         target = _dense(f, claimed, ambient)
         if dot(f, cert.functional, target) == 0:

@@ -166,6 +166,23 @@ def test_verify_refuses_a_balanced_refutation_that_names_no_triple(tmp_path, cap
     assert "all certificates: false" in out
 
 
+def test_verify_refuses_a_refutation_that_states_no_claim(tmp_path, capsys, monkeypatch):
+    """Two separating certificates appended to the M2/F2 file, one with an
+    unknown claim and one with no meta: φ = e_0 separates e_0⊗e_0 from the
+    empty generator list, but e_0⊗e_0 is neither a defect nor a kernel tensor."""
+    monkeypatch.chdir(tmp_path)
+    e0 = [1] + [0] * 15
+
+    def forge(data):
+        forged = {"kind": "separating-functional", "functional": e0, "generators": [], "target": e0}
+        data["certificates"] += [dict(forged, meta={"claim": "anything"}), forged]
+
+    out = _tampered(capsys, ("Mn", "--n", "2", "--field", "F2"), forge)
+    assert "certificate 64 (separating-functional): false" in out
+    assert "certificate 65 (separating-functional): false" in out
+    assert "all certificates: false" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "{alg}", "--out", "{out}"),
     ("example", "Nm", "--out", "{out}"),

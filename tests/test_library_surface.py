@@ -86,6 +86,21 @@ def test_only_the_sweep_module_chooses_a_span_strategy():
     assert callers == {"sweep.py"}
 
 
+def test_only_the_sweep_module_knows_block_geometry():
+    """Sides and blocks stay in `zpbal.sweep`: the spans receive zero-product
+    pairs and never ask which side or block they came from."""
+    geometry = {"RIGHT", "LEFT", "Block"}
+    users = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {node.id} if isinstance(node, ast.Name) else (
+                {node.attr} if isinstance(node, ast.Attribute) else
+                {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else set())
+            if names & geometry:
+                users.add(path.name)
+    assert users == {"sweep.py"}
+
+
 def test_no_module_loads_dataclasses_or_inspect():
     """Records are NamedTuples or plain classes: `dataclasses` pulls in
     `inspect`, `ast`, `dis` and `tokenize`, which every process would pay for."""

@@ -31,9 +31,9 @@ from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
 from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
-from zpbal.linalg import Matrix, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
-from zpbal.sweep import LEFT, RIGHT, AnnihilatorSweep
+from zpbal.sweep import EXACT, LEFT, LOWER_BOUND, RIGHT, AnnihilatorSweep, sweep_blocks
 from zpbal.tensorsquare import (
     compute_zero_product_span,
     is_zero_product_balanced,
@@ -131,6 +131,50 @@ def test_lower_bound_route_matches_reference_below_the_cap():
 def test_lower_bound_route_matches_reference_on_rational_corpus(entry):
     span = assert_same_as_reference(entry.algebra, entry.config)
     assert span.status == "LOWER_BOUND"
+
+
+def _inputs(fields, one_sided=()):
+    """(id, algebra maker, config at its own cap): the finite corpus, then
+    random algebras over `fields` (seeds 0-2)."""
+    out = [(e.name, lambda e=e: e.algebra, e.config) for e in FINITE_CORPUS]
+    out += [(name, make, DEFAULT_CONFIG) for name, make in one_sided]
+    out += [(f"{shape}/{name}/{seed}", lambda seed=seed, field=field, shape=shape:
+             random_algebra(seed, field, shape), DEFAULT_CONFIG)
+            for name, field in fields for shape in SHAPES for seed in range(3)]
+    return pytest.mark.parametrize("make, config", [i[1:] for i in out], ids=[i[0] for i in out])
+
+
+@_inputs([("F2", F2), ("F3", F3), ("Q", QQ)], ONE_SIDED.items())
+def test_every_offered_pair_has_a_zero_product(make, config):
+    """Both routes, with nothing to stop them early: every pair (a, b) that
+    `sweep_blocks` offers has ab = 0.  On the one-sided algebras the left
+    and right annihilators differ, so a pair in the wrong order shows."""
+    alg = make()
+    for cfg in (config, SweepConfig(enumeration_cap=8)):
+        offered = []
+
+        def offer(pairs):
+            offered.extend(pairs)
+            return len(pairs)
+
+        size = alg.n_elements()
+        exact = size is not None and size <= cfg.enumeration_cap
+        assert sweep_blocks(alg, cfg, offer, lambda: False) == (EXACT if exact else LOWER_BOUND)
+        assert all(vec_is_zero(alg.multiply_coords(a, b)) for a, b in offered)
+
+
+@_inputs([("F2", F2), ("F3", F3)])
+def test_factorizable_span_is_the_image_of_the_zero_product_span(make, config):
+    """On the exhaustive route the factorizable span is spanned by vu over
+    the zero-product generators (u, v), in the algebra's own basis and in a
+    random one."""
+    alg = make()
+    for a in (alg, random_change_of_basis(alg, random.Random(alg.dim))):
+        span = compute_zero_product_span(a, config)
+        fact = factorizable_square_zero_span(a, config)
+        assert span.status == fact.status == EXACT
+        image = SpanBuilder(a.field, a.dim, (a.multiply_coords(v, u) for u, v in span.generators))
+        assert fact.subspace.basis == image.basis
 
 
 def _stacked_kernel(alg, vectors, left):
