@@ -23,10 +23,11 @@ Certificate files:
     it.  A certificate is an object with "kind" and optional "meta":
       membership-decomposition: "terms": [ {"generator": index, "lambda": scalar} ... ]
       separating-functional:    "functional": [scalars], "generators": [indices]
-    and a dense "target" (d*d scalars), except that a certificate of a basis
-    triple ("meta": {"triple": [i, j, k]}) whose defect tensor is zero stores
-    no target.  The verifier recomputes the target of every certificate that
-    names a triple, so a stored target only shows the reader the claim.
+    and a dense "target" (d*d scalars).  A certificate of a basis triple
+    ("meta": {"triple": [i, j, k]}) stores its defect tensor as target only
+    the first time the file shows that defect, and a zero defect never stores
+    one.  The verifier recomputes the target of every certificate that names
+    a triple, so a stored target only shows the reader the claim.
     The verifier also holds the file to its "balanced" claim: YES needs a
     membership certificate for every basis triple, each once, and NO needs a
     verified separating certificate with claim "not-zero-product-balanced".

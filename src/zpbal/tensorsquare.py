@@ -183,7 +183,9 @@ class Certificate:
 
     A certificate whose meta names a basis triple is about that triple's
     defect tensor, which the verifier recomputes; its stored target, if any,
-    must equal it.  A loaded certificate of a zero defect has no target.
+    must equal it.  The decider stores a triple's target only on the first
+    certificate of each nonzero defect, so a loaded certificate of a zero or
+    a repeated defect has no target.
     """
 
     def __init__(self, kind: str, target: Optional[Vector],
@@ -386,25 +388,31 @@ def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) ->
     """Decide whether every shifted product tensor lies in the zero-product span.
 
     By trilinearity it suffices to test the basis triples.  One reduction per
-    triple decides membership and gives its decomposition, so a YES carries a
-    membership certificate for every triple.  A YES obtained from a
-    lower-bound span is still sound (membership in a subset implies
-    membership); a NO needs the exhaustive span.
+    distinct defect decides membership and gives its decomposition, so a YES
+    carries a membership certificate for every triple.  Only the first
+    certificate of a defect stores its dense target; a later triple with the
+    same defect repeats its terms without one, since the verifier recomputes
+    every triple's defect (as for a zero defect, which never stores one).
+    A YES obtained from a lower-bound span is still sound (membership in a
+    subset implies membership); a NO needs the exhaustive span.
     """
     f = algebra.field
     d = algebra.dim
     ambient = d * d
     certs: List[Certificate] = []
+    shown: Dict[frozenset, list] = {frozenset(): []}  # defect -> its decomposition
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 t = _defect_tensor(algebra, i, j, k)
-                if not t:  # the verifier recomputes the zero defect from the triple
-                    certs.append(Certificate(kind=MEMBERSHIP, target=None, terms=[],
+                key = frozenset(t.items())
+                if key in shown:  # the verifier recomputes the defect from the triple
+                    certs.append(Certificate(kind=MEMBERSHIP, target=None, terms=shown[key],
                                              meta={"triple": [i, j, k]}))
                     continue
                 terms = report.membership_terms(t)
                 if terms is not None:
+                    shown[key] = terms
                     certs.append(Certificate(kind=MEMBERSHIP, target=_dense(f, t, ambient),
                                              terms=terms, meta={"triple": [i, j, k]}))
                     continue

@@ -385,11 +385,14 @@ def reference_membership_terms(report, builder, target):
 
 
 def reference_balanced(algebra, report):
-    """The two-step decider: a membership test, then the decomposition."""
+    """The two-step decider: a membership test, then the decomposition.  Every
+    nonzero defect is decomposed again; only its first certificate keeps the
+    target."""
     ts = DenseTensorSquare(algebra)
     d = algebra.dim
     builder = reference_span_builder(report)
     certs = []
+    shown = set()
     for i, j, k in product(range(d), repeat=3):
         t = ts.defect_tensor(i, j, k)
         if vec_is_zero(t):
@@ -399,7 +402,9 @@ def reference_balanced(algebra, report):
             terms = reference_membership_terms(report, builder, t)
             if terms is None:
                 raise SoundnessAlarm("membership reported but no decomposition found")
-            certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=terms, meta={"triple": [i, j, k]}))
+            target = None if tuple(t) in shown else t
+            shown.add(tuple(t))
+            certs.append(Certificate(kind=MEMBERSHIP, target=target, terms=terms, meta={"triple": [i, j, k]}))
             continue
         if report.status == EXACT:
             phi = next(phi for phi in report.subspace.complement_functionals() if dot(algebra.field, phi, t))

@@ -222,12 +222,47 @@ def test_verify_requires_every_triple_once(tmp_path, capsys, monkeypatch):
     def move(data):  # a certificate of a nonzero defect moved to a triple whose defect is zero
         certs = data["certificates"]
         nonzero = next(n for n, c in enumerate(certs) if "target" in c)
-        zero = next(c for c in certs if "target" not in c)
+        zero = next(c for c in certs if "target" not in c and not c["terms"])
         certs[nonzero]["meta"]["triple"] = zero["meta"]["triple"]
 
     out = _tampered(capsys, m2, move)
     assert "membership-decomposition): false" in out
     assert "all certificates: false" in out
+
+
+def test_verify_reads_a_repeated_defect_from_its_triple(tmp_path, capsys, monkeypatch):
+    """Only the first certificate of a defect stores its target.  A file that
+    stores every nonzero target, as files did before, verifies too; a flipped
+    target entry or a repeated-defect certificate without terms does not."""
+    monkeypatch.chdir(tmp_path)
+    m2, f3 = ("Mn", "--n", "2", "--field", "F3"), PrimeField(3)
+    ts = DenseTensorSquare(matrix_algebra(f3, 2))
+
+    def defect(cert):
+        return ts.defect_tensor(*cert["meta"]["triple"])
+
+    def triples(data):
+        return [c for c in data["certificates"] if "triple" in c["meta"]]
+
+    def every_target(data):
+        stored = [c for c in triples(data) if any(defect(c))]
+        assert 0 < sum("target" in c for c in stored) < len(stored)  # some defect repeats
+        for cert in stored:
+            cert["target"] = f3.format_vector(defect(cert))
+
+    out = _tampered(capsys, m2, every_target)
+    assert "false" not in out and "all certificates: true" in out
+
+    def flip(data):
+        cert = next(c for c in triples(data) if "target" in c)
+        cert["target"][0] = (cert["target"][0] + 1) % 3
+
+    def empty_repeat(data):
+        next(c for c in triples(data) if "target" not in c and c["terms"])["terms"] = []
+
+    for change in (flip, empty_repeat):
+        out = _tampered(capsys, m2, change)
+        assert out.count(": false") == 2 and "all certificates: false" in out, change.__name__
 
 
 def test_verify_holds_the_file_to_its_balanced_claim(tmp_path, capsys, monkeypatch):

@@ -38,11 +38,12 @@ from zpbal.constructions import (
     zero_algebra,
 )
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.linalg import Matrix, SpanBuilder, _sparse
+from zpbal.linalg import Matrix, SpanBuilder, _dense, _sparse
 from zpbal.tensorsquare import (
     Certificate,
     MEMBERSHIP,
     SEPARATING,
+    ZeroProductSpanReport,
     _apply_mul,
     _multiplication_rows,
     compute_zero_product_span,
@@ -401,3 +402,32 @@ def test_balanced_decider_equals_the_two_step_reference():
         verdicts.add(got.status)
     assert verdicts == {"YES", "NO", "UNKNOWN"}
     assert unknown_finite == {True, False}  # the notes of both causes were compared
+
+
+def test_balanced_decider_reduces_each_distinct_defect_once(monkeypatch):
+    """A YES asks the span for one decomposition per distinct nonzero defect;
+    a triple whose defect repeats reuses it, and only the defect's first
+    certificate stores the target."""
+    reduced = []
+    terms = ZeroProductSpanReport.membership_terms
+    monkeypatch.setattr(ZeroProductSpanReport, "membership_terms",
+                        lambda self, t: reduced.append(dict(t)) or terms(self, t))
+    cases = [(e.name, e.algebra, e.config) for e in golden_corpus() if e.algebra.field.is_finite()]
+    cases += [(f"{shape}/{field.name}/{seed}", random_algebra(seed, field, shape), DEFAULT_CONFIG)
+              for field in (F2, F3, QQ) for shape in SHAPES for seed in range(3)]
+    repeats = 0
+    for name, alg, config in cases:
+        span = compute_zero_product_span(alg, config)
+        reduced.clear()
+        verdict = is_zero_product_balanced(alg, span)
+        if verdict.status != "YES":
+            continue
+        ts = DenseTensorSquare(alg)
+        defects = [tuple(ts.defect_tensor(*c.meta["triple"])) for c in verdict.certificates]
+        distinct = {t for t in defects if any(t)}
+        assert len(reduced) == len(distinct), name
+        assert {tuple(_dense(alg.field, t, alg.dim ** 2)) for t in reduced} == distinct, name
+        stored = [t for t, c in zip(defects, verdict.certificates) if c.target is not None]
+        assert sorted(stored) == sorted(distinct), name
+        repeats += sum(map(any, defects)) - len(distinct)
+    assert repeats > 0  # some input repeats a defect
