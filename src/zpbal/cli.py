@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from typing import Dict, List, Optional
 
 from zpbal.config import SweepConfig
@@ -31,14 +30,11 @@ from zpbal.errors import SoundnessAlarm, WriteError, ZpbalError
 from zpbal.fields import field_from_name
 from zpbal import serialize
 from zpbal.tensorsquare import (
-    MEMBERSHIP,
-    NO,
-    SEPARATING,
-    YES,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
-    verify_certificate,
+    refuted_triple,
+    verify_file,
 )
 
 
@@ -83,13 +79,7 @@ def cmd_check(args) -> int:
     determined = is_zero_product_determined(alg, span)
     pred = alg.predicates()
 
-    certs = []
-    if balanced.certificates:
-        certs.extend(balanced.certificates)
-    if balanced.certificate is not None:
-        certs.append(balanced.certificate)
-    if determined.certificate is not None:
-        certs.append(determined.certificate)
+    certs = balanced.certificates + determined.certificates
     cert_path = args.out or (os.path.splitext(os.path.basename(args.algebra))[0] + ".certs.json")
     try:
         serialize.save_certificates(certs, fld, config.seed, cert_path,
@@ -97,7 +87,7 @@ def cmd_check(args) -> int:
     except OSError as exc:
         raise WriteError(cert_path, exc) from exc
 
-    witness = balanced.witness_triple  # a NO's refuted triple
+    witness = refuted_triple(balanced)
     report = {
         "algebra": os.path.basename(args.algebra),
         "field": fld.name,
@@ -139,29 +129,7 @@ def cmd_verify(args) -> int:
     balanced, certs = serialize.load_certificates(args.certificate, alg.field)
     lines: List[str] = []  # written in one call: a print per certificate is slower
     try:
-        all_ok = True
-        refuted = False
-        for idx, cert in enumerate(certs):
-            ok = verify_certificate(alg, cert)
-            all_ok = all_ok and ok
-            refuted = refuted or (ok and cert.kind == SEPARATING
-                                  and cert.meta.get("claim") == "not-zero-product-balanced")
-            lines.append(f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}")
-        # the file's balancedness claim needs its evidence: for YES all d^3
-        # triples, each once; for NO a verified refutation
-        triples = Counter(tuple(c.meta["triple"]) for c in certs
-                          if c.kind == MEMBERSHIP and "triple" in c.meta)
-        if balanced == NO and not refuted:
-            all_ok = False
-            lines.append("balanced NO: false (no verified not-zero-product-balanced certificate)")
-        if balanced == YES or triples:
-            missing = alg.dim ** 3 - len(triples)
-            repeated = sum(n - 1 for n in triples.values())
-            covered = missing == 0 and repeated == 0
-            all_ok = all_ok and covered
-            lines.append(f"triple coverage: {'true' if covered else 'false'} "
-                         f"({missing} of {alg.dim ** 3} triples missing, {repeated} repeated)")
-        lines.append(f"all certificates: {'true' if all_ok else 'false'}")
+        lines.extend(verify_file(alg, balanced, certs))
     finally:  # a malformed certificate still leaves the lines before it
         sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
@@ -176,8 +144,9 @@ def cmd_example(args) -> int:
     m, n = args.m, args.n  # the dimension, known before the dim^3 table is built
     if n < 0:
         raise ZpbalError(f"--n must be at least 0, got {n}")
-    if m < 1:  # Nm and MnNm have dimension m - 1
-        raise ZpbalError(f"--m must be at least 1, got {m}")
+    least = 2 if args.name in ("Nm", "MnNm", "KxNm") else 1  # N_m has order m >= 2
+    if m < least:
+        raise ZpbalError(f"--m must be at least {least}, got {m}")
     dim = {"Nm": m - 1, "Mn": n * n, "MnNm": n * n * (m - 1), "DN3": 4, "Kn": n, "KxNm": m,
            "zero": n}[args.name]
     if dim > serialize.MAX_DIM:  # a file `check` would refuse

@@ -27,6 +27,7 @@ from zpbal.constructions import (
 from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
 from zpbal.tensorsquare import (
+    NO,
     SEPARATING,
     YES,
     Certificate,
@@ -214,14 +215,14 @@ def run_entry_checks(entry: CorpusEntry) -> List[SuiteResult]:
     if alg.predicates().is_unital and span.is_complete:
         check("unital: balanced iff determined", balanced.status == zpd.status,
               f"balanced {balanced.status} vs determined {zpd.status}")
-    # every emitted membership certificate re-verifies
-    if balanced.certificates is not None:
+    # every emitted certificate re-verifies
+    if balanced.status == YES:
         ok = all(verify_certificate(alg, c) for c in balanced.certificates)
         check("membership certificates verify", ok, f"{len(balanced.certificates)} certificates")
-    if balanced.certificate is not None:
-        check("separating certificate verifies", verify_certificate(alg, balanced.certificate))
-    if zpd.certificate is not None:
-        check("determined refutation verifies", verify_certificate(alg, zpd.certificate))
+    for label, verdict in (("separating certificate verifies", balanced),
+                           ("determined refutation verifies", zpd)):
+        if verdict.status == NO:
+            check(label, verify_certificate(alg, verdict.certificates[0]))
     for label, cert, expected_ok in entry.hand_certificates:
         check(label, verify_certificate(alg, cert) == expected_ok)
     return results

@@ -23,14 +23,16 @@ Certificate files:
     it.  A certificate is an object with "kind" and optional "meta":
       membership-decomposition: "terms": [ {"generator": index, "lambda": scalar} ... ]
       separating-functional:    "functional": [scalars], "generators": [indices]
-    and a dense "target" (d*d scalars).  A certificate of a basis triple
-    ("meta": {"triple": [i, j, k]}) stores its defect tensor as target only
-    the first time the file shows that defect, and a zero defect never stores
-    one.  The verifier recomputes the target of every certificate that names
-    a triple, so a stored target only shows the reader the claim.
-    The verifier also holds the file to its "balanced" claim: YES needs a
-    membership certificate for every basis triple, each once, and NO needs a
-    verified separating certificate with claim "not-zero-product-balanced".
+    and a dense "target" (d*d scalars) when the certificate has one.  The
+    balanced decider gives a certificate of a basis triple
+    ("meta": {"triple": [i, j, k]}) its defect tensor as target only the
+    first time it shows that defect, and a zero defect none; the writer
+    stores what it is given.  The verifier recomputes the target of every
+    certificate that names a triple, so a stored target only shows the
+    reader the claim.  `tensorsquare.verify_file` also holds the file to its
+    "balanced" claim: YES needs a membership certificate for every basis
+    triple, each once, and NO needs a verified separating certificate with
+    claim "not-zero-product-balanced".
 
 Algebra files may declare at most MAX_DIM basis vectors.  Scalars use the
 textual syntax of the base field ("p/q" over the rationals,
@@ -227,7 +229,7 @@ def _certificate_line(cert: Certificate, tokens: _Tokens, index: Callable[[tuple
     line += '"kind":' + tokens.encode(kind)
     if meta:
         line += ',"meta":' + _meta_text(meta, tokens.encode)
-    if target is not None and not ("triple" in meta and not any(target)):  # a zero defect: no target
+    if target is not None:
         line += ',"target":[' + tokens.vector(target) + "]"
     if kind == MEMBERSHIP:
         line += ',"terms":[' + ",".join(['{"generator":%d,"lambda":%s}' % (index(u, v), tokens[lam])

@@ -4,21 +4,23 @@ The central object is the span of all tensors u⊗v with uv = 0 inside the
 tensor square.  An algebra is *zero-product balanced* when every shifted
 product tensor ab⊗c - a⊗bc lies in that span, and *zero-product determined*
 when the span exhausts the kernel of the multiplication map.  Both deciders
-return machine-verifiable evidence: membership decompositions into certified
-zero-product tensors for YES, separating functionals for NO.
+return a `Verdict` whose certificate list is its evidence: membership
+decompositions into zero-product tensors for a balanced YES, one separating
+functional for a NO.  `verify_file` holds a certificate file to its claim.
 
 Tensor index convention: e_i ⊗ e_j sits at flat index i*d + j (row-major).
 Tensors are built sparse, as maps {flat index: nonzero entry}, and stay so
 until the span reduces them; certificates and verdicts hold dense lists.
 The multiplication map μ: a⊗b -> ab is never a dense d × d² matrix: its d
-rows are read sparse from the structure constants (`_multiplication_rows`),
-ker μ has dimension d² minus their rank and a basis in their null space, and
+rows are read sparse from the structure constants (`_multiplication_rows`)
+and reduced once per span report, ker μ is their null space, and
 `_apply_mul` evaluates μ on a sparse tensor for the verifier.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from collections import Counter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from zpbal.algebra import Algebra
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
@@ -91,17 +93,19 @@ class ZeroProductSpanReport:
     span regardless of status.  Status EXACT means the generating sweep was
     exhaustive over the whole (finite) algebra.  `subspace` is the
     expression-tracking row space of the generators; membership
-    decompositions are read from it.
+    decompositions are read from it.  `multiplication` is the row space of
+    μ, whose null space (of dimension `kernel_dim`) holds the span.
     """
 
     def __init__(self, algebra: Algebra, subspace: SpanBuilder, status: str,
-                 generators: List[Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]], kernel_dim: int,
-                 config: SweepConfig):
+                 generators: List[Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]],
+                 multiplication: SpanBuilder, config: SweepConfig):
         self.algebra = algebra
         self.subspace = subspace
         self.status = status
         self.generators = generators
-        self.kernel_dim = kernel_dim
+        self.multiplication = multiplication
+        self.kernel_dim = multiplication.ambient - multiplication.dim
         self.config = config
 
     @property
@@ -138,7 +142,8 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
     """
     f = algebra.field
     d = algebra.dim
-    ker_dim = d * d - SpanBuilder(f, d * d, _multiplication_rows(algebra)).dim
+    multiplication = SpanBuilder(f, d * d, _multiplication_rows(algebra))
+    ker_dim = d * d - multiplication.dim
     builder = SpanBuilder(f, d * d, track_expressions=True)
     generators: List[Tuple[tuple, tuple]] = []
 
@@ -160,7 +165,7 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
         subspace=builder,
         status=status,
         generators=generators,
-        kernel_dim=ker_dim,
+        multiplication=multiplication,
         config=config,
     )
 
@@ -312,13 +317,33 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
     raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
 
 
-def _separating_functional(report: ZeroProductSpanReport, target: Vector) -> Vector:
-    """A functional orthogonal to the span with nonzero value on the target."""
-    f = report.algebra.field
-    for phi in report.subspace.complement_functionals():
-        if dot(f, phi, target) != 0:
-            return phi
-    raise SoundnessAlarm("target reported outside the span but no functional separates it")
+def verify_file(algebra: Algebra, balanced: str, certs: Sequence[Certificate]) -> Iterator[str]:
+    """The lines `zpbal verify` prints: one per certificate, as
+    `verify_certificate` finds it, then the file's balancedness claim, then
+    the whole file.  A NO needs a verified not-zero-product-balanced
+    refutation; a YES, or a file with any triple membership, needs one
+    membership of every basis triple."""
+    all_ok = True
+    refuted = False
+    for idx, cert in enumerate(certs):
+        ok = verify_certificate(algebra, cert)
+        all_ok = all_ok and ok
+        refuted = refuted or (ok and cert.kind == SEPARATING
+                              and cert.meta.get("claim") == "not-zero-product-balanced")
+        yield f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}"
+    triples = Counter(tuple(c.meta["triple"]) for c in certs if c.kind == MEMBERSHIP and "triple" in c.meta)
+    if balanced == NO and not refuted:
+        all_ok = False
+        yield "balanced NO: false (no verified not-zero-product-balanced certificate)"
+    if balanced == YES or triples:
+        n = algebra.dim ** 3
+        missing = n - len(triples)
+        repeated = sum(k - 1 for k in triples.values())
+        covered = missing == 0 and repeated == 0
+        all_ok = all_ok and covered
+        yield (f"triple coverage: {'true' if covered else 'false'} "
+               f"({missing} of {n} triples missing, {repeated} repeated)")
+    yield f"all certificates: {'true' if all_ok else 'false'}"
 
 
 # ---------------------------------------------------------------------------
@@ -336,65 +361,59 @@ def _lower_bound_cause(report: ZeroProductSpanReport) -> str:
     return "no certificate kind refutes over Q"
 
 
-class DeterminedVerdict(NamedTuple):
+class Verdict(NamedTuple):
     status: str  # YES / NO / UNKNOWN
-    span_dim: int
-    kernel_dim: int
-    witness: Optional[Vector] = None  # kernel tensor outside the span
-    certificate: Optional[Certificate] = None
-    note: str = ""
+    certificates: List[Certificate]  # the memberships of a YES, or the one refutation of a NO
+    note: str = ""  # why a verdict is UNKNOWN
 
 
-def is_zero_product_determined(algebra: Algebra, report: ZeroProductSpanReport) -> DeterminedVerdict:
-    """Decide whether the zero-product span exhausts the multiplication kernel."""
-    span_dim = report.dim
-    ker_dim = report.kernel_dim
-    if span_dim == ker_dim:
-        return DeterminedVerdict(YES, span_dim, ker_dim)
+def refuted_triple(verdict: Verdict) -> Optional[List[int]]:
+    """The basis triple a balancedness NO refutes, as its certificate names it."""
+    return verdict.certificates[0].meta["triple"] if verdict.status == NO else None
+
+
+def _refuted(report: ZeroProductSpanReport, target: Vector, meta: Dict) -> Verdict:
+    """A NO backed by a functional that vanishes on the exhaustive span but
+    not on the target."""
+    f = report.algebra.field
+    phi = next((phi for phi in report.subspace.complement_functionals() if dot(f, phi, target) != 0), None)
+    if phi is None:
+        raise SoundnessAlarm("target reported outside the span but no functional separates it")
+    cert = Certificate(kind=SEPARATING, target=target, functional=phi, generators=list(report.generators),
+                       meta=dict(meta, span_status=report.status, seed=report.config.seed))
+    return Verdict(NO, [cert])
+
+
+def is_zero_product_determined(algebra: Algebra, report: ZeroProductSpanReport) -> Verdict:
+    """Decide whether the zero-product span exhausts the multiplication kernel.
+
+    A NO carries one separating certificate whose target is the first kernel
+    basis vector outside the span; a YES and an UNKNOWN carry none.
+    """
+    if report.dim == report.kernel_dim:
+        return Verdict(YES, [])
     if report.status != EXACT:
-        return DeterminedVerdict(
-            UNKNOWN,
-            span_dim,
-            ker_dim,
-            note=f"span is a lower bound below the kernel ceiling: {_lower_bound_cause(report)}",
-        )
-    d = algebra.dim
-    kernel = SpanBuilder(algebra.field, d * d, _multiplication_rows(algebra)).null_space()
+        return Verdict(UNKNOWN, [],
+                       f"span is a lower bound below the kernel ceiling: {_lower_bound_cause(report)}")
+    kernel = report.multiplication.null_space()
     witness = next((v for v in kernel.basis if not report.subspace.contains_vector(v)), None)
     if witness is None:
         raise SoundnessAlarm("kernel dimension exceeds span but every kernel basis vector is inside")
-    phi = _separating_functional(report, witness)
-    cert = Certificate(
-        kind=SEPARATING,
-        target=witness,
-        functional=phi,
-        generators=list(report.generators),
-        meta={"claim": "not-zero-product-determined", "span_status": report.status,
-              "seed": report.config.seed},
-    )
-    return DeterminedVerdict(NO, span_dim, ker_dim, witness=witness, certificate=cert)
+    return _refuted(report, witness, {"claim": "not-zero-product-determined"})
 
 
-class BalancedVerdict(NamedTuple):
-    status: str  # YES / NO / UNKNOWN
-    witness_triple: Optional[Tuple[int, int, int]] = None  # the refuted triple of a NO
-    certificate: Optional[Certificate] = None  # separating functional for NO
-    certificates: Optional[List[Certificate]] = None  # per-triple memberships for YES
-    n_triples: int = 0
-    note: str = ""
-
-
-def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) -> BalancedVerdict:
+def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) -> Verdict:
     """Decide whether every shifted product tensor lies in the zero-product span.
 
     By trilinearity it suffices to test the basis triples.  One reduction per
     distinct defect decides membership and gives its decomposition, so a YES
     carries a membership certificate for every triple.  Only the first
-    certificate of a defect stores its dense target; a later triple with the
-    same defect repeats its terms without one, since the verifier recomputes
-    every triple's defect (as for a zero defect, which never stores one).
-    A YES obtained from a lower-bound span is still sound (membership in a
-    subset implies membership); a NO needs the exhaustive span.
+    certificate of a nonzero defect stores its dense target; a zero defect
+    and a later triple with the same defect carry none, since the verifier
+    recomputes every triple's defect.  A NO carries the one separating
+    certificate of its refuted triple.  A YES obtained from a lower-bound
+    span is still sound (membership in a subset implies membership); a NO
+    needs the exhaustive span.
     """
     f = algebra.field
     d = algebra.dim
@@ -417,21 +436,8 @@ def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) ->
                                              terms=terms, meta={"triple": [i, j, k]}))
                     continue
                 if report.status == EXACT:
-                    target = _dense(f, t, ambient)
-                    phi = _separating_functional(report, target)
-                    cert = Certificate(
-                        kind=SEPARATING,
-                        target=target,
-                        functional=phi,
-                        generators=list(report.generators),
-                        meta={"claim": "not-zero-product-balanced", "triple": [i, j, k],
-                              "span_status": report.status, "seed": report.config.seed},
-                    )
-                    return BalancedVerdict(NO, witness_triple=(i, j, k), certificate=cert,
-                                           n_triples=d ** 3)
-                return BalancedVerdict(
-                    UNKNOWN,
-                    n_triples=d ** 3,
-                    note=f"membership failed against a lower-bound span: {_lower_bound_cause(report)}",
-                )
-    return BalancedVerdict(YES, certificates=certs, n_triples=d ** 3)
+                    return _refuted(report, _dense(f, t, ambient),
+                                    {"claim": "not-zero-product-balanced", "triple": [i, j, k]})
+                return Verdict(UNKNOWN, [],
+                               f"membership failed against a lower-bound span: {_lower_bound_cause(report)}")
+    return Verdict(YES, certs)

@@ -30,8 +30,8 @@ from zpbal.tensorsquare import (
     TENSOR_CONVENTION,
     UNKNOWN,
     YES,
-    BalancedVerdict,
     Certificate,
+    Verdict,
 )
 
 
@@ -387,7 +387,7 @@ def reference_membership_terms(report, builder, target):
 def reference_balanced(algebra, report):
     """The two-step decider: a membership test, then the decomposition.  Every
     nonzero defect is decomposed again; only its first certificate keeps the
-    target."""
+    target, and a zero defect has none."""
     ts = DenseTensorSquare(algebra)
     d = algebra.dim
     builder = reference_span_builder(report)
@@ -396,7 +396,7 @@ def reference_balanced(algebra, report):
     for i, j, k in product(range(d), repeat=3):
         t = ts.defect_tensor(i, j, k)
         if vec_is_zero(t):
-            certs.append(Certificate(kind=MEMBERSHIP, target=t, terms=[], meta={"triple": [i, j, k]}))
+            certs.append(Certificate(kind=MEMBERSHIP, target=None, terms=[], meta={"triple": [i, j, k]}))
             continue
         if builder.contains(t):
             terms = reference_membership_terms(report, builder, t)
@@ -411,14 +411,13 @@ def reference_balanced(algebra, report):
             cert = Certificate(kind=SEPARATING, target=t, functional=phi, generators=list(report.generators),
                                meta={"claim": "not-zero-product-balanced", "triple": [i, j, k],
                                      "span_status": report.status, "seed": report.config.seed})
-            return BalancedVerdict(NO, witness_triple=(i, j, k), certificate=cert, n_triples=d ** 3)
+            return Verdict(NO, [cert])
         f = algebra.field
         cause = (f"the algebra has {f.characteristic}^{d} elements, more than --cap "
                  f"{report.config.enumeration_cap}; a larger --cap sweeps it exhaustively"
                  if f.is_finite() else "no certificate kind refutes over Q")
-        return BalancedVerdict(UNKNOWN, n_triples=d ** 3,
-                               note=f"membership failed against a lower-bound span: {cause}")
-    return BalancedVerdict(YES, certificates=certs, n_triples=d ** 3)
+        return Verdict(UNKNOWN, [], f"membership failed against a lower-bound span: {cause}")
+    return Verdict(YES, certs)
 
 
 
@@ -432,7 +431,7 @@ def reference_balanced(algebra, report):
 def certificate_to_dict(cert: Certificate, fld, generator_index) -> dict:
     """JSON form of one certificate; zero-product pairs become indices into the file's generator table."""
     out = {"kind": cert.kind}
-    if cert.target is not None and not ("triple" in cert.meta and not any(cert.target)):
+    if cert.target is not None:
         out["target"] = fld.format_vector(cert.target)
     if cert.kind == MEMBERSHIP:
         lams = fld.format_vector([lam for lam, _, _ in cert.terms])

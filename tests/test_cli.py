@@ -852,6 +852,20 @@ def test_example_refuses_negative_sizes(tmp_path, flags):
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize("name,dim", [("Nm", 1), ("MnNm", 4), ("KxNm", 2)])
+def test_example_bounds_the_nilpotent_order_at_2(tmp_path, capsys, name, dim):
+    """Nm, MnNm and KxNm are built on N_m, whose order m is at least 2: --m 1
+    exits 1 with a message naming --m and writes no file, and --m 2 works."""
+    out = tmp_path / "example.json"
+    code, _, err = run_cli(capsys, "example", name, "--m", "1", "--out", str(out))
+    assert (code, err) == (1, "error: --m must be at least 2, got 1\n")
+    assert not out.exists()
+    code, stdout, _ = run_cli(capsys, "example", name, "--m", "2", "--out", str(out))
+    assert code == 0 and f"(dim {dim} over F2)" in stdout
+    code, _, _ = run_cli(capsys, "example", "Kn", "--m", "1", "--out", str(out))  # Kn ignores --m
+    assert code == 0
+
+
 def test_cli_import_leaves_the_other_subcommands_unloaded():
     """`check` and `verify` load only what they run; the other subcommands
     import their modules when called."""

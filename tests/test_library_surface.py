@@ -101,6 +101,23 @@ def test_only_the_sweep_module_knows_block_geometry():
     assert users == {"sweep.py"}
 
 
+def test_the_cli_holds_no_certificate_rule():
+    """What proves a claim is decided in `zpbal.tensorsquare`: `cli.py` names
+    neither certificate kind and reads no certificate's meta."""
+    kinds = {"MEMBERSHIP", "SEPARATING", "membership-decomposition", "separating-functional"}
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found |= {node.id} & kinds
+        elif isinstance(node, ast.Attribute):
+            found |= {node.attr} & (kinds | {"meta"})
+        elif isinstance(node, ast.alias):
+            found |= {node.name} & kinds
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found |= {node.value} & kinds
+    assert found == set()
+
+
 def test_no_module_loads_dataclasses_or_inspect():
     """Records are NamedTuples or plain classes: `dataclasses` pulls in
     `inspect`, `ast`, `dis` and `tokenize`, which every process would pay for."""

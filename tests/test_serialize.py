@@ -176,9 +176,7 @@ def check_certificates(alg, config):
     span = compute_zero_product_span(alg, config)
     balanced = is_zero_product_balanced(alg, span)
     determined = is_zero_product_determined(alg, span)
-    certs = list(balanced.certificates or [])
-    certs += [c for c in (balanced.certificate, determined.certificate) if c is not None]
-    return certs, balanced.status
+    return balanced.certificates + determined.certificates, balanced.status
 
 
 def assert_round_trip(alg, config, tmp_path):

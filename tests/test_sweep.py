@@ -77,9 +77,7 @@ def assert_same_as_reference(alg, config):
 
     balanced = is_zero_product_balanced(alg, span)
     determined = is_zero_product_determined(alg, span)
-    certs = list(balanced.certificates or [])
-    certs += [c for c in (balanced.certificate, determined.certificate) if c is not None]
-    assert all(verify_certificate(alg, c) for c in certs)
+    assert all(verify_certificate(alg, c) for c in balanced.certificates + determined.certificates)
 
     fact = factorizable_square_zero_span(alg, config)
     _, fbuilder = reference_factorizable_span(alg, config)

@@ -94,7 +94,21 @@ def test_mul_map_matches_table():
         assert span.subspace.complement_functionals() == dense_kernel(Matrix(f, basis, cols=d * d)), name
         determined = is_zero_product_determined(alg, span)
         if determined.status == "NO":  # the first dense kernel vector outside the span
-            assert determined.witness == next(v for v in kernel if not span.subspace.contains_vector(v)), name
+            witness = determined.certificates[0].target
+            assert witness == next(v for v in kernel if not span.subspace.contains_vector(v)), name
+
+
+def test_a_check_reduces_the_multiplication_map_once(monkeypatch):
+    """The span report keeps the row space of μ, and the determined decider
+    reads its kernel from it: a check that refutes determination reads μ's
+    rows once."""
+    calls = []
+    monkeypatch.setattr("zpbal.tensorsquare._multiplication_rows",
+                        lambda alg: calls.append(alg) or _multiplication_rows(alg))
+    n4 = nilpotent_algebra(F2, 4)
+    span = compute_zero_product_span(n4)
+    assert is_zero_product_balanced(n4, span).status == is_zero_product_determined(n4, span).status == "NO"
+    assert calls == [n4]
 
 
 @pytest.mark.parametrize(
@@ -151,11 +165,11 @@ def test_determined_verdicts():
     span4 = compute_zero_product_span(n4)
     v4 = is_zero_product_determined(n4, span4)
     assert v4.status == "NO"
-    assert v4.witness is not None
+    [cert] = v4.certificates
     # the witness is in the kernel and outside the span
-    assert all(a == 0 for a in DenseTensorSquare(n4).apply_mul(v4.witness))
-    assert not span4.subspace.contains_vector(v4.witness)
-    assert verify_certificate(n4, v4.certificate)
+    assert all(a == 0 for a in DenseTensorSquare(n4).apply_mul(cert.target))
+    assert not span4.subspace.contains_vector(cert.target)
+    assert verify_certificate(n4, cert)
 
 
 def test_commutator_tensor_escapes_span_in_n4():
@@ -183,8 +197,9 @@ def test_balanced_verdicts_with_certificates():
     span4 = compute_zero_product_span(n4)
     v4 = is_zero_product_balanced(n4, span4)
     assert v4.status == "NO"
-    assert v4.witness_triple == (0, 0, 0)  # the generator cubed
-    assert verify_certificate(n4, v4.certificate)
+    [cert] = v4.certificates
+    assert cert.meta["triple"] == [0, 0, 0]  # the generator cubed
+    assert verify_certificate(n4, cert)
 
 
 def test_balanced_but_not_determined():
@@ -195,7 +210,7 @@ def test_balanced_but_not_determined():
     assert is_zero_product_balanced(a, span).status == "YES"
     verdict = is_zero_product_determined(a, span)
     assert verdict.status == "NO"
-    assert verify_certificate(a, verdict.certificate)
+    assert verify_certificate(a, verdict.certificates[0])
 
 
 def test_unknown_over_rationals():
@@ -329,7 +344,7 @@ def test_certificate_json_roundtrip():
     n4 = nilpotent_algebra(F3, 4)
     span = compute_zero_product_span(n4)
     verdict = is_zero_product_balanced(n4, span)
-    cert = verdict.certificate
+    [cert] = verdict.certificates
     table = []  # the file's generator table; this one repeats equal pairs
     data = certificate_to_dict(cert, F3, lambda pair: table.append(pair) or len(table) - 1)
     assert data["generators"] == list(range(len(span.generators)))
@@ -383,21 +398,19 @@ def _balanced_oracle_cases():
 
 
 def test_balanced_decider_equals_the_two_step_reference():
-    """One reduction per triple gives the verdict, witness triple and certificate
-    file of the former route: a membership test, then a decomposition."""
+    """One reduction per triple gives the verdict, note and certificate file
+    (with a NO's refuted triple) of the former route: a membership test, then a decomposition."""
     verdicts, unknown_finite = set(), set()
     for name, alg, config in _balanced_oracle_cases():
         span = compute_zero_product_span(alg, config)
         got = is_zero_product_balanced(alg, span)
         want = reference_balanced(alg, span)
-        assert (got.status, got.witness_triple, got.n_triples, got.note) == \
-            (want.status, want.witness_triple, want.n_triples, want.note), name
-        files = [json.dumps(certificates_to_dict(
-            (v.certificates or []) + [c for c in (v.certificate,) if c is not None],
-            alg.field, config.seed, name, balanced=v.status), sort_keys=True) for v in (got, want)]
+        assert (got.status, got.note) == (want.status, want.note), name
+        files = [json.dumps(certificates_to_dict(v.certificates, alg.field, config.seed, name,
+                                                 balanced=v.status), sort_keys=True) for v in (got, want)]
         assert files[0] == files[1], name
-        if got.status == "UNKNOWN":  # only a NO names a refuted triple
-            assert got.witness_triple is None, name
+        if got.status == "UNKNOWN":  # an UNKNOWN carries no certificate
+            assert got.certificates == [], name
             unknown_finite.add(alg.field.is_finite())
         verdicts.add(got.status)
     assert verdicts == {"YES", "NO", "UNKNOWN"}
