@@ -39,6 +39,9 @@ from zpbal.tensorsquare import (
 
 
 def _config_from_args(args) -> SweepConfig:
+    for flag, value in (("--cap", args.cap), ("--stall", args.stall)):
+        if value < 1:
+            raise ZpbalError(f"{flag} must be at least 1, got {value}")
     return SweepConfig(enumeration_cap=args.cap, stall_rounds=args.stall, seed=args.seed)
 
 

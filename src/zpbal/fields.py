@@ -105,9 +105,6 @@ class Field:
         """Every field element exactly once, in a fixed deterministic order."""
         raise NotImplementedError
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class PrimeField(Field):
     """The prime field of p elements, residues stored normalized in [0, p)."""

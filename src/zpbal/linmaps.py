@@ -145,7 +145,6 @@ def _centralizer_witness(tgt: Algebra, T: Matrix) -> Optional[Tuple[int, int]]:
         for c in range(d):
             prod = tgt.table[b][c]
             lhs = T.apply(prod)
-            eb = [tgt.field.one if t == b else tgt.field.zero for t in range(d)]
             ec = [tgt.field.one if t == c else tgt.field.zero for t in range(d)]
             if lhs != tgt.multiply_coords(cols[b], ec):
                 return (b, c)

@@ -96,6 +96,9 @@ def structure(args, config: SweepConfig) -> Dict:
                     "commutative": alg.predicates().is_commutative}
     if report["commutative"]:
         report.update(_commutative_report(alg, config, elements))
+    elif elements:
+        raise ZpbalError(f"--element: decompositions need a commutative algebra, "
+                         f"and {report['algebra']} is not commutative")
     else:
         dich = dichotomy_general(alg, config)
         report["general_dichotomy"] = {"kind": dich.kind, "exponents": dich.exponents}
@@ -115,16 +118,16 @@ def _commutative_report(alg: Algebra, config: SweepConfig, elements: List[List])
     )
 
     fld = alg.field
-    reduced = ReducedQuotient(alg)  # nilradical, quotient and atoms, shared by every report
+    reduced = ReducedQuotient(alg, config)  # nilradical, quotient and atoms, shared by every report
     nil = reduced.nilradical
-    chars = characters(alg, config, reduced)
+    chars = characters(reduced)
     report: Dict = {
         "nilradical": {"dim": nil.dim, "basis": [_strs(fld, row) for row in nil.basis]},
         "characters": {"status": chars.status,
                        "table": [_strs(fld, c.matrix.rows[0]) for c in chars.characters]},
     }
     try:
-        splitting = sigma_splitting(alg, config, reduced)
+        splitting = sigma_splitting(reduced)
     except (HypothesisFailed, BudgetExceeded) as exc:  # as in regular_and_clean_check
         report["splitting"] = f"not available: {exc}"
     else:
@@ -138,10 +141,10 @@ def _commutative_report(alg: Algebra, config: SweepConfig, elements: List[List])
                 "terms": [{"coefficient": str(fld.format(lam)), "idempotent": _strs(fld, e.coords)}
                           for lam, e in dec.terms],
             })
-    rc = regular_and_clean_check(alg, config, reduced)
+    rc = regular_and_clean_check(reduced)
     report["regular_on_quotient"] = rc.regular_on_quotient
     report["clean"] = rc.clean
-    report["dichotomy"] = dichotomy_commutative(alg, config, reduced).kind
+    report["dichotomy"] = dichotomy_commutative(reduced).kind
     return report
 
 

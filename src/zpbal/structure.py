@@ -10,6 +10,11 @@ trace-form radical and the refinement of the registered idempotents.  The
 enumeration cap bounds only p in the atom search; the clean check builds a
 decomposition from the lifted atoms instead of searching the elements.
 
+A commutative report is read from one `ReducedQuotient`, built for one
+algebra under one configuration: `characters`, `sigma_splitting`,
+`regular_and_clean_check` and `dichotomy_commutative` each take it as their
+only argument, so a run that reports all four computes each object once.
+
 Everything here is verified by postconditions: nilradical basis vectors are
 re-checked nilpotent, atoms orthogonal and idempotent, characters
 multiplicative, lifted idempotents against e*e = e, sections against
@@ -29,7 +34,6 @@ from zpbal.errors import (
     HypothesisFailed,
     NotCommutative,
     NotIdempotentModNil,
-    ParentMismatch,
     SoundnessAlarm,
 )
 from zpbal.fields import Scalar
@@ -136,10 +140,14 @@ def _reduced_atoms(q: Algebra, config: SweepConfig) -> List[Element]:
     of that kernel and λ in F_p, 1 - (x - λ)^(p-1) is the sum of the atoms on
     which x takes the value λ, so refining these idempotents yields all r
     atoms, returned sorted by coordinates.  Over Q: the refinement of the
-    registered idempotents, which need not be primitive.
+    registered idempotents, which need not be primitive.  BudgetExceeded when
+    the search would run over more than `config.enumeration_cap` scalars (p of
+    F_p; none over Q or for q = 0).
     """
     f = q.field
-    _check_atom_budget(q, config)
+    if f.is_finite() and q.dim > 0 and f.characteristic > config.enumeration_cap:
+        raise BudgetExceeded(f"atom search over the {f.characteristic} scalars of {f.name} "
+                             f"exceeds cap {config.enumeration_cap}")
     if not f.is_finite():
         atoms = atoms_from_idempotents(list(q.registered_idempotents))
     elif q.dim == 0:
@@ -166,27 +174,21 @@ def _reduced_atoms(q: Algebra, config: SweepConfig) -> List[Element]:
     return atoms
 
 
-def _check_atom_budget(q: Algebra, config: SweepConfig):
-    """BudgetExceeded when the atoms of q would need a search over more than
-    `config.enumeration_cap` scalars (p of F_p; none over Q or for q = 0)."""
-    f = q.field
-    if f.is_finite() and q.dim > 0 and f.characteristic > config.enumeration_cap:
-        raise BudgetExceeded(f"atom search over the {f.characteristic} scalars of {f.name} "
-                             f"exceeds cap {config.enumeration_cap}")
-
-
 class ReducedQuotient:
     """The nilradical N of a commutative algebra A, the reduced quotient
-    Q = A/N, and the atoms of Q with their lifts to A, each computed once.
+    Q = A/N, and the atoms of Q with their lifts to A, under one
+    configuration, each computed once.
 
     The characters, the splitting, the clean check and the dichotomy all start
-    from these; a run that reports several of them passes one ReducedQuotient
-    to each, and `characters` and `sigma_splitting` keep their results here.
-    The cap on the atom search is checked on every call, cached or not.
+    from these and take one ReducedQuotient; `characters` and
+    `sigma_splitting` keep their results here.  `config` bounds the atom
+    search: when p exceeds its cap, `atoms` raises BudgetExceeded on every
+    call, and nothing that needs the atoms is kept.
     """
 
-    def __init__(self, algebra: Algebra):
+    def __init__(self, algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG):
         self.algebra = algebra
+        self.config = config
         self.nilradical = nilradical(algebra)
         self.quotient = quotient_algebra(algebra, self.nilradical)
         self._atoms: Optional[List[Element]] = None
@@ -194,28 +196,18 @@ class ReducedQuotient:
         self._characters: Optional[CharacterReport] = None
         self._splitting: Optional[SigmaSplitting] = None
 
-    def atoms(self, config: SweepConfig) -> List[Element]:
+    def atoms(self) -> List[Element]:
         """The atoms of Q (see `_reduced_atoms`)."""
         if self._atoms is None:
-            self._atoms = _reduced_atoms(self.quotient.algebra, config)
-        else:
-            _check_atom_budget(self.quotient.algebra, config)
+            self._atoms = _reduced_atoms(self.quotient.algebra, self.config)
         return self._atoms
 
-    def lifted_atoms(self, config: SweepConfig) -> List[Element]:
+    def lifted_atoms(self) -> List[Element]:
         """The idempotents of A over the atoms of Q, in the same order."""
-        atoms = self.atoms(config)
+        atoms = self.atoms()
         if self._lifted is None:
             self._lifted = [lift_idempotent(self.algebra, self.quotient, a) for a in atoms]
         return self._lifted
-
-
-def _reduced_quotient(algebra: Algebra, given: Optional[ReducedQuotient]) -> ReducedQuotient:
-    if given is None:
-        return ReducedQuotient(algebra)
-    if given.algebra is not algebra:
-        raise ParentMismatch("the reduced quotient belongs to another algebra")
-    return given
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +236,7 @@ def _atom_character(quot: Quotient, atom: Element) -> Optional[AlgMap]:
     return AlgMap(quot.parent, scalar_algebra(f), Matrix(f, [row], cols=q.dim).mul(quot.projection))
 
 
-def characters(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
-               reduced: Optional[ReducedQuotient] = None) -> CharacterReport:
+def characters(red: ReducedQuotient) -> CharacterReport:
     """All nonzero algebra homomorphisms to the base field (commutative case).
 
     A character kills the nilradical and all atoms of the reduced quotient Q
@@ -254,9 +245,8 @@ def characters(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
     list is complete over F_p, where the atoms are all of them, and over Q
     when the atoms from the registry span Q.
     """
-    red = _reduced_quotient(algebra, reduced)
     try:
-        atoms = red.atoms(config)
+        atoms = red.atoms()
     except BudgetExceeded as exc:
         return CharacterReport(characters=[], status=PARTIAL, notes=[f"atoms not computed: {exc}"])
     if red._characters is None:
@@ -291,7 +281,6 @@ def lift_idempotent(algebra: Algebra, quot: Quotient, ebar: Element) -> Element:
     same fixed point.
     """
     _require_commutative(algebra)
-    q = quot.algebra
     if (ebar * ebar) != ebar:
         raise NotIdempotentModNil("class is not idempotent in the quotient")
 
@@ -324,31 +313,21 @@ class SigmaSplitting(NamedTuple):
     sigma: Matrix  # algebra.dim x quotient.dim
     atoms: List[Element]  # atoms of the quotient
     lifted_atoms: List[Element]
-    atom_expansion: Optional[Matrix]  # quotient vector -> atom coefficients
-    section_ok: bool
-    multiplicative_ok: bool
+    atom_expansion: Matrix  # quotient vector -> atom coefficients
 
     def apply(self, qbar: Element) -> Element:
         return self.quotient.parent.element(self.sigma.apply(list(qbar.coords)))
 
 
-def sigma_splitting(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
-                    reduced: Optional[ReducedQuotient] = None) -> SigmaSplitting:
+def sigma_splitting(red: ReducedQuotient) -> SigmaSplitting:
     """Split the projection onto the quotient by the nilradical by lifting the
-    atoms; requires the quotient to be spanned by its atoms."""
-    red = _reduced_quotient(algebra, reduced)
-    f = algebra.field
-    quot = red.quotient
-    q = quot.algebra
-    if q.dim == 0:
-        sigma = Matrix(f, [[] for _ in range(algebra.dim)], cols=0)
-        return SigmaSplitting(quotient=quot, sigma=sigma, atoms=[], lifted_atoms=[],
-                              atom_expansion=None, section_ok=True, multiplicative_ok=True)
-    atoms = red.atoms(config)
-    if len(atoms) != q.dim:
+    atoms; requires the quotient to be spanned by its atoms.  A zero quotient
+    has no atoms, and its section has no column."""
+    atoms = red.atoms()
+    if len(atoms) != red.quotient.algebra.dim:
         raise HypothesisFailed("reduced quotient is not spanned by known idempotents")
     if red._splitting is None:
-        red._splitting = _lift_splitting(red, atoms, red.lifted_atoms(config))
+        red._splitting = _lift_splitting(red, atoms, red.lifted_atoms())
     return red._splitting
 
 
@@ -362,14 +341,11 @@ def _lift_splitting(red: ReducedQuotient, atoms: List[Element], lifted: List[Ele
     # sigma = (lifted atoms as columns) ∘ (expansion in the atom basis)
     lift_cols = Matrix.from_columns(f, [list(a.coords) for a in lifted], algebra.dim)
     sigma = lift_cols.mul(expansion)
-    sigma_map = AlgMap(q, algebra, sigma)
-    section_ok = quot.projection.mul(sigma) == Matrix.identity(f, q.dim)
-    multiplicative_ok = sigma_map.is_multiplicative() is None
-    if not (section_ok and multiplicative_ok):
+    if (quot.projection.mul(sigma) != Matrix.identity(f, q.dim)
+            or AlgMap(q, algebra, sigma).is_multiplicative() is not None):
         raise SoundnessAlarm("sigma splitting failed verification")
     return SigmaSplitting(quotient=quot, sigma=sigma, atoms=atoms, lifted_atoms=lifted,
-                          atom_expansion=expansion, section_ok=section_ok,
-                          multiplicative_ok=multiplicative_ok)
+                          atom_expansion=expansion)
 
 
 class Decomposition(NamedTuple):
@@ -404,8 +380,6 @@ class Decomposition(NamedTuple):
 
 def decompose(a: Element, splitting: SigmaSplitting) -> Decomposition:
     """Nil-plus-idempotent normal form of an element."""
-    algebra = a.parent
-    f = algebra.field
     quot = splitting.quotient
     abar = quot.project(a)
     sig = splitting.apply(abar)
@@ -413,15 +387,14 @@ def decompose(a: Element, splitting: SigmaSplitting) -> Decomposition:
     # expand abar over the atoms; atoms with equal coefficients merge into one
     # idempotent so the coefficients of the normal form are pairwise distinct
     by_coeff: Dict[Scalar, Element] = {}
-    if splitting.atom_expansion is not None:
-        coeffs = splitting.atom_expansion.apply(list(abar.coords))
-        for lam, lifted in zip(coeffs, splitting.lifted_atoms):
-            if lam == 0:
-                continue
-            if lam in by_coeff:
-                by_coeff[lam] = by_coeff[lam] + lifted
-            else:
-                by_coeff[lam] = lifted
+    coeffs = splitting.atom_expansion.apply(list(abar.coords))
+    for lam, lifted in zip(coeffs, splitting.lifted_atoms):
+        if lam == 0:
+            continue
+        if lam in by_coeff:
+            by_coeff[lam] = by_coeff[lam] + lifted
+        else:
+            by_coeff[lam] = lifted
     terms = [(lam, by_coeff[lam]) for lam in sorted(by_coeff.keys())]
     dec = Decomposition(nil_part=nil_part, terms=terms)
     if dec.reconstruct() != a or not dec.verify():
@@ -462,8 +435,7 @@ class RegularCleanReport(NamedTuple):
     witness: Optional[CleanWitness] = None  # when clean is YES
 
 
-def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
-                            reduced: Optional[ReducedQuotient] = None) -> RegularCleanReport:
+def regular_and_clean_check(red: ReducedQuotient) -> RegularCleanReport:
     """Von Neumann regularity of the reduced quotient (via the atom formula)
     and cleanness (unit + idempotent) of unital algebras; cleanness of
     nonunital algebras is reported NOT_EVALUATED.
@@ -474,12 +446,12 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
     element.  It needs every atom of Q = A/N: over F_p with p within the cap,
     over Q when the registered atoms span Q; otherwise clean is UNKNOWN.
     """
-    red = _reduced_quotient(algebra, reduced)
+    algebra = red.algebra
     f = algebra.field
     notes = []
     regular: Optional[bool] = None
     try:
-        splitting = sigma_splitting(algebra, config, red)
+        splitting = sigma_splitting(red)
         q = splitting.quotient.algebra
         regular = True
         for i in range(q.dim):
@@ -501,7 +473,7 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
         notes.append("clean requires a unit; not evaluated for nonunital input")
     else:
         try:
-            witness = _clean_witness(red, config)
+            witness = _clean_witness(red)
             clean = YES
             notes.append("clean by the lifted atoms, witness checked on the basis")
         except (HypothesisFailed, BudgetExceeded) as exc:
@@ -510,15 +482,15 @@ def regular_and_clean_check(algebra: Algebra, config: SweepConfig = DEFAULT_CONF
     return RegularCleanReport(regular_on_quotient=regular, clean=clean, notes=notes, witness=witness)
 
 
-def _clean_witness(red: ReducedQuotient, config: SweepConfig) -> CleanWitness:
+def _clean_witness(red: ReducedQuotient) -> CleanWitness:
     """The witness from every atom of Q, checked on each basis element a:
     f = witness.idempotent(a) is idempotent and a - f is a unit."""
     algebra = red.algebra
     quot = red.quotient
-    atoms = red.atoms(config)
+    atoms = red.atoms()
     if not algebra.field.is_finite() and len(atoms) != quot.algebra.dim:
         raise HypothesisFailed("registered idempotents do not span the reduced quotient")
-    witness = CleanWitness(quotient=quot, atoms=atoms, lifted_atoms=red.lifted_atoms(config))
+    witness = CleanWitness(quotient=quot, atoms=atoms, lifted_atoms=red.lifted_atoms())
     unit = list(algebra.predicates().unit)
     for i in range(algebra.dim):
         a = algebra.basis_element(i)
@@ -547,8 +519,7 @@ class DichotomyResult(NamedTuple):
     note: str = ""
 
 
-def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG,
-                          reduced: Optional[ReducedQuotient] = None) -> DichotomyResult:
+def dichotomy_commutative(red: ReducedQuotient) -> DichotomyResult:
     """The branch that holds: NILRADICAL when every element is nilpotent,
     HAS_CHARACTER when a character exists, otherwise INAPPLICABLE.
 
@@ -557,9 +528,9 @@ def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG
     only on the third, where a YES with a complete character search
     contradicts that theorem and raises SoundnessAlarm.
     """
-    red = _reduced_quotient(algebra, reduced)
+    algebra = red.algebra
     nil = red.nilradical
-    chars = characters(algebra, config, red)
+    chars = characters(red)
     if nil.dim == algebra.dim:
         if chars.characters:
             raise SoundnessAlarm("nilradical algebra with a character")
@@ -570,7 +541,7 @@ def dichotomy_commutative(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG
     if chars.status != EXACT:
         return DichotomyResult(kind=INAPPLICABLE, nilradical_dim=nil.dim,
                                note="character search incomplete over this field")
-    balanced = is_zero_product_balanced(algebra, compute_zero_product_span(algebra, config))
+    balanced = is_zero_product_balanced(algebra, compute_zero_product_span(algebra, red.config))
     if balanced.status == YES:
         raise SoundnessAlarm("balanced commutative algebra with neither character nor nilradical")
     return DichotomyResult(kind=INAPPLICABLE, nilradical_dim=nil.dim, character_count=0,
@@ -591,9 +562,9 @@ def dichotomy_general(algebra: Algebra, config: SweepConfig = DEFAULT_CONFIG) ->
     ideal = commutator_ideal(algebra)
     quot = quotient_algebra(algebra, ideal)
     q = quot.algebra
-    if q.dim > 0 and not q.predicates().is_commutative:
+    if not q.predicates().is_commutative:
         raise SoundnessAlarm("quotient by the commutator ideal is not commutative")
-    chars = characters(q, config) if q.dim > 0 else CharacterReport([], EXACT, ["zero quotient"])
+    chars = characters(ReducedQuotient(q, config))
     if chars.characters:
         chi = chars.characters[0]
         pulled = AlgMap(algebra, chi.target, chi.matrix.mul(quot.projection))

@@ -27,7 +27,7 @@ from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import Sparse, SpanBuilder, Vector, _dense, _sparse, dot, vec_is_zero
-from zpbal.sweep import EXACT, LOWER_BOUND, Pair, sweep_blocks  # EXACT, LOWER_BOUND re-exported
+from zpbal.sweep import EXACT, Pair, sweep_blocks  # EXACT re-exported
 
 TENSOR_CONVENTION = "row-major i*d+j"
 

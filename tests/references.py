@@ -47,7 +47,7 @@ from zpbal.fields import Field
 from zpbal.linalg import Matrix, SpanBuilder, Vector, vec_is_zero
 from zpbal.squarezero import FactorizableSpanReport, factorizable_square_zero_span
 from zpbal.structure import (
-    CharacterReport,
+    ReducedQuotient,
     _reduced_atoms,
     _require_commutative,
     characters,
@@ -592,7 +592,7 @@ def generated_by_nilpotents_check(algebra: Algebra, config: SweepConfig = DEFAUL
     if balanced.status != YES:
         raise HypothesisFailed("algebra not certified zero-product balanced")
     quot = quotient_algebra(algebra, commutator_ideal(algebra))
-    chars = characters(quot.algebra, config) if quot.algebra.dim > 0 else CharacterReport([], EXACT, [])
+    chars = characters(ReducedQuotient(quot.algebra, config))
     if chars.status != EXACT:
         raise BudgetExceeded("character search on the abelianization is incomplete")
     no_char = not chars.characters

@@ -43,6 +43,7 @@ from zpbal.linmaps import (
 )
 from zpbal.squarezero import check_span_equality
 from zpbal.structure import (
+    ReducedQuotient,
     atoms_from_idempotents,
     decompose,
     dichotomy_commutative,
@@ -300,8 +301,10 @@ def test_c08_commutative_pipeline():
     for alg in (direct_sum(scalar_algebra(F2), nilpotent_algebra(F2, 3)),
                 direct_sum(function_algebra(F3, 2), nilpotent_algebra(F3, 4))):
         nil = nilradical(alg)
-        splitting = sigma_splitting(alg)
-        assert splitting.section_ok and splitting.multiplicative_ok
+        splitting = sigma_splitting(ReducedQuotient(alg))
+        quot = splitting.quotient
+        assert quot.projection.mul(splitting.sigma) == Matrix.identity(alg.field, quot.algebra.dim)
+        assert AlgMap(quot.algebra, alg, splitting.sigma).is_multiplicative() is None
         assert splitting.quotient.ideal == nil
         for coords in alg.coord_tuples():
             a = alg.element(coords)
@@ -344,7 +347,7 @@ def test_c09_dichotomies():
             continue
         if entry.expected.get("balanced") != "YES":
             continue
-        res = dichotomy_commutative(alg, entry.config)
+        res = dichotomy_commutative(ReducedQuotient(alg, entry.config))
         assert res.kind in ("HAS_CHARACTER", "NILRADICAL"), entry.name
         if res.kind == "HAS_CHARACTER":
             assert res.nilradical_dim < alg.dim

@@ -65,7 +65,8 @@ def test_check_names_a_witness_only_for_no(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_check_refuses_nonpositive_caps(tmp_path, flags):
-    """`SweepConfig` refuses a zero cap with a raise, not an assert."""
+    """A zero `--cap` or `--stall` is refused by a raise, not an assert, in a
+    message that names the flag."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     alg = tmp_path / "n4.json"
     save_algebra(nilpotent_algebra(PrimeField(2), 4), str(alg))
@@ -73,7 +74,7 @@ def test_check_refuses_nonpositive_caps(tmp_path, flags):
         proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", "check", str(alg),
                                option, "0", "--out", str(tmp_path / "certs.json")],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stderr) == (1, "error: caps must be positive\n"), option
+        assert (proc.returncode, proc.stderr) == (1, f"error: {option} must be at least 1, got 0\n")
         assert not (tmp_path / "certs.json").exists()
 
 
@@ -506,6 +507,18 @@ def test_structure_noncommutative(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "commutative: false" in out
     assert "general_dichotomy: {kind: RADICAL_OVER_COMMUTATOR_IDEAL, " in out
+
+
+def test_structure_refuses_an_element_of_a_noncommutative_algebra(tmp_path, capsys, monkeypatch):
+    """Decompositions need a commutative algebra: an `--element` of M2/F2 is an
+    input error, not a report without its decomposition."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "structure", "m2.json", "--element", "1,0,0,0", *flags)
+        assert (code, out) == (1, "")
+        assert err == ("error: --element: decompositions need a commutative algebra, "
+                       "and m2.json is not commutative\n")
 
 
 def test_structure_computes_no_zero_product_span_when_a_branch_holds(tmp_path, capsys, monkeypatch):

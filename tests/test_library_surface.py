@@ -153,3 +153,28 @@ def test_check_and_verify_load_only_what_they_run(tmp_path):
         assert proc.returncode == 0, proc.stderr
         loaded[field] = proc.stdout.strip().splitlines()[-1]
     assert loaded == {"F2": "[]", "Q": "['fractions']"}
+
+
+def _unread_locals(tree):
+    """(function, name) for each local name a function assigns and never reads;
+    a nested function's reads count for the enclosing one, and names starting
+    with `_` are exempt."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, shared = set(), set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                (read if isinstance(node.ctx, ast.Load) else stored).add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        found += [(func.name, name) for name in sorted(stored - read - shared)
+                  if not name.startswith("_")]
+    return found
+
+
+def test_every_assigned_local_is_read():
+    unread = {path.name: _unread_locals(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in unread.items() if found} == {}

@@ -34,10 +34,11 @@ from zpbal.errors import (
     HypothesisFailed,
     NotCommutative,
     NotIdempotentModNil,
-    ParentMismatch,
     SoundnessAlarm,
 )
 from zpbal.fields import PrimeField
+from zpbal.linalg import Matrix
+from zpbal.linmaps import AlgMap
 from zpbal.rationals import QQ
 from zpbal.constructions import (
     direct_sum,
@@ -78,6 +79,13 @@ def f3f3n4():
     return direct_sum(function_algebra(F3, 2), nilpotent_algebra(F3, 4))
 
 
+def assert_multiplicative_section(alg, splitting):
+    """σ splits the projection onto A/N and is an algebra map A/N -> A."""
+    quot = splitting.quotient
+    assert quot.projection.mul(splitting.sigma) == Matrix.identity(alg.field, quot.algebra.dim)
+    assert AlgMap(quot.algebra, alg, splitting.sigma).is_multiplicative() is None
+
+
 def test_nilradical_cases():
     assert nilradical(nilpotent_algebra(QQ, 3)).dim == 2  # all of it
     assert nilradical(f2_x_n3()).dim == 2  # the nilpotent summand
@@ -101,28 +109,22 @@ def test_atom_budget_bounds_only_p():
     # the nilradical has no budget, and the atom search is bounded by p, not p^d
     alg = f3f3n4()  # 243 elements
     assert nilradical(alg).dim == 3
-    rep = characters(alg, SweepConfig(enumeration_cap=3))
-    assert rep.status == "EXACT" and len(rep.characters) == 2
-    rep = characters(alg, SweepConfig(enumeration_cap=2))
-    assert rep.status == "PARTIAL" and rep.characters == []
-    with pytest.raises(BudgetExceeded):
-        sigma_splitting(alg, SweepConfig(enumeration_cap=2))
-    # atoms, characters and the splitting computed once under cap 3 are still
-    # refused to a later call under cap 2, and handed out again under cap 3
-    reduced = ReducedQuotient(alg)
-    chars = characters(alg, SweepConfig(enumeration_cap=3), reduced)
-    assert len(chars.characters) == 2
-    splitting = sigma_splitting(alg, SweepConfig(enumeration_cap=3), reduced)
-    assert characters(alg, SweepConfig(enumeration_cap=3), reduced) is chars
-    assert sigma_splitting(alg, SweepConfig(enumeration_cap=3), reduced) is splitting
-    rep = characters(alg, SweepConfig(enumeration_cap=2), reduced)
-    assert rep.status == "PARTIAL" and rep.characters == []
-    with pytest.raises(BudgetExceeded):
-        sigma_splitting(alg, SweepConfig(enumeration_cap=2), reduced)
-    with pytest.raises(BudgetExceeded):
-        reduced.lifted_atoms(SweepConfig(enumeration_cap=2))
-    with pytest.raises(ParentMismatch):
-        characters(f3f3n4(), SweepConfig(enumeration_cap=3), reduced)
+    # under cap 2 the atoms are refused on every call
+    refused = ReducedQuotient(alg, SweepConfig(enumeration_cap=2))
+    for _ in range(2):
+        rep = characters(refused)
+        assert rep.status == "PARTIAL" and rep.characters == []
+        with pytest.raises(BudgetExceeded):
+            sigma_splitting(refused)
+        with pytest.raises(BudgetExceeded):
+            refused.lifted_atoms()
+    # under cap 3 they are computed once, and every later call hands out the same objects
+    reduced = ReducedQuotient(alg, SweepConfig(enumeration_cap=3))
+    chars = characters(reduced)
+    assert chars.status == "EXACT" and len(chars.characters) == 2
+    splitting = sigma_splitting(reduced)
+    assert characters(reduced) is chars and sigma_splitting(reduced) is splitting
+    assert reduced.lifted_atoms() is splitting.lifted_atoms
 
 
 def test_structure_command_computes_the_reduced_quotient_once(tmp_path, capsys, monkeypatch):
@@ -163,13 +165,13 @@ def test_nilradical_is_idempotent_operation():
 
 def test_characters_cases():
     # the two coordinate projections
-    chars = characters(function_algebra(F2, 2))
+    chars = characters(ReducedQuotient(function_algebra(F2, 2)))
     assert chars.status == "EXACT" and len(chars.characters) == 2
     # nilpotent: none (any character kills nilpotents)
-    chars = characters(nilpotent_algebra(QQ, 3))
+    chars = characters(ReducedQuotient(nilpotent_algebra(QQ, 3)))
     assert chars.status == "EXACT" and chars.characters == []
     # exactly one through the unital summand
-    chars = characters(f2_x_n3())
+    chars = characters(ReducedQuotient(f2_x_n3()))
     assert chars.status == "EXACT" and len(chars.characters) == 1
     # oracle: sweep all 8 functionals of F2 x N3 for multiplicativity
     alg = f2_x_n3()
@@ -190,7 +192,7 @@ def test_characters_cases():
 
 def test_characters_are_homomorphisms():
     for alg in (function_algebra(F3, 2), f2_x_n3(), f3f3n4()):
-        for chi in characters(alg).characters:
+        for chi in characters(ReducedQuotient(alg)).characters:
             assert chi.is_multiplicative() is None
             assert any(a != 0 for a in chi.matrix.rows[0])
 
@@ -199,7 +201,7 @@ def test_characters_exact_over_rationals_with_spanning_registry():
     # spanning atoms identify the reduced quotient with K^r, so the atom route
     # is complete even without exhaustive enumeration
     kk = function_algebra(QQ, 2)
-    rep = characters(kk)
+    rep = characters(ReducedQuotient(kk))
     assert rep.status == "EXACT" and len(rep.characters) == 2
 
 
@@ -207,10 +209,11 @@ def test_character_count_equals_atom_count():
     # on commutative balanced algebras every character factors through an atom
     # of the reduced quotient, one character per atom
     for alg in (function_algebra(F2, 2), function_algebra(F3, 2), f2_x_n3(), f3f3n4()):
-        rep = characters(alg)
+        reduced = ReducedQuotient(alg)
+        rep = characters(reduced)
         if rep.status != "EXACT":
             continue
-        splitting = sigma_splitting(alg)
+        splitting = sigma_splitting(reduced)
         assert len(rep.characters) == len(splitting.atoms)
 
 
@@ -218,7 +221,7 @@ def test_character_field_extension_has_none():
     # a quadratic field extension admits no base-field characters: the kernel
     # would be a one-dimensional ideal of a field
     f4 = poly_quotient_algebra(F2, [1, 1, 1])
-    chars = characters(f4)
+    chars = characters(ReducedQuotient(f4))
     assert chars.status == "EXACT" and chars.characters == []
 
 
@@ -281,8 +284,8 @@ def test_lift_idempotent():
 
 def test_sigma_splitting_and_decompose_exhaustive():
     for alg in (f2_x_n3(), f3f3n4()):
-        splitting = sigma_splitting(alg)
-        assert splitting.section_ok and splitting.multiplicative_ok
+        splitting = sigma_splitting(ReducedQuotient(alg))
+        assert_multiplicative_section(alg, splitting)
         for coords in alg.coord_tuples():
             a = alg.element(coords)
             dec = decompose(a, splitting)
@@ -292,7 +295,7 @@ def test_sigma_splitting_and_decompose_exhaustive():
 
 def test_decompose_special_shapes():
     alg = f2_x_n3()
-    splitting = sigma_splitting(alg)
+    splitting = sigma_splitting(ReducedQuotient(alg))
     nilpotent = decompose(alg.element([0, 1, 1]), splitting)
     assert nilpotent.terms == []
     idem = decompose(alg.element([1, 0, 0]), splitting)
@@ -305,49 +308,49 @@ def test_decompose_special_shapes():
 
 def test_sigma_on_reduced_algebra_is_identity():
     kk = function_algebra(F3, 2)
-    splitting = sigma_splitting(kk)
+    splitting = sigma_splitting(ReducedQuotient(kk))
     assert splitting.quotient.ideal.dim == 0
     assert len(splitting.atoms) == 2
 
 
 def test_sigma_trivial_for_nilpotent():
-    splitting = sigma_splitting(nilpotent_algebra(QQ, 3))
+    splitting = sigma_splitting(ReducedQuotient(nilpotent_algebra(QQ, 3)))
     assert splitting.atoms == [] and splitting.sigma.ncols == 0
 
 
 def test_regular_and_clean():
-    rep = regular_and_clean_check(f2_x_n3())
+    rep = regular_and_clean_check(ReducedQuotient(f2_x_n3()))
     assert rep.regular_on_quotient is True
     assert rep.clean == "NOT_EVALUATED"  # nonunital input
 
-    rep = regular_and_clean_check(function_algebra(F3, 2))
+    rep = regular_and_clean_check(ReducedQuotient(function_algebra(F3, 2)))
     assert rep.regular_on_quotient is True and rep.clean == "YES"
 
-    rep = regular_and_clean_check(nilpotent_algebra(F2, 4))
+    rep = regular_and_clean_check(ReducedQuotient(nilpotent_algebra(F2, 4)))
     assert rep.regular_on_quotient is True  # zero quotient
 
     # no element is enumerated: 2^13 elements, over the default cap, for
     # F2^13 and for the local ring F2[t]/(t^13)
-    assert regular_and_clean_check(function_algebra(F2, 13)).clean == "YES"
-    assert regular_and_clean_check(poly_quotient_algebra(F2, [0] * 13 + [1])).clean == "YES"
+    assert regular_and_clean_check(ReducedQuotient(function_algebra(F2, 13))).clean == "YES"
+    assert regular_and_clean_check(ReducedQuotient(poly_quotient_algebra(F2, [0] * 13 + [1]))).clean == "YES"
     # over Q the registry's atoms span K^3, but not the field Q(√2)
-    assert regular_and_clean_check(function_algebra(QQ, 3)).clean == "YES"
-    rep = regular_and_clean_check(poly_quotient_algebra(QQ, [-2, 0, 1]))
+    assert regular_and_clean_check(ReducedQuotient(function_algebra(QQ, 3))).clean == "YES"
+    rep = regular_and_clean_check(ReducedQuotient(poly_quotient_algebra(QQ, [-2, 0, 1])))
     assert rep.clean == "UNKNOWN" and rep.witness is None
     assert "do not span" in rep.notes[-1]
     # p beyond the cap: no atom search, so no witness
-    rep = regular_and_clean_check(function_algebra(F5, 2), SweepConfig(enumeration_cap=4))
+    rep = regular_and_clean_check(ReducedQuotient(function_algebra(F5, 2), SweepConfig(enumeration_cap=4)))
     assert rep.clean == "UNKNOWN" and "exceeds cap" in rep.notes[-1]
 
 
 def test_dichotomy_commutative():
-    assert dichotomy_commutative(nilpotent_algebra(QQ, 3)).kind == "NILRADICAL"
-    res = dichotomy_commutative(function_algebra(F2, 2))
+    assert dichotomy_commutative(ReducedQuotient(nilpotent_algebra(QQ, 3))).kind == "NILRADICAL"
+    res = dichotomy_commutative(ReducedQuotient(function_algebra(F2, 2)))
     assert res.kind == "HAS_CHARACTER" and res.witness is not None
     # quadratic field extension: not balanced, honest INAPPLICABLE; the report
     # shows it has neither a character nor a full nilradical
     f4 = poly_quotient_algebra(F2, [1, 1, 1])
-    res = dichotomy_commutative(f4)
+    res = dichotomy_commutative(ReducedQuotient(f4))
     assert res.kind == "INAPPLICABLE"
     assert res.character_count == 0 and res.nilradical_dim == 0
 
@@ -357,22 +360,22 @@ def test_dichotomy_commutative_reports_the_branch_that_holds(monkeypatch):
     # balanced, and each still lands on the branch that holds
     from zpbal import structure
 
-    res = dichotomy_commutative(nilpotent_algebra(F2, 5))
+    res = dichotomy_commutative(ReducedQuotient(nilpotent_algebra(F2, 5)))
     assert (res.kind, res.nilradical_dim, res.character_count) == ("NILRADICAL", 4, 0)
-    res = dichotomy_commutative(f3f3n4())
+    res = dichotomy_commutative(ReducedQuotient(f3f3n4()))
     assert (res.kind, res.nilradical_dim, res.character_count) == ("HAS_CHARACTER", 3, 2)
     assert res.witness.is_multiplicative() is None
     # neither branch holds for the field F4 (test_dichotomy_commutative): the decider runs,
     # and a YES is an alarm
     monkeypatch.setattr(structure, "is_zero_product_balanced", lambda *a: SimpleNamespace(status="YES"))
     with pytest.raises(SoundnessAlarm, match="neither character nor nilradical"):
-        dichotomy_commutative(poly_quotient_algebra(F2, [1, 1, 1]))
+        dichotomy_commutative(ReducedQuotient(poly_quotient_algebra(F2, [1, 1, 1])))
 
 
 def test_dichotomy_exclusive_on_balanced_entries():
     for alg in (function_algebra(F2, 2), function_algebra(F3, 2), f2_x_n3(),
                 nilpotent_algebra(F2, 3), zero_algebra(F2, 2)):
-        res = dichotomy_commutative(alg)
+        res = dichotomy_commutative(ReducedQuotient(alg))
         assert res.kind in ("HAS_CHARACTER", "NILRADICAL")
         if res.kind == "HAS_CHARACTER":
             assert res.nilradical_dim < alg.dim
@@ -480,7 +483,7 @@ def test_structure_equals_the_element_sweeps(alg):
     assert nil == reference_nilradical(alg)
     q = quotient_algebra(alg, nil).algebra
     assert _reduced_atoms(q, DEFAULT_CONFIG) == atoms_from_idempotents(enumerate_idempotents(q).items)
-    rep = characters(alg)
+    rep = characters(ReducedQuotient(alg))
     assert rep.status == "EXACT"
     assert_characters_agree(rep, alg)
 
@@ -495,7 +498,7 @@ def test_structure_counts_invariant_under_change_of_basis(make):
     def counts(a):
         nil = nilradical(a)
         atoms = _reduced_atoms(quotient_algebra(a, nil).algebra, DEFAULT_CONFIG)
-        return nil.dim, len(atoms), len(characters(a).characters)
+        return nil.dim, len(atoms), len(characters(ReducedQuotient(a)).characters)
 
     alg = make()
     before = counts(alg)
@@ -513,7 +516,7 @@ def _clean_cases():
 
 @pytest.mark.parametrize("alg", [pytest.param(alg, id=name) for name, alg in _clean_cases()])
 def test_clean_witness_equals_the_sweep(alg):
-    rep = regular_and_clean_check(alg)
+    rep = regular_and_clean_check(ReducedQuotient(alg))
     if not alg.predicates().is_unital:
         assert rep.clean == "NOT_EVALUATED" and rep.witness is None
         return
@@ -534,10 +537,11 @@ def test_structure_beyond_the_enumeration_cap():
     alg = f2_6_n12()  # dim 17: 2^17 elements, over the default cap
     assert alg.n_elements() > DEFAULT_CONFIG.enumeration_cap
     assert nilradical(alg).dim == 11
-    rep = characters(alg)
+    rep = characters(ReducedQuotient(alg))
     assert rep.status == "EXACT" and len(rep.characters) == 6
-    splitting = sigma_splitting(alg)
-    assert len(splitting.atoms) == 6 and splitting.multiplicative_ok
+    splitting = sigma_splitting(ReducedQuotient(alg))
+    assert len(splitting.atoms) == 6
+    assert_multiplicative_section(alg, splitting)
 
 
 _TAMPER = textwrap.dedent("""
@@ -554,7 +558,7 @@ _TAMPER = textwrap.dedent("""
     alg = direct_sum(function_algebra(F3, 2), nilpotent_algebra(F3, 3))
     unital = direct_sum(function_algebra(F3, 2), poly_quotient_algebra(F3, [0, 0, 1]))
 
-    def alarms(name, tampered, check=lambda: structure.characters(alg)):
+    def alarms(name, tampered, check=lambda: structure.characters(structure.ReducedQuotient(alg))):
         honest = getattr(structure, name)
         setattr(structure, name, tampered(honest))
         try:
@@ -581,7 +585,7 @@ _TAMPER = textwrap.dedent("""
                lambda honest: lambda quot, atom: structure.AlgMap(
                    quot.parent, structure.scalar_algebra(F3), honest(quot, atom).matrix.scale(2))),
         # two atoms merged: a basis idempotent minus its clean witness is no unit
-        alarms("_reduced_atoms", merge_two_atoms, check=lambda: structure.regular_and_clean_check(unital)),
+        alarms("_reduced_atoms", merge_two_atoms, check=lambda: structure.regular_and_clean_check(structure.ReducedQuotient(unital))),
     ])
 """)
 
