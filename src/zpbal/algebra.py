@@ -95,19 +95,18 @@ class Algebra:
         return Element(self, (self.field.zero,) * self.dim)
 
     def multiply_coords(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
+        """uv in coordinates, from the nonzero structure constants."""
         f = self.field
         out = [f.zero] * self.dim
+        right = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
+            row = self._nonzero[i]
+            for j, b in right:
                 ab = f.mul(a, b)
-                for t, c in enumerate(row[j]):
-                    if c:
-                        out[t] = f.add(out[t], f.mul(ab, c))
+                for t, c in row[j]:
+                    out[t] = f.add(out[t], f.mul(ab, c))
         return out
 
     def coord_tuples(self) -> Iterator[Tuple[Scalar, ...]]:

@@ -20,6 +20,7 @@ one of them runs.  example imports `zpbal.constructions` when it runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -128,13 +129,21 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    alg = serialize.load_algebra(args.algebra)
-    balanced, certs = serialize.load_certificates(args.certificate, alg.field)
-    lines: List[str] = []  # written in one call: a print per certificate is slower
+    # The loaded file is a large tree of objects that lives until the end, so
+    # each pass of the cyclic collector would only walk it again.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        lines.extend(verify_file(alg, balanced, certs))
-    finally:  # a malformed certificate still leaves the lines before it
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        alg = serialize.load_algebra(args.algebra)
+        balanced, certs = serialize.load_certificates(args.certificate, alg.field)
+        lines: List[str] = []  # written in one call: a print per certificate is slower
+        try:
+            lines.extend(verify_file(alg, balanced, certs))
+        finally:  # a malformed certificate still leaves the lines before it
+            sys.stdout.write("".join(line + "\n" for line in lines))
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

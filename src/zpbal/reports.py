@@ -75,7 +75,7 @@ def _parse_elements(texts: Optional[List[str]], alg: Algebra) -> List[List]:
     """The coordinates of each `--element`, checked against the field and the dimension."""
     elements = []
     for text in texts or []:
-        parts = text.split(",")
+        parts = text.split(",") if text else []  # "" is the one vector of dimension 0
         if len(parts) != alg.dim:
             raise ZpbalError(f"--element {text!r}: expected {alg.dim} comma-separated "
                              f"coordinates, got {len(parts)}")

@@ -290,7 +290,8 @@ def certificates_from_dict(data: Dict, fld: Field) -> Tuple[str, List[Certificat
         d = len(generators[0][0]) if generators else len(g["u"])  # every vector has one length
         generators.append((tuple(_scalars(fld, g["u"], d, "generator u")),
                            tuple(_scalars(fld, g["v"], d, "generator v"))))
-    return balanced, [Certificate.from_dict(c, fld, generators) for c in entries]
+    parsed: Dict[tuple, tuple] = {}  # raw term -> its parsed tuple, shared by the certificates
+    return balanced, [Certificate.from_dict(c, fld, generators, parsed) for c in entries]
 
 
 def load_certificates(path: str, fld: Field) -> Tuple[str, List[Certificate]]:

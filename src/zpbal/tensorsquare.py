@@ -206,10 +206,12 @@ class Certificate:
         self.meta = {} if meta is None else meta
 
     @classmethod
-    def from_dict(cls, data: Dict, fld: Field, generators: Sequence[Tuple[tuple, tuple]]) -> "Certificate":
+    def from_dict(cls, data: Dict, fld: Field, generators: Sequence[Tuple[tuple, tuple]],
+                  parsed: Optional[Dict[tuple, tuple]] = None) -> "Certificate":
         """The certificate a file's JSON object describes (the writer is
         `serialize.save_certificates`); `generators` is the file's parsed
-        generator table."""
+        generator table.  `parsed` maps a raw term (generator, lambda) to its
+        parsed tuple; certificates that share it share each term's tuple."""
         if not isinstance(data, dict):
             raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
         kind = data.get("kind")
@@ -218,25 +220,36 @@ class Certificate:
         meta = data.get("meta", {})
         if not isinstance(meta, dict):
             raise MalformedCertificate(f"meta must be an object, got {meta!r}")
-
-        def generator(index):
-            if type(index) is not int or not 0 <= index < len(generators):
-                raise MalformedCertificate(f"generator index {index!r} is not below {len(generators)}")
-            return generators[index]
-
-        def term(t):
-            if not isinstance(t, dict) or set(t) != {"generator", "lambda"}:
-                raise MalformedCertificate(f"term must be {{generator, lambda}}, got {t!r}")
-            return (fld.parse(t["lambda"]), *generator(t["generator"]))
-
+        if parsed is None:
+            parsed = {}
         return cls(
             kind=kind,
             target=_parse_vector(fld, data["target"], "target") if "target" in data else None,
-            terms=[term(t) for t in _list(data.get("terms", []), "terms")],
+            terms=[_term(t, fld, generators, parsed) for t in _list(data.get("terms", []), "terms")],
             functional=_parse_vector(fld, data["functional"], "functional") if "functional" in data else None,
-            generators=[generator(g) for g in _list(data.get("generators", []), "generators")],
+            generators=[_generator(g, generators) for g in _list(data.get("generators", []), "generators")],
             meta=meta,
         )
+
+
+def _generator(index, generators: Sequence[Tuple[tuple, tuple]]) -> Tuple[tuple, tuple]:
+    if type(index) is not int or not 0 <= index < len(generators):
+        raise MalformedCertificate(f"generator index {index!r} is not below {len(generators)}")
+    return generators[index]
+
+
+def _term(t, fld: Field, generators: Sequence[Tuple[tuple, tuple]],
+          parsed: Dict[tuple, tuple]) -> Tuple[Scalar, tuple, tuple]:
+    """(lambda, u, v) of a raw term, parsed once per distinct (generator, lambda).
+    The memo is read only for an int index and an int or str lambda, since
+    True == 1 and 1.0 == 1 would otherwise find the entry of a valid term."""
+    if not isinstance(t, dict) or set(t) != {"generator", "lambda"}:
+        raise MalformedCertificate(f"term must be {{generator, lambda}}, got {t!r}")
+    key = (t["generator"], t["lambda"])
+    term = parsed.get(key) if type(key[0]) is int and type(key[1]) in (int, str) else None
+    if term is None:  # an invalid term raises before it is stored
+        term = parsed[key] = (fld.parse(key[1]), *_generator(key[0], generators))
+    return term
 
 
 def _list(value, what: str) -> list:
@@ -254,13 +267,70 @@ def _claimed_triple(meta: Dict, d: int) -> Optional[Tuple[int, int, int]]:
     if "triple" not in meta:
         return None
     triple = meta["triple"]
-    if not (isinstance(triple, (list, tuple)) and len(triple) == 3
-            and all(type(i) is int and 0 <= i < d for i in triple)):
-        raise MalformedCertificate(f"triple {triple!r} is not three basis indices below {d}")
-    return tuple(triple)
+    if isinstance(triple, (list, tuple)) and len(triple) == 3:
+        i, j, k = triple
+        if type(i) is type(j) is type(k) is int and 0 <= i < d and 0 <= j < d and 0 <= k < d:
+            return i, j, k
+    raise MalformedCertificate(f"triple {triple!r} is not three basis indices below {d}")
 
 
-def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
+class _VerifyMemo:
+    """What `verify_certificate` computes from a certificate's zero-product
+    pairs, done once per value: uv = 0 and u⊗v per pair, and the sum of each
+    term list.  `verify_file` shares one across a file; keys are values, so a
+    tampered copy of a pair or of a term list is a key of its own."""
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self._tensors: Dict[Tuple[tuple, tuple], Optional[Sparse]] = {}  # (u, v) -> u⊗v, None if uv != 0
+        self._sums: Dict[tuple, Optional[Sparse]] = {}  # terms -> their sum, None if some uv != 0
+
+    def tensor(self, u: Sequence[Scalar], v: Sequence[Scalar], what: str) -> Optional[Sparse]:
+        """u⊗v, or None when uv != 0; a vector of the wrong length raises."""
+        key = (u, v)
+        try:
+            return self._tensors[key]
+        except KeyError:
+            pass
+        except TypeError:  # a list vector from a library caller: computed, not stored
+            key = None
+        alg = self.algebra
+        d = alg.dim
+        if len(u) != d or len(v) != d:
+            raise MalformedCertificate(f"{what} vector has wrong length")
+        t = None if not vec_is_zero(alg.multiply_coords(u, v)) else _tensor(alg.field, d, u, v)
+        if key is not None:
+            self._tensors[key] = t
+        return t
+
+    def combination(self, terms: Sequence[Tuple[Scalar, tuple, tuple]]) -> Optional[Sparse]:
+        """sum of lambda * (u⊗v) over the terms as {flat index: nonzero entry},
+        or None when a term's uv != 0; the terms are read in order, so a term
+        after the first nonzero product is not checked."""
+        try:
+            key = tuple(terms)
+            return self._sums[key]
+        except KeyError:
+            pass
+        except TypeError:
+            key = None
+        f = self.algebra.field
+        acc: Optional[Sparse] = {}
+        for lam, u, v in terms:
+            t = self.tensor(u, v, "term")
+            if t is None:
+                acc = None
+                break
+            for j, a in t.items():
+                acc[j] = f.add(acc.get(j, f.zero), f.mul(lam, a))
+        if acc is not None:
+            acc = {j: a for j, a in acc.items() if a}  # a zero lambda or cancelling terms leave zeros
+        if key is not None:
+            self._sums[key] = acc
+        return acc
+
+
+def verify_certificate(algebra: Algebra, cert: Certificate, memo: Optional[_VerifyMemo] = None) -> bool:
     """Re-check a certificate using only algebra multiplication and arithmetic.
 
     Deliberately independent of the span engine: a third party holding the
@@ -268,11 +338,15 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
     a certificate naming a basis triple is about that triple's defect tensor,
     a refutation of balancedness must name one, a refutation of
     determination must separate a kernel tensor, and a refutation that
-    claims neither proves nothing.
+    claims neither proves nothing.  `memo` holds the pair products and
+    term-list sums that earlier certificates computed; each certificate's
+    claim is still checked on its own.
     """
     f = algebra.field
     d = algebra.dim
     ambient = d * d
+    if memo is None:
+        memo = _VerifyMemo(algebra)
     target = cert.target
     if target is not None and len(target) != ambient:
         raise MalformedCertificate("target has wrong length")
@@ -286,35 +360,32 @@ def verify_certificate(algebra: Algebra, cert: Certificate) -> bool:
     else:
         claimed = _sparse(target, ambient)
     if cert.kind == MEMBERSHIP:
-        acc: Sparse = {}
-        for lam, u, v in cert.terms:
-            if len(u) != d or len(v) != d:
-                raise MalformedCertificate("term vector has wrong length")
-            if not vec_is_zero(algebra.multiply_coords(u, v)):
-                return False
-            for j, a in _tensor(f, d, u, v).items():
-                acc[j] = f.add(acc.get(j, f.zero), f.mul(lam, a))
-        got = {j: a for j, a in acc.items() if a}  # a zero lambda or cancelling terms leave zeros
-        return got == claimed
+        return memo.combination(cert.terms) == claimed
     if cert.kind == SEPARATING:
-        if cert.functional is None or len(cert.functional) != ambient:
+        phi = cert.functional
+        if phi is None or len(phi) != ambient:
             raise MalformedCertificate("separating certificate lacks a functional")
         claim = cert.meta.get("claim")
         if not (claim == "not-zero-product-balanced" and triple is not None
                 or claim == "not-zero-product-determined" and vec_is_zero(_apply_mul(algebra, claimed))):
             return False
-        target = _dense(f, claimed, ambient)
-        if dot(f, cert.functional, target) == 0:
+        if _evaluate(f, phi, claimed) == 0:
             return False
         for u, v in cert.generators:
-            if len(u) != d or len(v) != d:
-                raise MalformedCertificate("generator vector has wrong length")
-            if not vec_is_zero(algebra.multiply_coords(u, v)):
-                return False
-            if dot(f, cert.functional, _dense(f, _tensor(f, d, u, v), ambient)) != 0:
+            t = memo.tensor(u, v, "generator")
+            if t is None or _evaluate(f, phi, t) != 0:
                 return False
         return True
     raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
+
+
+def _evaluate(f: Field, phi: Vector, t: Sparse) -> Scalar:
+    """phi(t) for a tensor t given as {flat index: nonzero entry}."""
+    acc = f.zero
+    for j, a in t.items():
+        if phi[j]:
+            acc = f.add(acc, f.mul(phi[j], a))
+    return acc
 
 
 def verify_file(algebra: Algebra, balanced: str, certs: Sequence[Certificate]) -> Iterator[str]:
@@ -322,11 +393,13 @@ def verify_file(algebra: Algebra, balanced: str, certs: Sequence[Certificate]) -
     `verify_certificate` finds it, then the file's balancedness claim, then
     the whole file.  A NO needs a verified not-zero-product-balanced
     refutation; a YES, or a file with any triple membership, needs one
-    membership of every basis triple."""
+    membership of every basis triple.  One `_VerifyMemo` serves every
+    certificate, so each distinct pair and term list is computed once."""
+    memo = _VerifyMemo(algebra)
     all_ok = True
     refuted = False
     for idx, cert in enumerate(certs):
-        ok = verify_certificate(algebra, cert)
+        ok = verify_certificate(algebra, cert, memo)
         all_ok = all_ok and ok
         refuted = refuted or (ok and cert.kind == SEPARATING
                               and cert.meta.get("claim") == "not-zero-product-balanced")

@@ -3,13 +3,14 @@
 Deliberately reimplemented from scratch: rank via plain forward elimination
 (no reduced echelon machinery), spans via all-pairs enumeration.  These must
 not share code paths with the package so that agreement is evidence.  The
-reference sweeps, the two-step balanced decider and the certificate encoding
-at the end are the exception, explained there: they are the code the package
-replaced, kept to pin down its results.
+reference sweeps, the two-step balanced decider, the certificate encoding and
+the certificate reader at the end are the exception, explained there: they
+are the code the package replaced, kept to pin down its results.
 """
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,7 @@ from multiplier import MultiplierAlgebra
 from references import DenseSpanBuilder, DenseTensorSquare, dense_kernel, operator_matrix
 from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
-from zpbal.errors import BudgetExceeded, SoundnessAlarm
+from zpbal.errors import BudgetExceeded, MalformedCertificate, ParseError, SoundnessAlarm
 from zpbal.linalg import Matrix, SpanBuilder, dot, vec_is_zero
 from zpbal.squarezero import FactorizableWitness
 from zpbal.tensorsquare import (
@@ -91,7 +92,8 @@ def all_elements(algebra):
 
 
 def mult(algebra, u, v):
-    """Product of coordinate tuples straight from the structure constants."""
+    """Product of coordinate tuples straight from the dense structure
+    constants, reduced mod p over F_p and exact over Q."""
     p = algebra.field.characteristic
     d = algebra.dim
     out = [0] * d
@@ -102,8 +104,8 @@ def mult(algebra, u, v):
             if not v[j]:
                 continue
             for k, c in enumerate(algebra.table[i][j]):
-                out[k] = (out[k] + u[i] * v[j] * c) % p
-    return tuple(out)
+                out[k] += u[i] * v[j] * c
+    return tuple(x % p for x in out) if p else tuple(out)
 
 
 def tensor_vec(d, u, v, p):
@@ -468,6 +470,185 @@ def reference_certificate_text(certs, fld, seed: int, label: str = "", *, balanc
     claim, entries = data.pop("balanced"), data.pop("certificates")  # the first keys in sorted order
     lines = ",".join("\n" + encode(entry) for entry in entries)
     return '{"balanced":' + encode(claim) + ',"certificates":[' + lines + "\n]," + encode(data)[1:] + "\n"
+
+# ---------------------------------------------------------------------------
+# Reference reader: the loader and the verifier that check every certificate
+# on its own, before `verify_file` shared one memo of pair products and
+# term-list sums across a file and the loader shared each parsed term.  The
+# reader must print exactly these lines and raise exactly these errors.  It
+# multiplies with `mult`, the dense structure constants.
+# ---------------------------------------------------------------------------
+
+
+def _reference_certificate(data, fld, generators) -> Certificate:
+    if not isinstance(data, dict):
+        raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
+    kind = data.get("kind")
+    if not isinstance(kind, str):
+        raise MalformedCertificate(f"certificate kind must be a string, got {kind!r}")
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise MalformedCertificate(f"meta must be an object, got {meta!r}")
+
+    def listed(value, what):
+        if not isinstance(value, list):
+            raise MalformedCertificate(f"{what} must be a list, got {type(value).__name__}")
+        return value
+
+    def generator(index):
+        if type(index) is not int or not 0 <= index < len(generators):
+            raise MalformedCertificate(f"generator index {index!r} is not below {len(generators)}")
+        return generators[index]
+
+    def term(t):
+        if not isinstance(t, dict) or set(t) != {"generator", "lambda"}:
+            raise MalformedCertificate(f"term must be {{generator, lambda}}, got {t!r}")
+        return (fld.parse(t["lambda"]), *generator(t["generator"]))
+
+    return Certificate(
+        kind=kind,
+        target=fld.parse_vector(listed(data["target"], "target")) if "target" in data else None,
+        terms=[term(t) for t in listed(data.get("terms", []), "terms")],
+        functional=fld.parse_vector(listed(data["functional"], "functional")) if "functional" in data else None,
+        generators=[generator(g) for g in listed(data.get("generators", []), "generators")],
+        meta=meta,
+    )
+
+
+def reference_certificates_from_dict(data, fld):
+    """`serialize.certificates_from_dict`, each certificate parsed on its own."""
+    if not isinstance(data, dict):
+        raise ParseError(f"certificate file must hold an object, got {type(data).__name__}")
+    try:
+        field_name, label, seed = data["field"], data["label"], data["seed"]
+        convention, table, entries = data["convention"], data["generators"], data["certificates"]
+        balanced = data["balanced"]
+    except KeyError as exc:
+        raise ParseError(f"certificate file missing field: {exc}") from exc
+    if balanced not in (YES, NO, UNKNOWN):
+        raise ParseError(f"balanced must be \"YES\", \"NO\" or \"UNKNOWN\", got {balanced!r}")
+    if field_name != fld.name:
+        raise ParseError(f"certificates are over {field_name!r}, the algebra over {fld.name}")
+    if not isinstance(label, str) or not (isinstance(seed, int) and not isinstance(seed, bool)):
+        raise ParseError(f"label must be a string and seed an integer, got {label!r}, {seed!r}")
+    if convention != TENSOR_CONVENTION:
+        raise ParseError(f"unknown tensor convention {convention!r}")
+    if not isinstance(table, list) or not isinstance(entries, list):
+        raise ParseError("generators and certificates must be lists")
+    generators = []
+    for g in table:
+        if not (isinstance(g, dict) and set(g) == {"u", "v"} and isinstance(g["u"], list)):
+            raise MalformedCertificate(f"generator must be {{u: [scalars], v: [scalars]}}, got {g!r}")
+        d = len(generators[0][0]) if generators else len(g["u"])
+        pair = []
+        for what, coords in (("generator u", g["u"]), ("generator v", g["v"])):
+            if not isinstance(coords, list) or len(coords) != d:
+                raise ParseError(f"{what} must be a list of {d} scalars, got {coords!r}")
+            pair.append(tuple(fld.parse_vector(coords)))
+        generators.append(tuple(pair))
+    return balanced, [_reference_certificate(c, fld, generators) for c in entries]
+
+
+def _dense_tensor(f, d, u, v):
+    return [f.mul(u[i], v[j]) for i in range(d) for j in range(d)]
+
+
+def _dense_defect(algebra, i, j, k):
+    """(e_i e_j)⊗e_k - e_i⊗(e_j e_k), dense."""
+    f = algebra.field
+    d = algebra.dim
+    out = [f.zero] * (d * d)
+    for s, c in enumerate(algebra.table[i][j]):
+        out[s * d + k] = f.add(out[s * d + k], c)
+    for t, c in enumerate(algebra.table[j][k]):
+        out[i * d + t] = f.sub(out[i * d + t], c)
+    return out
+
+
+def _reference_triple(meta, d):
+    if "triple" not in meta:
+        return None
+    triple = meta["triple"]
+    if not (isinstance(triple, (list, tuple)) and len(triple) == 3
+            and all(type(i) is int and 0 <= i < d for i in triple)):
+        raise MalformedCertificate(f"triple {triple!r} is not three basis indices below {d}")
+    return tuple(triple)
+
+
+def reference_verify_certificate(algebra, cert) -> bool:
+    """`tensorsquare.verify_certificate` on one certificate, dense throughout."""
+    f = algebra.field
+    d = algebra.dim
+    ambient = d * d
+    target = cert.target
+    if target is not None and len(target) != ambient:
+        raise MalformedCertificate("target has wrong length")
+    triple = _reference_triple(cert.meta, d)
+    if triple is not None:
+        claimed = _dense_defect(algebra, *triple)
+        if target is not None and list(target) != claimed:
+            return False
+    elif target is None:
+        raise MalformedCertificate("certificate has neither a target nor a triple")
+    else:
+        claimed = list(target)
+    if cert.kind == MEMBERSHIP:
+        acc = [f.zero] * ambient
+        for lam, u, v in cert.terms:
+            if len(u) != d or len(v) != d:
+                raise MalformedCertificate("term vector has wrong length")
+            if not vec_is_zero(mult(algebra, u, v)):
+                return False
+            acc = [f.add(a, f.mul(lam, b)) for a, b in zip(acc, _dense_tensor(f, d, u, v))]
+        return acc == claimed
+    if cert.kind == SEPARATING:
+        if cert.functional is None or len(cert.functional) != ambient:
+            raise MalformedCertificate("separating certificate lacks a functional")
+        claim = cert.meta.get("claim")
+        image = [f.zero] * d  # μ(claimed)
+        for ij, a in enumerate(claimed):
+            for k, c in enumerate(algebra.table[ij // d][ij % d]):
+                image[k] = f.add(image[k], f.mul(a, c))
+        if not (claim == "not-zero-product-balanced" and triple is not None
+                or claim == "not-zero-product-determined" and vec_is_zero(image)):
+            return False
+        if dot(f, cert.functional, claimed) == 0:
+            return False
+        for u, v in cert.generators:
+            if len(u) != d or len(v) != d:
+                raise MalformedCertificate("generator vector has wrong length")
+            if not vec_is_zero(mult(algebra, u, v)):
+                return False
+            if dot(f, cert.functional, _dense_tensor(f, d, u, v)) != 0:
+                return False
+        return True
+    raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
+
+
+def reference_verify_file(algebra, balanced, certs):
+    """The lines of `tensorsquare.verify_file`, each certificate verified on its own."""
+    all_ok = True
+    refuted = False
+    for idx, cert in enumerate(certs):
+        ok = reference_verify_certificate(algebra, cert)
+        all_ok = all_ok and ok
+        refuted = refuted or (ok and cert.kind == SEPARATING
+                              and cert.meta.get("claim") == "not-zero-product-balanced")
+        yield f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}"
+    triples = Counter(tuple(c.meta["triple"]) for c in certs if c.kind == MEMBERSHIP and "triple" in c.meta)
+    if balanced == NO and not refuted:
+        all_ok = False
+        yield "balanced NO: false (no verified not-zero-product-balanced certificate)"
+    if balanced == YES or triples:
+        n = algebra.dim ** 3
+        missing = n - len(triples)
+        repeated = sum(k - 1 for k in triples.values())
+        covered = missing == 0 and repeated == 0
+        all_ok = all_ok and covered
+        yield (f"triple coverage: {'true' if covered else 'false'} "
+               f"({missing} of {n} triples missing, {repeated} repeated)")
+    yield f"all certificates: {'true' if all_ok else 'false'}"
+
 
 # ---------------------------------------------------------------------------
 # Reference sweeps of commutative structure: the element loops that the

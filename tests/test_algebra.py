@@ -22,6 +22,7 @@ from zpbal.constructions import (
     tensor_product,
     zero_algebra,
 )
+from oracles import mult, random_change_of_basis
 from references import (
     SHAPES,
     dense_associativity_failure,
@@ -260,6 +261,24 @@ def test_associativity_on_random_elements():
                 return alg.element([rng.randrange(f.characteristic) for _ in range(alg.dim)])
             a, b, c = rand(), rand(), rand()
             assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_multiply_coords_matches_the_dense_structure_constants(field):
+    """multiply_coords walks only the nonzero structure constants; the oracle
+    reads every one.  A random change of basis makes the constants dense, and
+    over Q fractional."""
+    rng = random.Random(26)
+    for trial in range(12):
+        alg = random_change_of_basis(random_algebra(trial, field, rng.choice(SHAPES)), rng)
+
+        def scalar():
+            a = field.of_int(rng.randint(-2, 2))
+            return field.mul(a, field.inv(field.of_int(rng.randint(1, 3)))) if field is QQ else a
+
+        for _ in range(10):
+            u, v = ([scalar() for _ in range(alg.dim)] for _ in range(2))
+            assert tuple(alg.multiply_coords(u, v)) == mult(alg, u, v)
 
 
 def test_multiplication_matrices_match_products():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from references import DenseTensorSquare, one_dimension_short
-from zpbal import linmaps, serialize, squarezero
+from zpbal import cli, linmaps, serialize, squarezero
 from zpbal.constructions import direct_sum, function_algebra, matrix_algebra, nilpotent_algebra, poly_quotient_algebra
 from zpbal.cli import main
 from zpbal.errors import NotSemimultiplicative, SoundnessAlarm
@@ -130,6 +131,37 @@ def test_verify_prints_the_lines_before_a_malformed_certificate(tmp_path, capsys
     code, out, err = run_cli(capsys, "verify", "bad.json", "m2.json")
     assert code == 1 and err.startswith("error: triple [0, 0, 9]")
     assert out == "".join(f"certificate {n} (membership-decomposition): true\n" for n in range(3))
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_verify_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting):
+    """verify pauses the cyclic collector over load and verify, and restores
+    its state after a good file and after a malformed one."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
+    run_cli(capsys, "check", "m2.json", "--out", "certs.json")
+    with open("certs.json") as fh:
+        data = json.load(fh)
+    data["certificates"][3]["meta"]["triple"] = [0, 0, 9]
+    with open("bad.json", "w") as fh:
+        json.dump(data, fh)
+    seen = []
+    real_verify_file = cli.verify_file
+    monkeypatch.setattr(cli, "verify_file", lambda *a: seen.append(gc.isenabled()) or real_verify_file(*a))
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert run_cli(capsys, "verify", "certs.json", "m2.json")[0] == 0
+        assert gc.isenabled() is collecting
+        assert run_cli(capsys, "verify", "bad.json", "m2.json")[0] == 1
+        assert gc.isenabled() is collecting
+        with open("broken.json", "w") as fh:
+            fh.write("{")
+        assert run_cli(capsys, "verify", "broken.json", "m2.json")[0] == 1
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_verify_exits_1_on_the_retired_not_verified_kind(tmp_path, capsys, monkeypatch):
@@ -611,6 +643,15 @@ def test_fn2_decides_balancedness_only_for_unequal_exact_spans(tmp_path, capsys,
         assert "equal: false" in out
 
 
+def test_structure_reads_an_empty_element_of_a_zero_dimensional_algebra(tmp_path, capsys, monkeypatch):
+    """The one vector of dimension 0 is written as the empty text."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "example", "zero", "--n", "0", "--out", "zero.json")
+    code, out, err = run_cli(capsys, "structure", "zero.json", "--element=")
+    assert (code, err) == (0, "")
+    assert "decompositions: [{element: [], nil_part: [], terms: []}]" in out
+
+
 @pytest.mark.parametrize("example, elements, message", [
     (KXN3Q, ["a,0,0"], "--element 'a,0,0': invalid rational scalar 'a'"),
     (KXN3Q, ["1,0,0", "a,0,0"], "--element 'a,0,0': invalid rational scalar 'a'"),
@@ -618,9 +659,10 @@ def test_fn2_decides_balancedness_only_for_unequal_exact_spans(tmp_path, capsys,
     (KXN3Q, ["1,1"], "--element '1,1': expected 3 comma-separated coordinates, got 2"),
     (KXN3F2, ["1,1,0,0"], "expected 3 comma-separated coordinates, got 4"),
     (KXN3F2, ["1,x,0"], "--element '1,x,0': invalid residue 'x' for F2"),
+    (KXN3F2, [""], "--element '': expected 3 comma-separated coordinates, got 0"),
     (M2F2, ["zz"], "--element 'zz': expected 4 comma-separated coordinates, got 1"),
     (M2F2, ["1,0,0,z"], "invalid residue 'z' for F2"),
-], ids=["letter-Q", "after-a-valid-one", "zero-denominator-Q", "too-few", "too-many", "letter-F2",
+], ids=["letter-Q", "after-a-valid-one", "zero-denominator-Q", "too-few", "too-many", "letter-F2", "empty",
         "noncommutative-too-few", "noncommutative-letter"])
 def test_structure_rejects_a_malformed_element(tmp_path, capsys, monkeypatch, example, elements, message):
     """Every --element is parsed against the field and the dimension before
