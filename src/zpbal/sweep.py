@@ -33,6 +33,23 @@ or from the same generators as a sweep over every element.  The
 factorizable span is that span's image under a⊗b -> ba, so the same right
 blocks fill it too.
 
+On a nilpotent algebra most of those points are not visited.  If A^n = 0
+then every a in A has a^n = 0, so 1 + a is a unit of the unitization
+F·1 ⊕ A, with inverse 1 - a + a² - … ± a^(n-1), and so is c(1 + a) for
+every scalar c ≠ 0.  Hence (c(1 + a)u)w = c(1 + a)(uw) is zero exactly when
+uw is, and adding k in K = LAnn(A) changes no product, so ker L_u is the
+same for every element of c(u + Au) + K.  That set is u's orbit in A/K under
+the group of the units c(1 + a), which acts on A/K because K is a left
+ideal: (ak)A = a(kA) = 0.  On the left the units act as u -> c(u + ua) and
+K = RAnn(A) is a right ideal.  So once u is visited, `AnnihilatorSweep.orbit`
+lists the projective points of its orbit that are zero at K's pivots, and
+`exhaustive_blocks` passes over them: their key is u's key, already in the
+memo, so a visit would hand out nothing, and the blocks, their order and
+everything built from them are those of a visit to every point.  Orbits
+partition the points, so every point is listed at most once.
+`is_nilpotent` decides which case holds; an algebra that is not nilpotent,
+such as a unital one, has every point visited.
+
 `sweep_blocks` is the one place that chooses between that exhaustive route
 and a lower bound.  Beyond `--cap` it visits the structured elements (basis
 vectors, e_i ± e_j, the registered idempotents and their pairwise sums and
@@ -56,6 +73,7 @@ structured phase leaves.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Callable, Iterator, List, Sequence, Set, Tuple
 
 from zpbal.algebra import Algebra
@@ -129,29 +147,90 @@ class AnnihilatorSweep:
             return [(x, w) for x in map(tuple, closure) for w in ws]
         return [(w, x) for x in map(tuple, closure) for w in ws]
 
+    def orbit(self, u: Sequence[Scalar], kernel: SpanBuilder) -> Iterator[Tuple[Scalar, ...]]:
+        """Over F_p, on a nilpotent algebra: the projective points zero at
+        K's pivots, K = `kernel`, in the orbit c(u + au) + K of u (c(u + ua)
+        + K on the left), for u such a point itself.  Each has u's annihilator.
+        Modulo K, u + Au is u + V with V zero at K's pivots; each of its
+        p^dim(V) points is the last one plus a basis vector of V, the one a
+        p-ary Gray code steps, and is then scaled to a leading 1."""
+        f, d = self.field, self.dim
+        mul = self.algebra.multiply_coords
+        moved = (mul(a, u) if self.side == RIGHT else mul(u, a) for a in _unit_vectors(f, d))
+        steps = SpanBuilder(f, d, map(kernel.residual, moved)).basis
+        p = f.characteristic  # the scalars are residues mod p
+        point = list(u)
+        yield tuple(point)
+        for n in range(1, p ** len(steps)):
+            j = 0  # the p-adic valuation of n: the digit the Gray code steps by one
+            while n % p == 0:
+                n //= p
+                j += 1
+            point = [(a + b) % p for a, b in zip(point, steps[j])]
+            lead = next(filter(None, point))
+            if lead == 1:
+                yield tuple(point)
+            else:
+                scale = f.inv(lead)
+                yield tuple(scale * a % p for a in point)
+
     def exhaustive_blocks(self) -> Iterator[Block]:
         """K's block for W = A, then the block of each new annihilator met
-        on the projective points that are zero at K's pivot columns."""
+        on the projective points that are zero at K's pivot columns.  On a
+        nilpotent algebra a point in the orbit of a point visited before is
+        passed over: its annihilator, hence its key, is already known."""
         f = self.field
-        whole = [[f.one if t == i else f.zero for t in range(self.dim)] for i in range(self.dim)]
+        whole = _unit_vectors(f, self.dim)
         kernel = self._closure(whole)
         self._keys.add(())  # op_u = 0 exactly on K
         yield kernel, whole
         pivots = [next(j for j, c in enumerate(k) if c) for k in kernel]
-        for u in projective_points(self.algebra, pivots):
+        points = projective_points(self.algebra, pivots)
+        if is_nilpotent(self.algebra):
+            points = self._orbit_representatives(points, SpanBuilder(f, self.dim, kernel))
+        for u in points:
             block = self.visit(u)
             if block[1]:
                 yield block
+
+    def _orbit_representatives(self, points: Iterator[Tuple[Scalar, ...]],
+                               kernel: SpanBuilder) -> Iterator[Tuple[Scalar, ...]]:
+        """The points of `points` that lie in no orbit of a point yielded before."""
+        met: Set[Tuple[Scalar, ...]] = set()
+        for u in points:
+            if u not in met:
+                yield u
+                met.update(self.orbit(u, kernel))
+
+
+def is_nilpotent(algebra: Algebra) -> bool:
+    """Whether A^n = 0 for some n, by the chain A ⊇ A² ⊇ A⁴ ⊇ …: A^(2k) is
+    spanned by the products xy with x, y in a basis of A^k.  The chain ends
+    at 0 or at the first A^(2k) = A^k, which is then every A^(2^m k), and
+    it stops at once when A² = A."""
+    f, d = algebra.field, algebra.dim
+    power = SpanBuilder(f, d, (v for row in algebra.table for v in row))  # A²
+    size = d
+    while 0 < power.dim < size:
+        size = power.dim
+        basis = power.basis
+        power = SpanBuilder(f, d, (algebra.multiply_coords(x, y) for x in basis for y in basis))
+    return not power.dim
+
+
+def _unit_vectors(field: Field, dim: int) -> List[List[Scalar]]:
+    return [[field.one if t == i else field.zero for t in range(dim)] for i in range(dim)]
 
 
 def projective_points(algebra: Algebra, zero_at: Sequence[int] = ()) -> Iterator[Tuple[Scalar, ...]]:
     """The tuples of `Algebra.coord_tuples()` that are zero at every index in
     `zero_at` and whose first nonzero coordinate is 1."""
     one = algebra.field.one
+    # u[:0] = () when there is no index to test; either way zeros is `at` of the zero tuple
+    at = itemgetter(*zero_at) if zero_at else itemgetter(slice(0))
+    zeros = at((algebra.field.zero,) * algebra.dim)
     for u in algebra.coord_tuples():
-        if any(u[p] for p in zero_at):
-            continue
-        if next((c for c in u if c != 0), None) == one:
+        if at(u) == zeros and next(filter(None, u), None) == one:
             yield u
 
 
@@ -160,7 +239,7 @@ def structured_elements(algebra: Algebra) -> List[List[Scalar]]:
     registered idempotents and their pairwise sums and differences."""
     f = algebra.field
     d = algebra.dim
-    out: List[List[Scalar]] = [[f.one if t == i else f.zero for t in range(d)] for i in range(d)]
+    out = _unit_vectors(f, d)
     for i in range(d):
         for j in range(i + 1, d):
             v = [f.zero] * d

@@ -2,7 +2,8 @@
 
 The reference loops in oracles.py visit every element and offer u⊗w one
 element at a time; the sweep offers closed annihilator blocks and visits one
-projective point per coset of K = {u : op_u = 0}.  The two emit different
+projective point per coset of K = {u : op_u = 0}, or on a nilpotent algebra
+one per orbit of u -> c(u + au) on those points.  The two emit different
 generators in a different order, so they are held to the same span (equal
 RREF rows), to re-verified generators and witnesses, one per span
 dimension, and to certificates that still verify.
@@ -18,7 +19,9 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    all_elements,
     brute_span_dim_zero_products,
+    mult,
     random_change_of_basis,
     reference_factorizable_span,
     reference_zero_product_span,
@@ -26,14 +29,15 @@ from oracles import (
 from references import SHAPES, dense_kernel, operator_matrix, random_algebra, rref
 from zpbal.algebra import Algebra
 from zpbal.constructions import (direct_sum, function_algebra, matrix_algebra, nilpotent_algebra,
-                                 poly_quotient_algebra, tensor_product)
+                                 poly_quotient_algebra, scalar_algebra, tensor_product)
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
 from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
 from zpbal.linalg import Matrix, SpanBuilder, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
-from zpbal.sweep import EXACT, LEFT, LOWER_BOUND, RIGHT, AnnihilatorSweep, sweep_blocks
+from zpbal.sweep import (EXACT, LEFT, LOWER_BOUND, RIGHT, AnnihilatorSweep, is_nilpotent,
+                         projective_points, sweep_blocks)
 from zpbal.tensorsquare import (
     compute_zero_product_span,
     is_zero_product_balanced,
@@ -227,13 +231,52 @@ def test_memo_keys_count_the_distinct_reference_kernels(alg, side):
     assert sweep.distinct_annihilators == len(kernels) > 1
 
 
+def _brute_is_nilpotent(alg):
+    """A^(d+1) = 0: d rounds of A^(k+1) = span{x e_j : x in A^k}, from the
+    dense structure constants, with no early exit."""
+    f, d = alg.field, alg.dim
+    units = [[f.one if t == j else f.zero for t in range(d)] for j in range(d)]
+    power = units
+    for _ in range(d):
+        power = rref([mult(alg, x, e) for x in power for e in units], f, d)[0]
+    return not power
+
+
+def _class_point(alg, kernel, v):
+    """The point of v's class modulo K (RREF rows `kernel`) that is zero at
+    K's pivots, scaled to a leading 1; None for v in K."""
+    p = alg.field.characteristic
+    v = list(v)
+    for k in kernel:
+        c = v[k.index(1)]
+        v = [(a - c * b) % p for a, b in zip(v, k)]
+    lead = next((a for a in v if a), None)
+    return None if lead is None else tuple(a * pow(lead, p - 2, p) % p for a in v)
+
+
+def _brute_orbit_count(alg, side, kernel):
+    """Orbits of u -> c(u + au) (c(u + ua) on the left) on the projective
+    points of A/K, over every c != 0 and every a."""
+    p = alg.field.characteristic
+    elements = list(all_elements(alg))
+    points = {_class_point(alg, kernel, u) for u in elements} - {None}
+    orbits = set()
+    for u in points:
+        moved = [mult(alg, a, u) if side == RIGHT else mult(alg, u, a) for a in elements]
+        orbits.add(frozenset(_class_point(alg, kernel, [c * (x + y) % p for x, y in zip(u, m)])
+                             for m in moved for c in range(1, p)))
+    return len(orbits)
+
+
 @pytest.mark.parametrize("side", [RIGHT, LEFT])
 @pytest.mark.parametrize("make", list(ONE_SIDED.values()) + [
     lambda: nilpotent_algebra(F2, 6), lambda: nilpotent_algebra(F3, 5)],
     ids=list(ONE_SIDED) + ["N6/F2", "N5/F3"])
 def test_exhaustive_blocks_visit_one_projective_point_per_coset(make, side):
     """K = {u : op_u = 0} comes first, as the closure of the whole algebra;
-    then only the (p^(d-k) - 1)/(p - 1) projective points of A/K are visited."""
+    then the (p^(d-k) - 1)/(p - 1) projective points of A/K are visited, or
+    on a nilpotent algebra one per orbit of u -> c(u + au) (c(u + ua) on
+    the left) on them, the orbits counted here by brute force."""
     alg = make()
     p, d = alg.field.characteristic, alg.dim
     sweep = AnnihilatorSweep(alg, side)
@@ -241,7 +284,106 @@ def test_exhaustive_blocks_visit_one_projective_point_per_coset(make, side):
     kernel, whole = blocks[0]
     assert whole == [[int(i == j) for j in range(d)] for i in range(d)]
     assert kernel == _stacked_kernel(alg, whole, side == LEFT)
-    assert sweep.visited == (p ** (d - len(kernel)) - 1) // (p - 1)
+    cosets = (p ** (d - len(kernel)) - 1) // (p - 1)
+    if _brute_is_nilpotent(alg):
+        assert sweep.visited == _brute_orbit_count(alg, side, kernel) < cosets
+    else:
+        assert sweep.visited == cosets
+
+
+class _RecordingSweep(AnnihilatorSweep):
+    """An annihilator sweep that records the points it visits."""
+
+    def __init__(self, algebra, side):
+        super().__init__(algebra, side)
+        self.points = []
+
+    def visit(self, u):
+        self.points.append(tuple(u))
+        return super().visit(u)
+
+
+def _n4_plus_f2(field):
+    return direct_sum(nilpotent_algebra(field, 4), scalar_algebra(field))
+
+
+def strictly_upper(field, n):
+    """Strictly upper triangular n × n matrices, e_ij e_jk = e_ik: nilpotent
+    and noncommutative, with A² ≠ LAnn(A), so that u + Au and u + uA differ
+    modulo LAnn(A)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: t for t, pair in enumerate(pairs)}
+    table = [[[field.zero] * len(pairs) for _ in pairs] for _ in pairs]
+    for i, j in pairs:
+        for k, l in pairs:
+            if j == k:
+                table[index[i, j]][index[k, l]][index[i, l]] = field.one
+    return Algebra(field, [f"e{i + 1}{j + 1}" for i, j in pairs], table)
+
+
+SKIP_INPUTS = {
+    "N7/F2": lambda: nilpotent_algebra(F2, 7),
+    "N6/F3": lambda: nilpotent_algebra(F3, 6),
+    "M2⊗N3/F2": lambda: tensor_product(matrix_algebra(F2, 2), nilpotent_algebra(F2, 3)),
+    "M2⊗N3/F3": lambda: tensor_product(matrix_algebra(F3, 2), nilpotent_algebra(F3, 3)),
+    "N4⊕N5/F2": lambda: direct_sum(nilpotent_algebra(F2, 4), nilpotent_algebra(F2, 5)),
+    "N4⊕N5/F3": lambda: direct_sum(nilpotent_algebra(F3, 4), nilpotent_algebra(F3, 5)),
+    "UT4/F2": lambda: strictly_upper(F2, 4),
+    "UT4/F3": lambda: strictly_upper(F3, 4),
+    "N4⊕F2/F2": lambda: _n4_plus_f2(F2),
+    "M2/F3": lambda: matrix_algebra(F3, 2),
+    **ONE_SIDED,
+}
+
+
+NILPOTENCY_INPUTS = ([(e.name, lambda e=e: e.algebra) for e in FINITE_CORPUS]
+                     + [(f"{shape}/{name}/{seed}", lambda seed=seed, field=field, shape=shape:
+                         random_algebra(seed, field, shape))
+                        for name, field in (("F2", F2), ("F3", F3)) for shape in SHAPES for seed in range(3)]
+                     + list(SKIP_INPUTS.items()))
+
+
+@pytest.mark.parametrize("make", [m for _, m in NILPOTENCY_INPUTS], ids=[n for n, _ in NILPOTENCY_INPUTS])
+def test_nilpotency_decision_matches_brute_force(make):
+    """The chain that stops at A^(k+1) = A^k decides nilpotency as A^(d+1) = 0
+    does, in the algebra's own basis and in a random one."""
+    alg = make()
+    for a in (alg, random_change_of_basis(alg, random.Random(3))):
+        assert is_nilpotent(a) == _brute_is_nilpotent(alg)
+
+
+def test_nilpotency_inputs_hold_both_answers():
+    answers = [_brute_is_nilpotent(make()) for _, make in NILPOTENCY_INPUTS]
+    assert answers.count(True) >= 5 and answers.count(False) >= 5
+
+
+@pytest.mark.parametrize("make", list(SKIP_INPUTS.values()), ids=list(SKIP_INPUTS))
+def test_points_the_exhaustive_sweep_skips_share_a_visited_points_annihilator(make):
+    """On both sides, in the algebra's own basis and in two random ones:
+    every projective point of A/K that the sweep passes over has the
+    reference kernel of a point it visited, so the memo still meets every
+    distinct kernel; the sweep passes over no point of an algebra that is
+    not nilpotent; and the spans and certificates still match the
+    per-element reference."""
+    alg = make()
+    rng = random.Random(alg.dim)
+    nilpotent = _brute_is_nilpotent(alg)
+    for a in (alg, random_change_of_basis(alg, rng), random_change_of_basis(alg, rng)):
+        for side in (RIGHT, LEFT):
+            sweep = _RecordingSweep(a, side)
+            kernel = list(sweep.exhaustive_blocks())[0][0]
+            pivots = [k.index(1) for k in kernel]
+
+            def reference(u):
+                return tuple(map(tuple, dense_kernel(operator_matrix(a, u, side == RIGHT))))
+
+            visited = set(sweep.points)
+            skipped = [u for u in projective_points(a, pivots) if u not in visited]
+            kernels = {reference(u) for u in visited}
+            assert {reference(u) for u in skipped} <= kernels
+            assert sweep.distinct_annihilators == len(kernels) + 1  # and K's key ()
+            assert nilpotent or not skipped
+        assert_same_as_reference(a, DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("make, k_dims", [
