@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from zpbal.errors import InfiniteFieldError, NotAssociative, NotIdempotent, ParentMismatch
 from zpbal.fields import Field, Scalar
-from zpbal.linalg import Matrix, Row, Sparse, SpanBuilder, Vector, _dense, vec_is_zero
+from zpbal.linalg import Matrix, Row, Sparse, SpanBuilder, Vector, _dense
 
 
 class Predicates(NamedTuple):
@@ -180,34 +180,43 @@ class Algebra:
     # -- predicates ---------------------------------------------------------
 
     def predicates(self) -> Predicates:
+        """From the nonzero structure constants: a unit solves u e_j = e_j =
+        e_j u, with rows (j, k) of u -> (u e_j)_k and of u -> (e_j u)_k, and
+        is unique when it exists; A is faithful when each of those two row
+        sets has rank d, and idempotent when A² = A."""
         if self._predicates is not None:
             return self._predicates
-        f = self.field
-        d = self.dim
+        f, d, nz = self.field, self.dim, self._nonzero
         commutative = all(
             self.table[i][j] == self.table[j][i] for i in range(d) for j in range(i + 1, d)
         )
-        zero_mult = all(vec_is_zero(self.table[i][j]) for i in range(d) for j in range(d))
-        idempotent = SpanBuilder(f, d, (v for row in self.table for v in row)).dim == d
-
-        # rows (j, k) of u -> (u e_j)_k and of u -> (e_j u)_k
-        lmap_rows = [[self.table[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]
-        rmap_rows = [[self.table[j][i][k] for i in range(d)] for j in range(d) for k in range(d)]
-        delta = [f.one if j == k else f.zero for j in range(d) for k in range(d)]
-        # a unit solves u e_j = e_j = e_j u, and a two-sided unit is unique
-        unit = Matrix(f, lmap_rows + rmap_rows, cols=d).solve(delta + delta) if d > 0 else None
-        unital = unit is not None
-        # faithful: no nonzero one-sided annihilator of the whole algebra
-        faithful = (Matrix(f, lmap_rows, cols=d).rank() == d
-                    and Matrix(f, rmap_rows, cols=d).rank() == d)
+        idempotent = SpanBuilder(f, d, (dict(v) for row in nz for v in row if v)).dim == d
+        lrows: Dict[Tuple[int, int], Sparse] = {}  # (j, k) -> {i: (e_i e_j)_k}
+        rrows: Dict[Tuple[int, int], Sparse] = {}  # (j, k) -> {i: (e_j e_i)_k}
+        for i in range(d):
+            for j in range(d):
+                for k, c in nz[i][j]:
+                    lrows.setdefault((j, k), {})[i] = c
+                    rrows.setdefault((i, k), {})[j] = c
+        faithful = SpanBuilder(f, d, lrows.values()).dim == d == SpanBuilder(f, d, rrows.values()).dim
+        # each row with its right-hand side, 1 for k = j and 0 otherwise, at column d
+        system = SpanBuilder(f, d + 1, (row for rows in (lrows, rrows) for (j, k), row in rows.items() if j != k))
+        for rows in (lrows, rrows):
+            for j in range(d):
+                system.add({**rows.get((j, j), {}), d: f.one})
+        unit = None
+        if d and d not in system.pivots:  # consistent: the free coordinates are 0
+            unit = [f.zero] * d
+            for p, row in zip(system.pivots, system.basis):
+                unit[p] = row[d]
 
         self._predicates = Predicates(
-            is_unital=unital,
+            is_unital=unit is not None,
             unit=tuple(unit) if unit is not None else None,
             is_commutative=commutative,
             is_idempotent=idempotent,
             is_faithful=faithful,
-            has_zero_multiplication=zero_mult,
+            has_zero_multiplication=not any(map(any, nz)),
         )
         return self._predicates
 

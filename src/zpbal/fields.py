@@ -154,6 +154,8 @@ class PrimeField(Field):
     def parse_vector(self, values):
         p = self.p
         if set(map(type, values)) <= {int}:  # every entry an int: no bool, float or string
+            if all(0 <= a < p for a in set(values)):  # residues already: a C-level copy
+                return list(values)
             return [a % p for a in values]
         return [self.parse(a) for a in values]
 

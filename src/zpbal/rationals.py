@@ -9,13 +9,16 @@ representation never shows in a verdict, a report or a file.
 
 Kept out of `zpbal.fields` so that a process over a prime field never imports
 `fractions` (and with it `decimal` and `numbers`); `field_from_name("Q")`
-imports this module.
+imports this module.  This module imports `fractions` itself only when `inv`
+or `parse` first builds a non-integral rational: a plain ASCII integer token,
+at most a leading "-" and digits, parses with `int`, so a process whose
+scalars all stay integral never loads it.  Every other token still goes
+through `Fraction`, which decides what is valid.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from zpbal.errors import InfiniteFieldError, ParseError
 from zpbal.fields import Field
@@ -28,6 +31,16 @@ def _max_digits() -> int:
 
 _TOKENS: dict = {}  # valid str or int token -> its normal form, for `Rationals.parse`
 _TOKEN_LIMIT = 4096  # emptied at this size, so a long-lived process cannot grow it without bound
+
+
+def _fraction(*args):
+    """`fractions.Fraction(*args)`.  The first call imports the module and
+    rebinds this name to the class, so later calls cost no import."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(*args)
 
 
 def _normal(r):
@@ -59,8 +72,8 @@ class Rationals(Field):
         if not a:
             raise ZeroDivisionError("inverse of zero in Q")
         if type(a) is int:
-            return a if abs(a) == 1 else Fraction(1, a)
-        return _normal(Fraction(a.denominator, a.numerator))
+            return a if abs(a) == 1 else _fraction(1, a)
+        return _normal(_fraction(a.denominator, a.numerator))
 
     def of_int(self, n):
         return n
@@ -85,7 +98,12 @@ class Rationals(Field):
             if abs(exponent) + len(text) > limit:
                 raise ParseError(f"rational scalar {text[:40]!r} expands to more than {limit} digits")
         try:
-            x = _normal(Fraction(text))
+            if type(text) is int:
+                x = text
+            elif text.isascii() and (text[1:] if text[:1] == "-" else text).isdigit():
+                x = int(text)
+            else:
+                x = _normal(_fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid rational scalar {text!r}") from exc
         if len(_TOKENS) >= _TOKEN_LIMIT:

@@ -44,8 +44,10 @@ line, and `save_certificates` is their one writer.  It builds each line as
 text straight from the `Certificate`, with no intermediate dict: a per-file
 token table formats and encodes each distinct scalar once, so a dense target
 of d*d scalars is a single join, and each line goes to the file as soon as it
-is built.  `tests/oracles.py` keeps the dict form and the `sort_keys` encoder
-it replaced, and the tests hold the writer to their bytes.
+is built.  The certificate of a zero defect, whose terms are
+`tensorsquare.NO_TERMS`, is a fixed template around its meta.
+`tests/oracles.py` keeps the dict form and the `sort_keys` encoder it
+replaced, and the tests hold the writer to their bytes.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from zpbal.algebra import Algebra
 from zpbal.errors import MalformedCertificate, NotAssociative, NotIdempotent, ParseError
 from zpbal.fields import Field, field_from_name
 from zpbal.linalg import Matrix, vec_is_zero
-from zpbal.tensorsquare import MEMBERSHIP, NO, SEPARATING, TENSOR_CONVENTION, UNKNOWN, YES, Certificate
+from zpbal.tensorsquare import (MEMBERSHIP, NO, NO_TERMS, SEPARATING, TENSOR_CONVENTION, UNKNOWN, YES,
+                                Certificate)
 
 if TYPE_CHECKING:
     from zpbal.linmaps import AlgMap
@@ -218,6 +221,11 @@ def _meta_text(meta: Dict, encode: Callable[[object], str]) -> str:
     return encode(meta)
 
 
+# how the line of a certificate of a zero defect begins: a membership with
+# meta, no target and the terms `NO_TERMS`
+_ZERO_DEFECT = '{"kind":"membership-decomposition","meta":'
+
+
 def _certificate_line(cert: Certificate, tokens: _Tokens, index: Callable[[tuple, tuple], int]) -> str:
     """One certificate as a JSON object with sorted keys; a zero-product pair
     becomes its index in the file's generator table."""
@@ -253,7 +261,11 @@ def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str
     with open(path, "w") as fh:
         fh.write('{"balanced":' + encode(balanced) + ',"certificates":[')
         for n, cert in enumerate(certs):
-            fh.write(("," if n else "") + "\n" + _certificate_line(cert, tokens, index))
+            if cert.terms is NO_TERMS and cert.target is None and cert.kind == MEMBERSHIP and cert.meta:
+                line = _ZERO_DEFECT + _meta_text(cert.meta, encode) + ',"terms":[]}'
+            else:
+                line = _certificate_line(cert, tokens, index)
+            fh.write(("," if n else "") + "\n" + line)
         generators = ",".join(['{"u":[' + tokens.vector(u) + '],"v":[' + tokens.vector(v) + "]}"
                                for u, v in table])
         fh.write('\n],"convention":' + encode(TENSOR_CONVENTION) + ',"field":' + encode(fld.name)

@@ -176,6 +176,10 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
 
 MEMBERSHIP = "membership-decomposition"
 SEPARATING = "separating-functional"
+# The terms of each membership certificate `is_zero_product_balanced` gives a
+# zero defect, shared and immutable; `serialize.save_certificates` writes such
+# a certificate from a template.
+NO_TERMS: tuple = ()
 
 
 class Certificate:
@@ -211,7 +215,8 @@ class Certificate:
         """The certificate a file's JSON object describes (the writer is
         `serialize.save_certificates`); `generators` is the file's parsed
         generator table.  `parsed` maps a raw term (generator, lambda) to its
-        parsed tuple; certificates that share it share each term's tuple."""
+        parsed tuple; certificates that share it share each term's tuple.  An
+        absent or empty "terms" or "generators" is handed on as None."""
         if not isinstance(data, dict):
             raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
         kind = data.get("kind")
@@ -222,12 +227,14 @@ class Certificate:
             raise MalformedCertificate(f"meta must be an object, got {meta!r}")
         if parsed is None:
             parsed = {}
+        terms = _list(data["terms"], "terms") if "terms" in data else None
+        pairs = _list(data["generators"], "generators") if "generators" in data else None
         return cls(
             kind=kind,
             target=_parse_vector(fld, data["target"], "target") if "target" in data else None,
-            terms=[_term(t, fld, generators, parsed) for t in _list(data.get("terms", []), "terms")],
+            terms=[_term(t, fld, generators, parsed) for t in terms] if terms else None,
             functional=_parse_vector(fld, data["functional"], "functional") if "functional" in data else None,
-            generators=[_generator(g, generators) for g in _list(data.get("generators", []), "generators")],
+            generators=[_generator(g, generators) for g in pairs] if pairs else None,
             meta=meta,
         )
 
@@ -340,7 +347,9 @@ def verify_certificate(algebra: Algebra, cert: Certificate, memo: Optional[_Veri
     determination must separate a kernel tensor, and a refutation that
     claims neither proves nothing.  `memo` holds the pair products and
     term-list sums that earlier certificates computed; each certificate's
-    claim is still checked on its own.
+    claim is still checked on its own.  A triple with e_i e_j = 0 = e_j e_k
+    has defect 0 without its tensor being built, and an empty term list
+    sums to 0 without the memo.
     """
     f = algebra.field
     d = algebra.dim
@@ -352,7 +361,9 @@ def verify_certificate(algebra: Algebra, cert: Certificate, memo: Optional[_Veri
         raise MalformedCertificate("target has wrong length")
     triple = _claimed_triple(cert.meta, d)
     if triple is not None:
-        claimed = _defect_tensor(algebra, *triple)
+        i, j, k = triple
+        nz = algebra._nonzero
+        claimed = _defect_tensor(algebra, i, j, k) if nz[i][j] or nz[j][k] else {}
         if target is not None and list(target) != _dense(f, claimed, ambient):
             return False
     elif target is None:
@@ -360,7 +371,7 @@ def verify_certificate(algebra: Algebra, cert: Certificate, memo: Optional[_Veri
     else:
         claimed = _sparse(target, ambient)
     if cert.kind == MEMBERSHIP:
-        return memo.combination(cert.terms) == claimed
+        return memo.combination(cert.terms) == claimed if cert.terms else not claimed
     if cert.kind == SEPARATING:
         phi = cert.functional
         if phi is None or len(phi) != ambient:
@@ -483,7 +494,9 @@ def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) ->
     carries a membership certificate for every triple.  Only the first
     certificate of a nonzero defect stores its dense target; a zero defect
     and a later triple with the same defect carry none, since the verifier
-    recomputes every triple's defect.  A NO carries the one separating
+    recomputes every triple's defect.  A triple with e_i e_j = 0 = e_j e_k
+    has defect 0 and gets its certificate, with the terms `NO_TERMS`,
+    without the defect being built.  A NO carries the one separating
     certificate of its refuted triple.  A YES obtained from a lower-bound
     span is still sound (membership in a subset implies membership); a NO
     needs the exhaustive span.
@@ -492,10 +505,15 @@ def is_zero_product_balanced(algebra: Algebra, report: ZeroProductSpanReport) ->
     d = algebra.dim
     ambient = d * d
     certs: List[Certificate] = []
-    shown: Dict[frozenset, list] = {frozenset(): []}  # defect -> its decomposition
+    shown: Dict[frozenset, Sequence] = {frozenset(): NO_TERMS}  # defect -> its decomposition
+    nz = algebra._nonzero
     for i in range(d):
         for j in range(d):
+            vanishes = not nz[i][j]
             for k in range(d):
+                if vanishes and not nz[j][k]:  # e_i e_j = 0 = e_j e_k: a zero defect
+                    certs.append(Certificate(MEMBERSHIP, None, NO_TERMS, meta={"triple": [i, j, k]}))
+                    continue
                 t = _defect_tensor(algebra, i, j, k)
                 key = frozenset(t.items())
                 if key in shown:  # the verifier recomputes the defect from the triple

@@ -6,6 +6,8 @@ dense row reducer the package's sparse one replaced; `rref`, `dense_kernel`
 and the reference sweeps in `oracles` run on it, with operators built by
 `operator_matrix` from products of basis vectors, so that they share no
 reduction and no operator builder with the code they pin down.
+`dense_predicates` is the dense computation of the structural predicates
+that the sparse one in `Algebra.predicates` replaced.
 `DenseTensorSquare` is the dense multiplication map of the tensor square
 that the package's sparse multiplication rows replaced.  The rest each
 state a property of the paper's objects that the tests check on small
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from zpbal.algebra import Algebra, Element
+from zpbal.algebra import Algebra, Element, Predicates
 from zpbal.constructions import (
     direct_sum,
     function_algebra,
@@ -248,6 +250,28 @@ def dense_kernel(m: Matrix) -> List[Vector]:
             v[p] = f.neg(row[j])
         free.append(v)
     return rref(free, f, n)[0]
+
+
+def dense_predicates(alg: Algebra) -> Predicates:
+    """`Algebra.predicates` as it was computed before the sparse rows: the
+    unit system and both faithfulness ranks on 2d² dense rows of length d,
+    read from the dense structure-constant table."""
+    f = alg.field
+    d = alg.dim
+    table = alg.table
+    commutative = all(table[i][j] == table[j][i] for i in range(d) for j in range(i + 1, d))
+    zero_mult = all(vec_is_zero(table[i][j]) for i in range(d) for j in range(d))
+    idempotent = SpanBuilder(f, d, (v for row in table for v in row)).dim == d
+    # rows (j, k) of u -> (u e_j)_k and of u -> (e_j u)_k
+    lmap_rows = [[table[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]
+    rmap_rows = [[table[j][i][k] for i in range(d)] for j in range(d) for k in range(d)]
+    delta = [f.one if j == k else f.zero for j in range(d) for k in range(d)]
+    unit = Matrix(f, lmap_rows + rmap_rows, cols=d).solve(delta + delta) if d > 0 else None
+    faithful = (Matrix(f, lmap_rows, cols=d).rank() == d
+                and Matrix(f, rmap_rows, cols=d).rank() == d)
+    return Predicates(is_unital=unit is not None, unit=tuple(unit) if unit is not None else None,
+                      is_commutative=commutative, is_idempotent=idempotent, is_faithful=faithful,
+                      has_zero_multiplication=zero_mult)
 
 
 def operator_matrix(alg: Algebra, u: Sequence, left: bool) -> Matrix:

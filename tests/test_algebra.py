@@ -8,6 +8,7 @@ from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
 from zpbal.linalg import SpanBuilder
 from zpbal.algebra import Algebra, commutator
+from zpbal.corpus import golden_corpus
 from zpbal.constructions import (
     direct_sum,
     function_algebra,
@@ -26,6 +27,7 @@ from oracles import mult, random_change_of_basis
 from references import (
     SHAPES,
     dense_associativity_failure,
+    dense_predicates,
     matrix_trace,
     operator_matrix,
     random_algebra,
@@ -111,6 +113,42 @@ def test_predicates():
 
     z = zero_algebra(F2, 1)
     assert z.predicates().has_zero_multiplication
+
+
+def _b_algebra(field):
+    """span(e, n) with e² = e, en = n and ne = n² = 0: LAnn = span(n), RAnn = 0."""
+    zero, one = field.zero, field.one
+    return Algebra(field, ["e", "n"], [[[one, zero], [zero, one]], [[zero, zero], [zero, zero]]])
+
+
+PREDICATE_INPUTS = (
+    [(e.name, lambda e=e: e.algebra) for e in golden_corpus()]
+    + [(f"{shape}/{field.name}/{seed}", lambda shape=shape, field=field, seed=seed:
+        random_change_of_basis(random_algebra(seed, field, shape), random.Random(seed)))
+       for field in (F2, F3, QQ) for shape in SHAPES for seed in range(3)]
+    + [("B/F3", lambda: _b_algebra(F3)), ("M2 in a random basis/Q",
+                                          lambda: random_change_of_basis(matrix_algebra(QQ, 2), random.Random(5)))]
+    + [(f"dim {d} {kind}/{field.name}", make)
+       for field in (F2, QQ)
+       for d, kind, make in ((0, "zero", lambda field=field: zero_algebra(field, 0)),
+                             (1, "zero", lambda field=field: zero_algebra(field, 1)),
+                             (1, "scalar", lambda field=field: scalar_algebra(field)),
+                             (1, "e² = -e", lambda field=field: Algebra(field, ["e"], [[[field.neg(field.one)]]])))]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in PREDICATE_INPUTS], ids=[n for n, _ in PREDICATE_INPUTS])
+def test_predicates_match_the_dense_reference(make):
+    """The sparse unit system, faithfulness ranks and A² span give what the
+    dense rows of `references.dense_predicates` give, the unit included."""
+    alg = make()
+    assert alg.predicates() == dense_predicates(alg)
+
+
+def test_predicate_inputs_hold_both_answers():
+    found = {(name, value) for _, make in PREDICATE_INPUTS
+             for name, value in dense_predicates(make())._asdict().items() if name != "unit"}
+    assert len(found) == 10
 
 
 def test_unital_implies_idempotent_and_faithful():

@@ -132,9 +132,12 @@ def test_no_module_loads_dataclasses_or_inspect():
 
 
 def test_check_and_verify_load_only_what_they_run(tmp_path):
-    """Over F_p, `check` and `verify` load neither the constructors, nor the
-    code of the other commands, nor `fractions`.  Over Q the same child loads
-    `fractions`, so the child does see what a command imports."""
+    """`check` and `verify` load neither the constructors, nor the code of
+    the other commands, nor `fractions` over F_p or over Q while every
+    scalar stays integral, as on N4/Q.  A Q input with a non-integral
+    scalar loads `fractions`, so the child does see what a command imports."""
+    import json
+
     from zpbal.cli import main
 
     off_path = ("fractions", "zpbal.constructions", "zpbal.reports", "zpbal.structure",
@@ -144,15 +147,20 @@ def test_check_and_verify_load_only_what_they_run(tmp_path):
             "    assert main(argv) == 0\n"
             f"print(sorted(m for m in {off_path!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    loaded = {}
+    inputs = {}
     for field in ("F2", "Q"):
-        alg = tmp_path / f"n4{field}.json"
-        assert main(["example", "Nm", "--m", "4", "--field", field, "--out", str(alg)]) == 0
+        inputs[field] = tmp_path / f"n4{field}.json"
+        assert main(["example", "Nm", "--m", "4", "--field", field, "--out", str(inputs[field])]) == 0
+    inputs["Q, e² = e/2"] = tmp_path / "half.json"  # (ee)e = e/4 = e(ee)
+    inputs["Q, e² = e/2"].write_text(json.dumps(
+        {"field": "Q", "dim": 1, "basis": ["e"], "products": [{"i": 0, "j": 0, "coords": ["1/2"]}]}))
+    loaded = {}
+    for name, alg in inputs.items():
         proc = subprocess.run([sys.executable, "-c", code, str(alg), str(tmp_path / "certs.json")],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        loaded[field] = proc.stdout.strip().splitlines()[-1]
-    assert loaded == {"F2": "[]", "Q": "['fractions']"}
+        loaded[name] = proc.stdout.strip().splitlines()[-1]
+    assert loaded == {"F2": "[]", "Q": "[]", "Q, e² = e/2": "['fractions']"}
 
 
 def _unread_locals(tree):

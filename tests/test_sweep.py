@@ -9,6 +9,7 @@ RREF rows), to re-verified generators and witnesses, one per span
 dimension, and to certificates that still verify.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -34,11 +35,13 @@ from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
 from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
-from zpbal.linalg import Matrix, SpanBuilder, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, _dense, vec_is_zero
 from zpbal.squarezero import factorizable_square_zero_span
 from zpbal.sweep import (EXACT, LEFT, LOWER_BOUND, RIGHT, AnnihilatorSweep, is_nilpotent,
                          projective_points, sweep_blocks)
 from zpbal.tensorsquare import (
+    MEMBERSHIP,
+    _defect_tensor,
     compute_zero_product_span,
     is_zero_product_balanced,
     is_zero_product_determined,
@@ -384,6 +387,133 @@ def test_points_the_exhaustive_sweep_skips_share_a_visited_points_annihilator(ma
             assert sweep.distinct_annihilators == len(kernels) + 1  # and K's key ()
             assert nilpotent or not skipped
         assert_same_as_reference(a, DEFAULT_CONFIG)
+
+
+def _d_n3(field):
+    """D⊗N3 with D = F[t]/(t² - 2): A³ = 0, and over Q each element's orbit
+    is its line modulo K."""
+    return tensor_product(poly_quotient_algebra(field, [field.of_int(-2), field.zero, field.one]),
+                          nilpotent_algebra(field, 3))
+
+
+# (algebra maker, whether the lower-bound sweep passes over elements in the
+# algebra's own basis): True on nilpotent algebras with A³ != 0, except UT4,
+# whose span reaches its ceiling after 7 visits a side; False on the A³ = 0
+# ones, whose structure constants show it, and on the controls M3/Q and
+# N4⊕F2, which are not nilpotent.  UT4⊕N4 is a nilpotent input with
+# LAnn(A) != RAnn(A) whose span never reaches its ceiling.
+ORBIT_INPUTS = {
+    "N5/Q": (lambda: nilpotent_algebra(QQ, 5), True),
+    "N8/Q": (lambda: nilpotent_algebra(QQ, 8), True),
+    "UT4/Q": (lambda: strictly_upper(QQ, 4), False),
+    "UT4⊕N4/F3": (lambda: direct_sum(strictly_upper(F3, 4), nilpotent_algebra(F3, 4)), True),
+    "N4⊕N5/F3": (lambda: direct_sum(nilpotent_algebra(F3, 4), nilpotent_algebra(F3, 5)), True),
+    "D⊗N3/Q": (lambda: _d_n3(QQ), False),
+    "M3⊗N3/F2": (lambda: tensor_product(matrix_algebra(F2, 3), nilpotent_algebra(F2, 3)), False),
+    "M3/Q": (lambda: matrix_algebra(QQ, 3), False),
+    "N4⊕F2/F2": (lambda: _n4_plus_f2(F2), False),
+}
+
+
+def _lower_bound_span(alg, config, visit_all=False):
+    """`compute_zero_product_span` with each side's visited and passed-over
+    elements recorded; with `visit_all` the orbit test never holds, so the
+    sweep visits every element it meets, as it did before the test."""
+    seen = {RIGHT: ([], []), LEFT: ([], [])}  # side -> (visited, passed over)
+    real = AnnihilatorSweep.visit
+
+    def visit(self, u):
+        before = self.visited
+        block = real(self, u)
+        if any(u):
+            seen[self.side][self.visited == before].append(tuple(u))
+        return block
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AnnihilatorSweep, "visit", visit)
+        if visit_all:
+            patch.setattr(AnnihilatorSweep, "_in_met_orbit", lambda self, u: False)
+        return compute_zero_product_span(alg, config), seen
+
+
+@pytest.mark.parametrize("make, passes", list(ORBIT_INPUTS.values()), ids=list(ORBIT_INPUTS))
+def test_elements_the_lower_bound_sweep_passes_over_share_a_visited_elements_annihilator(make, passes):
+    """Beyond the cap, in the algebra's own basis and in two random ones, at
+    three seeds, on both sides: every element the sweep passes over has the
+    reference kernel of an element it visited on that side, nothing is
+    passed over on an algebra that is not nilpotent, and the span, its
+    generators and its status are those of a sweep that visits every
+    element.  An algebra that is not nilpotent has the sweep's own run as
+    that reference."""
+    alg = make()
+    nilpotent = _brute_is_nilpotent(alg)
+    rng = random.Random(alg.dim)
+    for n, a in enumerate((alg, random_change_of_basis(alg, rng), random_change_of_basis(alg, rng))):
+        kernels = {}
+
+        def reference(u, side):
+            if (u, side) not in kernels:
+                kernels[u, side] = tuple(map(tuple, dense_kernel(operator_matrix(a, u, side == RIGHT))))
+            return kernels[u, side]
+
+        for seed in range(3):
+            config = SweepConfig(enumeration_cap=1, seed=seed)
+            span, seen = _lower_bound_span(a, config)
+            every, every_seen = _lower_bound_span(a, config, visit_all=True) if nilpotent else (span, seen)
+            assert span.status == every.status == LOWER_BOUND
+            assert (span.generators, span.dim) == (every.generators, every.dim)
+            for side, (visited, passed) in seen.items():
+                assert not every_seen[side][1]
+                if passed:
+                    assert {reference(u, side) for u in passed} <= {reference(u, side) for u in visited}
+                if n == 0:
+                    assert bool(passed) == passes
+
+
+def _two_step_balanced(alg, report):
+    """The balanced decider's YES certificates as (kind, target, terms, meta),
+    or None where it finds no membership: every triple's defect built and
+    looked up, a zero defect included."""
+    f, d = alg.field, alg.dim
+    certs, shown = [], {frozenset(): []}
+    for i, j, k in itertools.product(range(d), repeat=3):
+        t = _defect_tensor(alg, i, j, k)
+        key = frozenset(t.items())
+        if key in shown:
+            certs.append((MEMBERSHIP, None, shown[key], {"triple": [i, j, k]}))
+            continue
+        terms = report.membership_terms(t)
+        if terms is None:
+            return None
+        shown[key] = terms
+        certs.append((MEMBERSHIP, _dense(f, t, d * d), terms, {"triple": [i, j, k]}))
+    return certs
+
+
+@pytest.mark.parametrize("make", [m for m, _ in ORBIT_INPUTS.values()], ids=list(ORBIT_INPUTS))
+def test_zero_defect_triples_get_the_certificates_of_the_two_step_decider(make):
+    """Triples with e_i e_j = 0 = e_j e_k occur, and the decider, which does
+    not build their defect, gives the certificates of one that does."""
+    alg = make()
+    nz = alg._nonzero
+    zero = [(i, j, k) for i, j, k in itertools.product(range(alg.dim), repeat=3) if not nz[i][j] and not nz[j][k]]
+    assert zero
+    span = compute_zero_product_span(alg, SweepConfig(enumeration_cap=1, seed=1))
+    verdict = is_zero_product_balanced(alg, span)
+    want = _two_step_balanced(alg, span)
+    if want is None:
+        assert verdict.status == "UNKNOWN" and verdict.certificates == []
+        return
+    assert verdict.status == "YES"
+    assert [(c.kind, c.target, list(c.terms), c.meta) for c in verdict.certificates] == \
+        [(kind, target, list(terms), meta) for kind, target, terms, meta in want]
+    assert all(verify_certificate(alg, c) for c in verdict.certificates)
+
+
+def test_zero_defect_inputs_hold_both_verdicts():
+    statuses = {is_zero_product_balanced(alg, compute_zero_product_span(
+        alg, SweepConfig(enumeration_cap=1, seed=1))).status for alg in (m() for m, _ in ORBIT_INPUTS.values())}
+    assert statuses == {"YES", "UNKNOWN"}
 
 
 @pytest.mark.parametrize("make, k_dims", [
