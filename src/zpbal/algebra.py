@@ -6,7 +6,9 @@ verified exhaustively at construction, on the nonzero entries of the
 table; everything downstream assumes it.  The matrices of x -> ux and
 x -> xu are built as nonzero rows in the representation `zpbal.linalg`
 reduces: over F2 an int per row, the XOR of precomputed per-basis rows,
-and otherwise a map {column: nonzero entry}.
+and otherwise a map {column: nonzero entry}.  Only the methods that reduce
+import `zpbal.linalg`, so loading and multiplying, all that `zpbal verify`
+asks of an algebra, load no linear algebra.
 
 Known idempotents can be registered on an algebra; the constructors in
 `zpbal.constructions` carry registries through so that idempotent-based
@@ -17,11 +19,13 @@ impossible.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from zpbal.errors import InfiniteFieldError, NotAssociative, NotIdempotent, ParentMismatch
-from zpbal.fields import Field, Scalar
-from zpbal.linalg import Matrix, Row, Sparse, SpanBuilder, Vector, _dense
+from zpbal.fields import Field, Scalar, _dense
+
+if TYPE_CHECKING:
+    from zpbal.linalg import Matrix, Row, Sparse, Vector
 
 
 class Predicates(NamedTuple):
@@ -171,6 +175,8 @@ class Algebra:
 
     def left_mult_matrix(self, u: Sequence[Scalar]) -> Matrix:
         """Matrix of x -> u*x in the chosen basis."""
+        from zpbal.linalg import Matrix
+
         f = self.field
         rows = self._operator_rows(u, True)
         zero = [f.zero] * self.dim
@@ -186,6 +192,8 @@ class Algebra:
         sets has rank d, and idempotent when A² = A."""
         if self._predicates is not None:
             return self._predicates
+        from zpbal.linalg import SpanBuilder
+
         f, d, nz = self.field, self.dim, self._nonzero
         commutative = all(
             self.table[i][j] == self.table[j][i] for i in range(d) for j in range(i + 1, d)

@@ -105,7 +105,7 @@ def cmd_check(args) -> int:
             "zero_multiplication": pred.has_zero_multiplication,
         },
         "zero_product_span": {"dim": span.dim, "status": span.status,
-                              "kernel_dim": span.kernel_dim},
+                              "kernel_dim": span.kernel_dim, "stopped": span.stopped},
         "balanced": balanced.status,
         "balanced_witness": [alg.names[i] for i in witness] if witness else None,
         "balanced_note": balanced.note or None,

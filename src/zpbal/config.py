@@ -1,6 +1,10 @@
-"""Shared budget/seed configuration for enumeration sweeps."""
+"""Shared budget/seed configuration for enumeration sweeps, and the status a
+sweep ends in."""
 
 from __future__ import annotations
+
+EXACT = "EXACT"  # at most `enumeration_cap` elements: the sweep reaches the whole span
+LOWER_BOUND = "LOWER_BOUND"  # beyond the cap: the span found may be a proper subspace
 
 
 class SweepConfig:

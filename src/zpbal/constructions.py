@@ -4,16 +4,21 @@ Every function here builds a new `Algebra` from a field or from other
 algebras, and carries the registered idempotents through.  `check` and
 `verify` read their algebra from a file and never build one, so they do not
 import this module; `example`, `factorize`, `structure` and `corpus` do.
+The built-in families reduce nothing, so only the ideal closure and the
+quotient import `zpbal.linalg`; `matrix_over` reads its base's unit from
+`Algebra.predicates`, which does.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from zpbal.algebra import Algebra, Element
 from zpbal.errors import NotAnIdeal, ZpbalError
-from zpbal.fields import Field, PrimeField, Scalar
-from zpbal.linalg import Matrix, SpanBuilder, Vector, vec_is_zero
+from zpbal.fields import Field, PrimeField, Scalar, vec_is_zero
+
+if TYPE_CHECKING:
+    from zpbal.linalg import Matrix, SpanBuilder, Vector
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +252,8 @@ def is_ideal(alg: Algebra, space: SpanBuilder) -> Tuple[bool, Optional[Tuple[int
 
 def ideal_closure(alg: Algebra, seeds: Sequence[Vector]) -> SpanBuilder:
     """Smallest two-sided ideal containing the seed vectors."""
+    from zpbal.linalg import SpanBuilder
+
     f = alg.field
     frontier = [list(s) for s in seeds if not vec_is_zero(s)]
     builder = SpanBuilder(f, alg.dim, frontier)
@@ -282,6 +289,8 @@ class Quotient(NamedTuple):
 
 def quotient_algebra(alg: Algebra, ideal: SpanBuilder) -> Quotient:
     """Quotient by a verified two-sided ideal."""
+    from zpbal.linalg import Matrix
+
     ok, witness = is_ideal(alg, ideal)
     if not ok:
         raise NotAnIdeal(witness)

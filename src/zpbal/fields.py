@@ -12,18 +12,50 @@ through an input file.
 The rationals live in `zpbal.rationals`, which `field_from_name("Q")` imports
 when it is asked for them, so a process over a prime field never loads
 `fractions`.
+
+The zero test of a vector and the conversions between a dense vector and a
+sparse row live here, beside `Scalar`, because the verifier needs them and
+loads no linear algebra; `zpbal.linalg` imports them from this module.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Union
 
-from zpbal.errors import ParseError
+from zpbal.errors import AmbientMismatch, ParseError
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from zpbal.linalg import Row, Sparse, Vector
+
 Scalar = Union[int, "Fraction"]  # a Fraction only for a non-integral rational
+
+
+def vec_is_zero(u) -> bool:
+    return not any(u)  # ints and Fractions are falsy exactly at zero
+
+
+# The conversions at the dense boundary are private helpers of `linalg` and of
+# the certificate code, not field arithmetic.  `fields` is no layer perfbench's
+# tracer wraps, so, like `vec_is_zero`, they are plain calls in a traced run.
+def _dense(field: Field, v: Row, n: int) -> Vector:
+    """The length-n list with v's entries and zeros elsewhere."""
+    if type(v) is int:
+        return [(v >> j) & 1 for j in range(n)]
+    out = [field.zero] * n
+    for j, a in v.items():
+        out[j] = a
+    return out
+
+
+def _sparse(v: Union[Vector, Sparse], ambient: int) -> Sparse:
+    """v as a map: a dict is taken as given, a list is checked for length."""
+    if type(v) is dict:
+        return v
+    if len(v) != ambient:
+        raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
+    return {j: a for j, a in enumerate(v) if a}
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality

@@ -19,6 +19,11 @@ membership tests, coefficient extraction and residuals.  `add` also accepts
 a map or, over F2, an int, so that a caller that builds its vectors sparse
 never expands them.  `SpanBuilder.null_space` is the one read-off of a null
 space from reduced rows; `Matrix.kernel` and `complement_functionals` call it.
+
+The conversions between a dense vector and a row, `_dense` and `_sparse`, and
+the zero test `vec_is_zero` live in `zpbal.fields`, because the verifier uses
+them too.  Only a process that sweeps or reduces loads this module: `zpbal
+verify` and most `zpbal example` runs never do.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from bisect import insort
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
-from zpbal.fields import Field, Scalar
+from zpbal.fields import Field, Scalar, _dense, _sparse
 
 Vector = List[Scalar]
 Sparse = Dict[int, Scalar]  # column -> nonzero entry
@@ -36,31 +41,6 @@ Row = Union[Sparse, int]  # a map, or over F2 the bit mask of its nonzero column
 
 def vec_scale(field, c, u):
     return [field.mul(c, a) for a in u]
-
-
-def vec_is_zero(u) -> bool:
-    return not any(u)  # ints and Fractions are falsy exactly at zero
-
-
-# The conversions at the dense boundary are private, so that they stay plain
-# calls under perfbench's tracer, which wraps every public function.
-def _dense(field: Field, v: Row, n: int) -> Vector:
-    """The length-n list with v's entries and zeros elsewhere."""
-    if type(v) is int:
-        return [(v >> j) & 1 for j in range(n)]
-    out = [field.zero] * n
-    for j, a in v.items():
-        out[j] = a
-    return out
-
-
-def _sparse(v: Union[Vector, Sparse], ambient: int) -> Sparse:
-    """v as a map: a dict is taken as given, a list is checked for length."""
-    if type(v) is dict:
-        return v
-    if len(v) != ambient:
-        raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
-    return {j: a for j, a in enumerate(v) if a}
 
 
 def _entries(row: Row) -> Iterator[Tuple[int, Scalar]]:
@@ -418,11 +398,3 @@ class SpanBuilder:
 
     def __repr__(self):
         return f"SpanBuilder(dim {self.dim} of K^{self.ambient} over {self.field.name})"
-
-
-def dot(field: Field, u: Vector, v: Vector) -> Scalar:
-    acc = field.zero
-    for a, b in zip(u, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc

@@ -25,7 +25,8 @@ from zpbal.errors import (
     SoundnessAlarm,
     SpanDeficient,
 )
-from zpbal.linalg import Matrix, SpanBuilder, Vector, vec_is_zero
+from zpbal.fields import vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Vector
 from zpbal.tensorsquare import NO, UNKNOWN, YES, ZeroProductSpanReport
 
 

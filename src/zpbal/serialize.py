@@ -58,8 +58,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from zpbal.algebra import Algebra
 from zpbal.errors import MalformedCertificate, NotAssociative, NotIdempotent, ParseError
-from zpbal.fields import Field, field_from_name
-from zpbal.linalg import Matrix, vec_is_zero
+from zpbal.fields import Field, field_from_name, vec_is_zero
 from zpbal.tensorsquare import (MEMBERSHIP, NO, NO_TERMS, SEPARATING, TENSOR_CONVENTION, UNKNOWN, YES,
                                 Certificate)
 
@@ -164,7 +163,8 @@ def save_algebra(algebra: Algebra, path: str):
 
 
 def map_from_dict(data: Dict, base_dir: str = ".") -> AlgMap:
-    from zpbal.linmaps import AlgMap  # only `factorize` reads maps
+    from zpbal.linalg import Matrix  # only `factorize` reads maps
+    from zpbal.linmaps import AlgMap
 
     def resolve(ref) -> Algebra:
         if isinstance(ref, str):

@@ -79,7 +79,7 @@ def factorizable_square_zero_span(
                 added += 1
         return added
 
-    status = sweep_blocks(algebra, config, offer, lambda: builder.dim >= ceiling)
+    status, _ = sweep_blocks(algebra, config, offer, lambda: builder.dim >= ceiling)
     return FactorizableSpanReport(subspace=builder, status=status, witnesses=witnesses)
 
 

@@ -97,7 +97,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from zpbal.algebra import Algebra
-from zpbal.config import SweepConfig
+from zpbal.config import EXACT, LOWER_BOUND, SweepConfig  # EXACT and LOWER_BOUND re-exported
 from zpbal.fields import Field, Scalar
 from zpbal.linalg import Row, Sparse, SpanBuilder, Vector, _entries
 
@@ -107,8 +107,10 @@ LEFT = "left"  # annihilator {w : wu = 0} = ker R_u, closure {x : Wx = 0}
 Block = Tuple[List[Vector], List[Vector]]  # RREF bases of (closure, annihilator)
 Pair = Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]  # (a, b) with ab = 0
 
-EXACT = "EXACT"
-LOWER_BOUND = "LOWER_BOUND"
+# why `sweep_blocks` stopped
+CEILING = "ceiling"  # `full()` held
+EXHAUSTED = "exhausted"  # the exhaustive walk ended
+STALL = "stall"  # `stall_rounds` random visits in a row added nothing
 
 
 class AnnihilatorSweep:
@@ -338,17 +340,18 @@ def random_elements(field: Field, dim: int, seed: int) -> Iterator[List[Scalar]]
 
 
 def sweep_blocks(algebra: Algebra, config: SweepConfig, offer: Callable[[List[Pair]], int],
-                 full: Callable[[], bool]) -> str:
+                 full: Callable[[], bool]) -> Tuple[str, str]:
     """Hand each block the sweep meets to `offer` as its zero-product pairs
     (a, b), closure-major: (x, w) on the right and (w, x) on the left, for x
     in the closure and w in the annihilator.  `offer` returns how many
     vectors it added; the sweep stops as soon as `full()` holds.
 
     With at most `config.enumeration_cap` elements, the exhaustive right
-    blocks; the answer is EXACT.  Otherwise each structured element, then
+    blocks; the status is EXACT.  Otherwise each structured element, then
     each seeded random element until `config.stall_rounds` in a row add
-    nothing, is visited on the right and then on the left; the answer is
-    LOWER_BOUND.
+    nothing, is visited on the right and then on the left; the status is
+    LOWER_BOUND.  Returns (status, why the sweep stopped): CEILING,
+    EXHAUSTED or STALL.
     """
     right = AnnihilatorSweep(algebra, RIGHT)
     size = algebra.n_elements()
@@ -356,8 +359,8 @@ def sweep_blocks(algebra: Algebra, config: SweepConfig, offer: Callable[[List[Pa
         for block in right.exhaustive_blocks():
             offer(right.pairs(block))
             if full():  # before the sweep looks for another block
-                break
-        return EXACT
+                return EXACT, CEILING
+        return EXACT, EXHAUSTED
     sweeps = (right, AnnihilatorSweep(algebra, LEFT))
     nz = algebra._nonzero
     # a product's support times A is zero, hence A³ = 0 and Av ⊆ A² ⊆ K for every v
@@ -371,11 +374,12 @@ def sweep_blocks(algebra: Algebra, config: SweepConfig, offer: Callable[[List[Pa
 
     for u in structured_elements(algebra):
         if full():
-            return LOWER_BOUND
+            return LOWER_BOUND, CEILING
         visit(u)
     stall = 0
-    for u in random_elements(algebra.field, algebra.dim, config.seed):
-        if stall >= config.stall_rounds or full():
-            break
+    for u in random_elements(algebra.field, algebra.dim, config.seed):  # endless
+        if full():
+            return LOWER_BOUND, CEILING
+        if stall >= config.stall_rounds:
+            return LOWER_BOUND, STALL
         stall = 0 if visit(u) else stall + 1
-    return LOWER_BOUND

@@ -15,19 +15,26 @@ The multiplication map μ: a⊗b -> ab is never a dense d × d² matrix: its d
 rows are read sparse from the structure constants (`_multiplication_rows`)
 and reduced once per span report, ker μ is their null space, and
 `_apply_mul` evaluates μ on a sparse tensor for the verifier.
+
+The verifier and the certificate loader need only multiplication and
+arithmetic, so this module imports the span engine, `zpbal.sweep` and
+`zpbal.linalg`, inside `compute_zero_product_span` alone: a process that
+only verifies never loads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from zpbal.algebra import Algebra
-from zpbal.config import DEFAULT_CONFIG, SweepConfig
+from zpbal.config import DEFAULT_CONFIG, EXACT, SweepConfig  # EXACT re-exported
 from zpbal.errors import MalformedCertificate, SoundnessAlarm
-from zpbal.fields import Field, Scalar
-from zpbal.linalg import Sparse, SpanBuilder, Vector, _dense, _sparse, dot, vec_is_zero
-from zpbal.sweep import EXACT, Pair, sweep_blocks  # EXACT re-exported
+from zpbal.fields import Field, Scalar, _dense, _sparse, vec_is_zero
+
+if TYPE_CHECKING:
+    from zpbal.linalg import Sparse, SpanBuilder, Vector
+    from zpbal.sweep import Pair
 
 TENSOR_CONVENTION = "row-major i*d+j"
 
@@ -91,18 +98,22 @@ class ZeroProductSpanReport:
     Every generator pair (u, v) was re-verified to satisfy uv = 0 before
     insertion, so the recorded subspace is a certified subset of the true
     span regardless of status.  Status EXACT means the generating sweep was
-    exhaustive over the whole (finite) algebra.  `subspace` is the
-    expression-tracking row space of the generators; membership
-    decompositions are read from it.  `multiplication` is the row space of
-    μ, whose null space (of dimension `kernel_dim`) holds the span.
+    exhaustive over the whole (finite) algebra.  `stopped` says why the
+    sweep ended: "ceiling" when the span reached `kernel_dim`, "exhausted"
+    when the exhaustive walk ended, "stall" when the random visits stopped
+    adding to it.  `subspace` is the expression-tracking row space of the
+    generators; membership decompositions are read from it.
+    `multiplication` is the row space of μ, whose null space (of dimension
+    `kernel_dim`) holds the span.
     """
 
-    def __init__(self, algebra: Algebra, subspace: SpanBuilder, status: str,
+    def __init__(self, algebra: Algebra, subspace: SpanBuilder, status: str, stopped: str,
                  generators: List[Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]],
                  multiplication: SpanBuilder, config: SweepConfig):
         self.algebra = algebra
         self.subspace = subspace
         self.status = status
+        self.stopped = stopped
         self.generators = generators
         self.multiplication = multiplication
         self.kernel_dim = multiplication.ambient - multiplication.dim
@@ -140,6 +151,9 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
     hands out, block by block, until the span reaches the kernel ceiling;
     `zpbal.sweep` says why its blocks reach the whole span.
     """
+    from zpbal.linalg import SpanBuilder  # the span engine: only a process that sweeps loads it
+    from zpbal.sweep import sweep_blocks
+
     f = algebra.field
     d = algebra.dim
     multiplication = SpanBuilder(f, d * d, _multiplication_rows(algebra))
@@ -157,13 +171,14 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
                 added += 1
         return added
 
-    status = sweep_blocks(algebra, config, offer, lambda: builder.dim >= ker_dim)
+    status, stopped = sweep_blocks(algebra, config, offer, lambda: builder.dim >= ker_dim)
     if builder.dim > ker_dim:
         raise SoundnessAlarm("zero-product span exceeds multiplication kernel")
     return ZeroProductSpanReport(
         algebra=algebra,
         subspace=builder,
         status=status,
+        stopped=stopped,
         generators=generators,
         multiplication=multiplication,
         config=config,
@@ -460,7 +475,8 @@ def _refuted(report: ZeroProductSpanReport, target: Vector, meta: Dict) -> Verdi
     """A NO backed by a functional that vanishes on the exhaustive span but
     not on the target."""
     f = report.algebra.field
-    phi = next((phi for phi in report.subspace.complement_functionals() if dot(f, phi, target) != 0), None)
+    t = _sparse(target, len(target))
+    phi = next((phi for phi in report.subspace.complement_functionals() if _evaluate(f, phi, t) != 0), None)
     if phi is None:
         raise SoundnessAlarm("target reported outside the span but no functional separates it")
     cert = Certificate(kind=SEPARATING, target=target, functional=phi, generators=list(report.generators),

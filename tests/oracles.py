@@ -17,11 +17,12 @@ from itertools import product
 from typing import List, Union
 
 from multiplier import MultiplierAlgebra
-from references import DenseSpanBuilder, DenseTensorSquare, dense_kernel, operator_matrix
+from references import DenseSpanBuilder, DenseTensorSquare, dense_kernel, dot, operator_matrix
 from zpbal.algebra import Algebra, Element
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.errors import BudgetExceeded, MalformedCertificate, ParseError, SoundnessAlarm
-from zpbal.linalg import Matrix, SpanBuilder, dot, vec_is_zero
+from zpbal.fields import vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder
 from zpbal.squarezero import FactorizableWitness
 from zpbal.tensorsquare import (
     EXACT,

@@ -1,8 +1,8 @@
 """Constructions that no `zpbal` command runs, kept as test fixtures.
 
 The seeded random-algebra generator feeds the property tests.  A few
-matrix and subspace operations serve only tests.  `DenseSpanBuilder` is the
-dense row reducer the package's sparse one replaced; `rref`, `dense_kernel`
+matrix and subspace operations, and the dense `dot`, serve only tests.
+`DenseSpanBuilder` is the dense row reducer the package's sparse one replaced; `rref`, `dense_kernel`
 and the reference sweeps in `oracles` run on it, with operators built by
 `operator_matrix` from products of basis vectors, so that they share no
 reduction and no operator builder with the code they pin down.
@@ -45,8 +45,8 @@ from zpbal.errors import (
     SoundnessAlarm,
     ZpbalError,
 )
-from zpbal.fields import Field
-from zpbal.linalg import Matrix, SpanBuilder, Vector, vec_is_zero
+from zpbal.fields import Field, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, Vector
 from zpbal.squarezero import FactorizableSpanReport, factorizable_square_zero_span
 from zpbal.structure import (
     ReducedQuotient,
@@ -72,6 +72,14 @@ from zpbal.tensorsquare import (
 
 class NotInSubspace(ZpbalError):
     """Coefficient extraction requested for a vector outside the span."""
+
+
+def dot(field: Field, u: Vector, v: Vector):
+    acc = field.zero
+    for a, b in zip(u, v):
+        if a and b:
+            acc = field.add(acc, field.mul(a, b))
+    return acc
 
 
 def zero_matrix(field: Field, nrows: int, ncols: int) -> Matrix:

@@ -39,7 +39,7 @@ def test_example_and_check(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "balanced: NO\n" in out and "balanced_witness: [x, x, x]\n" in out
     assert "determined: NO" in out
-    assert "zero_product_span: {dim: 6, status: EXACT, kernel_dim: 7}" in out
+    assert "zero_product_span: {dim: 6, status: EXACT, kernel_dim: 7, stopped: exhausted}" in out
     assert os.path.exists("n4.certs.json")
 
 
@@ -86,7 +86,7 @@ def test_check_json_report(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert report["balanced"] == "YES" and report["determined"] == "YES"
-    assert report["zero_product_span"] == {"dim": 12, "kernel_dim": 12, "status": "EXACT"}
+    assert report["zero_product_span"] == {"dim": 12, "kernel_dim": 12, "status": "EXACT", "stopped": "ceiling"}
     assert report["predicates"]["unital"] is True
 
 

@@ -6,6 +6,7 @@ tests use live under `tests/` (`references`, `multiplier`, `oracles`).
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -136,8 +137,6 @@ def test_check_and_verify_load_only_what_they_run(tmp_path):
     the other commands, nor `fractions` over F_p or over Q while every
     scalar stays integral, as on N4/Q.  A Q input with a non-integral
     scalar loads `fractions`, so the child does see what a command imports."""
-    import json
-
     from zpbal.cli import main
 
     off_path = ("fractions", "zpbal.constructions", "zpbal.reports", "zpbal.structure",
@@ -161,6 +160,47 @@ def test_check_and_verify_load_only_what_they_run(tmp_path):
         assert proc.returncode == 0, proc.stderr
         loaded[name] = proc.stdout.strip().splitlines()[-1]
     assert loaded == {"F2": "[]", "Q": "[]", "Q, e² = e/2": "['fractions']"}
+
+
+def _engine_loaded(*argvs) -> str:
+    """Which of `zpbal.sweep` and `zpbal.linalg` a fresh child loads that runs
+    `zpbal.cli.main` on each argv in turn."""
+    code = ("import json, sys\nfrom zpbal.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "print(sorted(m for m in ('zpbal.linalg', 'zpbal.sweep') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_only_a_process_that_sweeps_or_reduces_loads_the_span_engine(tmp_path):
+    """`verify` loads neither `zpbal.sweep` nor `zpbal.linalg`; `example`
+    loads no `sweep`, and `linalg` only where `matrix_over` asks its base for
+    its unit through `Algebra.predicates`.  The `check` child, which loads
+    both, shows that a child sees what a command imports."""
+    from zpbal.cli import main
+
+    files = {}
+    for name, args in (("n4f2", ["Nm", "--m", "4", "--field", "F2"]),
+                       ("m2q", ["Mn", "--n", "2", "--field", "Q"])):
+        alg, certs = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.certs.json")
+        assert main(["example", *args, "--out", alg]) == 0
+        assert main(["check", alg, "--out", certs]) == 0
+        files[name] = (alg, certs)
+    assert _engine_loaded(*(["verify", certs, alg] for alg, certs in files.values())) == "[]"
+    alg, certs = files["n4f2"]
+    assert _engine_loaded(["check", alg, "--out", str(tmp_path / "again.certs.json")]) == \
+        "['zpbal.linalg', 'zpbal.sweep']"
+
+    examples = {"Nm": ["--m", "4"], "Kn": [], "KxNm": [], "DN3": [], "zero": [],
+                "Mn": ["--n", "2"], "MnNm": []}
+    loaded = {name: _engine_loaded(["example", name, *args, "--out", str(tmp_path / f"{name}.json")])
+              for name, args in examples.items()}
+    assert loaded == {"Nm": "[]", "Kn": "[]", "KxNm": "[]", "DN3": "[]", "zero": "[]",
+                      "Mn": "['zpbal.linalg']", "MnNm": "['zpbal.linalg']"}
 
 
 def _unread_locals(tree):

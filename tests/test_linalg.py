@@ -10,6 +10,7 @@ from references import (
     NotInSubspace,
     coefficients,
     dense_kernel,
+    dot,
     intersect,
     linear_combination,
     random_algebra,
@@ -23,7 +24,7 @@ from zpbal.constructions import ideal_closure, matrix_algebra, nilpotent_algebra
 from zpbal.errors import AmbientMismatch, ExpressionsNotTracked
 from zpbal.fields import PrimeField
 from zpbal.rationals import QQ
-from zpbal.linalg import Matrix, SpanBuilder, dot
+from zpbal.linalg import Matrix, SpanBuilder
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

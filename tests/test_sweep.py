@@ -33,12 +33,12 @@ from zpbal.constructions import (direct_sum, function_algebra, matrix_algebra, n
                                  poly_quotient_algebra, scalar_algebra, tensor_product)
 from zpbal.config import DEFAULT_CONFIG, SweepConfig
 from zpbal.corpus import golden_corpus
-from zpbal.fields import PrimeField
+from zpbal.fields import PrimeField, vec_is_zero
 from zpbal.rationals import QQ
-from zpbal.linalg import Matrix, SpanBuilder, _dense, vec_is_zero
+from zpbal.linalg import Matrix, SpanBuilder, _dense
 from zpbal.squarezero import factorizable_square_zero_span
-from zpbal.sweep import (EXACT, LEFT, LOWER_BOUND, RIGHT, AnnihilatorSweep, is_nilpotent,
-                         projective_points, sweep_blocks)
+from zpbal.sweep import (CEILING, EXACT, EXHAUSTED, LEFT, LOWER_BOUND, RIGHT, STALL, AnnihilatorSweep,
+                         is_nilpotent, projective_points, sweep_blocks)
 from zpbal.tensorsquare import (
     MEMBERSHIP,
     _defect_tensor,
@@ -164,8 +164,24 @@ def test_every_offered_pair_has_a_zero_product(make, config):
 
         size = alg.n_elements()
         exact = size is not None and size <= cfg.enumeration_cap
-        assert sweep_blocks(alg, cfg, offer, lambda: False) == (EXACT if exact else LOWER_BOUND)
+        ended = (EXACT, EXHAUSTED) if exact else (LOWER_BOUND, STALL)  # nothing is ever full
+        assert sweep_blocks(alg, cfg, offer, lambda: False) == ended
         assert all(vec_is_zero(alg.multiply_coords(a, b)) for a, b in offered)
+
+
+@pytest.mark.parametrize("make, config, ended", [
+    (lambda: matrix_algebra(F3, 3), SweepConfig(enumeration_cap=3 ** 9), (EXACT, CEILING)),
+    (lambda: nilpotent_algebra(F2, 13), DEFAULT_CONFIG, (EXACT, EXHAUSTED)),
+    (lambda: matrix_algebra(F2, 4), DEFAULT_CONFIG, (LOWER_BOUND, CEILING)),
+    (lambda: nilpotent_algebra(QQ, 12), DEFAULT_CONFIG, (LOWER_BOUND, STALL)),
+], ids=["M3/F3 at cap 3^9", "N13/F2", "M4/F2", "N12/Q"])
+def test_the_span_says_why_its_sweep_stopped(make, config, ended):
+    """The status says only whether the sweep was exhaustive; `stopped` says
+    whether the span reached the kernel of μ, as M4/F2's LOWER_BOUND span
+    does, or the walk ran out, or the random visits stalled."""
+    report = compute_zero_product_span(make(), config)
+    assert (report.status, report.stopped) == ended
+    assert (report.dim == report.kernel_dim) == (report.stopped == CEILING)
 
 
 @_inputs([("F2", F2), ("F3", F3)])
