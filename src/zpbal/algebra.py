@@ -66,14 +66,19 @@ class Algebra:
         self._bit_operators = self._packed_operators() if field.characteristic == 2 else None
 
     def _check_associative(self):
-        """NotAssociative names the first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
+        """NotAssociative names the first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
+
+        A triple with e_i e_j = 0 = e_j e_k has both sides 0 and is passed over.
+        """
         f = self.field
         add, sub, mul, zero = f.add, f.sub, f.mul, f.zero
         nz = self._nonzero
         d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
+        every = range(d)
+        right = [[k for k in every if nz[j][k]] for j in every]  # the k with e_j e_k != 0
+        for i in every:
+            for j in every:
+                for k in every if nz[i][j] else right[j]:
                     diff: Dict[int, Scalar] = {}
                     for l, c in nz[i][j]:
                         for t, a in nz[l][k]:

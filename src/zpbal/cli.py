@@ -15,6 +15,13 @@ modules it imports, so a module they import holds only what they run.  This
 module holds their handlers.  factorize, structure and fn2 build their reports
 in `zpbal.reports`, and corpus runs there; `main` imports that module only when
 one of them runs.  example imports `zpbal.constructions` when it runs.
+
+A process enters through `run`, the `__main__` block and the `zpbal` console
+script alike.  `run` calls `main` and then freezes the cyclic collector, so the
+collections at interpreter shutdown skip every object the command left behind.
+Only `run` freezes: `main` leaves the collector as it found it, since tests and
+perfbench's tracer call it many times in one process, and a freeze there would
+exempt every later object of that process from collection.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import gc
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, NoReturn, Optional
 
 from zpbal.config import SweepConfig
 from zpbal.errors import SoundnessAlarm, WriteError, ZpbalError
@@ -135,7 +142,7 @@ def cmd_verify(args) -> int:
     gc.disable()
     try:
         alg = serialize.load_algebra(args.algebra)
-        balanced, certs = serialize.load_certificates(args.certificate, alg.field)
+        balanced, certs = serialize.load_certificates(args.certificate, alg.field, alg.dim)
         lines: List[str] = []  # written in one call: a print per certificate is slower
         try:
             lines.extend(verify_file(alg, balanced, certs))
@@ -247,5 +254,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Process entry point: exit with `main`'s status, the collector frozen.
+
+    Refcounting still frees, and atexit handlers and the flush of stdout and
+    stderr still run, so the output is unchanged.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -273,10 +273,10 @@ def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str
                  + ',"seed":' + encode(seed) + "}\n")
 
 
-def certificates_from_dict(data: Dict, fld: Field) -> Tuple[str, List[Certificate]]:
-    """The balancedness claim and the certificates of a certificate file; any
-    malformed field raises ParseError (file level) or MalformedCertificate
-    (one certificate)."""
+def certificates_from_dict(data: Dict, fld: Field, dim: int) -> Tuple[str, List[Certificate]]:
+    """The balancedness claim and the certificates of a certificate file for an
+    algebra of dimension `dim`; any malformed field raises ParseError (file
+    level) or MalformedCertificate (one certificate)."""
     if not isinstance(data, dict):
         raise ParseError(f"certificate file must hold an object, got {type(data).__name__}")
     try:
@@ -299,12 +299,11 @@ def certificates_from_dict(data: Dict, fld: Field) -> Tuple[str, List[Certificat
     for g in table:
         if not (isinstance(g, dict) and set(g) == {"u", "v"} and isinstance(g["u"], list)):
             raise MalformedCertificate(f"generator must be {{u: [scalars], v: [scalars]}}, got {g!r}")
-        d = len(generators[0][0]) if generators else len(g["u"])  # every vector has one length
-        generators.append((tuple(_scalars(fld, g["u"], d, "generator u")),
-                           tuple(_scalars(fld, g["v"], d, "generator v"))))
+        generators.append((tuple(_scalars(fld, g["u"], dim, "generator u")),
+                           tuple(_scalars(fld, g["v"], dim, "generator v"))))
     parsed: Dict[tuple, tuple] = {}  # raw term -> its parsed tuple, shared by the certificates
     return balanced, [Certificate.from_dict(c, fld, generators, parsed) for c in entries]
 
 
-def load_certificates(path: str, fld: Field) -> Tuple[str, List[Certificate]]:
-    return certificates_from_dict(_read_json(path), fld)
+def load_certificates(path: str, fld: Field, dim: int) -> Tuple[str, List[Certificate]]:
+    return certificates_from_dict(_read_json(path), fld, dim)

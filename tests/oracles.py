@@ -516,7 +516,7 @@ def _reference_certificate(data, fld, generators) -> Certificate:
     )
 
 
-def reference_certificates_from_dict(data, fld):
+def reference_certificates_from_dict(data, fld, dim):
     """`serialize.certificates_from_dict`, each certificate parsed on its own."""
     if not isinstance(data, dict):
         raise ParseError(f"certificate file must hold an object, got {type(data).__name__}")
@@ -540,11 +540,10 @@ def reference_certificates_from_dict(data, fld):
     for g in table:
         if not (isinstance(g, dict) and set(g) == {"u", "v"} and isinstance(g["u"], list)):
             raise MalformedCertificate(f"generator must be {{u: [scalars], v: [scalars]}}, got {g!r}")
-        d = len(generators[0][0]) if generators else len(g["u"])
         pair = []
         for what, coords in (("generator u", g["u"]), ("generator v", g["v"])):
-            if not isinstance(coords, list) or len(coords) != d:
-                raise ParseError(f"{what} must be a list of {d} scalars, got {coords!r}")
+            if not isinstance(coords, list) or len(coords) != dim:
+                raise ParseError(f"{what} must be a list of {dim} scalars, got {coords!r}")
             pair.append(tuple(fld.parse_vector(coords)))
         generators.append(tuple(pair))
     return balanced, [_reference_certificate(c, fld, generators) for c in entries]

@@ -396,7 +396,7 @@ def test_c10_certificate_soundness_and_determinism(tmp_path, capsys, monkeypatch
             b2 = fh.read()
         assert b1 == b2, "reruns must be byte-identical"
         alg = load_algebra(algfile)
-        _, certs = load_certificates(cert1, alg.field)
+        _, certs = load_certificates(cert1, alg.field, alg.dim)
         assert certs, algfile
         for cert in certs:
             assert verify_certificate(alg, cert), (algfile, cert.kind)

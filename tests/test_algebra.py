@@ -79,6 +79,33 @@ def test_associativity_check_names_the_dense_reference_triple():
     assert failures > 60
 
 
+def test_associativity_check_passes_over_only_zero_triples():
+    """Random sparse tables, where most e_i e_j are 0: the check passes over
+    the triples with e_i e_j = 0 = e_j e_k, and still names the dense
+    reference's first failing triple, also when skipped triples precede it."""
+    rng = random.Random(30)
+    after_a_skip = 0
+    for trial in range(150):
+        field = [F2, F3, QQ][trial % 3]
+        d = rng.randint(2, 6)
+        table = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
+        for _ in range(rng.randint(1, d)):
+            v = table[rng.randrange(d)][rng.randrange(d)]
+            v[rng.randrange(d)] = field.of_int(rng.choice([1, -1, 2]))
+        want = dense_associativity_failure(field, table)
+        names = [f"e{i}" for i in range(d)]
+        if want is None:
+            Algebra(field, names, table)
+            continue
+        with pytest.raises(NotAssociative) as exc:
+            Algebra(field, names, table)
+        assert exc.value.triple == want
+        after_a_skip += any(not any(table[a][b]) and not any(table[b][c])
+                            for a in range(want[0] + 1) for b in range(d) for c in range(d)
+                            if (a, b, c) < want)
+    assert after_a_skip > 60
+
+
 def test_matrix_units():
     m2 = matrix_algebra(QQ, 2)
     e12 = m2.basis_element(1)

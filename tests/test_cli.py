@@ -1,4 +1,6 @@
+import ast
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -117,17 +119,21 @@ def test_verify_rejects_corruption(tmp_path, capsys, monkeypatch):
     assert "false" in out
 
 
+def _malformed_certificate_file(path, certs):
+    """`certs` with certificate 3 naming a triple outside M2: verify exits 1
+    after printing the lines of certificates 0-2."""
+    data = json.loads(Path(certs).read_text())
+    data["certificates"][3]["meta"]["triple"] = [0, 0, 9]
+    Path(path).write_text(json.dumps(data))
+
+
 def test_verify_prints_the_lines_before_a_malformed_certificate(tmp_path, capsys, monkeypatch):
     """verify writes its report in one call; a certificate that raises
     MalformedCertificate still leaves the lines of the ones before it."""
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
     run_cli(capsys, "check", "m2.json", "--out", "certs.json")
-    with open("certs.json") as fh:
-        data = json.load(fh)
-    data["certificates"][3]["meta"]["triple"] = [0, 0, 9]  # not a basis triple of M2
-    with open("bad.json", "w") as fh:
-        json.dump(data, fh)
+    _malformed_certificate_file("bad.json", "certs.json")
     code, out, err = run_cli(capsys, "verify", "bad.json", "m2.json")
     assert code == 1 and err.startswith("error: triple [0, 0, 9]")
     assert out == "".join(f"certificate {n} (membership-decomposition): true\n" for n in range(3))
@@ -140,11 +146,7 @@ def test_verify_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatc
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
     run_cli(capsys, "check", "m2.json", "--out", "certs.json")
-    with open("certs.json") as fh:
-        data = json.load(fh)
-    data["certificates"][3]["meta"]["triple"] = [0, 0, 9]
-    with open("bad.json", "w") as fh:
-        json.dump(data, fh)
+    _malformed_certificate_file("bad.json", "certs.json")
     seen = []
     real_verify_file = cli.verify_file
     monkeypatch.setattr(cli, "verify_file", lambda *a: seen.append(gc.isenabled()) or real_verify_file(*a))
@@ -793,7 +795,8 @@ MALFORMED_CERTIFICATES = {  # file stem -> (certificate file object, expected me
     "index-bool": (_certificate_file(certificates=_term(generator=False)), "generator index False"),
     "vectors-differ": (_certificate_file(generators=[{"u": [1, 0], "v": [0, 1]}, {"u": [1], "v": [0]}]),
                        "must be a list of 2 scalars"),
-    "vectors-too-short": (_certificate_file(generators=[{"u": [1], "v": [0]}]), "wrong length"),
+    "vectors-too-short": (_certificate_file(generators=[{"u": [1], "v": [0]}]),
+                          "generator u must be a list of 2 scalars, got [1]"),
     "float-lambda": (_certificate_file(certificates=_term(lam=1.0)), "invalid residue 1.0"),
     "bool-vector": (_certificate_file(generators=[{"u": [True, 0], "v": [0, 1]}]), "invalid residue True"),
     "other-field": (_certificate_file(field="F3"), "certificates are over 'F3'"),
@@ -931,3 +934,118 @@ def test_cli_import_leaves_the_other_subcommands_unloaded():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --- the process entry point ---------------------------------------------------
+#
+# `run` is what `python -m zpbal.cli` and the `zpbal` script execute: it calls
+# `main` and freezes the collector before the process exits.  `main` itself
+# leaves the collector alone, since tests and the benchmark's tracer call it
+# many times in one process.
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting):
+    """No command freezes the collector or leaves it switched on or off."""
+    monkeypatch.chdir(tmp_path)
+    was = gc.isenabled()
+    frozen = gc.get_freeze_count()
+
+    def step(code, *argv):
+        assert run_cli(capsys, *argv)[0] == code, argv
+        assert gc.isenabled() is collecting, argv
+        assert gc.get_freeze_count() == frozen, argv
+
+    try:
+        (gc.enable if collecting else gc.disable)()
+        step(0, "example", "Mn", "--n", "2", "--field", "F2", "--out", "m2.json")
+        step(0, "check", "m2.json", "--out", "certs.json")
+        step(0, "verify", "certs.json", "m2.json")
+        _malformed_certificate_file("bad.json", "certs.json")
+        step(1, "verify", "bad.json", "m2.json")
+        step(0, "example", "Kn", "--n", "3", "--field", "F3", "--out", "k3.json")
+        step(0, "structure", "k3.json", "--json")
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _in_process(capsys, argv):
+    """Exit code, stdout and stderr of `main(argv)`; argparse's exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_child_gives_what_main_gives_in_process(tmp_path, capsys, monkeypatch, flags):
+    """`python -m zpbal.cli` prints, writes and exits as `main` does in process:
+    check and verify on N4/F2 and M2/Q, a malformed certificate file and an
+    unknown command."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    here, child = tmp_path / "in-process", tmp_path / "child"
+    here.mkdir()
+    child.mkdir()
+    monkeypatch.chdir(here)
+    codes = []
+
+    def compare(*argv):
+        want = _in_process(capsys, list(argv))
+        proc = subprocess.run([sys.executable, *flags, "-m", "zpbal.cli", *argv], cwd=child,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want, argv
+        codes.append(want[0])
+
+    for stem, example in (("n4f2", ["Nm", "--m", "4", "--field", "F2"]),
+                          ("m2q", ["Mn", "--n", "2", "--field", "Q"])):
+        alg = str(tmp_path / f"{stem}.json")
+        assert main(["example", *example, "--out", alg]) == 0
+        capsys.readouterr()
+        compare("check", alg, "--out", f"{stem}.certs.json")
+        compare("check", alg, "--json", "--seed", "3", "--out", f"{stem}.json.certs.json")
+        compare("verify", str(here / f"{stem}.certs.json"), alg)
+    _malformed_certificate_file(tmp_path / "bad.json", here / "m2q.certs.json")
+    compare("verify", str(tmp_path / "bad.json"), alg)
+    compare("no-such-command")
+    assert codes == [0] * 6 + [1, 2]
+    written = sorted(p.name for p in here.iterdir())
+    assert written == sorted(p.name for p in child.iterdir()) and len(written) == 4
+    for name in written:
+        assert (here / name).read_bytes() == (child / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, code", [(["example", "Kn", "--n", "1"], 0),
+                                        (["verify", "none.json", "none.json"], 1),
+                                        (["no-such-command"], 2)])
+def test_run_exits_with_mains_status_and_the_collector_frozen(tmp_path, argv, code):
+    """An atexit handler, which runs after `run` has returned control to the
+    interpreter, sees the collector frozen, whatever the exit status."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    program = ("import atexit, gc, sys\n"
+               "from zpbal import cli\n"
+               "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+               f"sys.argv = ['zpbal', *{argv!r}]\n"
+               "cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", program], cwd=tmp_path, capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.endswith("frozen: True\n")
+
+
+def test_the_console_script_and_the_main_block_run_the_same_function():
+    """pyproject's `zpbal` script names the function cli.py's `__main__` block
+    calls, so the installed command freezes as `python -m zpbal.cli` does."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["zpbal"].partition(":")
+    script = getattr(importlib.import_module(module), name)
+    (block,) = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (statement,) = block.body
+    assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
+    assert not statement.value.args and not statement.value.keywords
+    assert getattr(cli, ast.unparse(statement.value.func)) is script is cli.run

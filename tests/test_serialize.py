@@ -157,7 +157,7 @@ def cert_files():
 def test_certificate_loader_and_verifier_never_crash(cert_files, which, data):
     alg, doc = cert_files[which]
     try:
-        claim, certs = certificates_from_dict(mutant(data, doc), alg.field)
+        claim, certs = certificates_from_dict(mutant(data, doc), alg.field, alg.dim)
     except (ParseError, MalformedCertificate):
         return
     assert claim in ("YES", "NO", "UNKNOWN")
@@ -186,7 +186,7 @@ def assert_round_trip(alg, config, tmp_path):
     save_certificates(certs, alg.field, config.seed, str(second), label="x", balanced=claim)
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text() == reference_certificate_text(certs, alg.field, config.seed, "x", balanced=claim)
-    loaded_claim, loaded = load_certificates(str(first), alg.field)
+    loaded_claim, loaded = load_certificates(str(first), alg.field, alg.dim)
     assert loaded_claim == claim
     assert len(loaded) == len(certs)
     ts = DenseTensorSquare(alg)

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import reference_certificates_from_dict, reference_verify_file
 from zpbal import serialize, tensorsquare
 from zpbal.cli import main
-from zpbal.errors import ZpbalError
+from zpbal.constructions import function_algebra
+from zpbal.errors import ParseError, ZpbalError
 from zpbal.tensorsquare import MEMBERSHIP, SEPARATING, verify_file
 
 # A balanced algebra (memberships), an unbalanced one (a separating
@@ -49,7 +50,7 @@ def _read(load, verify, alg, doc, tamper=None):
     """The lines printed before the first error, and that error."""
     lines = []
     try:
-        balanced, certs = load(doc, alg.field)
+        balanced, certs = load(doc, alg.field, alg.dim)
         if tamper is not None:
             tamper(certs)
         for line in verify(alg, balanced, certs):
@@ -104,6 +105,12 @@ def _tamper(doc, alg, kind, draw):
         g = draw(st.sampled_from(doc["generators"]))
         side = g[draw(st.sampled_from(["u", "v"]))]
         side[draw(st.integers(0, d - 1))] = draw(st.sampled_from(SCALARS))
+    elif kind == "generator length":
+        side = draw(st.sampled_from(doc["generators"]))[draw(st.sampled_from(["u", "v"]))]
+        if draw(st.booleans()):
+            side.pop()
+        else:
+            side.append(0)
     elif kind == "shared pair with uv != 0":
         shared = sorted(g for g, used in _users(doc).items() if len(used) > 1)
         g = doc["generators"][draw(st.sampled_from(shared))]
@@ -120,8 +127,9 @@ def _tamper(doc, alg, kind, draw):
         else:
             term["generator"] = draw(st.integers(0, len(doc["generators"]) - 1))
     elif kind == "wrong length after a nonzero product":
-        # Every vector of a file has one length, so this change is made to the
-        # loaded certificates: the nonzero product decides before the length.
+        # The loader holds every vector of a file to the algebra's length, so this
+        # change is made to the loaded certificates: the nonzero product decides
+        # before the length.
         n = draw(st.sampled_from([k for k, c in enumerate(certs) if c["kind"] == MEMBERSHIP]))
         f = alg.field
         u, v = (tuple(f.parse_vector(x)) for x in _nonzero_product(alg))
@@ -135,8 +143,9 @@ def _tamper(doc, alg, kind, draw):
     return None
 
 
-KINDS = ["lambda", "generator index", "triple", "generator vector", "shared pair with uv != 0",
-         "one copy of a repeated term list", "wrong length after a nonzero product"]
+KINDS = ["lambda", "generator index", "triple", "generator vector", "generator length",
+         "shared pair with uv != 0", "one copy of a repeated term list",
+         "wrong length after a nonzero product"]
 
 
 def test_each_tampering_applies_to_a_written_file(files):
@@ -172,6 +181,26 @@ def test_verify_file_reads_an_untouched_file_like_the_reference(files, stem):
     assert got[0][-1] == "all certificates: true"
 
 
+@pytest.mark.parametrize("against, prepend, message", [
+    # M2/F2's file read against the 1-dimensional F2: no certificate is checked
+    ("F2", False, "generator u must be a list of 1 scalars, got [1, 0, 0, 0]"),
+    # an empty first generator: the message names it, not the valid vectors after it
+    ("M2/F2", True, "generator u must be a list of 4 scalars, got []"),
+], ids=["another dimension", "an empty first generator"])
+def test_every_generator_has_the_algebras_dimension(files, against, prepend, message):
+    """The loader holds every generator vector to the algebra's dimension, not
+    to the first generator's, so a file for another dimension fails before
+    its first line, with a message that names a vector of the wrong length."""
+    m2, written = files["m2f2"]
+    alg = m2 if against == "M2/F2" else function_algebra(m2.field, 1)
+    doc = copy.deepcopy(written)
+    if prepend:
+        doc["generators"].insert(0, {"u": [], "v": []})
+    want = ([], (ParseError, message))
+    assert _read(serialize.certificates_from_dict, verify_file, alg, doc) == want
+    assert _read(reference_certificates_from_dict, reference_verify_file, alg, doc) == want
+
+
 @pytest.mark.parametrize("stem", [stem for stem, _ in EXAMPLES])
 def test_verify_file_calls_verify_certificate_once_per_certificate(files, monkeypatch, stem):
     """The benchmark's certs_verified counts these calls."""
@@ -180,7 +209,7 @@ def test_verify_file_calls_verify_certificate_once_per_certificate(files, monkey
     real = tensorsquare.verify_certificate
     monkeypatch.setattr(tensorsquare, "verify_certificate",
                         lambda *args: calls.append(args[1]) or real(*args))
-    balanced, certs = serialize.certificates_from_dict(doc, alg.field)
+    balanced, certs = serialize.certificates_from_dict(doc, alg.field, alg.dim)
     list(verify_file(alg, balanced, certs))
     assert len(calls) == len(certs) == len(doc["certificates"])
     assert all(a is b for a, b in zip(calls, certs))
