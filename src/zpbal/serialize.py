@@ -20,10 +20,15 @@ Certificate files:
       "certificates": [ <certificate> ... ] }
 
     Each zero-product pair is stored once, in the order certificates first use
-    it.  A certificate is an object with "kind" and optional "meta":
+    it.  A certificate is an object with optional "meta", the fields of its
+    kind, and a dense "target" (d*d scalars) when it has one:
       membership-decomposition: "terms": [ {"generator": index, "lambda": scalar} ... ]
-      separating-functional:    "functional": [scalars], "generators": [indices]
-    and a dense "target" (d*d scalars) when the certificate has one.  The
+      separating-functional:    "kind": "separating-functional",
+                                "functional": [scalars], "generators": [indices]
+    A certificate without "kind" is a membership decomposition, so the
+    writer names the kind of every certificate but a membership, and the
+    reader also takes an explicit "membership-decomposition".  A certificate
+    that holds a field of the other kind is malformed.  The
     balanced decider gives a certificate of a basis triple
     ("meta": {"triple": [i, j, k]}) its defect tensor as target only the
     first time it shows that defect, and a zero defect none; the writer
@@ -223,26 +228,28 @@ def _meta_text(meta: Dict, encode: Callable[[object], str]) -> str:
 
 # how the line of a certificate of a zero defect begins: a membership with
 # meta, no target and the terms `NO_TERMS`
-_ZERO_DEFECT = '{"kind":"membership-decomposition","meta":'
+_ZERO_DEFECT = '{"meta":'
 
 
 def _certificate_line(cert: Certificate, tokens: _Tokens, index: Callable[[tuple, tuple], int]) -> str:
-    """One certificate as a JSON object with sorted keys; a zero-product pair
-    becomes its index in the file's generator table."""
+    """One certificate as a JSON object with sorted keys, and no "kind" when it
+    is a membership; a zero-product pair becomes its index in the file's
+    generator table."""
     kind, meta, target = cert.kind, cert.meta, cert.target
-    line = "{"
+    fields = []
     if kind == SEPARATING:
-        line += ('"functional":[' + tokens.vector(cert.functional) + '],"generators":['
-                 + ",".join([str(index(u, v)) for u, v in cert.generators]) + "],")
-    line += '"kind":' + tokens.encode(kind)
+        fields += ['"functional":[' + tokens.vector(cert.functional) + "]",
+                   '"generators":[' + ",".join([str(index(u, v)) for u, v in cert.generators]) + "]"]
+    if kind != MEMBERSHIP:
+        fields.append('"kind":' + tokens.encode(kind))
     if meta:
-        line += ',"meta":' + _meta_text(meta, tokens.encode)
+        fields.append('"meta":' + _meta_text(meta, tokens.encode))
     if target is not None:
-        line += ',"target":[' + tokens.vector(target) + "]"
+        fields.append('"target":[' + tokens.vector(target) + "]")
     if kind == MEMBERSHIP:
-        line += ',"terms":[' + ",".join(['{"generator":%d,"lambda":%s}' % (index(u, v), tokens[lam])
-                                         for lam, u, v in cert.terms]) + "]"
-    return line + "}"
+        fields.append('"terms":[' + ",".join(['{"generator":%d,"lambda":%s}' % (index(u, v), tokens[lam])
+                                               for lam, u, v in cert.terms]) + "]")
+    return "{" + ",".join(fields) + "}"
 
 
 def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str,

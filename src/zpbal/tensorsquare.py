@@ -195,6 +195,8 @@ SEPARATING = "separating-functional"
 # zero defect, shared and immutable; `serialize.save_certificates` writes such
 # a certificate from a template.
 NO_TERMS: tuple = ()
+# The fields a certificate of each kind must not hold: those of the other kind.
+_OTHER_KINDS_FIELDS = {MEMBERSHIP: ("functional", "generators"), SEPARATING: ("terms",)}
 
 
 class Certificate:
@@ -210,6 +212,11 @@ class Certificate:
     must equal it.  The decider stores a triple's target only on the first
     certificate of each nonzero defect, so a loaded certificate of a zero or
     a repeated defect has no target.
+
+    In a file, a certificate without "kind" is a membership decomposition,
+    and one that holds a field of the other kind ("functional" or
+    "generators" on a membership, "terms" on a separating functional) does
+    not load.
     """
 
     def __init__(self, kind: str, target: Optional[Vector],
@@ -231,12 +238,16 @@ class Certificate:
         `serialize.save_certificates`); `generators` is the file's parsed
         generator table.  `parsed` maps a raw term (generator, lambda) to its
         parsed tuple; certificates that share it share each term's tuple.  An
-        absent or empty "terms" or "generators" is handed on as None."""
+        absent "kind" reads as a membership, and an absent or empty "terms"
+        or "generators" is handed on as None."""
         if not isinstance(data, dict):
             raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
-        kind = data.get("kind")
+        kind = data.get("kind", MEMBERSHIP)
         if not isinstance(kind, str):
             raise MalformedCertificate(f"certificate kind must be a string, got {kind!r}")
+        for key in _OTHER_KINDS_FIELDS.get(kind, ()):
+            if key in data:
+                raise MalformedCertificate(f"a {kind} certificate holds no {key!r}")
         meta = data.get("meta", {})
         if not isinstance(meta, dict):
             raise MalformedCertificate(f"meta must be an object, got {meta!r}")

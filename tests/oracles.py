@@ -432,8 +432,9 @@ def reference_balanced(algebra, report):
 
 
 def certificate_to_dict(cert: Certificate, fld, generator_index) -> dict:
-    """JSON form of one certificate; zero-product pairs become indices into the file's generator table."""
-    out = {"kind": cert.kind}
+    """JSON form of one certificate; zero-product pairs become indices into the
+    file's generator table, and a membership, the default kind, has no "kind"."""
+    out = {} if cert.kind == MEMBERSHIP else {"kind": cert.kind}
     if cert.target is not None:
         out["target"] = fld.format_vector(cert.target)
     if cert.kind == MEMBERSHIP:
@@ -484,9 +485,13 @@ def reference_certificate_text(certs, fld, seed: int, label: str = "", *, balanc
 def _reference_certificate(data, fld, generators) -> Certificate:
     if not isinstance(data, dict):
         raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
-    kind = data.get("kind")
+    kind = data.get("kind", MEMBERSHIP)
     if not isinstance(kind, str):
         raise MalformedCertificate(f"certificate kind must be a string, got {kind!r}")
+    other = {MEMBERSHIP: ["functional", "generators"], SEPARATING: ["terms"]}.get(kind, [])
+    stray = [key for key in other if key in data]
+    if stray:
+        raise MalformedCertificate(f"a {kind} certificate holds no {stray[0]!r}")
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise MalformedCertificate(f"meta must be an object, got {meta!r}")

@@ -803,6 +803,11 @@ MALFORMED_CERTIFICATES = {  # file stem -> (certificate file object, expected me
     "balanced-missing": ({k: v for k, v in _certificate_file().items() if k != "balanced"},
                          "certificate file missing field: 'balanced'"),
     "balanced-unknown-value": (_certificate_file(balanced="yes"), "balanced must be"),
+    "kindless-refutation": (_certificate_file(certificates=[{"functional": [0, 1, 0, 0], "generators": [0],
+                                                             "target": [0, 1, 0, 0]}]),
+                            "a membership-decomposition certificate holds no 'functional'"),
+    "refutation-with-terms": (_certificate_file(certificates=[dict(_term()[0], kind="separating-functional")]),
+                              "a separating-functional certificate holds no 'terms'"),
 }
 MALFORMED_MAPS = {  # file stem -> (map file object, expected message)
     "matrix-int": ({"source": K2, "target": K2, "matrix": 5}, "matrix must be 2 rows x 2 cols"),

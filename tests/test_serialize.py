@@ -303,28 +303,70 @@ def test_writer_writes_the_reference_bytes(tmp_path, data, seed, label):
     assert _written_text(tmp_path, certs, fld, seed, label, claim) == want, name
 
 
-# sha256 of the certificate file `check --seed 7` writes for each `example`;
-# any change to these bytes must be deliberate and update the digest.
+# sha256 of the certificate file `check --seed 7` writes for each `example`,
+# and of the same file with its membership lines naming their kind, which the
+# writer leaves off; any change to these bytes must be deliberate and update
+# the digests.
 GOLDEN_CERTIFICATES = {
     "m2f2": (("Mn", "--n", "2", "--field", "F2"),
+             "61128d69e00f2aa5742898a2394402d627e56fc40c864f50b5a3032eaf5b724a",
              "fdbb0064d6760ebb5c55040a55c4f059ea9fda06336d6d06b0e1bfbf19c3a351"),
     "n4f3": (("Nm", "--m", "4", "--field", "F3"),
+             "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532",
              "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532"),
     "m2q": (("Mn", "--n", "2", "--field", "Q"),
+            "cacfed5e48ebec0b0e0f153ad2d66bc117ce7e5b77ac44175f65f05f19881874",
             "f2e1e03f64dfeaafd1f781ceaf0b241f47f1f2590d1186b2256b568a4bc545f8"),
     "dn3q": (("DN3", "--field", "Q"),
+             "8554595d2366e4c5aac464512cb9152f75a989d2b03f5e54f1aa40378dc60731",
              "38a1cdeff88df9cc7232e9c4880df16939c338d045f606c1f65d0a6f43a12fa6"),
 }
 
 
-@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
-def test_check_writes_the_golden_certificate_bytes(stem, tmp_path, capsys, monkeypatch):
-    example, digest = GOLDEN_CERTIFICATES[stem]
+def _checked_file(stem, tmp_path, capsys, monkeypatch) -> bytes:
+    """The bytes of the certificate file `check --seed 7` writes for a golden example."""
     monkeypatch.chdir(tmp_path)  # the file name is the label inside the file
-    assert main(["example", *example, "--out", f"{stem}.json"]) == 0
+    assert main(["example", *GOLDEN_CERTIFICATES[stem][0], "--out", f"{stem}.json"]) == 0
     assert main(["check", f"{stem}.json", "--seed", "7", "--out", f"{stem}.certs.json"]) == 0
     capsys.readouterr()
-    assert hashlib.sha256((tmp_path / f"{stem}.certs.json").read_bytes()).hexdigest() == digest
+    return (tmp_path / f"{stem}.certs.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
+def test_check_writes_the_golden_certificate_bytes(stem, tmp_path, capsys, monkeypatch):
+    digest = GOLDEN_CERTIFICATES[stem][1]
+    assert hashlib.sha256(_checked_file(stem, tmp_path, capsys, monkeypatch)).hexdigest() == digest
+
+
+def _verify_output(capsys, certs, alg):
+    code = main(["verify", str(certs), str(alg)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
+def test_a_membership_line_names_no_kind(stem, tmp_path, capsys, monkeypatch):
+    """`check` leaves "kind" off every membership and names it on every
+    separating certificate.  Put back after the `{` of each membership line,
+    the kind gives the golden bytes of a file that names every kind, and
+    `verify` prints the same and exits alike on both files."""
+    text = _checked_file(stem, tmp_path, capsys, monkeypatch).decode()
+    lines = text.split("\n")
+    entries = [json.loads(line.rstrip(",")) for line in lines[1:-2]]  # one certificate a line
+    assert entries == json.loads(text)["certificates"]
+    assert '"kind":"membership-decomposition"' not in text
+    for n, entry in enumerate(entries, 1):
+        if "terms" in entry:
+            assert "kind" not in entry
+            lines[n] = '{"kind":"membership-decomposition",' + lines[n][1:]
+        else:
+            assert entry["kind"] == SEPARATING
+    explicit = "\n".join(lines)
+    assert hashlib.sha256(explicit.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][2]
+    (tmp_path / "explicit.certs.json").write_text(explicit)
+    alg = tmp_path / f"{stem}.json"
+    assert _verify_output(capsys, tmp_path / "explicit.certs.json", alg) == \
+        _verify_output(capsys, tmp_path / f"{stem}.certs.json", alg)
 
 # --- the representation of a rational never shows in an artifact --------------
 

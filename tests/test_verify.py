@@ -20,7 +20,7 @@ from oracles import reference_certificates_from_dict, reference_verify_file
 from zpbal import serialize, tensorsquare
 from zpbal.cli import main
 from zpbal.constructions import function_algebra
-from zpbal.errors import ParseError, ZpbalError
+from zpbal.errors import MalformedCertificate, ParseError, ZpbalError
 from zpbal.tensorsquare import MEMBERSHIP, SEPARATING, verify_file
 
 # A balanced algebra (memberships), an unbalanced one (a separating
@@ -126,11 +126,22 @@ def _tamper(doc, alg, kind, draw):
             term["lambda"] = draw(st.sampled_from(SCALARS))
         else:
             term["generator"] = draw(st.integers(0, len(doc["generators"]) - 1))
+    elif kind == "kind":
+        # a separating certificate loses its kind, or a membership, whose kind
+        # the file leaves off, gets one: its own, the other kind, or no kind
+        cert = draw(st.sampled_from(certs))
+        if cert.get("kind", MEMBERSHIP) == SEPARATING:
+            del cert["kind"]
+        else:
+            cert["kind"] = draw(st.sampled_from([MEMBERSHIP, SEPARATING, None, 7, "zz"]))
+    elif kind == "target entry":
+        target = draw(st.sampled_from([c["target"] for c in certs if "target" in c]))
+        target[draw(st.integers(0, len(target) - 1))] = draw(st.sampled_from(SCALARS))
     elif kind == "wrong length after a nonzero product":
         # The loader holds every vector of a file to the algebra's length, so this
         # change is made to the loaded certificates: the nonzero product decides
         # before the length.
-        n = draw(st.sampled_from([k for k, c in enumerate(certs) if c["kind"] == MEMBERSHIP]))
+        n = draw(st.sampled_from([k for k, c in enumerate(certs) if c.get("kind", MEMBERSHIP) == MEMBERSHIP]))
         f = alg.field
         u, v = (tuple(f.parse_vector(x)) for x in _nonzero_product(alg))
         short = (f.zero,) * (d - 1)
@@ -145,7 +156,7 @@ def _tamper(doc, alg, kind, draw):
 
 KINDS = ["lambda", "generator index", "triple", "generator vector", "generator length",
          "shared pair with uv != 0", "one copy of a repeated term list",
-         "wrong length after a nonzero product"]
+         "wrong length after a nonzero product", "kind", "target entry"]
 
 
 def test_each_tampering_applies_to_a_written_file(files):
@@ -155,6 +166,36 @@ def test_each_tampering_applies_to_a_written_file(files):
     lists = [json.dumps(c["terms"]) for c in m2f2["certificates"] if c.get("terms")]
     assert len(lists) > len(set(lists))
     assert any(c["kind"] == SEPARATING and c["generators"] for c in files["n4f3"][1]["certificates"])
+    for _, doc in files.values():
+        assert any("target" in c for c in doc["certificates"])
+
+
+@pytest.mark.parametrize("stem, n, change, error", [
+    # a refutation that lost its kind reads as a membership, which holds no functional
+    ("n4f3", 0, {"kind": None},
+     "a membership-decomposition certificate holds no 'functional'"),
+    ("m2f2", 5, {"functional": [0] * 16}, "a membership-decomposition certificate holds no 'functional'"),
+    ("m2q", 5, {"kind": MEMBERSHIP, "generators": []},
+     "a membership-decomposition certificate holds no 'generators'"),
+    ("m2f2", 5, {"kind": SEPARATING}, "a separating-functional certificate holds no 'terms'"),
+], ids=["separating without kind", "membership with a functional", "explicit membership with generators",
+        "membership as separating"])
+def test_a_certificate_holding_the_other_kinds_fields_does_not_load(files, stem, n, change, error):
+    """The writer leaves the kind of a membership off, so the reader refuses a
+    certificate whose fields belong to the other kind: a refutation whose kind
+    was deleted fails to load instead of verifying false.  A `None` in
+    `change` deletes the key."""
+    alg, written = files[stem]
+    doc = copy.deepcopy(written)
+    cert = doc["certificates"][n]
+    for key, value in change.items():
+        if value is None:
+            cert.pop(key, None)
+        else:
+            cert[key] = value
+    want = ([], (MalformedCertificate, error))
+    assert _read(serialize.certificates_from_dict, verify_file, alg, doc) == want
+    assert _read(reference_certificates_from_dict, reference_verify_file, alg, doc) == want
 
 
 @settings(max_examples=150, deadline=None)
