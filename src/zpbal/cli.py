@@ -94,7 +94,8 @@ def cmd_check(args) -> int:
     cert_path = args.out or (os.path.splitext(os.path.basename(args.algebra))[0] + ".certs.json")
     try:
         serialize.save_certificates(certs, fld, config.seed, cert_path,
-                                    label=os.path.basename(args.algebra), balanced=balanced.status)
+                                    label=os.path.basename(args.algebra), balanced=balanced.status,
+                                    dim=alg.dim)
     except OSError as exc:
         raise WriteError(cert_path, exc) from exc
 

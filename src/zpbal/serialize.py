@@ -28,15 +28,20 @@ Certificate files:
     A certificate without "kind" is a membership decomposition, so the
     writer names the kind of every certificate but a membership, and the
     reader also takes an explicit "membership-decomposition".  A certificate
-    that holds a field of the other kind is malformed.  The
-    balanced decider gives a certificate of a basis triple
-    ("meta": {"triple": [i, j, k]}) its defect tensor as target only the
-    first time it shows that defect, and a zero defect none; the writer
-    stores what it is given.  The verifier recomputes the target of every
-    certificate that names a triple, so a stored target only shows the
-    reader the claim.  `tensorsquare.verify_file` also holds the file to its
-    "balanced" claim: YES needs a membership certificate for every basis
-    triple, each once, and NO needs a verified separating certificate with
+    that holds a field of the other kind is malformed.
+
+    The n-th membership of a file, separating certificates not counted, is
+    about basis triple n = (n // d², n // d % d, n % d), its place
+    (`tensorsquare.basis_triples`).  The writer leaves a membership's meta
+    off when it names only that triple, so a zero defect is the line
+    {"terms":[]}.  A membership that names a triple still loads, and
+    verifies false unless the triple is its place's; one past the d³-th
+    does not load.  The balanced decider gives a triple's certificate its
+    defect tensor as target only the first time it shows that defect, and a
+    zero defect none; the verifier recomputes every triple's defect, so a
+    stored target only shows the reader the claim.
+    `tensorsquare.verify_file` also holds the file to its "balanced" claim:
+    YES needs d³ memberships, and NO a verified separating certificate with
     claim "not-zero-product-balanced".
 
 Algebra files may declare at most MAX_DIM basis vectors.  Scalars use the
@@ -49,9 +54,7 @@ line, and `save_certificates` is their one writer.  It builds each line as
 text straight from the `Certificate`, with no intermediate dict: a per-file
 token table formats and encodes each distinct scalar once, so a dense target
 of d*d scalars is a single join, and each line goes to the file as soon as it
-is built.  The certificate of a zero defect, whose terms are
-`tensorsquare.NO_TERMS`, is a fixed template around its meta.
-`tests/oracles.py` keeps the dict form and the `sort_keys` encoder it
+is built.  `tests/oracles.py` keeps the dict form and the `sort_keys` encoder it
 replaced, and the tests hold the writer to their bytes.
 """
 
@@ -65,7 +68,7 @@ from zpbal.algebra import Algebra
 from zpbal.errors import MalformedCertificate, NotAssociative, NotIdempotent, ParseError
 from zpbal.fields import Field, field_from_name, vec_is_zero
 from zpbal.tensorsquare import (MEMBERSHIP, NO, NO_TERMS, SEPARATING, TENSOR_CONVENTION, UNKNOWN, YES,
-                                Certificate)
+                                Certificate, basis_triples)
 
 if TYPE_CHECKING:
     from zpbal.linmaps import AlgMap
@@ -216,26 +219,17 @@ class _Tokens(dict):
         return ",".join(map(self.__getitem__, v))
 
 
-def _meta_text(meta: Dict, encode: Callable[[object], str]) -> str:
-    """JSON of a certificate's meta; the usual {"triple": [i, j, k]} skips the encoder."""
-    triple = meta.get("triple")
-    if len(meta) == 1 and type(triple) is list and len(triple) == 3:
-        i, j, k = triple
-        if type(i) is type(j) is type(k) is int:
-            return '{"triple":[%d,%d,%d]}' % (i, j, k)
-    return encode(meta)
+# the line of a membership of a zero defect at its place, with the "," and
+# line break before it: the terms `NO_TERMS`, no target and no meta
+_ZERO_DEFECT = ',\n{"terms":[]}'
 
 
-# how the line of a certificate of a zero defect begins: a membership with
-# meta, no target and the terms `NO_TERMS`
-_ZERO_DEFECT = '{"meta":'
-
-
-def _certificate_line(cert: Certificate, tokens: _Tokens, index: Callable[[tuple, tuple], int]) -> str:
-    """One certificate as a JSON object with sorted keys, and no "kind" when it
-    is a membership; a zero-product pair becomes its index in the file's
-    generator table."""
-    kind, meta, target = cert.kind, cert.meta, cert.target
+def _certificate_line(cert: Certificate, meta: Dict, tokens: _Tokens,
+                      index: Callable[[tuple, tuple], int]) -> str:
+    """One certificate with the meta `meta` as a JSON object with sorted keys,
+    and no "kind" when it is a membership; a zero-product pair becomes its
+    index in the file's generator table."""
+    kind, target = cert.kind, cert.target
     fields = []
     if kind == SEPARATING:
         fields += ['"functional":[' + tokens.vector(cert.functional) + "]",
@@ -243,7 +237,7 @@ def _certificate_line(cert: Certificate, tokens: _Tokens, index: Callable[[tuple
     if kind != MEMBERSHIP:
         fields.append('"kind":' + tokens.encode(kind))
     if meta:
-        fields.append('"meta":' + _meta_text(meta, tokens.encode))
+        fields.append('"meta":' + tokens.encode(meta))
     if target is not None:
         fields.append('"target":[' + tokens.vector(target) + "]")
     if kind == MEMBERSHIP:
@@ -253,11 +247,12 @@ def _certificate_line(cert: Certificate, tokens: _Tokens, index: Callable[[tuple
 
 
 def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str,
-                      label: str = "", *, balanced: str):
+                      label: str = "", *, balanced: str, dim: int):
     """Compact JSON with sorted keys, one certificate per line, each line written
-    as it is built.  Scalars come from a per-file token table, so a dense target
-    is one join; zero-product pairs are indexed in the order certificates first
-    use them."""
+    as it is built, for an algebra of dimension `dim`.  Scalars come from a
+    per-file token table, so a dense target is one join; zero-product pairs are
+    indexed in the order certificates first use them; a membership whose meta
+    names only the triple of its place has no meta."""
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
     tokens = _Tokens(fld, encode)
     table: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position
@@ -265,14 +260,21 @@ def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str
     def index(u, v) -> int:
         return table.setdefault((tuple(u), tuple(v)), len(table))
 
+    places = basis_triples(dim)
     with open(path, "w") as fh:
         fh.write('{"balanced":' + encode(balanced) + ',"certificates":[')
         for n, cert in enumerate(certs):
-            if cert.terms is NO_TERMS and cert.target is None and cert.kind == MEMBERSHIP and cert.meta:
-                line = _ZERO_DEFECT + _meta_text(cert.meta, encode) + ',"terms":[]}'
-            else:
-                line = _certificate_line(cert, tokens, index)
-            fh.write(("," if n else "") + "\n" + line)
+            meta = cert.meta
+            if cert.kind == MEMBERSHIP:
+                place = next(places, None)
+                t = meta.get("triple")
+                # the place's own triple, in ints: True == 1 and 1.0 == 1
+                if t == place and place and len(meta) == 1 and type(t[0]) is type(t[1]) is type(t[2]) is int:
+                    if cert.terms is NO_TERMS and cert.target is None:
+                        fh.write(_ZERO_DEFECT if n else _ZERO_DEFECT[1:])
+                        continue
+                    meta = None
+            fh.write(("," if n else "") + "\n" + _certificate_line(cert, meta, tokens, index))
         generators = ",".join(['{"u":[' + tokens.vector(u) + '],"v":[' + tokens.vector(v) + "]}"
                                for u, v in table])
         fh.write('\n],"convention":' + encode(TENSOR_CONVENTION) + ',"field":' + encode(fld.name)
@@ -309,7 +311,18 @@ def certificates_from_dict(data: Dict, fld: Field, dim: int) -> Tuple[str, List[
         generators.append((tuple(_scalars(fld, g["u"], dim, "generator u")),
                            tuple(_scalars(fld, g["v"], dim, "generator v"))))
     parsed: Dict[tuple, tuple] = {}  # raw term -> its parsed tuple, shared by the certificates
-    return balanced, [Certificate.from_dict(c, fld, generators, parsed) for c in entries]
+    places = basis_triples(dim)
+    place = next(places, None)  # the triple of the next membership
+    certs = []
+    for entry in entries:
+        cert = Certificate.from_dict(entry, fld, generators, parsed, place)
+        if cert.kind == MEMBERSHIP:
+            if place is None:
+                raise MalformedCertificate(f"certificate {len(certs)} is a membership past the last of "
+                                           f"the {dim ** 3} basis triples")
+            place = next(places, None)
+        certs.append(cert)
+    return balanced, certs
 
 
 def load_certificates(path: str, fld: Field, dim: int) -> Tuple[str, List[Certificate]]:

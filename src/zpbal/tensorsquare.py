@@ -24,7 +24,6 @@ only verifies never loads it.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from zpbal.algebra import Algebra
@@ -192,11 +191,16 @@ def compute_zero_product_span(algebra: Algebra, config: SweepConfig = DEFAULT_CO
 MEMBERSHIP = "membership-decomposition"
 SEPARATING = "separating-functional"
 # The terms of each membership certificate `is_zero_product_balanced` gives a
-# zero defect, shared and immutable; `serialize.save_certificates` writes such
-# a certificate from a template.
+# zero defect, shared and immutable.
 NO_TERMS: tuple = ()
 # The fields a certificate of each kind must not hold: those of the other kind.
 _OTHER_KINDS_FIELDS = {MEMBERSHIP: ("functional", "generators"), SEPARATING: ("terms",)}
+
+
+def basis_triples(d: int) -> Iterator[List[int]]:
+    """The basis triples [i, j, k] in row-major order: the n-th membership
+    certificate of a file is about the n-th of them."""
+    return ([i, j, k] for i in range(d) for j in range(d) for k in range(d))
 
 
 class Certificate:
@@ -216,7 +220,10 @@ class Certificate:
     In a file, a certificate without "kind" is a membership decomposition,
     and one that holds a field of the other kind ("functional" or
     "generators" on a membership, "terms" on a separating functional) does
-    not load.
+    not load.  The n-th membership of a file is about the n-th of
+    `basis_triples`, its place: one without a "triple" in its meta gets the
+    triple of its place, and one that names another triple verifies false
+    in `verify_file`.
     """
 
     def __init__(self, kind: str, target: Optional[Vector],
@@ -233,13 +240,15 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: Dict, fld: Field, generators: Sequence[Tuple[tuple, tuple]],
-                  parsed: Optional[Dict[tuple, tuple]] = None) -> "Certificate":
+                  parsed: Optional[Dict[tuple, tuple]] = None,
+                  place: Optional[List[int]] = None) -> "Certificate":
         """The certificate a file's JSON object describes (the writer is
         `serialize.save_certificates`); `generators` is the file's parsed
         generator table.  `parsed` maps a raw term (generator, lambda) to its
         parsed tuple; certificates that share it share each term's tuple.  An
-        absent "kind" reads as a membership, and an absent or empty "terms"
-        or "generators" is handed on as None."""
+        absent "kind" reads as a membership, a membership whose meta names
+        no triple is about `place`, when given, and an absent or empty
+        "terms" or "generators" is handed on as None."""
         if not isinstance(data, dict):
             raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
         kind = data.get("kind", MEMBERSHIP)
@@ -251,6 +260,8 @@ class Certificate:
         meta = data.get("meta", {})
         if not isinstance(meta, dict):
             raise MalformedCertificate(f"meta must be an object, got {meta!r}")
+        if kind == MEMBERSHIP and place is not None and "triple" not in meta:
+            meta = {**meta, "triple": place}
         if parsed is None:
             parsed = {}
         terms = _list(data["terms"], "terms") if "terms" in data else None
@@ -380,6 +391,8 @@ def verify_certificate(algebra: Algebra, cert: Certificate, memo: Optional[_Veri
     f = algebra.field
     d = algebra.dim
     ambient = d * d
+    if cert.kind not in (MEMBERSHIP, SEPARATING):
+        raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
     if memo is None:
         memo = _VerifyMemo(algebra)
     target = cert.target
@@ -398,22 +411,20 @@ def verify_certificate(algebra: Algebra, cert: Certificate, memo: Optional[_Veri
         claimed = _sparse(target, ambient)
     if cert.kind == MEMBERSHIP:
         return memo.combination(cert.terms) == claimed if cert.terms else not claimed
-    if cert.kind == SEPARATING:
-        phi = cert.functional
-        if phi is None or len(phi) != ambient:
-            raise MalformedCertificate("separating certificate lacks a functional")
-        claim = cert.meta.get("claim")
-        if not (claim == "not-zero-product-balanced" and triple is not None
-                or claim == "not-zero-product-determined" and vec_is_zero(_apply_mul(algebra, claimed))):
+    phi = cert.functional
+    if phi is None or len(phi) != ambient:
+        raise MalformedCertificate("separating certificate lacks a functional")
+    claim = cert.meta.get("claim")
+    if not (claim == "not-zero-product-balanced" and triple is not None
+            or claim == "not-zero-product-determined" and vec_is_zero(_apply_mul(algebra, claimed))):
+        return False
+    if _evaluate(f, phi, claimed) == 0:
+        return False
+    for u, v in cert.generators:
+        t = memo.tensor(u, v, "generator")
+        if t is None or _evaluate(f, phi, t) != 0:
             return False
-        if _evaluate(f, phi, claimed) == 0:
-            return False
-        for u, v in cert.generators:
-            t = memo.tensor(u, v, "generator")
-            if t is None or _evaluate(f, phi, t) != 0:
-                return False
-        return True
-    raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
+    return True
 
 
 def _evaluate(f: Field, phi: Vector, t: Sparse) -> Scalar:
@@ -428,27 +439,34 @@ def _evaluate(f: Field, phi: Vector, t: Sparse) -> Scalar:
 def verify_file(algebra: Algebra, balanced: str, certs: Sequence[Certificate]) -> Iterator[str]:
     """The lines `zpbal verify` prints: one per certificate, as
     `verify_certificate` finds it, then the file's balancedness claim, then
-    the whole file.  A NO needs a verified not-zero-product-balanced
-    refutation; a YES, or a file with any triple membership, needs one
-    membership of every basis triple.  One `_VerifyMemo` serves every
-    certificate, so each distinct pair and term list is computed once."""
+    the whole file.  The n-th membership is about the n-th of
+    `basis_triples`, its place, and verifies false unless its meta names
+    that triple.  A NO needs a verified not-zero-product-balanced
+    refutation; a YES, or a file with any membership, needs exactly d³
+    memberships, which by the place rule cover every basis triple once.
+    One `_VerifyMemo` serves every certificate, so each distinct pair and
+    term list is computed once."""
     memo = _VerifyMemo(algebra)
+    places = basis_triples(algebra.dim)
+    members = 0
     all_ok = True
     refuted = False
     for idx, cert in enumerate(certs):
         ok = verify_certificate(algebra, cert, memo)
+        if cert.kind == MEMBERSHIP:
+            place = next(places, None)
+            members += 1
+            ok = ok and list(cert.meta.get("triple", ())) == place
         all_ok = all_ok and ok
         refuted = refuted or (ok and cert.kind == SEPARATING
                               and cert.meta.get("claim") == "not-zero-product-balanced")
         yield f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}"
-    triples = Counter(tuple(c.meta["triple"]) for c in certs if c.kind == MEMBERSHIP and "triple" in c.meta)
     if balanced == NO and not refuted:
         all_ok = False
         yield "balanced NO: false (no verified not-zero-product-balanced certificate)"
-    if balanced == YES or triples:
+    if balanced == YES or members:
         n = algebra.dim ** 3
-        missing = n - len(triples)
-        repeated = sum(k - 1 for k in triples.values())
+        missing, repeated = max(n - members, 0), max(members - n, 0)
         covered = missing == 0 and repeated == 0
         all_ok = all_ok and covered
         yield (f"triple coverage: {'true' if covered else 'false'} "

@@ -10,7 +10,6 @@ are the code the package replaced, kept to pin down its results.
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -431,9 +430,15 @@ def reference_balanced(algebra, report):
 # ---------------------------------------------------------------------------
 
 
-def certificate_to_dict(cert: Certificate, fld, generator_index) -> dict:
+def _place(n, d):
+    """The basis triple the n-th membership of a file is about, or None past the d³-th."""
+    return [n // (d * d), n // d % d, n % d] if n < d ** 3 else None
+
+
+def certificate_to_dict(cert: Certificate, fld, generator_index, place=None) -> dict:
     """JSON form of one certificate; zero-product pairs become indices into the
-    file's generator table, and a membership, the default kind, has no "kind"."""
+    file's generator table, a membership, the default kind, has no "kind",
+    and a membership whose meta only names `place`, in ints, has no meta."""
     out = {} if cert.kind == MEMBERSHIP else {"kind": cert.kind}
     if cert.target is not None:
         out["target"] = fld.format_vector(cert.target)
@@ -444,15 +449,24 @@ def certificate_to_dict(cert: Certificate, fld, generator_index) -> dict:
     if cert.kind == SEPARATING:
         out["functional"] = fld.format_vector(cert.functional)
         out["generators"] = [generator_index((tuple(u), tuple(v))) for u, v in cert.generators]
-    if cert.meta:
+    implied = (cert.kind == MEMBERSHIP and place is not None and cert.meta == {"triple": place}
+               and all(type(i) is int for i in cert.meta["triple"]))
+    if cert.meta and not implied:
         out["meta"] = cert.meta
     return out
 
 
-def certificates_to_dict(certs, fld, seed: int, label: str = "", *, balanced: str) -> dict:
-    """The whole certificate file as one JSON object."""
+def certificates_to_dict(certs, fld, seed: int, label: str = "", *, balanced: str, dim: int) -> dict:
+    """The whole certificate file as one JSON object, for an algebra of dimension `dim`."""
     index = {}  # zero-product pair -> table position, first use first
-    entries = [certificate_to_dict(c, fld, lambda pair: index.setdefault(pair, len(index))) for c in certs]
+    entries = []
+    members = 0
+    for c in certs:
+        place = None
+        if c.kind == MEMBERSHIP:
+            place = _place(members, dim)
+            members += 1
+        entries.append(certificate_to_dict(c, fld, lambda pair: index.setdefault(pair, len(index)), place))
     fmt = fld.format_vector
     return {
         "balanced": balanced,
@@ -465,10 +479,10 @@ def certificates_to_dict(certs, fld, seed: int, label: str = "", *, balanced: st
     }
 
 
-def reference_certificate_text(certs, fld, seed: int, label: str = "", *, balanced: str) -> str:
+def reference_certificate_text(certs, fld, seed: int, label: str = "", *, balanced: str, dim: int) -> str:
     """The certificate file's text: compact JSON with sorted keys, one certificate per line."""
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-    data = certificates_to_dict(certs, fld, seed, label, balanced=balanced)
+    data = certificates_to_dict(certs, fld, seed, label, balanced=balanced, dim=dim)
     claim, entries = data.pop("balanced"), data.pop("certificates")  # the first keys in sorted order
     lines = ",".join("\n" + encode(entry) for entry in entries)
     return '{"balanced":' + encode(claim) + ',"certificates":[' + lines + "\n]," + encode(data)[1:] + "\n"
@@ -551,7 +565,20 @@ def reference_certificates_from_dict(data, fld, dim):
                 raise ParseError(f"{what} must be a list of {dim} scalars, got {coords!r}")
             pair.append(tuple(fld.parse_vector(coords)))
         generators.append(tuple(pair))
-    return balanced, [_reference_certificate(c, fld, generators) for c in entries]
+    certs = []
+    members = 0
+    for c in entries:
+        cert = _reference_certificate(c, fld, generators)
+        if cert.kind == MEMBERSHIP:  # about the triple of its place among the memberships
+            place = _place(members, dim)
+            if place is None:
+                raise MalformedCertificate(f"certificate {len(certs)} is a membership past the last of "
+                                           f"the {dim ** 3} basis triples")
+            if "triple" not in cert.meta:
+                cert.meta = dict(cert.meta, triple=place)
+            members += 1
+        certs.append(cert)
+    return balanced, certs
 
 
 def _dense_tensor(f, d, u, v):
@@ -585,6 +612,8 @@ def reference_verify_certificate(algebra, cert) -> bool:
     f = algebra.field
     d = algebra.dim
     ambient = d * d
+    if cert.kind not in (MEMBERSHIP, SEPARATING):
+        raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
     target = cert.target
     if target is not None and len(target) != ambient:
         raise MalformedCertificate("target has wrong length")
@@ -606,48 +635,50 @@ def reference_verify_certificate(algebra, cert) -> bool:
                 return False
             acc = [f.add(a, f.mul(lam, b)) for a, b in zip(acc, _dense_tensor(f, d, u, v))]
         return acc == claimed
-    if cert.kind == SEPARATING:
-        if cert.functional is None or len(cert.functional) != ambient:
-            raise MalformedCertificate("separating certificate lacks a functional")
-        claim = cert.meta.get("claim")
-        image = [f.zero] * d  # μ(claimed)
-        for ij, a in enumerate(claimed):
-            for k, c in enumerate(algebra.table[ij // d][ij % d]):
-                image[k] = f.add(image[k], f.mul(a, c))
-        if not (claim == "not-zero-product-balanced" and triple is not None
-                or claim == "not-zero-product-determined" and vec_is_zero(image)):
+    if cert.functional is None or len(cert.functional) != ambient:
+        raise MalformedCertificate("separating certificate lacks a functional")
+    claim = cert.meta.get("claim")
+    image = [f.zero] * d  # μ(claimed)
+    for ij, a in enumerate(claimed):
+        for k, c in enumerate(algebra.table[ij // d][ij % d]):
+            image[k] = f.add(image[k], f.mul(a, c))
+    if not (claim == "not-zero-product-balanced" and triple is not None
+            or claim == "not-zero-product-determined" and vec_is_zero(image)):
+        return False
+    if dot(f, cert.functional, claimed) == 0:
+        return False
+    for u, v in cert.generators:
+        if len(u) != d or len(v) != d:
+            raise MalformedCertificate("generator vector has wrong length")
+        if not vec_is_zero(mult(algebra, u, v)):
             return False
-        if dot(f, cert.functional, claimed) == 0:
+        if dot(f, cert.functional, _dense_tensor(f, d, u, v)) != 0:
             return False
-        for u, v in cert.generators:
-            if len(u) != d or len(v) != d:
-                raise MalformedCertificate("generator vector has wrong length")
-            if not vec_is_zero(mult(algebra, u, v)):
-                return False
-            if dot(f, cert.functional, _dense_tensor(f, d, u, v)) != 0:
-                return False
-        return True
-    raise MalformedCertificate(f"unknown certificate kind {cert.kind!r}")
+    return True
 
 
 def reference_verify_file(algebra, balanced, certs):
-    """The lines of `tensorsquare.verify_file`, each certificate verified on its own."""
+    """The lines of `tensorsquare.verify_file`, each certificate verified on its
+    own, and each membership held to the triple of its place."""
     all_ok = True
     refuted = False
+    members = 0
     for idx, cert in enumerate(certs):
         ok = reference_verify_certificate(algebra, cert)
+        if cert.kind == MEMBERSHIP:
+            place = _place(members, algebra.dim)
+            ok = ok and place is not None and list(cert.meta.get("triple", [])) == place
+            members += 1
         all_ok = all_ok and ok
         refuted = refuted or (ok and cert.kind == SEPARATING
                               and cert.meta.get("claim") == "not-zero-product-balanced")
         yield f"certificate {idx} ({cert.kind}): {'true' if ok else 'false'}"
-    triples = Counter(tuple(c.meta["triple"]) for c in certs if c.kind == MEMBERSHIP and "triple" in c.meta)
     if balanced == NO and not refuted:
         all_ok = False
         yield "balanced NO: false (no verified not-zero-product-balanced certificate)"
-    if balanced == YES or triples:
+    if balanced == YES or members:
         n = algebra.dim ** 3
-        missing = n - len(triples)
-        repeated = sum(k - 1 for k in triples.values())
+        missing, repeated = max(n - members, 0), max(members - n, 0)
         covered = missing == 0 and repeated == 0
         all_ok = all_ok and covered
         yield (f"triple coverage: {'true' if covered else 'false'} "

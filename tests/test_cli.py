@@ -1,6 +1,7 @@
 import ast
 import gc
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -120,10 +121,12 @@ def test_verify_rejects_corruption(tmp_path, capsys, monkeypatch):
 
 
 def _malformed_certificate_file(path, certs):
-    """`certs` with certificate 3 naming a triple outside M2: verify exits 1
-    after printing the lines of certificates 0-2."""
+    """`certs` with certificate 3, a membership the file gives no meta, naming
+    a triple outside M2: verify exits 1 after printing the lines of
+    certificates 0-2."""
     data = json.loads(Path(certs).read_text())
-    data["certificates"][3]["meta"]["triple"] = [0, 0, 9]
+    assert "meta" not in data["certificates"][3]
+    data["certificates"][3]["meta"] = {"triple": [0, 0, 9]}
     Path(path).write_text(json.dumps(data))
 
 
@@ -250,19 +253,29 @@ def test_verify_requires_every_triple_once(tmp_path, capsys, monkeypatch):
     out = _tampered(capsys, m2, lambda data: data["certificates"].pop(5))
     assert "triple coverage: false (1 of 64 triples missing, 0 repeated)" in out
     assert "all certificates: false" in out
-    out = _tampered(capsys, m2, lambda data: data["certificates"].append(data["certificates"][5]))
-    assert "triple coverage: false (0 of 64 triples missing, 1 repeated)" in out
-    assert "all certificates: false" in out
+    # a membership past the d³-th is about no triple: the file does not load
+    data = json.loads(Path("certs.json").read_text())
+    data["certificates"].append(data["certificates"][5])
+    Path("bad.json").write_text(json.dumps(data))
+    assert run_cli(capsys, "verify", "bad.json", "alg.json") == \
+        (1, "", "error: certificate 64 is a membership past the last of the 64 basis triples\n")
 
-    def move(data):  # a certificate of a nonzero defect moved to a triple whose defect is zero
+    certs = data["certificates"][:64]
+    nonzero = next(n for n, c in enumerate(certs) if "target" in c)
+    zero, other = [n for n, c in enumerate(certs) if "target" not in c and not c["terms"]][:2]
+
+    def move(data):  # a certificate of a nonzero defect moved to the place of a zero defect, and back
         certs = data["certificates"]
-        nonzero = next(n for n, c in enumerate(certs) if "target" in c)
-        zero = next(c for c in certs if "target" not in c and not c["terms"])
-        certs[nonzero]["meta"]["triple"] = zero["meta"]["triple"]
+        certs[nonzero], certs[zero] = certs[zero], certs[nonzero]
 
-    out = _tampered(capsys, m2, move)
-    assert "membership-decomposition): false" in out
-    assert "all certificates: false" in out
+    def rename(data):  # a zero defect's certificate names another zero defect's triple: true but off its place
+        data["certificates"][zero]["meta"] = {"triple": [other // 16, other // 4 % 4, other % 4]}
+
+    for change, false in ((move, [min(nonzero, zero), max(nonzero, zero)]), (rename, [zero])):
+        out = _tampered(capsys, m2, change)
+        assert [n for n, line in enumerate(out.splitlines()[:64]) if line.endswith(": false")] == false
+        assert "triple coverage: true (0 of 64 triples missing, 0 repeated)" in out
+        assert "all certificates: false" in out
 
 
 def test_verify_reads_a_repeated_defect_from_its_triple(tmp_path, capsys, monkeypatch):
@@ -273,27 +286,28 @@ def test_verify_reads_a_repeated_defect_from_its_triple(tmp_path, capsys, monkey
     m2, f3 = ("Mn", "--n", "2", "--field", "F3"), PrimeField(3)
     ts = DenseTensorSquare(matrix_algebra(f3, 2))
 
-    def defect(cert):
-        return ts.defect_tensor(*cert["meta"]["triple"])
-
-    def triples(data):
-        return [c for c in data["certificates"] if "triple" in c["meta"]]
+    def defects(data):
+        """Each membership of the file with the defect of the triple of its place."""
+        members = [c for c in data["certificates"] if "terms" in c]
+        assert len(members) == 64
+        places = itertools.product(range(4), repeat=3)
+        return [(c, ts.defect_tensor(i, j, k)) for c, (i, j, k) in zip(members, places)]
 
     def every_target(data):
-        stored = [c for c in triples(data) if any(defect(c))]
-        assert 0 < sum("target" in c for c in stored) < len(stored)  # some defect repeats
-        for cert in stored:
-            cert["target"] = f3.format_vector(defect(cert))
+        stored = [(c, t) for c, t in defects(data) if any(t)]
+        assert 0 < sum("target" in c for c, _ in stored) < len(stored)  # some defect repeats
+        for cert, t in stored:
+            cert["target"] = f3.format_vector(t)
 
     out = _tampered(capsys, m2, every_target)
     assert "false" not in out and "all certificates: true" in out
 
     def flip(data):
-        cert = next(c for c in triples(data) if "target" in c)
+        cert = next(c for c, _ in defects(data) if "target" in c)
         cert["target"][0] = (cert["target"][0] + 1) % 3
 
     def empty_repeat(data):
-        next(c for c in triples(data) if "target" not in c and c["terms"])["terms"] = []
+        next(c for c, _ in defects(data) if "target" not in c and c["terms"])["terms"] = []
 
     for change in (flip, empty_repeat):
         out = _tampered(capsys, m2, change)

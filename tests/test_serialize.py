@@ -148,7 +148,7 @@ def cert_files():
     files = []
     for alg in (function_algebra(F2, 2), nilpotent_algebra(F3, 4)):
         certs, claim = check_certificates(alg, DEFAULT_CONFIG)
-        files.append((alg, certificates_to_dict(certs, alg.field, 0, balanced=claim)))
+        files.append((alg, certificates_to_dict(certs, alg.field, 0, balanced=claim, dim=alg.dim)))
     return files
 
 
@@ -182,10 +182,11 @@ def check_certificates(alg, config):
 def assert_round_trip(alg, config, tmp_path):
     certs, claim = check_certificates(alg, config)
     first, second = tmp_path / "a.certs.json", tmp_path / "b.certs.json"
-    save_certificates(certs, alg.field, config.seed, str(first), label="x", balanced=claim)
-    save_certificates(certs, alg.field, config.seed, str(second), label="x", balanced=claim)
+    save_certificates(certs, alg.field, config.seed, str(first), label="x", balanced=claim, dim=alg.dim)
+    save_certificates(certs, alg.field, config.seed, str(second), label="x", balanced=claim, dim=alg.dim)
     assert first.read_bytes() == second.read_bytes()
-    assert first.read_text() == reference_certificate_text(certs, alg.field, config.seed, "x", balanced=claim)
+    assert first.read_text() == reference_certificate_text(certs, alg.field, config.seed, "x", balanced=claim,
+                                                           dim=alg.dim)
     loaded_claim, loaded = load_certificates(str(first), alg.field, alg.dim)
     assert loaded_claim == claim
     assert len(loaded) == len(certs)
@@ -226,7 +227,7 @@ def test_certificate_file_round_trip_on_random_algebras(field, shape, tmp_path):
 
 @lru_cache(maxsize=None)
 def writer_cases():
-    """(name, field, certificates, claim) of the files `check` writes for the
+    """(name, field, dimension, certificates, claim) of the files `check` writes for the
     corpus, random algebras and the same in random bases, each over F2, F3 and
     Q, plus lower-bound UNKNOWNs and the corpus's hand certificates."""
     algebras = [(e.name, e.algebra, e.config) for e in golden_corpus()]
@@ -242,36 +243,36 @@ def writer_cases():
     cases = []
     for name, alg, config in algebras:
         certs, claim = check_certificates(alg, config)
-        cases.append((name, alg.field, tuple(certs), claim))
+        cases.append((name, alg.field, alg.dim, tuple(certs), claim))
     for e in golden_corpus():
         for label, cert, _ in e.hand_certificates:
-            cases.append((f"{e.name} {label}", e.algebra.field, (cert,), "NO"))
+            cases.append((f"{e.name} {label}", e.algebra.field, e.algebra.dim, (cert,), "NO"))
     return cases
 
 
-def _written_text(tmp_path, certs, fld, seed, label, claim) -> str:
+def _written_text(tmp_path, certs, fld, dim, seed, label, claim) -> str:
     path = tmp_path / "w.certs.json"
-    save_certificates(list(certs), fld, seed, str(path), label=label, balanced=claim)
+    save_certificates(list(certs), fld, seed, str(path), label=label, balanced=claim, dim=dim)
     return path.read_bytes().decode()
 
 
 def test_writer_cases_cover_every_kind_of_file():
     cases = writer_cases()
-    assert {fld.name for _, fld, _, _ in cases} == {"F2", "F3", "Q"}
-    assert {claim for _, _, _, claim in cases} == {"YES", "NO", "UNKNOWN"}
-    certs = [c for _, _, file, _ in cases for c in file]
+    assert {fld.name for _, fld, _, _, _ in cases} == {"F2", "F3", "Q"}
+    assert {claim for _, _, _, _, claim in cases} == {"YES", "NO", "UNKNOWN"}
+    certs = [c for _, _, _, file, _ in cases for c in file]
     assert any(c.kind == MEMBERSHIP and c.target is None for c in certs)  # a zero-defect triple
     assert {c.meta.get("claim") for c in certs if c.kind == SEPARATING} == \
         {"not-zero-product-balanced", "not-zero-product-determined"}
-    lams = [lam for _, fld, file, _ in cases if fld == QQ for c in file for lam, _, _ in c.terms]
+    lams = [lam for _, fld, _, file, _ in cases if fld == QQ for c in file for lam, _, _ in c.terms]
     assert any(Fraction(lam).denominator > 1 for lam in lams)
     assert any(lam < 0 for lam in lams)
 
 
 def test_writer_matches_the_reference_on_every_case(tmp_path):
-    for name, fld, certs, claim in writer_cases():
-        want = reference_certificate_text(list(certs), fld, 5, name, balanced=claim)
-        assert _written_text(tmp_path, certs, fld, 5, name, claim) == want, name
+    for name, fld, dim, certs, claim in writer_cases():
+        want = reference_certificate_text(list(certs), fld, 5, name, balanced=claim, dim=dim)
+        assert _written_text(tmp_path, certs, fld, dim, 5, name, claim) == want, name
 
 
 metas = st.fixed_dictionaries({"triple": st.lists(st.integers(0, 3) | st.booleans(), min_size=3, max_size=3)
@@ -284,11 +285,14 @@ metas = st.fixed_dictionaries({"triple": st.lists(st.integers(0, 3) | st.boolean
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), seed=st.integers(-2 ** 40, 2 ** 40), label=st.text(max_size=6))
 def test_writer_writes_the_reference_bytes(tmp_path, data, seed, label):
-    """Any seed and label, any choice of a file's certificates in any order, odd
+    """Any seed and label, any choice of a file's certificates in any order or
+    a prefix of the file, whose memberships sit at the places they name, odd
     meta objects and zero targets, and over Q λ and targets scaled by any
     nonzero rational."""
-    name, fld, certs, claim = data.draw(st.sampled_from(writer_cases()), label="case")
-    certs = data.draw(st.lists(st.sampled_from(certs), max_size=8) if certs else st.just([]), label="certs")
+    name, fld, dim, certs, claim = data.draw(st.sampled_from(writer_cases()), label="case")
+    certs = data.draw(st.lists(st.sampled_from(certs), max_size=8)
+                      | st.integers(0, len(certs)).map(lambda k: list(certs[:k])) if certs else st.just([]),
+                      label="certs")
     if fld == QQ and certs:
         c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool), label="scale")
         certs = [Certificate(x.kind, None if x.target is None else [QQ.mul(c, a) for a in x.target],
@@ -299,25 +303,42 @@ def test_writer_writes_the_reference_bytes(tmp_path, data, seed, label):
         x = certs[n]
         target = x.target if x.target is None or data.draw(st.booleans()) else [fld.zero] * len(x.target)
         certs[n] = Certificate(x.kind, target, x.terms, x.functional, x.generators, data.draw(metas))
-    want = reference_certificate_text(certs, fld, seed, label, balanced=claim)
-    assert _written_text(tmp_path, certs, fld, seed, label, claim) == want, name
+    want = reference_certificate_text(certs, fld, seed, label, balanced=claim, dim=dim)
+    assert _written_text(tmp_path, certs, fld, dim, seed, label, claim) == want, name
 
 
-# sha256 of the certificate file `check --seed 7` writes for each `example`,
-# and of the same file with its membership lines naming their kind, which the
-# writer leaves off; any change to these bytes must be deliberate and update
-# the digests.
+@pytest.mark.parametrize("triple", [[False, False, False], [0.0, 0, 0], (0, 0, 0), [0, 0, 1]],
+                         ids=["bools", "a float", "a tuple", "another place"])
+def test_the_writer_keeps_a_triple_that_is_not_its_place_in_ints(tmp_path, triple):
+    """The first membership of a file is about triple [0, 0, 0].  A meta that
+    names it with equal values of other types, or names another triple, is
+    written as it is, so the file reads back as the certificate it was."""
+    cert = Certificate(MEMBERSHIP, None, [], meta={"triple": triple})
+    text = _written_text(tmp_path, [cert], F2, 1, 0, "", "YES")
+    assert text == reference_certificate_text([cert], F2, 0, "", balanced="YES", dim=1)
+    assert json.loads(text)["certificates"] == [{"meta": {"triple": list(triple)}, "terms": []}]
+
+
+# sha256 of the certificate file `check --seed 7` writes for each `example`;
+# of the same file with its membership lines naming their triples, which the
+# writer leaves off, as files did before; and of that file with its
+# membership lines naming their kind as well, as files did before that.  Any
+# change to these bytes must be deliberate and update the digests.
 GOLDEN_CERTIFICATES = {
     "m2f2": (("Mn", "--n", "2", "--field", "F2"),
+             "529d43012c893b8d43bc073dc93fd9b5d3523fa778a3f1c9101c683b7b186ebb",
              "61128d69e00f2aa5742898a2394402d627e56fc40c864f50b5a3032eaf5b724a",
              "fdbb0064d6760ebb5c55040a55c4f059ea9fda06336d6d06b0e1bfbf19c3a351"),
     "n4f3": (("Nm", "--m", "4", "--field", "F3"),
              "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532",
+             "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532",
              "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532"),
     "m2q": (("Mn", "--n", "2", "--field", "Q"),
+            "0f9efad60b0b0f09d852fdf3b3100bd031aee02da9275d1af5972fa4f25ddfea",
             "cacfed5e48ebec0b0e0f153ad2d66bc117ce7e5b77ac44175f65f05f19881874",
             "f2e1e03f64dfeaafd1f781ceaf0b241f47f1f2590d1186b2256b568a4bc545f8"),
     "dn3q": (("DN3", "--field", "Q"),
+             "6bde1176e5094f638712a32e2a8e942b5f48750662b4b9e9446f95ef025ecfeb",
              "8554595d2366e4c5aac464512cb9152f75a989d2b03f5e54f1aa40378dc60731",
              "38a1cdeff88df9cc7232e9c4880df16939c338d045f606c1f65d0a6f43a12fa6"),
 }
@@ -344,25 +365,51 @@ def _verify_output(capsys, certs, alg):
     return code, out, err
 
 
-@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
-def test_a_membership_line_names_no_kind(stem, tmp_path, capsys, monkeypatch):
-    """`check` leaves "kind" off every membership and names it on every
-    separating certificate.  Put back after the `{` of each membership line,
-    the kind gives the golden bytes of a file that names every kind, and
-    `verify` prints the same and exits alike on both files."""
+def _named(stem, tmp_path, capsys, monkeypatch, kind: bool) -> str:
+    """The text `check` writes for a golden example with `"meta":{"triple":
+    [i,j,k]},` put back after the `{` of the n-th membership line, triple n
+    in row-major order, and with `kind`, `"kind":"membership-decomposition",`
+    before it.  The file as written names neither on a membership, and names
+    the kind of every separating certificate."""
     text = _checked_file(stem, tmp_path, capsys, monkeypatch).decode()
+    d = json.loads((tmp_path / f"{stem}.json").read_text())["dim"]
+    places = iter([i, j, k] for i in range(d) for j in range(d) for k in range(d))
     lines = text.split("\n")
     entries = [json.loads(line.rstrip(",")) for line in lines[1:-2]]  # one certificate a line
     assert entries == json.loads(text)["certificates"]
-    assert '"kind":"membership-decomposition"' not in text
     for n, entry in enumerate(entries, 1):
         if "terms" in entry:
-            assert "kind" not in entry
-            lines[n] = '{"kind":"membership-decomposition",' + lines[n][1:]
+            assert "kind" not in entry and "meta" not in entry
+            lines[n] = '{"meta":{"triple":[%d,%d,%d]},' % tuple(next(places)) + lines[n][1:]
+            if kind:
+                lines[n] = '{"kind":"membership-decomposition",' + lines[n][1:]
         else:
             assert entry["kind"] == SEPARATING
-    explicit = "\n".join(lines)
-    assert hashlib.sha256(explicit.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][2]
+    assert sum("terms" in entry for entry in entries) in (0, d ** 3)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
+def test_a_membership_line_names_no_triple(stem, tmp_path, capsys, monkeypatch):
+    """Put back on each membership line, the triple of its place gives the
+    golden bytes of the file as written before the writer left it off, and
+    `verify` prints the same, on stdout and stderr, and exits alike on both
+    files."""
+    named = _named(stem, tmp_path, capsys, monkeypatch, kind=False)
+    assert hashlib.sha256(named.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][2]
+    (tmp_path / "named.certs.json").write_text(named)
+    alg = tmp_path / f"{stem}.json"
+    assert _verify_output(capsys, tmp_path / "named.certs.json", alg) == \
+        _verify_output(capsys, tmp_path / f"{stem}.certs.json", alg)
+
+
+@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
+def test_a_membership_line_names_no_kind(stem, tmp_path, capsys, monkeypatch):
+    """Put back on each membership line, its triple and then its kind give the
+    golden bytes of a file that names every kind, and `verify` prints the
+    same and exits alike on both files."""
+    explicit = _named(stem, tmp_path, capsys, monkeypatch, kind=True)
+    assert hashlib.sha256(explicit.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][3]
     (tmp_path / "explicit.certs.json").write_text(explicit)
     alg = tmp_path / f"{stem}.json"
     assert _verify_output(capsys, tmp_path / "explicit.certs.json", alg) == \

@@ -376,6 +376,19 @@ def test_nilpotency_inputs_hold_both_answers():
     assert answers.count(True) >= 5 and answers.count(False) >= 5
 
 
+def _reference_kernels(a):
+    """u, side -> the kernel of x -> ux (on the right) or x -> xu (on the left)
+    in A = `a`, the dense reference's RREF rows as tuples, computed once per
+    (side, element)."""
+    kernels = {}
+
+    def reference(u, side):
+        if (u, side) not in kernels:
+            kernels[u, side] = tuple(map(tuple, dense_kernel(operator_matrix(a, u, side == RIGHT))))
+        return kernels[u, side]
+    return reference
+
+
 @pytest.mark.parametrize("make", list(SKIP_INPUTS.values()), ids=list(SKIP_INPUTS))
 def test_points_the_exhaustive_sweep_skips_share_a_visited_points_annihilator(make):
     """On both sides, in the algebra's own basis and in two random ones:
@@ -388,18 +401,15 @@ def test_points_the_exhaustive_sweep_skips_share_a_visited_points_annihilator(ma
     rng = random.Random(alg.dim)
     nilpotent = _brute_is_nilpotent(alg)
     for a in (alg, random_change_of_basis(alg, rng), random_change_of_basis(alg, rng)):
+        reference = _reference_kernels(a)
         for side in (RIGHT, LEFT):
             sweep = _RecordingSweep(a, side)
             kernel = list(sweep.exhaustive_blocks())[0][0]
             pivots = [k.index(1) for k in kernel]
-
-            def reference(u):
-                return tuple(map(tuple, dense_kernel(operator_matrix(a, u, side == RIGHT))))
-
             visited = set(sweep.points)
             skipped = [u for u in projective_points(a, pivots) if u not in visited]
-            kernels = {reference(u) for u in visited}
-            assert {reference(u) for u in skipped} <= kernels
+            kernels = {reference(u, side) for u in visited}
+            assert {reference(u, side) for u in skipped} <= kernels
             assert sweep.distinct_annihilators == len(kernels) + 1  # and K's key ()
             assert nilpotent or not skipped
         assert_same_as_reference(a, DEFAULT_CONFIG)
@@ -465,13 +475,7 @@ def test_elements_the_lower_bound_sweep_passes_over_share_a_visited_elements_ann
     nilpotent = _brute_is_nilpotent(alg)
     rng = random.Random(alg.dim)
     for n, a in enumerate((alg, random_change_of_basis(alg, rng), random_change_of_basis(alg, rng))):
-        kernels = {}
-
-        def reference(u, side):
-            if (u, side) not in kernels:
-                kernels[u, side] = tuple(map(tuple, dense_kernel(operator_matrix(a, u, side == RIGHT))))
-            return kernels[u, side]
-
+        reference = _reference_kernels(a)
         for seed in range(3):
             config = SweepConfig(enumeration_cap=1, seed=seed)
             span, seen = _lower_bound_span(a, config)

@@ -407,7 +407,8 @@ def test_balanced_decider_equals_the_two_step_reference():
         want = reference_balanced(alg, span)
         assert (got.status, got.note) == (want.status, want.note), name
         files = [json.dumps(certificates_to_dict(v.certificates, alg.field, config.seed, name,
-                                                 balanced=v.status), sort_keys=True) for v in (got, want)]
+                                                 balanced=v.status, dim=alg.dim), sort_keys=True)
+                 for v in (got, want)]
         assert files[0] == files[1], name
         if got.status == "UNKNOWN":  # an UNKNOWN carries no certificate
             assert got.certificates == [], name

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_certificates_from_dict, reference_verify_file
+from references import DenseTensorSquare
 from zpbal import serialize, tensorsquare
 from zpbal.cli import main
 from zpbal.constructions import function_algebra
@@ -33,9 +34,14 @@ EXAMPLES = [("m2f2", ["Mn", "--n", "2", "--field", "F2"]),
 SCALARS = [0, 1, 2, -1, "1", "01", "2/3", "x", True, 1.0, None]
 
 
+STEMS = [stem for stem, _ in EXAMPLES] + ["m2f2 named"]
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Per example: the algebra and the certificate document `check` wrote."""
+    """Per example: the algebra and the certificate document `check` wrote;
+    and M2/F2's with every membership naming the triple of its place, as
+    files did before the writer left it off."""
     work = tmp_path_factory.mktemp("verify")
     out = {}
     for stem, args in EXAMPLES:
@@ -43,6 +49,11 @@ def files(tmp_path_factory):
         assert main(["example", *args, "--out", str(alg)]) == 0
         assert main(["check", str(alg), "--out", str(certs)]) == 0
         out[stem] = (serialize.load_algebra(str(alg)), json.loads(certs.read_text()))
+    alg, doc = out["m2f2"]
+    named = copy.deepcopy(doc)
+    for n, m in enumerate(_members(named["certificates"])):
+        named["certificates"][m]["meta"] = {"triple": _place(n, alg.dim)}
+    out["m2f2 named"] = (alg, named)
     return out
 
 
@@ -79,11 +90,22 @@ def _nonzero_product(alg):
     return unit(i), unit(j)
 
 
+def _members(certs):
+    """The positions of the memberships of a file, in order: the n-th is about
+    basis triple n in row-major order, its place."""
+    return [n for n, c in enumerate(certs) if c.get("kind", MEMBERSHIP) == MEMBERSHIP]
+
+
+def _place(n, d):
+    return [n // (d * d), n // d % d, n % d]
+
+
 def _tamper(doc, alg, kind, draw):
     """Change `doc` in place; returns a change to the loaded certificates, or None."""
     d = alg.dim
     certs = doc["certificates"]
     with_terms = [c for c in certs if c.get("terms")]
+    members = _members(certs)
     if kind == "lambda":
         term = draw(st.sampled_from([t for c in with_terms for t in c["terms"]]))
         term["lambda"] = draw(st.sampled_from(SCALARS))
@@ -97,10 +119,23 @@ def _tamper(doc, alg, kind, draw):
         else:
             lst[k] = value
     elif kind == "triple":
-        cert = draw(st.sampled_from([c for c in certs if "triple" in c.get("meta", {})]))
-        cert["meta"]["triple"] = draw(st.one_of(
-            st.sampled_from([c["meta"]["triple"] for c in certs if "triple" in c.get("meta", {})]),
-            st.lists(st.integers(-1, d), min_size=3, max_size=3)))
+        # any certificate names a triple: its own, another, or none of A's
+        cert = draw(st.sampled_from(certs))
+        cert.setdefault("meta", {})["triple"] = draw(st.lists(st.integers(-1, d), min_size=3, max_size=3))
+    elif kind == "swap two memberships whose defects differ":
+        ts = DenseTensorSquare(alg)
+        defect = {m: ts.defect_tensor(*_place(n, d)) for n, m in enumerate(members)}
+        a = draw(st.sampled_from(members))
+        b = draw(st.sampled_from([m for m in members if defect[m] != defect[a]]))
+        certs[a], certs[b] = certs[b], certs[a]
+    elif kind == "drop a membership":
+        del certs[draw(st.sampled_from(members))]
+    elif kind == "append a membership":
+        certs.append(copy.deepcopy(certs[draw(st.sampled_from(members))]))
+    elif kind == "explicit triple not its place":
+        n = draw(st.integers(0, len(members) - 1))
+        others = [_place(m, d) for m in range(d ** 3) if m != n]
+        certs[members[n]]["meta"] = {"triple": draw(st.sampled_from(others))}
     elif kind == "generator vector":
         g = draw(st.sampled_from(doc["generators"]))
         side = g[draw(st.sampled_from(["u", "v"]))]
@@ -156,7 +191,15 @@ def _tamper(doc, alg, kind, draw):
 
 KINDS = ["lambda", "generator index", "triple", "generator vector", "generator length",
          "shared pair with uv != 0", "one copy of a repeated term list",
-         "wrong length after a nonzero product", "kind", "target entry"]
+         "wrong length after a nonzero product", "kind", "target entry",
+         "swap two memberships whose defects differ", "drop a membership", "append a membership",
+         "explicit triple not its place"]
+# the kinds that move a membership out of its place, which `verify` never accepts
+PLACE_KINDS = {"swap two memberships whose defects differ", "drop a membership", "append a membership",
+               "explicit triple not its place"}
+# the kinds that change a membership, which the refutations of n4f3 are not
+MEMBERSHIP_KINDS = {"lambda", "one copy of a repeated term list", "wrong length after a nonzero product",
+                    *PLACE_KINDS}
 
 
 def test_each_tampering_applies_to_a_written_file(files):
@@ -204,22 +247,36 @@ def test_verify_file_reads_a_tampered_file_like_the_reference(files, data):
     stem = data.draw(st.sampled_from(sorted(files)))
     alg, written = files[stem]
     kind = data.draw(st.sampled_from(KINDS))
-    if stem == "n4f3" and kind in ("lambda", "one copy of a repeated term list",
-                                   "wrong length after a nonzero product"):
+    if stem == "n4f3" and kind in MEMBERSHIP_KINDS:
         kind = "generator index"  # its certificates are separating functionals
     doc = copy.deepcopy(written)
     tamper = _tamper(doc, alg, kind, data.draw)
     got = _read(serialize.certificates_from_dict, verify_file, alg, doc, tamper)
     want = _read(reference_certificates_from_dict, reference_verify_file, alg, doc, tamper)
     assert got == want
+    if kind in PLACE_KINDS:
+        assert got[1] is not None or got[0][-1] == "all certificates: false"
 
 
-@pytest.mark.parametrize("stem", [stem for stem, _ in EXAMPLES])
+@pytest.mark.parametrize("stem", STEMS)
 def test_verify_file_reads_an_untouched_file_like_the_reference(files, stem):
     alg, doc = files[stem]
     got = _read(serialize.certificates_from_dict, verify_file, alg, doc)
     assert got == _read(reference_certificates_from_dict, reference_verify_file, alg, doc)
     assert got[0][-1] == "all certificates: true"
+
+
+def test_memberships_that_name_their_places_read_alike(files):
+    """A file whose memberships name the triples of their places, as files
+    did before the writer left them off, loads to the same certificates and
+    prints the same lines."""
+    alg, doc = files["m2f2"]
+    named = files["m2f2 named"][1]
+    assert "meta" not in json.dumps(doc) and named != doc
+    loaded = [serialize.certificates_from_dict(d, alg.field, alg.dim)[1] for d in (doc, named)]
+    assert [c.meta for c in loaded[0]] == [c.meta for c in loaded[1]]
+    assert _read(serialize.certificates_from_dict, verify_file, alg, named) == \
+        _read(serialize.certificates_from_dict, verify_file, alg, doc)
 
 
 @pytest.mark.parametrize("against, prepend, message", [
@@ -254,3 +311,16 @@ def test_verify_file_calls_verify_certificate_once_per_certificate(files, monkey
     list(verify_file(alg, balanced, certs))
     assert len(calls) == len(certs) == len(doc["certificates"])
     assert all(a is b for a, b in zip(calls, certs))
+
+
+def test_a_membership_past_the_last_triple_is_counted_as_repeated(files):
+    """A file cannot hold a membership past the d³-th, but a caller's list
+    can: `verify_file` prints `false` for it, as for any membership off its
+    place, and the coverage line counts it as repeated."""
+    alg, doc = files["m2f2"]
+    balanced, certs = serialize.certificates_from_dict(doc, alg.field, alg.dim)
+    for verify in (verify_file, reference_verify_file):
+        lines = list(verify(alg, balanced, certs + [certs[5]]))
+        assert lines[64:] == ["certificate 64 (membership-decomposition): false",
+                              "triple coverage: false (0 of 64 triples missing, 1 repeated)",
+                              "all certificates: false"]
