@@ -22,19 +22,24 @@ Certificate files:
     Each zero-product pair is stored once, in the order certificates first use
     it.  A certificate is an object with optional "meta", the fields of its
     kind, and a dense "target" (d*d scalars) when it has one:
-      membership-decomposition: "terms": [ {"generator": index, "lambda": scalar} ... ]
+      membership-decomposition: "terms": [ [generator index, lambda] ... ]
       separating-functional:    "kind": "separating-functional",
                                 "functional": [scalars], "generators": [indices]
     A certificate without "kind" is a membership decomposition, so the
     writer names the kind of every certificate but a membership, and the
     reader also takes an explicit "membership-decomposition".  A certificate
-    that holds a field of the other kind is malformed.
+    that holds a field of the other kind is malformed.  The reader also
+    takes a term as the object {"generator": index, "lambda": scalar}, the
+    form files had before the pair.
 
     The n-th membership of a file, separating certificates not counted, is
     about basis triple n = (n // d², n // d % d, n % d), its place
     (`tensorsquare.basis_triples`).  The writer leaves a membership's meta
     off when it names only that triple, so a zero defect is the line
-    {"terms":[]}.  A membership that names a triple still loads, and
+    {"terms":[]}, and the reader gives a membership without "meta" the
+    triple of its place.  Every other meta is written, an empty one as
+    {}, so a membership whose meta names no triple reads back about its
+    target alone.  A membership that names a triple still loads, and
     verifies false unless the triple is its place's; one past the d³-th
     does not load.  The balanced decider gives a triple's certificate its
     defect tensor as target only the first time it shows that defect, and a
@@ -46,8 +51,10 @@ Certificate files:
 
 Algebra files may declare at most MAX_DIM basis vectors.  Scalars use the
 textual syntax of the base field ("p/q" over the rationals,
-decimal residues over prime fields).  Output is deterministic: fixed key
-order, no timestamps.
+decimal residues over prime fields), and the reader also takes an integer
+for either.  A certificate file writes an integral rational as a JSON
+integer and any other as its "p/q" string.  Output is deterministic: fixed
+key order, no timestamps.
 
 Certificate files are compact JSON with sorted keys and one certificate per
 line, and `save_certificates` is their one writer.  It builds each line as
@@ -205,14 +212,17 @@ def load_map(path: str) -> AlgMap:
 
 
 class _Tokens(dict):
-    """Scalar -> its JSON text; each distinct value is formatted and encoded once."""
+    """Scalar -> its JSON text; each distinct value is formatted and encoded
+    once.  A residue and an integral rational are JSON integers, any other
+    rational its "p/q" string."""
 
     def __init__(self, fld: Field, encode: Callable[[object], str]):
         super().__init__()
         self.format, self.encode = fld.format, encode
 
     def __missing__(self, a) -> str:
-        token = self[a] = self.encode(self.format(a))
+        text = str(self.format(a))
+        token = self[a] = self.encode(text) if "/" in text else text
         return token
 
     def vector(self, v) -> str:
@@ -226,9 +236,10 @@ _ZERO_DEFECT = ',\n{"terms":[]}'
 
 def _certificate_line(cert: Certificate, meta: Dict, tokens: _Tokens,
                       index: Callable[[tuple, tuple], int]) -> str:
-    """One certificate with the meta `meta` as a JSON object with sorted keys,
-    and no "kind" when it is a membership; a zero-product pair becomes its
-    index in the file's generator table."""
+    """One certificate with the meta `meta`, unless it is None, as a JSON
+    object with sorted keys, and no "kind" when it is a membership; a
+    zero-product pair becomes its index in the file's generator table, and a
+    term the pair [index, lambda]."""
     kind, target = cert.kind, cert.target
     fields = []
     if kind == SEPARATING:
@@ -236,12 +247,12 @@ def _certificate_line(cert: Certificate, meta: Dict, tokens: _Tokens,
                    '"generators":[' + ",".join([str(index(u, v)) for u, v in cert.generators]) + "]"]
     if kind != MEMBERSHIP:
         fields.append('"kind":' + tokens.encode(kind))
-    if meta:
+    if meta is not None:
         fields.append('"meta":' + tokens.encode(meta))
     if target is not None:
         fields.append('"target":[' + tokens.vector(target) + "]")
     if kind == MEMBERSHIP:
-        fields.append('"terms":[' + ",".join(['{"generator":%d,"lambda":%s}' % (index(u, v), tokens[lam])
+        fields.append('"terms":[' + ",".join(["[%d,%s]" % (index(u, v), tokens[lam])
                                                for lam, u, v in cert.terms]) + "]")
     return "{" + ",".join(fields) + "}"
 
@@ -252,7 +263,10 @@ def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str
     as it is built, for an algebra of dimension `dim`.  Scalars come from a
     per-file token table, so a dense target is one join; zero-product pairs are
     indexed in the order certificates first use them; a membership whose meta
-    names only the triple of its place has no meta."""
+    names only the triple of its place has no meta, and any other membership
+    meta is written, an empty one too, since the reader gives a membership
+    without meta its place's triple.  A separating certificate's meta is
+    written when it is not empty."""
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
     tokens = _Tokens(fld, encode)
     table: Dict[Tuple[tuple, tuple], int] = {}  # zero-product pair -> table position
@@ -274,6 +288,8 @@ def save_certificates(certs: List[Certificate], fld: Field, seed: int, path: str
                         fh.write(_ZERO_DEFECT if n else _ZERO_DEFECT[1:])
                         continue
                     meta = None
+            elif not meta:
+                meta = None
             fh.write(("," if n else "") + "\n" + _certificate_line(cert, meta, tokens, index))
         generators = ",".join(['{"u":[' + tokens.vector(u) + '],"v":[' + tokens.vector(v) + "]}"
                                for u, v in table])

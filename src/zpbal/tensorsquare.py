@@ -221,9 +221,11 @@ class Certificate:
     and one that holds a field of the other kind ("functional" or
     "generators" on a membership, "terms" on a separating functional) does
     not load.  The n-th membership of a file is about the n-th of
-    `basis_triples`, its place: one without a "triple" in its meta gets the
-    triple of its place, and one that names another triple verifies false
-    in `verify_file`.
+    `basis_triples`, its place: one without "meta" gets the triple of its
+    place, and one that names another triple verifies false in
+    `verify_file`.  One whose meta names no triple is about its target
+    alone, as it was when written, and verifies false in `verify_file`
+    too.
     """
 
     def __init__(self, kind: str, target: Optional[Vector],
@@ -246,9 +248,9 @@ class Certificate:
         `serialize.save_certificates`); `generators` is the file's parsed
         generator table.  `parsed` maps a raw term (generator, lambda) to its
         parsed tuple; certificates that share it share each term's tuple.  An
-        absent "kind" reads as a membership, a membership whose meta names
-        no triple is about `place`, when given, and an absent or empty
-        "terms" or "generators" is handed on as None."""
+        absent "kind" reads as a membership, a membership without "meta" is
+        about `place`, when given, and an absent or empty "terms" or
+        "generators" is handed on as None."""
         if not isinstance(data, dict):
             raise MalformedCertificate(f"certificate must be an object, got {type(data).__name__}")
         kind = data.get("kind", MEMBERSHIP)
@@ -257,11 +259,12 @@ class Certificate:
         for key in _OTHER_KINDS_FIELDS.get(kind, ()):
             if key in data:
                 raise MalformedCertificate(f"a {kind} certificate holds no {key!r}")
-        meta = data.get("meta", {})
-        if not isinstance(meta, dict):
-            raise MalformedCertificate(f"meta must be an object, got {meta!r}")
-        if kind == MEMBERSHIP and place is not None and "triple" not in meta:
-            meta = {**meta, "triple": place}
+        if "meta" not in data:
+            meta = {"triple": place} if kind == MEMBERSHIP and place is not None else {}
+        else:
+            meta = data["meta"]
+            if not isinstance(meta, dict):
+                raise MalformedCertificate(f"meta must be an object, got {meta!r}")
         if parsed is None:
             parsed = {}
         terms = _list(data["terms"], "terms") if "terms" in data else None
@@ -284,12 +287,17 @@ def _generator(index, generators: Sequence[Tuple[tuple, tuple]]) -> Tuple[tuple,
 
 def _term(t, fld: Field, generators: Sequence[Tuple[tuple, tuple]],
           parsed: Dict[tuple, tuple]) -> Tuple[Scalar, tuple, tuple]:
-    """(lambda, u, v) of a raw term, parsed once per distinct (generator, lambda).
-    The memo is read only for an int index and an int or str lambda, since
-    True == 1 and 1.0 == 1 would otherwise find the entry of a valid term."""
-    if not isinstance(t, dict) or set(t) != {"generator", "lambda"}:
-        raise MalformedCertificate(f"term must be {{generator, lambda}}, got {t!r}")
-    key = (t["generator"], t["lambda"])
+    """(lambda, u, v) of a raw term [generator, lambda], or of the object
+    {"generator", "lambda"} older files hold, parsed once per distinct
+    (generator, lambda), whichever form it came in.  The memo is read only
+    for an int index and an int or str lambda, since True == 1 and 1.0 == 1
+    would otherwise find the entry of a valid term."""
+    if isinstance(t, list) and len(t) == 2:
+        key = tuple(t)
+    elif isinstance(t, dict) and set(t) == {"generator", "lambda"}:
+        key = (t["generator"], t["lambda"])
+    else:
+        raise MalformedCertificate(f"term must be [generator, lambda], got {t!r}")
     term = parsed.get(key) if type(key[0]) is int and type(key[1]) in (int, str) else None
     if term is None:  # an invalid term raises before it is stored
         term = parsed[key] = (fld.parse(key[1]), *_generator(key[0], generators))

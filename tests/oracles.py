@@ -8,6 +8,7 @@ the certificate reader at the end are the exception, explained there: they
 are the code the package replaced, kept to pin down its results.
 """
 
+import copy
 import json
 import random
 from dataclasses import dataclass
@@ -189,8 +190,18 @@ def random_change_of_basis(alg, rng):
 # equal theirs row for row; their generators come one element at a time and
 # differ from the engine's.  They build each operator from products of basis
 # vectors and reduce rows with the dense reference builder, not with the
-# package's operator rows and sparse reducer.
+# package's operator rows and sparse reducer.  Within the cap they visit one
+# element of each line through 0, the one whose first nonzero coordinate is
+# 1: for c != 0, cu has u's annihilators and its tensors are c times u's.
 # ---------------------------------------------------------------------------
+
+
+def _leads_with_one(u, one) -> bool:
+    """Whether the first nonzero coordinate of u is `one`."""
+    for a in u:
+        if a:
+            return a == one
+    return False
 
 
 def _annihilator_tensors(report_builder, ts, u, side, generators):
@@ -223,7 +234,8 @@ def reference_zero_product_span(algebra, config):
         for u in algebra.coord_tuples():
             if builder.dim >= ker_dim:
                 break
-            _annihilator_tensors(builder, ts, list(u), "right", generators)
+            if _leads_with_one(u, f.one):
+                _annihilator_tensors(builder, ts, list(u), "right", generators)
     else:
         # (i) basis pairs with zero product
         for i in range(d):
@@ -308,7 +320,8 @@ def _factor_sweep(algebra, builder, witnesses, y_coords):
 
 
 def reference_factorizable_span(algebra, config):
-    """(witnesses, builder) of the full per-element factorizable sweep."""
+    """(witnesses, builder) of the full per-element factorizable sweep; for
+    c != 0, cy adjoins c times y's products, since z(cy) = 0 exactly when zy = 0."""
     f = algebra.field
     d = algebra.dim
     builder = DenseSpanBuilder(f, d)
@@ -318,7 +331,8 @@ def reference_factorizable_span(algebra, config):
         for y in algebra.coord_tuples():
             if builder.dim >= d:
                 break
-            _factor_sweep(algebra, builder, witnesses, list(y))
+            if _leads_with_one(y, f.one):
+                _factor_sweep(algebra, builder, witnesses, list(y))
     else:
         sweep = []
         for i in range(d):
@@ -435,23 +449,37 @@ def _place(n, d):
     return [n // (d * d), n // d % d, n % d] if n < d ** 3 else None
 
 
+def file_scalars(fld, v) -> list:
+    """The scalars of v as a certificate file holds them: a residue, or a
+    rational with denominator 1, as an int, and any other rational as the
+    "p/q" string of `format_vector`."""
+    return [int(a) if isinstance(a, str) and Fraction(a).denominator == 1 else a
+            for a in fld.format_vector(v)]
+
+
 def certificate_to_dict(cert: Certificate, fld, generator_index, place=None) -> dict:
     """JSON form of one certificate; zero-product pairs become indices into the
-    file's generator table, a membership, the default kind, has no "kind",
-    and a membership whose meta only names `place`, in ints, has no meta."""
+    file's generator table, a term the pair [index, lambda], a membership,
+    the default kind, has no "kind", and a membership whose meta only names
+    `place`, in ints, has no meta.  Any other meta of a membership is
+    written, an empty one too, and a separating certificate's when it is
+    not empty."""
     out = {} if cert.kind == MEMBERSHIP else {"kind": cert.kind}
     if cert.target is not None:
-        out["target"] = fld.format_vector(cert.target)
+        out["target"] = file_scalars(fld, cert.target)
     if cert.kind == MEMBERSHIP:
-        lams = fld.format_vector([lam for lam, _, _ in cert.terms])
-        out["terms"] = [{"generator": generator_index((tuple(u), tuple(v))), "lambda": lam}
+        lams = file_scalars(fld, [lam for lam, _, _ in cert.terms])
+        out["terms"] = [[generator_index((tuple(u), tuple(v))), lam]
                         for lam, (_, u, v) in zip(lams, cert.terms)]
     if cert.kind == SEPARATING:
-        out["functional"] = fld.format_vector(cert.functional)
+        out["functional"] = file_scalars(fld, cert.functional)
         out["generators"] = [generator_index((tuple(u), tuple(v))) for u, v in cert.generators]
-    implied = (cert.kind == MEMBERSHIP and place is not None and cert.meta == {"triple": place}
-               and all(type(i) is int for i in cert.meta["triple"]))
-    if cert.meta and not implied:
+    if cert.kind == MEMBERSHIP:
+        implied = (place is not None and cert.meta == {"triple": place}
+                   and all(type(i) is int for i in cert.meta["triple"]))
+        if not implied:
+            out["meta"] = cert.meta
+    elif cert.meta:
         out["meta"] = cert.meta
     return out
 
@@ -467,25 +495,46 @@ def certificates_to_dict(certs, fld, seed: int, label: str = "", *, balanced: st
             place = _place(members, dim)
             members += 1
         entries.append(certificate_to_dict(c, fld, lambda pair: index.setdefault(pair, len(index)), place))
-    fmt = fld.format_vector
     return {
         "balanced": balanced,
         "field": fld.name,
         "label": label,
         "seed": seed,
         "convention": TENSOR_CONVENTION,
-        "generators": [{"u": fmt(u), "v": fmt(v)} for u, v in index],
+        "generators": [{"u": file_scalars(fld, u), "v": file_scalars(fld, v)} for u, v in index],
         "certificates": entries,
     }
 
 
-def reference_certificate_text(certs, fld, seed: int, label: str = "", *, balanced: str, dim: int) -> str:
-    """The certificate file's text: compact JSON with sorted keys, one certificate per line."""
+def certificate_file_text(data: dict) -> str:
+    """A certificate file's object as text: compact JSON with sorted keys, one certificate per line."""
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-    data = certificates_to_dict(certs, fld, seed, label, balanced=balanced, dim=dim)
+    data = dict(data)
     claim, entries = data.pop("balanced"), data.pop("certificates")  # the first keys in sorted order
     lines = ",".join("\n" + encode(entry) for entry in entries)
     return '{"balanced":' + encode(claim) + ',"certificates":[' + lines + "\n]," + encode(data)[1:] + "\n"
+
+
+def reference_certificate_text(certs, fld, seed: int, label: str = "", *, balanced: str, dim: int) -> str:
+    """The certificate file's text: compact JSON with sorted keys, one certificate per line."""
+    return certificate_file_text(certificates_to_dict(certs, fld, seed, label, balanced=balanced, dim=dim))
+
+
+def object_terms(data: dict) -> dict:
+    """A copy of a certificate file's object as files held it before a term
+    was a pair and an integral rational an integer: each term [g, λ] the
+    object {"generator": g, "lambda": λ} and, over Q, every scalar a string."""
+    data = copy.deepcopy(data)
+    scalars = (lambda v: [str(a) for a in v]) if data["field"] == "Q" else list
+    for cert in data["certificates"]:
+        for key in ("target", "functional"):
+            if key in cert:
+                cert[key] = scalars(cert[key])
+        if "terms" in cert:
+            cert["terms"] = [{"generator": g, "lambda": scalars([lam])[0]} for g, lam in cert["terms"]]
+    for pair in data["generators"]:
+        pair["u"], pair["v"] = scalars(pair["u"]), scalars(pair["v"])
+    return data
 
 # ---------------------------------------------------------------------------
 # Reference reader: the loader and the verifier that check every certificate
@@ -521,9 +570,12 @@ def _reference_certificate(data, fld, generators) -> Certificate:
         return generators[index]
 
     def term(t):
-        if not isinstance(t, dict) or set(t) != {"generator", "lambda"}:
-            raise MalformedCertificate(f"term must be {{generator, lambda}}, got {t!r}")
-        return (fld.parse(t["lambda"]), *generator(t["generator"]))
+        """A pair [generator, lambda], or the object form of older files."""
+        if isinstance(t, dict) and set(t) == {"generator", "lambda"}:
+            t = [t["generator"], t["lambda"]]
+        if not (isinstance(t, list) and len(t) == 2):
+            raise MalformedCertificate(f"term must be [generator, lambda], got {t!r}")
+        return (fld.parse(t[1]), *generator(t[0]))
 
     return Certificate(
         kind=kind,
@@ -574,8 +626,8 @@ def reference_certificates_from_dict(data, fld, dim):
             if place is None:
                 raise MalformedCertificate(f"certificate {len(certs)} is a membership past the last of "
                                            f"the {dim ** 3} basis triples")
-            if "triple" not in cert.meta:
-                cert.meta = dict(cert.meta, triple=place)
+            if "meta" not in c:  # the writer leaves off only a meta that names the place
+                cert.meta = {"triple": place}
             members += 1
         certs.append(cert)
     return balanced, certs

@@ -111,7 +111,7 @@ def test_verify_rejects_corruption(tmp_path, capsys, monkeypatch):
     # corrupt the first nonempty membership decomposition
     for cert in data["certificates"]:
         if cert.get("terms"):
-            cert["terms"][0]["lambda"] = 0
+            cert["terms"][0][1] = 0  # the term [generator, lambda]
             break
     with open("bad.json", "w") as fh:
         json.dump(data, fh)
@@ -376,15 +376,15 @@ def _forge(data, how):
             continue
         hit = [pos for pos, a in enumerate(target) if a and pos in single]
         if how == "zero-lambda":
-            cert["terms"][0]["lambda"] = 0
+            cert["terms"][0][1] = 0  # the term [generator, lambda]
         elif how == "cancelling-terms":
-            term = cert["terms"][0]
-            cert["terms"] = [term, {"generator": term["generator"], "lambda": -term["lambda"] % 3}]
+            g, lam = cert["terms"][0]
+            cert["terms"] = [[g, lam], [g, -lam % 3]]
         elif how == "term-zeroes-an-entry":
             if not hit:
                 continue
             g, entry = single[hit[0]]
-            cert["terms"].append({"generator": g, "lambda": -target[hit[0]] * pow(entry, -1, 3) % 3})
+            cert["terms"].append([g, -target[hit[0]] * pow(entry, -1, 3) % 3])
         elif how == "target-extra-entry":
             target[target.index(0)] = 1
         elif how == "target-wrong-length":
@@ -797,8 +797,12 @@ def _certificate_file(**changes):
 
 
 def _term(generator=0, lam=1):
-    return [{"kind": "membership-decomposition", "terms": [{"generator": generator, "lambda": lam}],
-             "target": [0, 1, 0, 0]}]
+    return _terms({"generator": generator, "lambda": lam})
+
+
+def _terms(*terms):
+    """A file's one certificate: a membership with the terms `terms`."""
+    return [{"kind": "membership-decomposition", "terms": list(terms), "target": [0, 1, 0, 0]}]
 
 
 MALFORMED_CERTIFICATES = {  # file stem -> (certificate file object, expected message)
@@ -822,6 +826,13 @@ MALFORMED_CERTIFICATES = {  # file stem -> (certificate file object, expected me
                             "a membership-decomposition certificate holds no 'functional'"),
     "refutation-with-terms": (_certificate_file(certificates=[dict(_term()[0], kind="separating-functional")]),
                               "a separating-functional certificate holds no 'terms'"),
+    "pair-short": (_certificate_file(certificates=_terms([0])), "term must be [generator, lambda], got [0]"),
+    "pair-long": (_certificate_file(certificates=_terms([0, 1, 2])),
+                  "term must be [generator, lambda], got [0, 1, 2]"),
+    "pair-index-bool": (_certificate_file(certificates=_terms([True, 1])), "generator index True"),
+    "pair-float-lambda": (_certificate_file(certificates=_terms([0, 1.5])), "invalid residue 1.5"),
+    "pair-index-out-of-range": (_certificate_file(certificates=_terms([1, 1])),
+                                "generator index 1 is not below 1"),
 }
 MALFORMED_MAPS = {  # file stem -> (map file object, expected message)
     "matrix-int": ({"source": K2, "target": K2, "matrix": 5}, "matrix must be 2 rows x 2 cols"),

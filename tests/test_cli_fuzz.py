@@ -17,13 +17,14 @@ from zpbal.cli import main
 
 # (stem, `zpbal example` arguments): a balanced algebra with registered
 # idempotents, an unbalanced one (separating certificates) and one over Q
-# (scalars written as strings).
+# (scalars written as strings in its algebra file).
 EXAMPLES = [("k2f2", ["Kn", "--n", "2", "--field", "F2"]),
             ("n4f3", ["Nm", "--m", "4", "--field", "F3"]),
             ("dn3q", ["DN3", "--field", "Q"])]
 SCALARS = {"coords", "idempotents", "u", "v", "target", "functional", "lambda", "matrix"}
 INDICES = {"dim", "i", "j", "generator", "triple"}
 FREE_TEXT = {"label", "basis"}  # any string is valid there
+TERM = ("generator", "lambda")  # what the entries of a term [generator, lambda] are
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def _at(doc, path):
 def _refused(path, value):
     """Values the format refuses in place of `value`, which is valid at `path`."""
     keys = [k for k in path if isinstance(k, str)]
-    key = keys[-1] if keys else None
+    key = TERM[path[-1]] if len(path) > 2 and path[-3] == "terms" else keys[-1] if keys else None
     index_list = path[:1] == ("certificates",) and key == "generators"  # into the generator table
     if isinstance(value, (dict, list)):
         return [None, True, 2.5, 7, "zz", [] if isinstance(value, dict) else {}]

@@ -13,7 +13,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import certificates_to_dict, random_change_of_basis, reference_certificate_text
+from multiplier import idempotent_transfer_witness
+from oracles import (certificate_file_text, certificates_to_dict, object_terms, random_change_of_basis,
+                     reference_certificate_text, reference_certificates_from_dict)
 from references import SHAPES, DenseTensorSquare, random_algebra
 from zpbal import serialize
 from zpbal.algebra import Algebra
@@ -46,6 +48,7 @@ from zpbal.tensorsquare import (
     is_zero_product_balanced,
     is_zero_product_determined,
     verify_certificate,
+    verify_file,
 )
 
 F2, F3 = PrimeField(2), PrimeField(3)
@@ -319,25 +322,58 @@ def test_the_writer_keeps_a_triple_that_is_not_its_place_in_ints(tmp_path, tripl
     assert json.loads(text)["certificates"] == [{"meta": {"triple": list(triple)}, "terms": []}]
 
 
+@pytest.mark.parametrize("meta", [None, {}], ids=["a claim", "an empty meta"])
+def test_a_membership_whose_meta_names_no_triple_keeps_its_claim_through_a_file(tmp_path, meta):
+    """An idempotent transfer witness on M2/F2 (e = E11, a = E12, c = E11) is
+    about its target, not about a basis triple.  Saved and loaded, it keeps
+    its meta, `{"claim": "idempotent-transfer"}` or an empty one, and still
+    verifies; only a line without meta gets the triple of its place.  In the
+    file, `verify_file` still holds it to that place and prints false."""
+    m2 = matrix_algebra(F2, 2)
+    e11, e12 = m2.basis_element(0), m2.basis_element(1)
+    cert = idempotent_transfer_witness(m2, e11, e12, e11)
+    if meta is not None:
+        cert.meta = meta
+    assert verify_certificate(m2, cert)
+    path = tmp_path / "w.certs.json"
+    save_certificates([cert], F2, 0, str(path), balanced="UNKNOWN", dim=m2.dim)
+    text = path.read_text()
+    assert text == reference_certificate_text([cert], F2, 0, balanced="UNKNOWN", dim=m2.dim)
+    doc = json.loads(text)
+    for load in (certificates_from_dict, reference_certificates_from_dict):
+        _, [back] = load(doc, F2, m2.dim)
+        assert back.meta == cert.meta
+        assert back.target == cert.target
+        assert verify_certificate(m2, back)
+        assert list(verify_file(m2, "UNKNOWN", [back]))[0] == \
+            "certificate 0 (membership-decomposition): false"
+
+
 # sha256 of the certificate file `check --seed 7` writes for each `example`;
-# of the same file with its membership lines naming their triples, which the
-# writer leaves off, as files did before; and of that file with its
-# membership lines naming their kind as well, as files did before that.  Any
-# change to these bytes must be deliberate and update the digests.
+# of the same file with each term the object {"generator", "lambda"} and,
+# over Q, every integer scalar quoted, as files were before; of that file
+# with its membership lines naming their triples, which the writer leaves
+# off, as files did before that; and of that file with its membership lines
+# naming their kind as well, as files did earlier still.  Any change to these
+# bytes must be deliberate and update the digests.
 GOLDEN_CERTIFICATES = {
     "m2f2": (("Mn", "--n", "2", "--field", "F2"),
+             "4341abe17242b2abb87d546fed696a6488f8d2c4b8b0f2d789d969d940636685",
              "529d43012c893b8d43bc073dc93fd9b5d3523fa778a3f1c9101c683b7b186ebb",
              "61128d69e00f2aa5742898a2394402d627e56fc40c864f50b5a3032eaf5b724a",
              "fdbb0064d6760ebb5c55040a55c4f059ea9fda06336d6d06b0e1bfbf19c3a351"),
     "n4f3": (("Nm", "--m", "4", "--field", "F3"),
              "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532",
              "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532",
+             "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532",
              "0b192400898c28677a840dc526d4d9787f50fdcc397a18bd79891ca8501c7532"),
     "m2q": (("Mn", "--n", "2", "--field", "Q"),
+            "6bd6f387bf2ab2b52d235782f6df4e2276e28d88525e783257d4e805759aa402",
             "0f9efad60b0b0f09d852fdf3b3100bd031aee02da9275d1af5972fa4f25ddfea",
             "cacfed5e48ebec0b0e0f153ad2d66bc117ce7e5b77ac44175f65f05f19881874",
             "f2e1e03f64dfeaafd1f781ceaf0b241f47f1f2590d1186b2256b568a4bc545f8"),
     "dn3q": (("DN3", "--field", "Q"),
+             "cb9967cc6741820a0d4940e96c2674f49690f3ef000992855d41f3c99528ef53",
              "6bde1176e5094f638712a32e2a8e942b5f48750662b4b9e9446f95ef025ecfeb",
              "8554595d2366e4c5aac464512cb9152f75a989d2b03f5e54f1aa40378dc60731",
              "38a1cdeff88df9cc7232e9c4880df16939c338d045f606c1f65d0a6f43a12fa6"),
@@ -365,13 +401,33 @@ def _verify_output(capsys, certs, alg):
     return code, out, err
 
 
+def _objects(stem, tmp_path, capsys, monkeypatch) -> str:
+    """The text `check` writes for a golden example with each term the object
+    {"generator", "lambda"} and, over Q, each integer scalar quoted
+    (`oracles.object_terms`), in the writer's layout."""
+    return certificate_file_text(object_terms(json.loads(_checked_file(stem, tmp_path, capsys, monkeypatch))))
+
+
+@pytest.mark.parametrize("stem", GOLDEN_CERTIFICATES)
+def test_a_term_is_a_pair_and_an_integer_is_unquoted(stem, tmp_path, capsys, monkeypatch):
+    """Each term written back as an object and, over Q, each integer quoted
+    give the golden bytes of the file as written before, and `verify` prints
+    the same, on stdout and stderr, and exits alike on both files."""
+    objects = _objects(stem, tmp_path, capsys, monkeypatch)
+    assert hashlib.sha256(objects.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][2]
+    (tmp_path / "objects.certs.json").write_text(objects)
+    alg = tmp_path / f"{stem}.json"
+    assert _verify_output(capsys, tmp_path / "objects.certs.json", alg) == \
+        _verify_output(capsys, tmp_path / f"{stem}.certs.json", alg)
+
+
 def _named(stem, tmp_path, capsys, monkeypatch, kind: bool) -> str:
-    """The text `check` writes for a golden example with `"meta":{"triple":
-    [i,j,k]},` put back after the `{` of the n-th membership line, triple n
-    in row-major order, and with `kind`, `"kind":"membership-decomposition",`
-    before it.  The file as written names neither on a membership, and names
-    the kind of every separating certificate."""
-    text = _checked_file(stem, tmp_path, capsys, monkeypatch).decode()
+    """`_objects` of a golden example with `"meta":{"triple":[i,j,k]},` put
+    back after the `{` of the n-th membership line, triple n in row-major
+    order, and with `kind`, `"kind":"membership-decomposition",` before it.
+    The file as written names neither on a membership, and names the kind of
+    every separating certificate."""
+    text = _objects(stem, tmp_path, capsys, monkeypatch)
     d = json.loads((tmp_path / f"{stem}.json").read_text())["dim"]
     places = iter([i, j, k] for i in range(d) for j in range(d) for k in range(d))
     lines = text.split("\n")
@@ -396,7 +452,7 @@ def test_a_membership_line_names_no_triple(stem, tmp_path, capsys, monkeypatch):
     `verify` prints the same, on stdout and stderr, and exits alike on both
     files."""
     named = _named(stem, tmp_path, capsys, monkeypatch, kind=False)
-    assert hashlib.sha256(named.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][2]
+    assert hashlib.sha256(named.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][3]
     (tmp_path / "named.certs.json").write_text(named)
     alg = tmp_path / f"{stem}.json"
     assert _verify_output(capsys, tmp_path / "named.certs.json", alg) == \
@@ -409,7 +465,7 @@ def test_a_membership_line_names_no_kind(stem, tmp_path, capsys, monkeypatch):
     golden bytes of a file that names every kind, and `verify` prints the
     same and exits alike on both files."""
     explicit = _named(stem, tmp_path, capsys, monkeypatch, kind=True)
-    assert hashlib.sha256(explicit.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][3]
+    assert hashlib.sha256(explicit.encode()).hexdigest() == GOLDEN_CERTIFICATES[stem][4]
     (tmp_path / "explicit.certs.json").write_text(explicit)
     alg = tmp_path / f"{stem}.json"
     assert _verify_output(capsys, tmp_path / "explicit.certs.json", alg) == \

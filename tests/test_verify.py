@@ -16,7 +16,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_certificates_from_dict, reference_verify_file
+from oracles import object_terms, reference_certificates_from_dict, reference_verify_file
 from references import DenseTensorSquare
 from zpbal import serialize, tensorsquare
 from zpbal.cli import main
@@ -34,14 +34,16 @@ EXAMPLES = [("m2f2", ["Mn", "--n", "2", "--field", "F2"]),
 SCALARS = [0, 1, 2, -1, "1", "01", "2/3", "x", True, 1.0, None]
 
 
-STEMS = [stem for stem, _ in EXAMPLES] + ["m2f2 named"]
+STEMS = [stem for stem, _ in EXAMPLES] + ["m2f2 named", "m2q objects"]
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Per example: the algebra and the certificate document `check` wrote;
-    and M2/F2's with every membership naming the triple of its place, as
-    files did before the writer left it off."""
+    M2/F2's with every membership naming the triple of its place, as files
+    did before the writer left it off; and M2/Q's with each term the object
+    {"generator", "lambda"} and each integer scalar a string, as files were
+    before a term was a pair."""
     work = tmp_path_factory.mktemp("verify")
     out = {}
     for stem, args in EXAMPLES:
@@ -54,6 +56,7 @@ def files(tmp_path_factory):
     for n, m in enumerate(_members(named["certificates"])):
         named["certificates"][m]["meta"] = {"triple": _place(n, alg.dim)}
     out["m2f2 named"] = (alg, named)
+    out["m2q objects"] = (out["m2q"][0], object_terms(out["m2q"][1]))
     return out
 
 
@@ -71,12 +74,17 @@ def _read(load, verify, alg, doc, tamper=None):
     return lines, None
 
 
+# The two places of a term's generator index and lambda: its pair [g, λ], or
+# the object {"generator": g, "lambda": λ} of older files.
+GENERATOR, LAMBDA = {list: 0, dict: "generator"}, {list: 1, dict: "lambda"}
+
+
 def _users(doc):
     """Generator index -> the certificates that use it."""
     users = defaultdict(set)
     for n, cert in enumerate(doc["certificates"]):
         for t in cert.get("terms", []):
-            users[t["generator"]].add(n)
+            users[t[GENERATOR[type(t)]]].add(n)
         for g in cert.get("generators", []):
             users[g].add(n)
     return users
@@ -108,16 +116,25 @@ def _tamper(doc, alg, kind, draw):
     members = _members(certs)
     if kind == "lambda":
         term = draw(st.sampled_from([t for c in with_terms for t in c["terms"]]))
-        term["lambda"] = draw(st.sampled_from(SCALARS))
+        term[LAMBDA[type(term)]] = draw(st.sampled_from(SCALARS))
     elif kind == "generator index":
         indices = [lst for c in certs for lst in (c.get("terms", []), c.get("generators", [])) if lst]
         lst = draw(st.sampled_from(indices))
         k = draw(st.integers(0, len(lst) - 1))
         value = draw(st.sampled_from([-1, 0, 1, len(doc["generators"]), True, "0"]))
-        if isinstance(lst[k], dict):
-            lst[k]["generator"] = value
+        if isinstance(lst[k], (list, dict)):
+            lst[k][GENERATOR[type(lst[k])]] = value
         else:
             lst[k] = value
+    elif kind == "term form":
+        # a term in the other form, which reads the same, or a malformed one
+        terms = draw(st.sampled_from([c["terms"] for c in with_terms]))
+        k = draw(st.integers(0, len(terms) - 1))
+        g, lam = terms[k][GENERATOR[type(terms[k])]], terms[k][LAMBDA[type(terms[k])]]
+        terms[k] = draw(st.sampled_from([
+            [g, lam], {"generator": g, "lambda": lam}, [g], [g, lam, 0], [lam, g], [True, lam], [g, 1.5],
+            [len(doc["generators"]), lam], [], {"generator": g}, {"generator": g, "lambda": lam, "x": 0},
+            g, None, "0"]))
     elif kind == "triple":
         # any certificate names a triple: its own, another, or none of A's
         cert = draw(st.sampled_from(certs))
@@ -158,9 +175,9 @@ def _tamper(doc, alg, kind, draw):
         cert = draw(st.sampled_from(draw(st.sampled_from(repeated))))
         term = draw(st.sampled_from(cert["terms"]))
         if draw(st.booleans()):
-            term["lambda"] = draw(st.sampled_from(SCALARS))
+            term[LAMBDA[type(term)]] = draw(st.sampled_from(SCALARS))
         else:
-            term["generator"] = draw(st.integers(0, len(doc["generators"]) - 1))
+            term[GENERATOR[type(term)]] = draw(st.integers(0, len(doc["generators"]) - 1))
     elif kind == "kind":
         # a separating certificate loses its kind, or a membership, whose kind
         # the file leaves off, gets one: its own, the other kind, or no kind
@@ -189,7 +206,7 @@ def _tamper(doc, alg, kind, draw):
     return None
 
 
-KINDS = ["lambda", "generator index", "triple", "generator vector", "generator length",
+KINDS = ["lambda", "generator index", "term form", "triple", "generator vector", "generator length",
          "shared pair with uv != 0", "one copy of a repeated term list",
          "wrong length after a nonzero product", "kind", "target entry",
          "swap two memberships whose defects differ", "drop a membership", "append a membership",
@@ -198,8 +215,8 @@ KINDS = ["lambda", "generator index", "triple", "generator vector", "generator l
 PLACE_KINDS = {"swap two memberships whose defects differ", "drop a membership", "append a membership",
                "explicit triple not its place"}
 # the kinds that change a membership, which the refutations of n4f3 are not
-MEMBERSHIP_KINDS = {"lambda", "one copy of a repeated term list", "wrong length after a nonzero product",
-                    *PLACE_KINDS}
+MEMBERSHIP_KINDS = {"lambda", "term form", "one copy of a repeated term list",
+                    "wrong length after a nonzero product", *PLACE_KINDS}
 
 
 def test_each_tampering_applies_to_a_written_file(files):
@@ -276,6 +293,19 @@ def test_memberships_that_name_their_places_read_alike(files):
     loaded = [serialize.certificates_from_dict(d, alg.field, alg.dim)[1] for d in (doc, named)]
     assert [c.meta for c in loaded[0]] == [c.meta for c in loaded[1]]
     assert _read(serialize.certificates_from_dict, verify_file, alg, named) == \
+        _read(serialize.certificates_from_dict, verify_file, alg, doc)
+
+
+def test_terms_as_objects_and_quoted_integers_read_alike(files):
+    """M2/Q's file with each term the object {"generator", "lambda"} and each
+    integer scalar a string, as files were before, loads to the same
+    certificates and prints the same lines."""
+    alg, doc = files["m2q"]
+    objects = files["m2q objects"][1]
+    assert "lambda" not in json.dumps(doc) and '"lambda": "-1"' in json.dumps(objects)
+    loaded = [serialize.certificates_from_dict(d, alg.field, alg.dim)[1] for d in (doc, objects)]
+    assert [vars(c) for c in loaded[0]] == [vars(c) for c in loaded[1]]
+    assert _read(serialize.certificates_from_dict, verify_file, alg, objects) == \
         _read(serialize.certificates_from_dict, verify_file, alg, doc)
 
 
